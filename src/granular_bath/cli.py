@@ -14,7 +14,7 @@ is rejected in linear mode where pair collisions are switched off).  All
 defaults are in ``DEFAULTS``; ``lambda`` is the JSON spelling of the bath
 coupling scale.  The initial ensemble is always the standard normal draw
 (unit temperature, zero mean) from the run seed, so a (config, seed) pair
-pins the entire trajectory bit-for-bit in single-threaded runs.
+pins the entire trajectory bit-for-bit.
 
 Exit codes: 0 success, 1 configuration error, 2 temperature-bound violation
 beyond the Monte Carlo allowance, 3 numerical fault.  ``GB_LOG`` sets the
@@ -36,6 +36,8 @@ import numpy as np
 
 from .background import BathParams, abs_moment, load_table, nu
 from .carleman import (
+    ConvergenceError,
+    KernelBuildError,
     kernel_closed_form,
     kernel_quadrature,
     make_grid,
@@ -63,7 +65,13 @@ from .kinematics import (
     sphere_average_l,
     sphere_average_q,
 )
-from .observables import FitRefusedError, bound_params, f_aux_stderr, haff_fit
+from .observables import (
+    FitRefusedError,
+    SupportMismatchError,
+    bound_params,
+    f_aux_stderr,
+    haff_fit,
+)
 
 __all__ = [
     "ConfigError",
@@ -401,8 +409,12 @@ def _steady_theta(traj: MomentTrajectory, u1: np.ndarray | None):
     return verdict, float(tail.mean()), se
 
 
-def execute(parsed: ParsedConfig, out_dir: str | Path = ".", threads: int = 1) -> int:
-    """Run one configured pipeline, writing outputs into ``out_dir``."""
+def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
+    """Run one configured pipeline, writing outputs into ``out_dir``.
+
+    Numerical failures propagate as exceptions; :func:`main` maps them to
+    exit code 3.
+    """
     if parsed.mode == "validate":
         return run_validation(seed=parsed.normalized["seed"])
     sim = parsed.sim
@@ -444,12 +456,22 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".", threads: int = 1) -
         h_bias_correct=True,
     )
     try:
-        traj = run(sim, observers=observers, n_workers=threads)
+        traj = run(sim, observers=observers)
     except TimeStepError as exc:
         print(f"time-step error: {exc}", file=sys.stderr)
         return 1
 
     traj.to_csv(out / "trajectory.csv")
+    if steady_grid is not None:
+        # Bath collisions with e <= 1 cannot heat the gas above theta1, so a
+        # grid steady temperature above max(theta1, Theta(0)) is a grid artefact.
+        theta_max = max(sim.bath.theta1, traj.records[0].theta)
+        if not 0.0 < steady_grid.theta <= theta_max:
+            raise NumericalFault(
+                f"grid steady temperature {_fmt(steady_grid.theta)} lies outside "
+                f"(0, {_fmt(theta_max)}]; the grid is too coarse or too narrow "
+                f"for the bath"
+            )
 
     extra: list[str] = []
     code = 0
@@ -701,8 +723,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         "parameter-free validate mode)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker streams for the collision sweeps")
     parser.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (created if missing)")
     args = parser.parse_args(argv)
@@ -711,9 +731,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         level=getattr(logging, level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return 1
     if args.config is None and args.mode != "validate":
         print(f"--config is required for {args.mode} mode", file=sys.stderr)
         return 1
@@ -732,8 +749,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        return execute(parsed, out_dir=args.out, threads=args.threads)
-    except NumericalFault as exc:
+        return execute(parsed, out_dir=args.out)
+    except (NumericalFault, SupportMismatchError, KernelBuildError, ConvergenceError) as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return 3
 

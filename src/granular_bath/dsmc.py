@@ -28,6 +28,7 @@ import numpy as np
 from .background import BathParams, abs_moment, sample_bath
 from .kinematics import RestitutionParams, collide_l_sigma, collide_q
 from .observables import (
+    DEFAULT_SIGMA_PAIRS,
     DEFAULT_Y_ORDERS,
     MomentRecord,
     f_aux,
@@ -147,7 +148,7 @@ class ObserverConfig:
     lp_p: float = 1.5
     lp_bins: int = 32
     compute_sigma: bool = False
-    sigma_pairs: int = 2048
+    sigma_pairs: int = DEFAULT_SIGMA_PAIRS
     h_reference: object | None = None  # callable density or grid array
     h_tags: tuple[str, ...] = ("quad", "ent")
     h_bins: int = 32
@@ -215,7 +216,6 @@ def step_q(
     restitution: RestitutionParams,
     q_max: float,
     rng: np.random.Generator,
-    workers: Sequence[np.random.Generator] | None = None,
 ) -> tuple[int, float]:
     """One Nanbu-Babovsky gas-gas sweep; mutates ``velocities`` on success.
 
@@ -241,22 +241,15 @@ def step_q(
     max_speed = float(speeds.max())
     if max_speed > q_max:
         raise _MajorantOverflow(max_speed)
-    accepted = 0
-    chunks = np.array_split(np.arange(m), len(workers)) if workers else [np.arange(m)]
-    rngs = list(workers) if workers else [rng]
-    for chunk, crng in zip(chunks, rngs):
-        if chunk.size == 0:
-            continue
-        acc = chunk[crng.random(chunk.size) < speeds[chunk] / q_max]
-        if acc.size == 0:
-            continue
-        sigma = _uniform_sphere(crng, acc.size)
-        i, j = i_all[acc], j_all[acc]
-        v_post, w_post = collide_q(velocities[i], velocities[j], sigma, restitution)
-        velocities[i] = v_post
-        velocities[j] = w_post
-        accepted += int(acc.size)
-    return accepted, max_speed
+    acc = rng.random(m) < speeds / q_max
+    i, j = i_all[acc], j_all[acc]
+    if i.size == 0:
+        return 0, max_speed
+    sigma = _uniform_sphere(rng, i.size)
+    v_post, w_post = collide_q(velocities[i], velocities[j], sigma, restitution)
+    velocities[i] = v_post
+    velocities[j] = w_post
+    return int(i.size), max_speed
 
 
 def step_l(
@@ -266,7 +259,6 @@ def step_l(
     bath: BathParams,
     l_max: float,
     rng: np.random.Generator,
-    workers: Sequence[np.random.Generator] | None = None,
 ) -> tuple[int, float]:
     """One bath sweep; mutates ``velocities`` on success.
 
@@ -282,49 +274,20 @@ def step_l(
     cand = np.nonzero(rng.random(n) < p_cand)[0]
     if cand.size == 0:
         return 0, 0.0
-    chunks = np.array_split(cand, len(workers)) if workers else [cand]
-    rngs = list(workers) if workers else [rng]
-    accepted = 0
-    max_rel = 0.0
-    staged: list[tuple[Array, Array]] = []
-    for chunk, crng in zip(chunks, rngs):
-        if chunk.size == 0:
-            continue
-        partners = sample_bath(bath, chunk.size, crng)
-        rel = velocities[chunk] - partners
-        speeds = np.linalg.norm(rel, axis=1)
-        max_rel = max(max_rel, float(speeds.max()))
-        if max_rel > l_max:
-            raise _MajorantOverflow(max_rel)
-        acc = crng.random(chunk.size) < speeds / l_max
-        idx = chunk[acc]
-        if idx.size == 0:
-            continue
-        sigma = _uniform_sphere(crng, idx.size)
-        v_post, _ = collide_l_sigma(velocities[idx], partners[acc], sigma, restitution)
-        staged.append((idx, v_post))
-        accepted += int(idx.size)
-    for idx, v_post in staged:
-        velocities[idx] = v_post
-    return accepted, max_rel
-
-
-def _worker_rngs(
-    seed: int, step_index: int, phase: int, n_workers: int
-) -> list[np.random.Generator] | None:
-    """Per-(step, sweep, worker) streams for the parallel candidate sweep.
-
-    Streams are re-derived deterministically from the root seed, so results
-    are reproducible per (seed, worker count).  ``None`` for a single worker:
-    the sweep then consumes the root stream directly (the bit-reproducible
-    single-threaded mode).
-    """
-    if n_workers <= 1:
-        return None
-    return [
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(phase, step_index, w)))
-        for w in range(n_workers)
-    ]
+    partners = sample_bath(bath, cand.size, rng)
+    rel = velocities[cand] - partners
+    speeds = np.linalg.norm(rel, axis=1)
+    max_rel = float(speeds.max())
+    if max_rel > l_max:
+        raise _MajorantOverflow(max_rel)
+    acc = rng.random(cand.size) < speeds / l_max
+    idx = cand[acc]
+    if idx.size == 0:
+        return 0, max_rel
+    sigma = _uniform_sphere(rng, idx.size)
+    v_post, _ = collide_l_sigma(velocities[idx], partners[acc], sigma, restitution)
+    velocities[idx] = v_post
+    return int(idx.size), max_rel
 
 
 def _make_record(
@@ -378,18 +341,15 @@ def run(
     observers: ObserverConfig | None = None,
     init: Ensemble | Array | None = None,
     rng: np.random.Generator | None = None,
-    n_workers: int = 1,
 ) -> MomentTrajectory:
     """Evolve an ensemble to t_end, recording moments along the way.
 
     ``init=None`` draws a standard-normal ensemble (Theta = 1, u = 0) from
     the run's seed; an Ensemble resumes from its stored time (pass the
-    checkpointed generator as ``rng`` to continue its stream).  Single-worker
-    runs with the same (config, seed) are bit-reproducible.
+    checkpointed generator as ``rng`` to continue its stream).  Runs with the
+    same (config, seed) are bit-reproducible.
     """
     obs = observers or ObserverConfig()
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     if init is None:
@@ -425,9 +385,7 @@ def run(
             for _attempt in range(64):
                 try:
                     nq, seen = step_q(
-                        vel, config.dt, config.tau, config.restitution,
-                        maj_q.value, rng,
-                        _worker_rngs(config.seed, step, 0, n_workers),
+                        vel, config.dt, config.tau, config.restitution, maj_q.value, rng
                     )
                     maj_q.observed = max(maj_q.observed, seen)
                     traj.collisions_q += nq
@@ -447,9 +405,7 @@ def run(
             for _attempt in range(64):
                 try:
                     nl, seen = step_l(
-                        vel, config.dt, config.restitution, bath,
-                        maj_l.value, rng,
-                        _worker_rngs(config.seed, step, 1, n_workers),
+                        vel, config.dt, config.restitution, bath, maj_l.value, rng
                     )
                     maj_l.observed = max(maj_l.observed, seen)
                     traj.collisions_l += nl

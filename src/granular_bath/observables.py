@@ -37,9 +37,6 @@ __all__ = [
     "sigma_freq",
     "third_cumulant",
     "histogram_l1_distance",
-    "nonconcentration_radius",
-    "ball_mass_fraction",
-    "fourier_decay",
     "write_records",
     "read_records",
     "CSV_COLUMNS",
@@ -48,6 +45,7 @@ __all__ = [
 Array = np.ndarray
 
 DEFAULT_Y_ORDERS = (1.0, 1.5, 2.0, 3.0)
+DEFAULT_SIGMA_PAIRS = 2**17
 
 CSV_COLUMNS = (
     "t", "rho", "ux", "uy", "uz", "theta", "F",
@@ -237,18 +235,15 @@ def histogram_density(
 
 @dataclass(frozen=True)
 class LpEstimate:
-    """Histogram L^p estimate with its resolution-doubling sensitivity.
+    """Histogram L^p estimate.
 
-    ``error`` is |value at 2x bins - value|; ``degenerate`` flags an empty
-    histogram; ``concentrated`` flags more than half of the mass inside a
-    single cell (a point-mass-like sample whose L^p estimate diverges with
-    resolution).
+    ``degenerate`` flags an empty histogram; ``concentrated`` flags more
+    than half of the mass inside a single cell (a point-mass-like sample
+    whose L^p estimate diverges with resolution).
     """
 
     p: float
     value: float
-    value_fine: float
-    error: float
     degenerate: bool
     concentrated: bool
 
@@ -263,26 +258,15 @@ def lp_norm(
     """Histogram estimate of the L^p norm (sum f^p * cellvol)^(1/p), p > 1."""
     if not (p > 1.0 and math.isfinite(p)):
         raise ValueError(f"p must lie in (1, inf), got {p}")
-    vel = np.asarray(velocities, dtype=float)
-    values = []
-    concentrated = False
-    degenerate = False
-    for b in (bins, 2 * bins):
-        density, edges = histogram_density(vel, bins=b, extent=extent, center=center)
-        vol = float(np.prod([e[1] - e[0] for e in edges]))
-        mass = density.sum() * vol
-        if mass <= 0.0:
-            degenerate = True
-            values.append(math.nan)
-            continue
-        if float(density.max()) * vol > 0.5:
-            concentrated = True
-        values.append(float(np.sum(density**p) * vol) ** (1.0 / p))
-    value, value_fine = values
-    err = abs(value_fine - value) if not degenerate else math.nan
+    density, edges = histogram_density(velocities, bins=bins, extent=extent, center=center)
+    vol = float(np.prod([e[1] - e[0] for e in edges]))
+    if density.sum() * vol <= 0.0:
+        return LpEstimate(p=p, value=math.nan, degenerate=True, concentrated=False)
     return LpEstimate(
-        p=p, value=value, value_fine=value_fine, error=err,
-        degenerate=degenerate, concentrated=concentrated,
+        p=p,
+        value=float(np.sum(density**p) * vol) ** (1.0 / p),
+        degenerate=False,
+        concentrated=float(density.max()) * vol > 0.5,
     )
 
 
@@ -410,33 +394,30 @@ def sigma_freq(
     bath: BathParams | None,
     tau: float,
     rng: np.random.Generator | None = None,
-    max_pairs: int = 4096,
+    max_pairs: int = DEFAULT_SIGMA_PAIRS,
 ) -> float:
     """Ensemble mean of the total collision frequency Sigma(f)(v).
 
     Sigma(f)(v) = tau * (|.| convolved with f)(v) + nu(v).  The convolution
-    term is the exact double sum for N <= 10^4 and a row/partner subsample
-    of size ``max_pairs`` above that (rng seeds the subsample; defaults to a
-    fixed generator so records stay reproducible).
+    term is the mean of |v_i - v_j| over all N^2 ordered pairs (i = j
+    included).  It is the exact double sum when N^2 <= ``max_pairs``, and
+    otherwise the mean over ``max_pairs`` independent uniform index pairs,
+    an unbiased estimate with standard error sd(|v - w|) / sqrt(max_pairs).
+    ``rng`` draws the pairs; it defaults to a fixed generator so records
+    stay reproducible.
     """
     vel = np.asarray(velocities, dtype=float)
     n = vel.shape[0]
     total = 0.0
     if tau > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        if n <= 10_000:
-            rows, partners = vel, vel
+        if n * n <= max_pairs:
+            conv = float(np.mean(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
         else:
-            rows = vel[rng.choice(n, size=max_pairs, replace=False)]
-            partners = vel[rng.choice(n, size=max_pairs, replace=False)]
-        conv = 0.0
-        step = max(1, int(2e7) // max(partners.shape[0], 1))
-        for lo in range(0, rows.shape[0], step):
-            block = rows[lo : lo + step]
-            d = np.linalg.norm(block[:, None, :] - partners[None, :, :], axis=-1)
-            conv += float(d.sum())
-        conv /= rows.shape[0] * partners.shape[0]
+            if rng is None:
+                rng = np.random.default_rng(0)
+            i, j = rng.integers(0, n, size=(2, max_pairs))
+            d = np.take(vel, i, axis=0) - np.take(vel, j, axis=0)
+            conv = float(np.mean(np.sqrt(np.einsum("ij,ij->i", d, d))))
         total += tau * conv
     if bath is not None:
         total += float(np.mean(nu(bath, vel)))
@@ -470,49 +451,6 @@ def histogram_l1_distance(
     fa = ca / (np.asarray(vel_a).shape[0] * vol)
     fb = cb / (np.asarray(vel_b).shape[0] * vol)
     return float(np.sum(np.abs(fa - fb)) * vol)
-
-
-def nonconcentration_radius(velocities: Array, center: Array, frac: float = 0.5) -> float:
-    """Radius of the ball around ``center`` holding a ``frac`` mass fraction."""
-    if not 0.0 < frac < 1.0:
-        raise ValueError(f"frac must lie in (0, 1), got {frac}")
-    r = np.linalg.norm(np.asarray(velocities, float) - np.asarray(center, float), axis=1)
-    return float(np.quantile(r, frac))
-
-
-def ball_mass_fraction(velocities: Array, center: Array, radius: float) -> float:
-    """Fraction of particles inside the ball |v - center| <= radius."""
-    r = np.linalg.norm(np.asarray(velocities, float) - np.asarray(center, float), axis=1)
-    return float(np.mean(r <= radius))
-
-
-def fourier_decay(
-    velocities: Array,
-    bins: int = 64,
-    extent: float | None = None,
-) -> tuple[Array, Array]:
-    """Radially averaged magnitude of the histogram's Fourier transform.
-
-    Qualitative smoothness diagnostic only: returns (|k| bin centers, mean
-    |f_hat(k)|), normalized so the zero mode is 1.
-    """
-    density, edges = histogram_density(np.asarray(velocities, float), bins, extent)
-    vol = float(np.prod([e[1] - e[0] for e in edges]))
-    fhat = np.fft.fftn(density * vol)
-    amp = np.abs(fhat) / max(abs(fhat.flat[0]), np.finfo(float).tiny)
-    freqs = [np.fft.fftfreq(bins, d=(e[1] - e[0])) for e in edges]
-    kx, ky, kz = np.meshgrid(*freqs, indexing="ij")
-    kr = np.sqrt(kx**2 + ky**2 + kz**2).ravel()
-    order = np.argsort(kr)
-    kr, amp = kr[order], amp.ravel()[order]
-    n_shell = max(8, bins // 2)
-    shells = np.linspace(0.0, kr[-1], n_shell + 1)
-    idx = np.digitize(kr, shells) - 1
-    centers = 0.5 * (shells[1:] + shells[:-1])
-    means = np.array([
-        amp[idx == i].mean() if np.any(idx == i) else math.nan for i in range(n_shell)
-    ])
-    return centers, means
 
 
 def _fmt(x: float) -> str:

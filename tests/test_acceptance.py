@@ -404,12 +404,11 @@ def test_criterion_12_reproducibility(tmp_path):
     path.write_text(json.dumps(config), encoding="utf-8")
     outputs = []
     for sub in ("one", "two"):
-        rc = main(["full", "--config", str(path), "--threads", "1",
-                   "--out", str(tmp_path / sub)])
+        rc = main(["full", "--config", str(path), "--out", str(tmp_path / sub)])
         assert rc == 0
         outputs.append({
             name: (tmp_path / sub / name).read_bytes()
             for name in ("trajectory.csv", "bound_report.txt", "plot.gp")
         })
     assert outputs[0] == outputs[1]
-    print("criterion 12 PASS  identical (config, seed, threads=1) runs byte-identical")
+    print("criterion 12 PASS  identical (config, seed) runs byte-identical")

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from granular_bath import cli
 from granular_bath.background import load_table
+from granular_bath.carleman import ConvergenceError, KernelBuildError
 from granular_bath.cli import (
     DEFAULTS,
     MODES,
@@ -332,11 +334,42 @@ class TestMain:
         assert rc == 1
         assert "cannot read config" in capsys.readouterr().err
 
-    def test_bad_thread_count_exits_one(self, tmp_path, capsys):
-        path = write_config(tmp_path, COOLING_SMOKE)
-        rc = main(["cooling", "--config", str(path), "--threads", "0"])
-        assert rc == 1
-        assert "--threads" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            # Too narrow: occupied histogram cells fall outside the grid support.
+            ({"nodes": 5, "extent": 0.5}, "reference density vanishes"),
+            # Too coarse: the grid steady temperature is 25 against theta1 = 1.
+            ({"nodes": 4, "extent": 20.0}, "grid steady temperature"),
+        ],
+    )
+    def test_unusable_grid_exits_three(self, tmp_path, capsys, grid, message):
+        path = write_config(tmp_path, dict(LINEAR_SMOKE, t_end=0.1, grid=grid))
+        rc = main(["linear", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "target, exc",
+        [
+            ("make_grid", KernelBuildError("kernel column sums overshoot nu")),
+            ("steady_state", ConvergenceError("no convergence", np.zeros(1), 1.0)),
+        ],
+    )
+    def test_grid_failures_exit_three(self, tmp_path, capsys, monkeypatch, target, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, target, fail)
+        path = write_config(tmp_path, dict(LINEAR_SMOKE, t_end=0.1))
+        rc = main(["linear", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(exc) in err
+        assert "Traceback" not in err
 
     def test_out_directory_created(self, tmp_path):
         path = write_config(tmp_path, dict(COOLING_SMOKE, t_end=0.2))

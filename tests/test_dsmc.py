@@ -21,7 +21,7 @@ from granular_bath.dsmc import (
     step_q,
 )
 from granular_bath.kinematics import RestitutionParams
-from granular_bath.observables import MomentRecord, moments
+from granular_bath.observables import MomentRecord, lp_norm, moments, read_records
 
 
 def bath_at(theta1=1.0, m1=1.0, lam=1.0, u1=(0.0, 0.0, 0.0)):
@@ -320,6 +320,21 @@ class TestCheckpoints:
             load_checkpoint(path)
 
 
+class TestRecordObservers:
+    def test_lp_columns_are_single_histogram_estimates(self, tmp_path):
+        rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
+        config = SimConfig(
+            tau=1.0, restitution=rest, bath=bath_at(), dt=0.01, t_end=0.1,
+            n_particles=2000, seed=64,
+        )
+        traj = run(config, observers=ObserverConfig(record_every=5, compute_lp=True))
+        traj.to_csv(tmp_path / "trajectory.csv", lp_p=1.5)
+        last = read_records(tmp_path / "trajectory.csv", lp_p=1.5)[-1]
+        assert last.t == traj.final.t
+        for p in (2.0, 1.5):
+            assert last.lp_value(p) == lp_norm(traj.final.velocities, p, bins=32).value
+
+
 class TestReproducibility:
     def config(self, seed=60, n=3000):
         rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
@@ -342,10 +357,13 @@ class TestReproducibility:
         t2 = run(self.config(seed=62))
         assert t1.thetas().tobytes() != t2.thetas().tobytes()
 
-    def test_worker_count_is_deterministic(self):
-        t1 = run(self.config(), n_workers=2)
-        t2 = run(self.config(), n_workers=2)
-        np.testing.assert_array_equal(t1.final.velocities, t2.final.velocities)
+    def test_observers_do_not_touch_the_simulation_stream(self):
+        on = ObserverConfig(compute_sigma=True, compute_lp=True)
+        off = ObserverConfig(compute_sigma=False, compute_lp=False)
+        t1 = run(self.config(), observers=on)
+        t2 = run(self.config(), observers=off)
+        assert t1.final.velocities.tobytes() == t2.final.velocities.tobytes()
+        assert t1.thetas().tobytes() == t2.thetas().tobytes()
 
     def test_explicit_generator_resume_is_deterministic(self):
         # Passing a generator (the checkpoint-resume path) replaces config

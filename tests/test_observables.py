@@ -8,6 +8,7 @@ import pytest
 from granular_bath.background import BathParams
 from granular_bath.kinematics import RestitutionParams
 from granular_bath.observables import (
+    DEFAULT_SIGMA_PAIRS,
     DegenerateParameterError,
     FitRefusedError,
     MomentRecord,
@@ -289,6 +290,19 @@ class TestSigmaFreq:
         big = sigma_freq(vel, None, tau=1.0, rng=np.random.default_rng(0),
                          max_pairs=4096)
         assert big == pytest.approx(small, rel=0.05)
+
+    def test_sampled_pairs_within_four_standard_errors_of_exact_sum(self):
+        vel = np.random.default_rng(15).normal(size=(3000, 3))
+        total = total_sq = 0.0
+        for lo in range(0, vel.shape[0], 500):
+            d = np.linalg.norm(vel[lo : lo + 500, None, :] - vel[None, :, :], axis=-1)
+            total += float(d.sum())
+            total_sq += float(np.sum(d**2))
+        n_pairs = vel.shape[0] ** 2
+        exact = total / n_pairs
+        se = math.sqrt(total_sq / n_pairs - exact**2) / math.sqrt(DEFAULT_SIGMA_PAIRS)
+        got = sigma_freq(vel, None, tau=1.0)
+        assert abs(got - exact) <= 4.0 * se, (got, exact, se)
 
 
 class TestThirdCumulant:
