@@ -20,6 +20,7 @@ import numpy as np
 from granular_bath.background import BathParams, nu
 from granular_bath.carleman import (
     compare_dsmc,
+    dense_matrix,
     kernel_closed_form,
     kernel_quadrature,
     make_grid,
@@ -44,7 +45,7 @@ def main() -> None:
 
     print("2) grid columns vs collision frequency (16^3 nodes)")
     grid = make_grid(rest, bath, n=16, extent_sigma=8.0)
-    gain_cols = grid.dense.sum(axis=0) * grid.cell_volume
+    gain_cols = dense_matrix(grid).sum(axis=0)  # entries already carry h^3
     nu_nodes = nu(bath, grid.nodes)
     print(f"   worst |gain column sum - nu| / nu: "
           f"{np.max(np.abs(gain_cols - nu_nodes) / nu_nodes):.2e}  "

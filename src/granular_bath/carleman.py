@@ -29,11 +29,16 @@ K[i][j] = k(v_i, v_j) h^3 gets its singular diagonal renormalized per
 column so every column sums to nu exactly: the discrete operator then
 conserves mass for every f, and the kernel's detailed balance at e = 1,
 m1 = 1 makes the grid Maxwellian an exact nodewise fixed point.
+
+Node separations are integer multiples of h, so every row of K is read off
+one table of lattice separations; the grid keeps only the octahedral orbit
+reduction of K, and the dense matrix is built on request.
 """
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +57,7 @@ __all__ = [
     "kernel_closed_form",
     "kernel_quadrature",
     "make_grid",
+    "dense_matrix",
     "apply_l",
     "steady_state",
     "compare_dsmc",
@@ -61,9 +67,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 Array = np.ndarray
-
-_DENSE_LIMIT = 5000  # grids up to this many nodes keep the dense matrix
-
 
 class KernelBuildError(RuntimeError):
     """Raised when the discrete kernel cannot be assembled consistently."""
@@ -88,9 +91,10 @@ def _kernel_safe(
 ) -> Array:
     """Closed-form kernel with the r = 0 diagonal mapped to 0.
 
-    Grid assembly evaluates all node pairs at once; the coincident pairs are
-    exactly the diagonal entries, which the column renormalization replaces
-    anyway, so returning 0 there gives the off-diagonal sums directly.
+    Evaluated over all node pairs at once it gives the off-diagonal gain
+    matrix directly (the coincident pairs are exactly the diagonal entries,
+    which the column renormalization replaces anyway); that all-pairs form
+    is the reference for the lattice rows of the grid assembly.
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -195,10 +199,10 @@ class KernelGrid:
 
     Node coordinates are cell centers u1 + (i - (n-1)/2) h per axis with
     h = 2 extent_sigma sqrt(Theta1/m1) / n; even n keeps nodes off the
-    symmetry planes.  Small grids store the dense matrix ``dense`` (with the
-    renormalized diagonal in place); all grids centered on a Maxwellian bath
-    carry the octahedral orbit reduction (``reduced``), which is what makes
-    48^3 steady-state iteration affordable.
+    symmetry planes.  The operator is stored as its octahedral orbit
+    reduction (``reduced``) and the renormalized diagonal (``diag``), which
+    is what makes 48^3 steady-state iteration affordable; the full n^3 x n^3
+    matrix is built only on request, by :func:`dense_matrix`.
     """
 
     restitution: RestitutionParams
@@ -210,11 +214,10 @@ class KernelGrid:
     h: float
     nu_vec: Array
     diag: Array  # renormalized diagonal entries, per node
-    dense: Array | None
     orbit_index: Array  # node -> orbit id
     orbit_mult: Array  # orbit -> node count
     rep_index: Array  # orbit -> representative node
-    reduced: Array | None  # (n_orb, n_orb): row r = sums of K[rep_r, .] per orbit
+    reduced: Array  # (n_orb, n_orb): row r = sums of K[rep_r, .] per orbit
 
     @property
     def n_nodes(self) -> int:
@@ -235,25 +238,101 @@ class KernelGrid:
         f = np.asarray(f, dtype=float).reshape(-1)
         if f.size != self.n_nodes:
             raise ValueError(f"expected {self.n_nodes} node values, got {f.size}")
-        if self.dense is not None:
-            return self.dense @ f - self.nu_vec * f
+        lattice = _Lattice(self.restitution, self.bath, self.n, self.h)
         gain = np.empty(self.n_nodes)
-        h3 = self.cell_volume
-        step = max(1, int(2e6) // self.n_nodes)
+        step = _block_rows(self.n_nodes)
+        block = np.empty((min(step, self.n_nodes), self.n_nodes))
         for lo in range(0, self.n_nodes, step):
             hi = min(lo + step, self.n_nodes)
-            block = _kernel_safe(
-                self.nodes[lo:hi, None, :], self.nodes[None, :, :],
-                self.restitution, self.bath,
-            )
-            gain[lo:hi] = block @ f * h3
-        gain += self.diag * f * h3
+            gain[lo:hi] = lattice.rows(range(lo, hi), block[: hi - lo]) @ f
+        gain += self.diag * f * self.cell_volume
         return gain - self.nu_vec * f
 
     def maxwellian(self) -> Array:
         """Grid Maxwellian at (u1, Theta1/m1), normalized to unit cell mass."""
         f = bath_density(self.bath, self.nodes)
         return f / (f.sum() * self.cell_volume)
+
+
+_BLOCK_ENTRIES = 1 << 21  # kernel values evaluated per block of rows (16 MB)
+
+
+def _block_rows(n_nodes: int) -> int:
+    return max(1, _BLOCK_ENTRIES // n_nodes)
+
+
+class _Lattice:
+    """Off-diagonal gain-matrix rows K[v, .] = k(v, .) h^3 of a cube grid.
+
+    Node separations are integer multiples of h.  For the row node
+    (a, b, c) the distances |w - v| over all columns w are therefore the
+    slice [n-1-a : 2n-1-a, n-1-b : 2n-1-b, n-1-c : 2n-1-c] of one
+    (2n-1)^3 table of lattice distances, and (v - u1).(w - v) is a sum of
+    three 1-D axis vectors.  A row costs a few passes over n^3 values and no
+    per-pair coordinate temporaries.  The coincident pair (the diagonal)
+    gets 0, as in ``_kernel_safe``.
+    """
+
+    def __init__(
+        self, restitution: RestitutionParams, bath: BathParams, n: int, h: float
+    ):
+        self.n = n
+        self.h = h
+        self.steps = np.arange(n, dtype=float)
+        self.offsets = (self.steps - 0.5 * (n - 1)) * h
+        sq = np.arange(-(n - 1), n, dtype=float) ** 2
+        r = h * np.sqrt(sq[:, None, None] + sq[None, :, None] + sq[None, None, :])
+        inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)
+        s2 = bath.theta1 / bath.m1
+        # exp(-p^2 / (2 s2)) with p = (v - u1).d / r + g r: the tables carry
+        # the 1 / sqrt(2 s2) so a row needs only exp(-p'^2).
+        scale = 1.0 / math.sqrt(2.0 * s2)
+        self.inv_r = scale * inv_r
+        self.g_r = scale * _stretch_offset(restitution) * r
+        self.pref = h**3 * inv_r / (
+            4.0 * math.pi * bath.lambda_
+            * restitution.e**2 * restitution.gamma_c**2
+            * math.sqrt(2.0 * math.pi * s2)
+        )
+
+    def rows(self, nodes: Iterable[int], out: Array) -> Array:
+        """Fill ``out[i]`` with the row of node ``nodes[i]``; returns ``out``."""
+        n = self.n
+        for row, node in zip(out, nodes):
+            a, rest = divmod(int(node), n * n)
+            b, c = divmod(rest, n)
+            span = (
+                slice(n - 1 - a, 2 * n - 1 - a),
+                slice(n - 1 - b, 2 * n - 1 - b),
+                slice(n - 1 - c, 2 * n - 1 - c),
+            )
+            dx, dy, dz = (
+                self.offsets[k] * (self.steps - k) * self.h for k in (a, b, c)
+            )
+            p = row.reshape(n, n, n)
+            np.add(dx[:, None, None], dy[:, None] + dz[None, :], out=p)
+            p *= self.inv_r[span]
+            p += self.g_r[span]
+            np.square(p, out=p)
+            np.negative(p, out=p)
+            np.exp(p, out=p)
+            p *= self.pref[span]
+        return out
+
+
+def _fold_mirror(rows: Array, axis: int) -> Array:
+    """Add each node's value to its mirror image through the bath mean along
+    ``axis``; keeps the half with nonnegative offsets (the center plane of an
+    odd grid is its own mirror and is kept once)."""
+    n = rows.shape[axis]
+    half = n // 2
+
+    def cut(sl: slice) -> tuple[slice, ...]:
+        return (slice(None),) * axis + (sl,)
+
+    out = rows[cut(slice(half, None))].copy()
+    out[cut(slice(n % 2, None))] += rows[cut(slice(half - 1, None, -1))]
+    return out
 
 
 def _orbit_decomposition(n: int) -> tuple[Array, Array, Array]:
@@ -305,7 +384,6 @@ def make_grid(
     bath: BathParams,
     n: int = 48,
     extent_sigma: float = 8.0,
-    build_reduced: bool | None = None,
 ) -> KernelGrid:
     """Assemble the discrete operator on an n^3 grid spanning +-extent_sigma
     thermal widths around the bath mean.
@@ -321,6 +399,10 @@ def make_grid(
     benign quadrature artifact; the build only fails when the defect exceeds
     a few percent of nu, which indicates a genuinely wrong kernel rather
     than coarse resolution.
+
+    Only the rows of the orbit representatives are evaluated, and each is
+    folded into per-orbit sums; memory stays at a fixed block of rows plus
+    the (n_orb, n_orb) reduced matrix.
     """
     if bath.kind != "maxwellian":
         raise ValueError("kernel grids require a Maxwellian bath")
@@ -338,57 +420,59 @@ def make_grid(
 
     orbit_index, orbit_mult, rep_index = _orbit_decomposition(n)
     n_orb = orbit_mult.size
-    if build_reduced is None:
-        build_reduced = n_nodes > _DENSE_LIMIT
+    # After folding out the three mirror planes through the bath mean, the
+    # cells left are the nodes with nonnegative offsets; this is their orbit.
+    half = n // 2
+    cell_orbit = orbit_index.reshape(n, n, n)[half:, half:, half:].ravel()
 
-    dense = None
-    reduced = None
-    if n_nodes <= _DENSE_LIMIT:
-        kmat = _kernel_safe(
-            nodes[:, None, :], nodes[None, :, :], restitution, bath
-        ) * h3
-        col = kmat.sum(axis=0)
-        diag = (nu_vec - col) / h3
-        _check_column_defect(diag * h3, nu_vec)
-        kmat[np.arange(n_nodes), np.arange(n_nodes)] = diag * h3
-        dense = kmat
-    else:
-        # Column sums are orbit-invariant: compute them for representative
-        # columns only, in row blocks against all nodes.
-        reps = rep_index
-        col_rep = np.zeros(n_orb)
-        step = max(1, int(4e6) // n_orb)
-        for lo in range(0, n_nodes, step):
-            hi = min(lo + step, n_nodes)
-            block = _kernel_safe(
-                nodes[lo:hi, None, :], nodes[None, reps, :], restitution, bath
-            )
-            col_rep += block.sum(axis=0)
-        col_rep *= h3
-        diag_orb = (nu_vec[reps] - col_rep) / h3
-        _check_column_defect(diag_orb * h3, nu_vec[reps])
-        diag = diag_orb[orbit_index]
-        if build_reduced:
-            reduced = np.zeros((n_orb, n_orb))
-            step = max(1, int(4e6) // n_nodes)
-            for lo in range(0, n_orb, step):
-                hi = min(lo + step, n_orb)
-                block = _kernel_safe(
-                    nodes[reps[lo:hi], None, :], nodes[None, :, :], restitution, bath
-                ) * h3
-                for i, row in enumerate(block):
-                    reduced[lo + i] = np.bincount(orbit_index, weights=row, minlength=n_orb)
-            reduced[np.arange(n_orb), orbit_index[reps]] += diag_orb * h3
-    if dense is not None and build_reduced:
-        reduced = np.zeros((n_orb, n_orb))
-        for i, rep in enumerate(rep_index):
-            reduced[i] = np.bincount(orbit_index, weights=dense[rep], minlength=n_orb)
+    lattice = _Lattice(restitution, bath, n, h)
+    reduced = np.empty((n_orb, n_orb))
+    step = _block_rows(n_nodes)
+    block = np.empty((min(step, n_orb), n_nodes))
+    for lo in range(0, n_orb, step):
+        hi = min(lo + step, n_orb)
+        rows = lattice.rows(rep_index[lo:hi], block[: hi - lo]).reshape(-1, n, n, n)
+        for axis in (1, 2, 3):
+            rows = _fold_mirror(rows, axis)
+        # One bincount folds the whole block: row i's bins start at i * n_orb.
+        bins = cell_orbit + n_orb * np.arange(hi - lo)[:, None]
+        reduced[lo:hi] = np.bincount(
+            bins.ravel(), weights=rows.ravel(), minlength=(hi - lo) * n_orb
+        ).reshape(hi - lo, n_orb)
+    # Octahedral invariance K[g v, g w] = K[v, w] gives every column sum from
+    # the orbit-summed rows: sum_i K[i, rep_s] = sum_r mult_r reduced[r, s] / mult_s.
+    mult = orbit_mult.astype(float)
+    nu_rep = nu_vec[rep_index]
+    defect = nu_rep - (mult @ reduced) / mult
+    _check_column_defect(defect, nu_rep)
+    reduced[np.arange(n_orb), np.arange(n_orb)] += defect
     return KernelGrid(
         restitution=restitution, bath=bath, n=n, extent_sigma=extent_sigma,
-        axes=axes, nodes=nodes, h=h, nu_vec=nu_vec, diag=diag, dense=dense,
+        axes=axes, nodes=nodes, h=h, nu_vec=nu_vec, diag=(defect / h3)[orbit_index],
         orbit_index=orbit_index, orbit_mult=orbit_mult, rep_index=rep_index,
         reduced=reduced,
     )
+
+
+_DENSE_MAX_NODES = 5000  # 200 MB of matrix; the n^6 matrix outgrows memory fast
+
+
+def dense_matrix(grid: KernelGrid) -> Array:
+    """The full gain matrix K, renormalized diagonal in place, built on request.
+
+    Column j sums to nu_j.  Only data without octahedral symmetry needs it
+    (``steady_state`` with explicit initial data); grids above 5000 nodes
+    are refused, because the matrix grows as n^6.
+    """
+    if grid.n_nodes > _DENSE_MAX_NODES:
+        raise ValueError(
+            f"the dense matrix of a {grid.n}^3 grid ({grid.n_nodes} nodes) is "
+            f"built only up to {_DENSE_MAX_NODES} nodes; build a smaller grid"
+        )
+    lattice = _Lattice(grid.restitution, grid.bath, grid.n, grid.h)
+    kmat = lattice.rows(range(grid.n_nodes), np.empty((grid.n_nodes, grid.n_nodes)))
+    kmat[np.diag_indices(grid.n_nodes)] = grid.diag * grid.cell_volume
+    return kmat
 
 
 def apply_l(grid: KernelGrid, f: Array) -> Array:
@@ -431,12 +515,13 @@ def steady_state(
     at the corners -- would stop while the tail is still relatively wrong,
     whereas the Maxwellian start is exact in the elastic equal-mass case
     and tail-accurate otherwise.  With no ``f0`` the iteration also runs in
-    the octahedral-orbit subspace when the reduced matrix is available (the
-    steady state is symmetric; asymmetric initial data can be supplied
-    explicitly to exercise uniqueness, which requires the dense path).
+    the octahedral-orbit subspace, on the reduced matrix (the steady state
+    is symmetric).  Asymmetric initial data can be supplied explicitly to
+    exercise uniqueness; that iterates on :func:`dense_matrix`, so it needs
+    a grid of at most 5000 nodes.
     """
     h3 = grid.cell_volume
-    if f0 is None and grid.reduced is not None:
+    if f0 is None:
         mult = grid.orbit_mult.astype(float)
         nu_rep = grid.nu_vec[grid.rep_index]
         g = grid.maxwellian()[grid.rep_index]
@@ -454,19 +539,13 @@ def steady_state(
             f"no convergence after {max_iter} iterations (residual {dist:.3e})",
             last_iterate=g[grid.orbit_index], residual=dist,
         )
-    if grid.dense is None:
-        raise ValueError(
-            "explicit initial data needs the dense matrix; build a smaller grid"
-        )
-    if f0 is None:
-        f = grid.maxwellian()
-    else:
-        f = np.array(f0, dtype=float).reshape(-1)
-        if f.size != grid.n_nodes or np.any(f < 0.0) or f.sum() <= 0.0:
-            raise ValueError("f0 must be nonnegative node values with positive mass")
+    f = np.array(f0, dtype=float).reshape(-1)
+    if f.size != grid.n_nodes or np.any(f < 0.0) or f.sum() <= 0.0:
+        raise ValueError("f0 must be nonnegative node values with positive mass")
+    kmat = dense_matrix(grid)
     f /= f.sum() * h3
     for it in range(1, max_iter + 1):
-        f_new = np.maximum(grid.dense @ f / grid.nu_vec, 0.0)
+        f_new = np.maximum(kmat @ f / grid.nu_vec, 0.0)
         f_new /= f_new.sum() * h3
         dist = float(np.sum(np.abs(f_new - f)) * h3)
         f = f_new

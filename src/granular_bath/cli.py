@@ -30,7 +30,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -711,8 +711,19 @@ def run_validation(seed: int = 12345, stream=None) -> int:
     return 0 if failures == 0 else 1
 
 
+class _UsageError(Exception):
+    """An unusable command line (unknown mode, unknown or malformed option)."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse exits with 2 on a usage error, the code this program reserves
+    # for a violated moment bound; raise instead so main can return 1.
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(message)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="granular-bath",
         description="Particle and velocity-grid solver for a granular gas "
         "coupled to a thermal bath.",
@@ -725,7 +736,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="override the config seed")
     parser.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (created if missing)")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc} (see --help)", file=sys.stderr)
+        return 1
     level = os.environ.get("GB_LOG", "WARNING").upper()
     logging.basicConfig(
         level=getattr(logging, level, logging.WARNING),

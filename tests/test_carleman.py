@@ -14,8 +14,10 @@ import pytest
 from granular_bath.background import BathParams, TabulatedDensity, bath_density, nu
 from granular_bath.carleman import (
     ConvergenceError,
+    _kernel_safe,
     apply_l,
     compare_dsmc,
+    dense_matrix,
     kernel,
     kernel_closed_form,
     kernel_quadrature,
@@ -168,11 +170,11 @@ def grid24():
 
 class TestGridAssembly:
     def test_columns_sum_to_nu_exactly(self, grid12):
-        cols = grid12.dense.sum(axis=0)
+        cols = dense_matrix(grid12).sum(axis=0)
         np.testing.assert_allclose(cols, grid12.nu_vec, rtol=1e-13)
 
     def test_off_diagonal_nonnegative(self, grid12):
-        off = grid12.dense.copy()
+        off = dense_matrix(grid12)
         np.fill_diagonal(off, 0.0)
         assert float(off.min()) >= 0.0
 
@@ -212,20 +214,42 @@ class TestGridAssembly:
     def test_orbit_reduction_matches_dense_action(self):
         # For orbit-symmetric data f = g[orbit_index] the reduced matrix must
         # reproduce the dense gain at the representative nodes.
-        g = make_grid(rest_at(0.8, 1.0), bath_at(), n=8, extent_sigma=5.0,
-                      build_reduced=True)
+        g = make_grid(rest_at(0.8, 1.0), bath_at(), n=8, extent_sigma=5.0)
         rng = np.random.default_rng(312)
         g_orb = rng.random(g.orbit_mult.size)
         f = g_orb[g.orbit_index]
         via_reduced = g.reduced @ g_orb
-        via_dense = (g.dense @ f)[g.rep_index]
+        via_dense = (dense_matrix(g) @ f)[g.rep_index]
         np.testing.assert_allclose(via_reduced, via_dense, rtol=1e-12)
 
     def test_apply_matches_dense_matvec(self, grid12):
         rng = np.random.default_rng(305)
         f = rng.random(grid12.n_nodes)
-        want = grid12.dense @ f - grid12.nu_vec * f
+        want = dense_matrix(grid12) @ f - grid12.nu_vec * f
         np.testing.assert_allclose(apply_l(grid12, f), want, rtol=1e-12, atol=1e-14)
+
+    def test_odd_grid_with_shifted_bath_matches_all_pairs_kernel(self):
+        # Odd n puts nodes on the symmetry planes and a shifted bath mean
+        # moves the lattice off the origin; the rows read from the lattice
+        # offset table must still be the all-pairs closed-form kernel.
+        rest = rest_at(0.7, 2.0)
+        bath = bath_at(m1=2.0, u1=(0.2, -0.1, 0.4))
+        g = make_grid(rest, bath, n=9, extent_sigma=6.0)
+        kmat = _kernel_safe(g.nodes[:, None, :], g.nodes[None, :, :], rest, bath)
+        kmat *= g.cell_volume
+        np.fill_diagonal(kmat, g.nu_vec - kmat.sum(axis=0))
+        n_orb = g.orbit_mult.size
+        want = np.stack([
+            np.bincount(g.orbit_index, weights=kmat[rep], minlength=n_orb)
+            for rep in g.rep_index
+        ])
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert float(np.max(np.abs(g.reduced - want) / scale)) <= 1e-12
+        np.testing.assert_allclose(dense_matrix(g).sum(axis=0), g.nu_vec, rtol=1e-13)
+        via_orbits = steady_state(g, tol=1e-12)
+        via_dense = steady_state(g, f0=np.ones(g.n_nodes), tol=1e-12)
+        dist = float(np.abs(via_orbits.f - via_dense.f).sum()) * g.cell_volume
+        assert dist <= 1e-8
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
@@ -264,8 +288,7 @@ class TestSteadyState:
         assert mass == pytest.approx(1.0, rel=1e-12)
 
     def test_reduced_and_dense_paths_agree(self):
-        g = make_grid(rest_at(0.8, 1.0), bath_at(), n=12, extent_sigma=6.0,
-                      build_reduced=True)
+        g = make_grid(rest_at(0.8, 1.0), bath_at(), n=12, extent_sigma=6.0)
         via_orbits = steady_state(g, tol=1e-12)
         via_dense = steady_state(g, f0=np.ones(g.n_nodes), tol=1e-12)
         dist = float(np.abs(via_orbits.f - via_dense.f).sum()) * g.cell_volume
@@ -282,7 +305,6 @@ class TestSteadyState:
 
     def test_explicit_f0_needs_dense_matrix(self):
         g = make_grid(rest_at(0.8, 1.0), bath_at(), n=20, extent_sigma=6.0)
-        assert g.dense is None  # above the dense-size cutoff
         with pytest.raises(ValueError):
             steady_state(g, f0=np.ones(g.n_nodes))
         # The orbit path still works.

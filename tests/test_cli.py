@@ -335,6 +335,28 @@ class TestMain:
         assert "cannot read config" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bogus"], "invalid choice"),
+            (["validate", "--nope"], "unrecognized arguments: --nope"),
+        ],
+    )
+    def test_usage_errors_exit_one(self, capsys, argv, message):
+        # argparse alone would exit 2, the code of a violated moment bound.
+        rc = main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--help"])
+        assert exc_info.value.code == 0
+        assert "usage: granular-bath" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "grid, message",
         [
             # Too narrow: occupied histogram cells fall outside the grid support.
