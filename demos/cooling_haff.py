@@ -41,8 +41,9 @@ def main() -> None:
     print(f"cooling run: N = {config.n_particles}, epsilon = {args.epsilon}, "
           f"t_end = {config.t_end}")
     traj = run(config, observers=ObserverConfig(record_every=10))
-    print(f"executed {traj.collisions_q} collisions, "
-          f"{traj.overflows} majorant overflows")
+    print(f"executed {traj.collisions_q} collisions of "
+          f"{traj.candidates_q} candidate pairs "
+          f"(acceptance {traj.collisions_q / max(traj.candidates_q, 1):.1%})")
 
     t = traj.times()
     theta = traj.thetas()

@@ -46,7 +46,9 @@ def main() -> None:
           f"bath Theta1 = {bath.theta1}")
     traj = run(config, observers=ObserverConfig(record_every=5))
     print(f"{traj.collisions_q} gas-gas and {traj.collisions_l} gas-bath "
-          f"collisions")
+          f"collisions, acceptance "
+          f"{traj.collisions_q / max(traj.candidates_q, 1):.1%} / "
+          f"{traj.collisions_l / max(traj.candidates_l, 1):.1%} of the candidates")
 
     bp = bound_params(config.restitution, bath, traj.records[0].f_aux)
     print(f"energy functional bound: max{{(gamma2/gamma1)^2, F(0)}} = "

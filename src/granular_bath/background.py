@@ -16,9 +16,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import integrate, interpolate, special
+from scipy import special  # nu needs the vectorized erf
+
+if TYPE_CHECKING:
+    from scipy.interpolate import RegularGridInterpolator
 
 __all__ = [
     "BathParams",
@@ -102,8 +106,10 @@ class TabulatedDensity:
         gx, gy, gz = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
-    def interpolator(self) -> interpolate.RegularGridInterpolator:
-        return interpolate.RegularGridInterpolator(
+    def interpolator(self) -> RegularGridInterpolator:
+        from scipy.interpolate import RegularGridInterpolator
+
+        return RegularGridInterpolator(
             self.axes, self.values, method="linear", bounds_error=False, fill_value=0.0
         )
 
@@ -262,8 +268,10 @@ def abs_moment(bath: BathParams, k: float, center: Array | None = None) -> float
         g = math.exp(-0.5 * ((r - delta) / s) ** 2) - math.exp(-0.5 * ((r + delta) / s) ** 2)
         return r**k * r * g / (delta * s * math.sqrt(2.0 * math.pi))
 
+    from scipy.integrate import quad
+
     upper = delta + 12.0 * s
-    value, _ = integrate.quad(integrand, 0.0, upper, limit=200)
+    value, _ = quad(integrand, 0.0, upper, limit=200)
     return float(value)
 
 

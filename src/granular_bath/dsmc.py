@@ -1,16 +1,30 @@
 """Direct simulation Monte Carlo solver for the bath-driven granular gas.
 
 Evolves an N-particle ensemble under gas-gas collisions at rate ``tau``
-(Nanbu-Babovsky candidate pairs, majorant rejection) and gas-bath collisions
-(independent thinning against a majorant frequency, fresh bath partner per
-event, partner discarded).  Each time step applies the gas-gas sweep first,
-then the bath sweep (first-order operator splitting).
+(Nanbu-Babovsky candidate pairs) and gas-bath collisions (a fresh bath
+partner per event, discarded afterwards), both by majorant rejection, in one
+unsplit step: each particle takes part in at most one candidate event per
+step, a gas-gas pair with probability p_q = tau q_max dt or a bath event with
+probability p_l = l_max dt / lambda, and a candidate is accepted with
+probability (its relative speed) / (its majorant).  A particle at v thus
+collides with a gas partner w with probability tau |v - w| dt and with the
+bath with probability nu(v) dt, so the expected change of the one-particle
+density over a step is dt (Q + L) f, and the fixed point of the step is the
+zero of Q + L at every dt.  The split step this replaces (a gas-gas sweep,
+then a bath sweep with candidate probability 1 - exp(-nu_max dt)) had the
+fixed point (I + dt L)(I + dt Q) f = f and under-rated the bath, which biased
+the driven steady temperature by O(dt).
 
-The bath sweep keeps every acceptance probability proportional to the exact
-frequency nu(v) with one common majorant factor, so the embedded jump chain
-is that of the exact linear process: scaling all jump rates by a common
-per-step constant leaves the stationary law unchanged, which is why the
-long-time statistics of the scheme carry no time-step bias.
+One pass over the ensemble per step gives both majorants.  q_max =
+2 max|v - u|, u the mean velocity, bounds every pair speed, so the gas-gas
+majorant never overflows.  l_max = max|v - u1| plus the bath's reach: the
+farthest occupied cell corner of a tabulated bath (a hard bound) or 7
+thermal widths of a Maxwellian one (exceeded with probability ~1e-10 per
+draw).  A bath candidate above l_max is detected before any velocity
+changes; the step is then redrawn with the majorant enlarged by
+``majorant_safety``.  The candidates are drawn as one sample without
+replacement, so the work per step is proportional to the candidates, apart
+from the majorant pass and the finiteness check.
 """
 from __future__ import annotations
 
@@ -25,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .background import BathParams, abs_moment, sample_bath
+from .background import BathParams, sample_bath
 from .kinematics import RestitutionParams, collide_l_sigma, collide_q
 from .observables import (
     DEFAULT_SIGMA_PAIRS,
@@ -62,6 +76,7 @@ Array = np.ndarray
 CHECKPOINT_MAGIC = b"GBDS"
 CHECKPOINT_VERSION = 1
 _NO_SEED = 0xFFFFFFFFFFFFFFFF
+_ONES3 = np.ones(3)
 
 
 class NumericalFault(RuntimeError):
@@ -167,9 +182,11 @@ class MomentTrajectory:
 
     records: list[MomentRecord]
     config: SimConfig
+    candidates_q: int = 0  # candidate gas-gas pairs
     collisions_q: int = 0
+    candidates_l: int = 0  # candidate bath events
     collisions_l: int = 0
-    overflows: int = 0
+    overflows: int = 0  # bath candidates above l_max (q_max is a hard bound)
     final: Ensemble | None = None
 
     def times(self) -> Array:
@@ -182,31 +199,16 @@ class MomentTrajectory:
         write_records(path, self.records, lp_p=lp_p)
 
 
-class _Majorant:
-    """Running majorant of a relative-speed kernel for one sweep kind."""
-
-    def __init__(self, safety: float):
-        self.safety = safety
-        self.value = 0.0
-        self.observed = 0.0
-        self.overflows = 0
-
-    def refresh(self, vmax: float, proxy: float) -> None:
-        # 4x is a deliberately loose envelope; never shrink below anything
-        # actually observed so repeated overflows cannot ratchet downwards.
-        self.value = max(4.0 * (vmax + proxy), self.observed)
-
-    def grow(self, observed: float) -> None:
-        self.overflows += 1
-        self.observed = max(self.observed, observed)
-        self.value = max(self.value, observed) * self.safety
-
-
 def _uniform_sphere(rng: np.random.Generator, k: int) -> Array:
     z = rng.uniform(-1.0, 1.0, k)
     phi = rng.uniform(0.0, 2.0 * math.pi, k)
     s = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+
+
+def _speeds(a: Array, b: Array) -> Array:
+    rel = a - b
+    return np.sqrt(np.einsum("ij,ij->i", rel, rel))
 
 
 def step_q(
@@ -216,40 +218,44 @@ def step_q(
     restitution: RestitutionParams,
     q_max: float,
     rng: np.random.Generator,
+    candidates: Array | None = None,
 ) -> tuple[int, float]:
     """One Nanbu-Babovsky gas-gas sweep; mutates ``velocities`` on success.
 
-    Candidate pairs are disjoint (sampled from one permutation), the number
-    of candidates is ceil(N tau q_max dt / 2), and each candidate is accepted
-    with probability |q| / q_max.  Returns (accepted collisions, largest
-    observed |q|).  Raises internally if a pair exceeds the majorant, before
-    any mutation, so the caller can enlarge and retry.
+    ``candidates`` holds 2m distinct particle indices, and particle
+    ``candidates[i]`` is paired with ``candidates[m + i]``.  Without it the
+    sweep draws the pairs itself by the law :func:`run` uses: m ~
+    Binomial(floor(N/2), p_q) disjoint pairs from all N particles, with
+    p_q = tau q_max dt.  Each pair is accepted with probability |q| / q_max,
+    so a particle collides with probability tau |v - w| dt per step.  Returns
+    (accepted collisions, largest candidate |q|).  A pair above the majorant
+    raises before any velocity changes, so the caller can enlarge and retry.
     """
-    n = velocities.shape[0]
-    m = math.ceil(n * tau * q_max * dt / 2.0)
+    if candidates is None:
+        n = velocities.shape[0]
+        p_q = tau * q_max * dt
+        if p_q > 1.0:
+            raise TimeStepError(f"dt * tau * q_max = {p_q:.3g} > 1; shrink dt")
+        candidates = rng.choice(n, 2 * int(rng.binomial(n // 2, p_q)), replace=False)
+    m = candidates.size // 2
     if m == 0:
         return 0, 0.0
-    if 2 * m > n:
-        raise TimeStepError(
-            f"dt = {dt} requests {m} candidate pairs for {n} particles "
-            f"(dt * majorant rate >= 1); shrink dt"
-        )
-    perm = rng.permutation(n)
-    i_all, j_all = perm[:m], perm[m : 2 * m]
-    rel = velocities[i_all] - velocities[j_all]
-    speeds = np.linalg.norm(rel, axis=1)
+    i, j = candidates[:m], candidates[m:]
+    v = velocities.take(i, axis=0)
+    w = velocities.take(j, axis=0)
+    speeds = _speeds(v, w)
     max_speed = float(speeds.max())
     if max_speed > q_max:
         raise _MajorantOverflow(max_speed)
-    acc = rng.random(m) < speeds / q_max
-    i, j = i_all[acc], j_all[acc]
-    if i.size == 0:
+    acc = rng.random(m) * q_max < speeds
+    count = int(np.count_nonzero(acc))
+    if count == 0:
         return 0, max_speed
-    sigma = _uniform_sphere(rng, i.size)
-    v_post, w_post = collide_q(velocities[i], velocities[j], sigma, restitution)
-    velocities[i] = v_post
-    velocities[j] = w_post
-    return int(i.size), max_speed
+    sigma = _uniform_sphere(rng, count)
+    v_post, w_post = collide_q(v[acc], w[acc], sigma, restitution)
+    velocities[i[acc]] = v_post
+    velocities[j[acc]] = w_post
+    return count, max_speed
 
 
 def step_l(
@@ -259,35 +265,90 @@ def step_l(
     bath: BathParams,
     l_max: float,
     rng: np.random.Generator,
+    candidates: Array | None = None,
 ) -> tuple[int, float]:
     """One bath sweep; mutates ``velocities`` on success.
 
-    Each particle becomes a candidate with probability 1 - exp(-nu_max dt),
-    nu_max = l_max / lambda; a candidate draws a fresh bath partner, accepts
-    with probability |v - w| / l_max, and is transformed by the sigma-form
-    bath collision map (the partner is discarded - the bath is a fixed
-    reservoir).  Returns (accepted collisions, largest observed |v - w|).
+    ``candidates`` holds the distinct indices of this step's bath candidates.
+    Without it the sweep draws them itself by the law :func:`run` uses: each
+    particle is a candidate with probability p_l = nu_max dt, nu_max =
+    l_max / lambda.  A candidate draws a fresh bath partner, accepts with
+    probability |v - w| / l_max (a particle collides with probability
+    nu(v) dt per step), and is transformed by the sigma-form bath collision
+    map; the partner is discarded, the bath being a fixed reservoir.
+    Returns (accepted collisions, largest observed |v - w|).  A candidate
+    above the majorant raises before any velocity changes.
     """
-    n = velocities.shape[0]
-    nu_max = l_max / bath.lambda_
-    p_cand = -math.expm1(-nu_max * dt)
-    cand = np.nonzero(rng.random(n) < p_cand)[0]
-    if cand.size == 0:
+    if candidates is None:
+        n = velocities.shape[0]
+        p_l = l_max * dt / bath.lambda_
+        if p_l > 1.0:
+            raise TimeStepError(f"dt * nu_max = {p_l:.3g} > 1; shrink dt")
+        candidates = rng.choice(n, int(rng.binomial(n, p_l)), replace=False)
+    if candidates.size == 0:
         return 0, 0.0
-    partners = sample_bath(bath, cand.size, rng)
-    rel = velocities[cand] - partners
-    speeds = np.linalg.norm(rel, axis=1)
+    v = velocities.take(candidates, axis=0)
+    partners = sample_bath(bath, candidates.size, rng)
+    speeds = _speeds(v, partners)
     max_rel = float(speeds.max())
     if max_rel > l_max:
         raise _MajorantOverflow(max_rel)
-    acc = rng.random(cand.size) < speeds / l_max
-    idx = cand[acc]
+    acc = rng.random(candidates.size) * l_max < speeds
+    idx = candidates[acc]
     if idx.size == 0:
         return 0, max_rel
     sigma = _uniform_sphere(rng, idx.size)
-    v_post, _ = collide_l_sigma(velocities[idx], partners[acc], sigma, restitution)
+    v_post, _ = collide_l_sigma(v[acc], partners[acc], sigma, restitution)
     velocities[idx] = v_post
     return int(idx.size), max_rel
+
+
+def _bath_reach(bath: BathParams) -> float:
+    """Radius about u1 holding the bath velocities: every velocity of a
+    tabulated bath (its farthest occupied cell corner), all but a ~1e-10
+    fraction of a Maxwellian's (7 thermal widths)."""
+    if bath.kind == "maxwellian":
+        return 7.0 * bath.sigma_th
+    table = bath.table
+    assert table is not None
+    nodes = table.nodes()[table.values.ravel() > 0.0]
+    half_diagonal = 0.5 * math.sqrt(sum(h * h for h in table.spacing))
+    return float(np.linalg.norm(nodes - bath.u1, axis=1).max()) + half_diagonal
+
+
+def _radius(velocities: Array, sq: Array, sq_max: float, centre: Array) -> float:
+    """Hard upper bound on max |v - centre| over the ensemble.
+
+    ``sq`` holds |v|^2 and ``sq_max`` its maximum, so each centre costs one
+    matrix-vector product through |v - c|^2 = |v|^2 - 2 v.c + |c|^2.  That
+    expansion loses a few ulp of (|v| + |c|)^2; the bound adds 1e-14 of it,
+    far above the rounding.
+    """
+    d = velocities @ (-2.0 * centre)
+    d += sq
+    c2 = float(centre @ centre)
+    scale = math.sqrt(sq_max) + math.sqrt(c2)
+    return math.sqrt(max(float(d.max()) + c2, 0.0) + 1e-14 * scale * scale)
+
+
+def _candidates(
+    rng: np.random.Generator, n: int, p_q: float, p_l: float, step: int
+) -> tuple[int, Array]:
+    """Draw one step's events: m gas-gas pairs, then the bath candidates.
+
+    m ~ Binomial(floor(N/2), p_q) and k ~ Binomial(N - 2m, p_l / (1 - p_q)),
+    so a particle is in a pair with probability p_q and a bath candidate with
+    probability p_l, and no particle takes part in two events.  Returns m and
+    the 2m + k distinct indices (pairs first).
+    """
+    if p_q + p_l >= 1.0:
+        raise TimeStepError(
+            f"dt * (tau q_max + l_max / lambda) = {p_q + p_l:.3g} >= 1 "
+            f"at step {step}; shrink dt"
+        )
+    m = int(rng.binomial(n // 2, p_q)) if p_q > 0.0 else 0
+    k = int(rng.binomial(n - 2 * m, p_l / (1.0 - p_q))) if p_l > 0.0 else 0
+    return m, rng.choice(n, 2 * m + k, replace=False)
 
 
 def _make_record(
@@ -365,57 +426,48 @@ def run(
     vel = ens.velocities
 
     bath = config.bath
-    proxy = abs_moment(bath, 1.0) if bath is not None else 0.0
-    maj_q = _Majorant(config.majorant_safety)
-    maj_l = _Majorant(config.majorant_safety)
+    tau, dt = config.tau, config.dt
+    n = vel.shape[0]
+    ones = np.ones(n)
+    reach = _bath_reach(bath) if bath is not None else 0.0
 
-    n_steps = max(1, int(round((config.t_end - t0) / config.dt)))
+    n_steps = max(1, int(round((config.t_end - t0) / dt)))
     traj = MomentTrajectory(records=[], config=config)
     traj.records.append(_make_record(vel, t0, config, obs))
 
     for step in range(1, n_steps + 1):
-        vmax = float(np.linalg.norm(vel, axis=1).max())
-        if config.tau > 0.0:
-            maj_q.refresh(vmax, proxy)
-            if config.tau * maj_q.value * config.dt >= 1.0:
-                raise TimeStepError(
-                    f"dt * tau * Q_max = {config.tau * maj_q.value * config.dt:.3g} >= 1 "
-                    f"at step {step}; shrink dt"
+        sq = np.square(vel) @ _ONES3
+        sq_max = float(sq.max())
+        q_max = 2.0 * _radius(vel, sq, sq_max, (ones @ vel) / n) if tau > 0.0 else 0.0
+        l_max = _radius(vel, sq, sq_max, bath.u1) + reach if bath is not None else 0.0
+        for _attempt in range(64):
+            p_l = l_max * dt / bath.lambda_ if bath is not None else 0.0
+            m, cand = _candidates(rng, n, tau * q_max * dt, p_l, step)
+            if bath is None:
+                break
+            try:
+                nl, _ = step_l(
+                    vel, dt, config.restitution, bath, l_max, rng, candidates=cand[2 * m :]
                 )
-            for _attempt in range(64):
-                try:
-                    nq, seen = step_q(
-                        vel, config.dt, config.tau, config.restitution, maj_q.value, rng
-                    )
-                    maj_q.observed = max(maj_q.observed, seen)
-                    traj.collisions_q += nq
-                    break
-                except _MajorantOverflow as exc:
-                    log.warning("gas majorant overflow at step %d: %s", step, exc)
-                    maj_q.grow(exc.observed)
-            else:
-                raise NumericalFault(f"gas majorant failed to stabilize at step {step}")
-        if bath is not None:
-            maj_l.refresh(vmax + float(np.linalg.norm(bath.u1)), proxy)
-            if (maj_l.value / bath.lambda_) * config.dt >= 1.0:
-                raise TimeStepError(
-                    f"dt * nu_max = {maj_l.value / bath.lambda_ * config.dt:.3g} >= 1 "
-                    f"at step {step}; shrink dt"
-                )
-            for _attempt in range(64):
-                try:
-                    nl, seen = step_l(
-                        vel, config.dt, config.restitution, bath, maj_l.value, rng
-                    )
-                    maj_l.observed = max(maj_l.observed, seen)
-                    traj.collisions_l += nl
-                    break
-                except _MajorantOverflow as exc:
-                    log.warning("bath majorant overflow at step %d: %s", step, exc)
-                    maj_l.grow(exc.observed)
-            else:
-                raise NumericalFault(f"bath majorant failed to stabilize at step {step}")
-        t = t0 + step * config.dt
+            except _MajorantOverflow as exc:
+                # step_l runs first and raises before any velocity changes,
+                # so nothing has moved yet: redraw the whole step.
+                log.warning("bath majorant overflow at step %d: %s", step, exc)
+                traj.overflows += 1
+                l_max = max(l_max, exc.observed) * config.majorant_safety
+                continue
+            traj.candidates_l += cand.size - 2 * m
+            traj.collisions_l += nl
+            break
+        else:
+            raise NumericalFault(f"bath majorant failed to stabilize at step {step}")
+        if tau > 0.0:
+            nq, _ = step_q(
+                vel, dt, tau, config.restitution, q_max, rng, candidates=cand[: 2 * m]
+            )
+            traj.candidates_q += m
+            traj.collisions_q += nq
+        t = t0 + step * dt
         if not np.all(np.isfinite(vel)):
             path = _dump_fault(vel, step, t, rng)
             raise NumericalFault(
@@ -425,8 +477,7 @@ def run(
             )
         if step % obs.record_every == 0 or step == n_steps:
             traj.records.append(_make_record(vel, t, config, obs))
-    traj.overflows = maj_q.overflows + maj_l.overflows
-    traj.final = Ensemble(velocities=vel, t=t0 + n_steps * config.dt, seed=config.seed)
+    traj.final = Ensemble(velocities=vel, t=t0 + n_steps * dt, seed=config.seed)
     return traj
 
 

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .background import BathParams, c0, nu
 from .kinematics import RestitutionParams
@@ -381,7 +380,9 @@ def haff_fit(times: Array, thetas: Array) -> HaffFit:
     def model(tt: Array, log_t0: float, g: float) -> Array:
         return math.log(theta0) + g * np.log1p(tt / math.exp(log_t0))
 
-    popt, _ = optimize.curve_fit(
+    from scipy.optimize import curve_fit
+
+    popt, _ = curve_fit(
         model, t, np.log(th), p0=(math.log(t0_guess), -2.0), maxfev=20000
     )
     log_t0, g = popt

@@ -412,3 +412,29 @@ def test_criterion_12_reproducibility(tmp_path):
         })
     assert outputs[0] == outputs[1]
     print("criterion 12 PASS  identical (config, seed) runs byte-identical")
+
+
+def test_criterion_14_steady_state_independent_of_dt():
+    # The unsplit step changes the one-particle density by dt (Q + L) f in
+    # expectation, so its fixed point is the zero of Q + L for every dt.
+    # Records every 0.06 time units at each dt; theta_ss is the mean over
+    # t in [6, 16] with a batch-means standard error.
+    rest = RestitutionParams(epsilon=0.5, e=0.8, m1=1.0)
+    stats = []
+    for i, (dt, every) in enumerate(((0.03, 2), (0.015, 4), (0.0075, 8))):
+        config = SimConfig(
+            tau=1.0, restitution=rest, bath=unit_bath(), dt=dt, t_end=16.0,
+            n_particles=40_000, seed=1014 + i,
+        )
+        traj = run(config, observers=ObserverConfig(record_every=every))
+        tail = traj.thetas()[traj.times() >= 6.0 - 1e-9]
+        stats.append((dt, *batch_mean_se(tail)))
+    for a in range(len(stats)):
+        for b in range(a + 1, len(stats)):
+            diff = abs(stats[a][1] - stats[b][1])
+            sigma = math.hypot(stats[a][2], stats[b][2])
+            assert diff <= 3.0 * sigma, (stats[a], stats[b], diff, sigma)
+    print(
+        "criterion 14 PASS  Theta_ss "
+        + ", ".join(f"{th:.4f} +- {se:.4f} (dt = {dt})" for dt, th, se in stats)
+    )

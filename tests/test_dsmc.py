@@ -101,11 +101,10 @@ class TestStepL:
             vel = np.tile(v0, (n, 1))
             n_acc, _ = step_l(vel, dt, rest, bath, l_max=l_max, rng=rng)
             accepted += n_acc
-        # The sweep draws candidates with the majorant-rate probability
-        # 1 - exp(-nu_max dt), then thins by |v - W| / l_max, so the exact
-        # per-particle, per-step law is (1 - exp(-nu_max dt)) nu / nu_max.
-        nu_max = l_max / bath.lambda_
-        p_want = -math.expm1(-nu_max * dt) * want / nu_max
+        # The sweep makes each particle a candidate with probability
+        # nu_max dt, then thins by |v - W| / l_max, so the exact per-particle,
+        # per-step law is nu dt.
+        p_want = want * dt
         trials = n * reps
         se = math.sqrt(p_want * (1 - p_want) / trials)
         assert accepted / trials == pytest.approx(p_want, abs=4 * se)
@@ -193,10 +192,14 @@ class TestRunLinear:
         se_theta = math.sqrt(2.0 / (3 * n))
         assert abs(traj.thetas()[-1] - 1.0) <= 4 * se_theta
 
-    def test_overflow_recovery_is_transparent(self):
-        # A cold, far-displaced start forces the initial relative-speed
-        # majorant to be exceeded as the gas heats; the run must recover by
-        # growing the majorant (recorded in traj.overflows) and finish.
+    def test_overflow_recovery_is_transparent(self, monkeypatch):
+        # With no allowance for the bath's own spread (reach 0), the bath
+        # majorant max|v - u1| of a cold start is exceeded as soon as a bath
+        # partner is drawn; the run must recover by redrawing the step with
+        # a grown majorant (recorded in traj.overflows) and finish.
+        import granular_bath.dsmc as dsmc_mod
+
+        monkeypatch.setattr(dsmc_mod, "_bath_reach", lambda bath: 0.0)
         rest = RestitutionParams(epsilon=1.0, e=0.5, m1=1.0)
         bath = bath_at(theta1=4.0)
         n = 2000
@@ -207,8 +210,95 @@ class TestRunLinear:
         init = np.full((n, 3), 0.0) + 1e-3 * gaussian_init(n, seed=52)
         traj = run(config, init=init)
         final_theta = traj.thetas()[-1]
+        assert traj.overflows > 0
         assert final_theta > 1.0  # actually heated up
         assert np.all(np.isfinite(traj.final.velocities))
+
+
+class TestUnsplitStep:
+    def test_strong_coupling_runs_without_gas_overflow(self):
+        # tau = 4, dt = 0.01 exceeded the old loose gas-gas majorant's time
+        # step.  q_max = 2 max|v - u| bounds every pair speed, so a step_q
+        # overflow (which run does not catch) cannot end the run.
+        rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
+        config = SimConfig(
+            tau=4.0, restitution=rest, bath=bath_at(), dt=0.01, t_end=1.0,
+            n_particles=20_000, seed=65,
+        )
+        traj = run(config)
+        assert traj.overflows == 0
+        assert traj.collisions_q > 0
+        assert traj.collisions_q <= traj.candidates_q
+        assert traj.collisions_l <= traj.candidates_l
+
+    def test_tabulated_bath_reach_is_a_tight_hard_bound(self):
+        # A tabulated bath's velocities stay within its farthest occupied
+        # cell corner of u1, so l_max = max|v - u1| + reach never overflows.
+        from granular_bath.background import TabulatedDensity, sample_bath
+        from granular_bath.dsmc import _bath_reach
+
+        ax = np.linspace(-3.0, 3.0, 7)  # unit cells
+        values = np.zeros((7, 7, 7))
+        values[0, 0, 0] = values[3, 3, 3] = values[6, 6, 6] = 1.0  # u1 = 0
+        table = TabulatedDensity(axes=(ax, ax, ax), values=values)
+        bath = BathParams(
+            m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0, kind="tabulated", table=table,
+        )
+        reach = _bath_reach(bath)
+        draws = sample_bath(bath, 200_000, np.random.default_rng(67))
+        farthest = float(np.linalg.norm(draws - bath.u1, axis=1).max())
+        assert reach - 0.2 <= farthest <= reach
+        rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
+        config = SimConfig(
+            tau=1.0, restitution=rest, bath=bath, dt=0.01, t_end=0.5,
+            n_particles=2000, seed=68,
+        )
+        traj = run(config)
+        assert traj.overflows == 0
+        assert traj.collisions_l > 0
+
+    def test_event_sets_are_disjoint_with_linear_sizes(self, monkeypatch):
+        # Each step the loop gives step_q 2m pair indices and step_l k bath
+        # indices: no particle in both, E[2m] = N p_q and E[k] = N p_l, with
+        # p_q = tau q_max dt and p_l = l_max dt / lambda.
+        import granular_bath.dsmc as dsmc_mod
+
+        seen = {"q": [], "l": []}
+
+        def recorder(kind, orig, majorant_at):
+            def wrapped(*args, candidates=None, **kwargs):
+                seen[kind].append((candidates.copy(), args[majorant_at]))
+                return orig(*args, candidates=candidates, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(dsmc_mod, "step_q", recorder("q", step_q, 4))
+        monkeypatch.setattr(dsmc_mod, "step_l", recorder("l", step_l, 4))
+        n, dt, tau, lam = 4000, 0.02, 1.5, 0.7
+        rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
+        config = SimConfig(
+            tau=tau, restitution=rest, bath=bath_at(lam=lam), dt=dt, t_end=4.0,
+            n_particles=n, seed=66,
+        )
+        traj = run(config)
+        assert len(seen["q"]) == len(seen["l"]) == 200
+        got_q = got_l = want_q = want_l = var_q = var_l = 0.0
+        for (pairs, q_max), (bath_idx, l_max) in zip(seen["q"], seen["l"]):
+            assert np.intersect1d(pairs, bath_idx).size == 0
+            assert np.unique(pairs).size == pairs.size
+            assert np.unique(bath_idx).size == bath_idx.size
+            p_q, p_l = tau * q_max * dt, l_max * dt / lam
+            r = p_l / (1.0 - p_q)
+            got_q += pairs.size
+            got_l += bath_idx.size
+            want_q += n * p_q
+            want_l += n * p_l
+            # 2m = 2 Binomial(N/2, p_q); k = Binomial(N - 2m, r).
+            var_q += 2.0 * n * p_q * (1.0 - p_q)
+            var_l += n * (1.0 - p_q) * r * (1.0 - r) + 2.0 * n * p_q * (1.0 - p_q) * r * r
+        assert abs(got_q - want_q) <= 4.0 * math.sqrt(var_q), (got_q, want_q)
+        assert abs(got_l - want_l) <= 4.0 * math.sqrt(var_l), (got_l, want_l)
+        assert traj.candidates_q == got_q / 2
+        assert traj.candidates_l == got_l
 
 
 class TestFaults:
