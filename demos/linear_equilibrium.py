@@ -18,13 +18,13 @@ Usage:
     python3 demos/linear_equilibrium.py [--e 0.8] [--m1 1.0] [--out DIR]
 """
 import argparse
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
-from granular_bath.background import BathParams
+from granular_bath.background import BathParams, trilinear
 from granular_bath.carleman import make_grid, steady_state, write_grid_csv
 from granular_bath.dsmc import ObserverConfig, SimConfig, run
 from granular_bath.kinematics import RestitutionParams
@@ -54,10 +54,7 @@ def main() -> None:
         print(f"elastic equal-mass check: worst nodewise deviation from the "
               f"bath Maxwellian = {dev:.2e}")
 
-    reference = RegularGridInterpolator(
-        grid.axes, ss.f.reshape((grid.n,) * 3),
-        method="linear", bounds_error=False, fill_value=0.0,
-    )
+    reference = functools.partial(trilinear, grid.axes, ss.f.reshape((grid.n,) * 3))
     hot = np.random.default_rng(20260817).standard_normal(
         (args.n_particles, 3)
     ) * math.sqrt(1.5 * ss.theta)

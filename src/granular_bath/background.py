@@ -12,23 +12,22 @@ tabulated density on a regular velocity grid (cell-sum quadratures).
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import Sequence
 
 import numpy as np
 from scipy import special  # nu needs the vectorized erf
-
-if TYPE_CHECKING:
-    from scipy.interpolate import RegularGridInterpolator
 
 __all__ = [
     "BathParams",
     "TabulatedDensity",
     "load_table",
     "sample_bath",
+    "trilinear",
     "bath_density",
     "abs_moment",
     "c0",
@@ -105,13 +104,6 @@ class TabulatedDensity:
         """All grid nodes as an (n, 3) array (C order, last axis fastest)."""
         gx, gy, gz = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-
-    def interpolator(self) -> RegularGridInterpolator:
-        from scipy.interpolate import RegularGridInterpolator
-
-        return RegularGridInterpolator(
-            self.axes, self.values, method="linear", bounds_error=False, fill_value=0.0
-        )
 
     def mean(self) -> Array:
         return self.nodes().T @ self.values.ravel() * self.cell_volume
@@ -219,7 +211,11 @@ def sample_bath(bath: BathParams, n: int, rng: np.random.Generator) -> Array:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if bath.kind == "maxwellian":
-        return bath.u1 + bath.sigma_th * rng.standard_normal((n, 3))
+        # In place: broadcasting u1 over a fresh (n, 3) result costs more.
+        z = rng.standard_normal((n, 3))
+        z *= bath.sigma_th
+        z += bath.u1
+        return z
     table = bath.table
     assert table is not None
     weights = table.values.ravel()
@@ -228,6 +224,43 @@ def sample_bath(bath: BathParams, n: int, rng: np.random.Generator) -> Array:
     centers = table.nodes()[cells]
     h = np.asarray(table.spacing)
     return centers + (rng.random((n, 3)) - 0.5) * h
+
+
+def trilinear(axes: Sequence[Array], values: Array, points: Array) -> Array:
+    """Trilinear interpolation of ``values`` tabulated on a rectilinear grid.
+
+    ``values[i, j, k]`` is the value at ``(axes[0][i], axes[1][j],
+    axes[2][k])``; each axis is strictly increasing with at least two nodes.
+    ``points`` is (..., 3) and the result has its leading shape.  A point
+    outside the grid gets 0; nodes and faces, the upper ones included, are
+    inside.  The weights and the order of the eight corner terms follow
+    scipy's ``RegularGridInterpolator(method="linear")``.
+    """
+    axes = [np.asarray(ax, dtype=float) for ax in axes]
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(-1, 3)
+    inside = np.ones(flat.shape[0], dtype=bool)
+    for d, ax in enumerate(axes):
+        inside &= (flat[:, d] >= ax[0]) & (flat[:, d] <= ax[-1])
+    q = flat[inside]
+    table = np.asarray(values, dtype=float)
+    lower = np.zeros(q.shape[0], dtype=np.intp)  # flat index of the lower corner
+    weights = []
+    for d, ax in enumerate(axes):
+        i = np.clip(np.searchsorted(ax, q[:, d], side="right") - 1, 0, ax.size - 2)
+        t = (q[:, d] - ax[i]) / (ax[i + 1] - ax[i])
+        lower = lower * ax.size + i
+        weights.append((1.0 - t, t))
+    strides = (table.shape[1] * table.shape[2], table.shape[2], 1)
+    flat_table = table.ravel()
+    value = np.zeros(q.shape[0])
+    for corner in itertools.product((0, 1), repeat=3):
+        w = weights[0][corner[0]] * weights[1][corner[1]] * weights[2][corner[2]]
+        offset = sum(c * s for c, s in zip(corner, strides))
+        value = value + flat_table.take(lower + offset) * w
+    out = np.zeros(flat.shape[0])
+    out[inside] = value
+    return out.reshape(pts.shape[:-1])
 
 
 def bath_density(bath: BathParams, points: Array) -> Array:
@@ -239,7 +272,7 @@ def bath_density(bath: BathParams, points: Array) -> Array:
         return np.exp(-0.5 * sq / s2) / (2.0 * math.pi * s2) ** 1.5
     table = bath.table
     assert table is not None
-    return table.interpolator()(points)
+    return trilinear(table.axes, table.values, points)
 
 
 def abs_moment(bath: BathParams, k: float, center: Array | None = None) -> float:

@@ -23,6 +23,7 @@ log level.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -34,7 +35,7 @@ from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
-from .background import BathParams, abs_moment, load_table, nu
+from .background import BathParams, abs_moment, load_table, nu, trilinear
 from .carleman import (
     ConvergenceError,
     KernelBuildError,
@@ -435,14 +436,9 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
         )
         steady_grid = steady_state(grid)
         write_grid_csv(out / "steady_f1.csv", grid, steady_grid.f)
-        from scipy.interpolate import RegularGridInterpolator
-
-        shape = (grid.n,) * 3
-        interp = RegularGridInterpolator(
-            grid.axes, steady_grid.f.reshape(shape),
-            method="linear", bounds_error=False, fill_value=0.0,
+        h_reference = functools.partial(
+            trilinear, grid.axes, steady_grid.f.reshape((grid.n,) * 3)
         )
-        h_reference = interp
         h_extent = 0.9 * parsed.grid_extent * sim.bath.sigma_th
         h_center = sim.bath.u1
 

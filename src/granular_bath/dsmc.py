@@ -45,11 +45,15 @@ from .observables import (
     DEFAULT_SIGMA_PAIRS,
     DEFAULT_Y_ORDERS,
     MomentRecord,
+    box_edges,
     f_aux,
     h_phi,
+    histogram,
     lp_norm,
     moments,
+    reference_on_cells,
     sigma_freq,
+    thermal_extent,
     write_records,
 )
 
@@ -361,25 +365,31 @@ def _make_record(
     extras: dict = {}
     if config.bath is not None:
         extras["f_aux"] = f_aux(rec, config.bath, velocities=velocities)
-    if obs.compute_lp:
-        pairs = []
-        for p in (2.0, obs.lp_p):
-            est = lp_norm(velocities, p, bins=obs.lp_bins)
-            pairs.append((p, est.value))
-        extras["lp"] = tuple(pairs)
-    if obs.h_reference is not None:
-        tags = []
-        for tag in obs.h_tags:
-            tags.append((tag, h_phi(
-                velocities, obs.h_reference, phi=tag, bins=obs.h_bins,
-                extent=obs.h_extent, center=obs.h_center,
-                bias_correct=obs.h_bias_correct and tag == "quad",
-            )))
-        extras["h_phi"] = tuple(tags)
     if obs.compute_sigma:
+        # Before the histograms, so that none is held while the pair arrays
+        # of sigma_freq, the largest a record allocates, are alive.
         extras["sigma_mean"] = sigma_freq(
             velocities, config.bath, config.tau,
             rng=np.random.default_rng(0), max_pairs=obs.sigma_pairs,
+        )
+    if obs.compute_lp:
+        # The default box about the record's own u and theta: the same edges
+        # lp_norm would derive from the sample.
+        hist = histogram(
+            velocities, bins=obs.lp_bins, extent=thermal_extent(rec.theta), center=rec.u
+        )
+        extras["lp"] = tuple((p, lp_norm(hist, p).value) for p in (2.0, obs.lp_p))
+    if obs.h_reference is not None:
+        hist = histogram(velocities, bins=obs.h_bins, extent=obs.h_extent, center=obs.h_center)
+        reference = obs.h_reference
+        if callable(reference):  # a box that follows the sample
+            reference = reference_on_cells(reference, hist.edges)
+        extras["h_phi"] = tuple(
+            (tag, h_phi(
+                hist, reference, phi=tag,
+                bias_correct=obs.h_bias_correct and tag == "quad",
+            ))
+            for tag in obs.h_tags
         )
     return dataclasses.replace(rec, **extras) if extras else rec
 
@@ -411,6 +421,11 @@ def run(
     same (config, seed) are bit-reproducible.
     """
     obs = observers or ObserverConfig()
+    if callable(obs.h_reference) and obs.h_extent is not None and obs.h_center is not None:
+        # Every record's H histogram has the same cells: evaluate the
+        # reference on them once, not once per record.
+        edges = box_edges(obs.h_center, obs.h_extent, obs.h_bins)
+        obs = dataclasses.replace(obs, h_reference=reference_on_cells(obs.h_reference, edges))
     if rng is None:
         rng = np.random.default_rng(config.seed)
     if init is None:

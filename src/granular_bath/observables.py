@@ -29,7 +29,11 @@ __all__ = [
     "moments",
     "f_aux",
     "bound_params",
-    "histogram_density",
+    "Histogram",
+    "thermal_extent",
+    "histogram",
+    "box_edges",
+    "reference_on_cells",
     "lp_norm",
     "h_phi",
     "haff_fit",
@@ -196,40 +200,90 @@ def bound_params(restitution: RestitutionParams, bath: BathParams, f0: float) ->
     return BoundParams(gamma1=gamma1, gamma2=gamma2, bound=max((gamma2 / gamma1) ** 2, f0))
 
 
+def thermal_extent(theta: float) -> float:
+    """Half-width of the default histogram box: 6 thermal widths."""
+    return 6.0 * math.sqrt(max(theta, np.finfo(float).tiny))
+
+
+def box_edges(center: Array, extent: float, bins: int) -> tuple[Array, Array, Array]:
+    """Per-axis edges of ``bins`` cells spanning ``center +- extent``."""
+    center = np.asarray(center, dtype=float).reshape(3)
+    return tuple(np.linspace(c - extent, c + extent, bins + 1) for c in center)
+
+
+def _cell_volume(edges: Sequence[Array]) -> float:
+    return float(np.prod([e[1] - e[0] for e in edges]))
+
+
 def _grid_edges(
     velocities: Array,
     bins: int,
     extent: float | None,
     center: Array | None,
-) -> list[Array]:
+) -> tuple[Array, Array, Array]:
     """Per-axis bin edges: ``center +- extent`` or +-6 thermal widths."""
     vel = np.asarray(velocities, dtype=float)
     if center is None:
         center = vel.mean(axis=0)
-    center = np.asarray(center, dtype=float).reshape(3)
     if extent is None:
         theta = float(np.sum((vel - vel.mean(axis=0)) ** 2) / (3.0 * vel.shape[0]))
-        extent = 6.0 * math.sqrt(max(theta, np.finfo(float).tiny))
-    return [np.linspace(c - extent, c + extent, bins + 1) for c in center]
+        extent = thermal_extent(theta)
+    return box_edges(center, extent, bins)
 
 
-def histogram_density(
+@dataclass(frozen=True)
+class Histogram:
+    """Histogram density estimate of an N-particle sample on a regular box.
+
+    ``density`` = counts / (N * cell volume) on the cells between ``edges``.
+    Particles outside the box are dropped (estimator restriction: the box
+    must be chosen wide enough that the lost mass is negligible).  One
+    histogram serves every estimate taken from it: :func:`lp_norm` at
+    several orders, :func:`h_phi` for several Phi.
+    """
+
+    density: Array
+    edges: tuple[Array, Array, Array]
+    n: int
+
+    @property
+    def cell_volume(self) -> float:
+        return _cell_volume(self.edges)
+
+
+def histogram(
     velocities: Array,
     bins: int = 64,
     extent: float | None = None,
     center: Array | None = None,
-) -> tuple[Array, list[Array]]:
-    """Histogram density estimate on a regular cube grid.
-
-    Returns ``(density, edges)`` with density = counts / (N * cell volume).
-    Particles outside the box are dropped (estimator restriction: the box
-    must be chosen wide enough that the lost mass is negligible).
-    """
+) -> Histogram:
+    """Histogram of a sample on the cube ``center +- extent`` with ``bins``
+    cells per axis; by default the box is the sample mean +- 6 thermal
+    widths (:func:`thermal_extent`)."""
     vel = np.asarray(velocities, dtype=float)
     edges = _grid_edges(vel, bins, extent, center)
     counts, _ = np.histogramdd(vel, bins=edges)
-    vol = float(np.prod([e[1] - e[0] for e in edges]))
-    return counts / (vel.shape[0] * vol), edges
+    n = vel.shape[0]
+    return Histogram(density=counts / (n * _cell_volume(edges)), edges=edges, n=n)
+
+
+def _as_histogram(
+    sample: Array | Histogram, bins: int, extent: float | None, center: Array | None
+) -> Histogram:
+    if isinstance(sample, Histogram):
+        return sample
+    return histogram(sample, bins=bins, extent=extent, center=center)
+
+
+def reference_on_cells(reference: Callable[[Array], Array], edges: Sequence[Array]) -> Array:
+    """A reference density evaluated at the centres of the cells between
+    ``edges``, shaped like a histogram on them: the array form of
+    ``reference`` that :func:`h_phi` accepts for every histogram on those
+    cells."""
+    centers = [0.5 * (e[1:] + e[:-1]) for e in edges]
+    gx, gy, gz = np.meshgrid(*centers, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    return np.asarray(reference(pts), dtype=float).reshape(gx.shape)
 
 
 @dataclass(frozen=True)
@@ -248,17 +302,21 @@ class LpEstimate:
 
 
 def lp_norm(
-    velocities: Array,
+    velocities: Array | Histogram,
     p: float,
     bins: int = 64,
     extent: float | None = None,
     center: Array | None = None,
 ) -> LpEstimate:
-    """Histogram estimate of the L^p norm (sum f^p * cellvol)^(1/p), p > 1."""
+    """Histogram estimate of the L^p norm (sum f^p * cellvol)^(1/p), p > 1.
+
+    ``velocities`` is the sample, or a :class:`Histogram` of it, which is
+    then used as built (``bins``, ``extent`` and ``center`` are not read).
+    """
     if not (p > 1.0 and math.isfinite(p)):
         raise ValueError(f"p must lie in (1, inf), got {p}")
-    density, edges = histogram_density(velocities, bins=bins, extent=extent, center=center)
-    vol = float(np.prod([e[1] - e[0] for e in edges]))
+    hist = _as_histogram(velocities, bins, extent, center)
+    density, vol = hist.density, hist.cell_volume
     if density.sum() * vol <= 0.0:
         return LpEstimate(p=p, value=math.nan, degenerate=True, concentrated=False)
     return LpEstimate(
@@ -280,7 +338,7 @@ _PHI = {
 
 
 def h_phi(
-    velocities: Array,
+    velocities: Array | Histogram,
     reference: Callable[[Array], Array] | Array,
     phi: str = "quad",
     bins: int = 64,
@@ -292,10 +350,12 @@ def h_phi(
 
     H = sum over cells of vol * F * Phi(fhat / F), with Phi either
     (x - 1)^2 ("quad") or x log x - x + 1 ("ent").
+    ``velocities`` is the sample, or a :class:`Histogram` of it, which is
+    then used as built (``bins``, ``extent`` and ``center`` are not read).
     ``reference`` is either a callable evaluated at cell centers or an array
-    of densities matching the histogram shape.  Cells where fhat > 0 but the
-    reference vanishes raise SupportMismatchError.  Empty cells contribute
-    vol * F * Phi(0).
+    of densities matching the histogram shape (:func:`reference_on_cells`).
+    Cells where fhat > 0 but the reference vanishes raise
+    SupportMismatchError.  Empty cells contribute vol * F * Phi(0).
 
     ``bias_correct`` (quadratic Phi only) subtracts the plug-in estimate of
     the multinomial sampling bias  (1/N) sum fhat (1 - fhat vol) / F, whose
@@ -304,14 +364,10 @@ def h_phi(
     """
     if phi not in _PHI:
         raise ValueError(f"phi must be one of {sorted(_PHI)}, got {phi!r}")
-    vel = np.asarray(velocities, dtype=float)
-    density, edges = histogram_density(vel, bins=bins, extent=extent, center=center)
-    vol = float(np.prod([e[1] - e[0] for e in edges]))
+    hist = _as_histogram(velocities, bins, extent, center)
+    density, vol = hist.density, hist.cell_volume
     if callable(reference):
-        centers = [0.5 * (e[1:] + e[:-1]) for e in edges]
-        gx, gy, gz = np.meshgrid(*centers, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-        ref = np.asarray(reference(pts), dtype=float).reshape(density.shape)
+        ref = reference_on_cells(reference, hist.edges)
     else:
         ref = np.asarray(reference, dtype=float)
         if ref.shape != density.shape:
@@ -336,9 +392,9 @@ def h_phi(
     if bias_correct:
         if phi != "quad":
             raise ValueError("bias correction is implemented for the quadratic Phi only")
-        n = vel.shape[0]
         bias = float(
-            np.sum(density[occupied] * (1.0 - density[occupied] * vol) / ref[occupied]) / n
+            np.sum(density[occupied] * (1.0 - density[occupied] * vol) / ref[occupied])
+            / hist.n
         )
         value -= bias
     return value
@@ -446,7 +502,7 @@ def histogram_l1_distance(
     """
     both = np.concatenate([np.asarray(vel_a, float), np.asarray(vel_b, float)])
     edges = _grid_edges(both, bins, extent, center)
-    vol = float(np.prod([e[1] - e[0] for e in edges]))
+    vol = _cell_volume(edges)
     ca, _ = np.histogramdd(np.asarray(vel_a, float), bins=edges)
     cb, _ = np.histogramdd(np.asarray(vel_b, float), bins=edges)
     fa = ca / (np.asarray(vel_a).shape[0] * vol)

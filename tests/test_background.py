@@ -17,6 +17,7 @@ from granular_bath.background import (
     nu,
     nu_mc,
     sample_bath,
+    trilinear,
 )
 
 # E|W - u1|^k for W ~ N(u1, s^2 I3) equals s^k 2^(k/2) Gamma((3+k)/2)/Gamma(3/2):
@@ -92,6 +93,43 @@ class TestSampling:
         )
         got_theta = float(np.sum((draws - draws.mean(axis=0)) ** 2) / (3 * n))
         assert got_theta == pytest.approx(bath.theta1, rel=0.01)
+
+
+class TestTrilinear:
+    def test_matches_scipy_linear_interpolator(self):
+        # Oracle: scipy's RegularGridInterpolator, linear, zero outside.
+        # Each axis has its own spacing and length.
+        from scipy.interpolate import RegularGridInterpolator
+
+        rng = np.random.default_rng(71)
+        axes = (
+            np.linspace(-1.3, 2.1, 7),
+            np.linspace(0.5, 1.7, 12),
+            np.linspace(-4.0, -1.0, 5),
+        )
+        values = rng.random((7, 12, 5)) + 0.1
+        inner = np.column_stack([rng.uniform(a[0], a[-1], 4000) for a in axes])
+        wide = np.column_stack([rng.uniform(a[0] - 0.6, a[-1] + 0.6, 4000) for a in axes])
+        nodes = np.stack(
+            [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1
+        )
+        upper = inner[:300].copy()
+        for d, ax in enumerate(axes):
+            upper[d * 100 : (d + 1) * 100, d] = ax[-1]
+        just_out = upper.copy()
+        for d, ax in enumerate(axes):
+            just_out[d * 100 : (d + 1) * 100, d] = np.nextafter(ax[-1], np.inf)
+        pts = np.concatenate([inner, wide, nodes, upper, just_out])
+        want = RegularGridInterpolator(
+            axes, values, method="linear", bounds_error=False, fill_value=0.0
+        )(pts)
+        got = trilinear(axes, values, pts)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * values.max()
+        np.testing.assert_array_equal(trilinear(axes, values, nodes), values.ravel())
+        assert np.all(trilinear(axes, values, just_out) == 0.0)
+        assert trilinear(axes, values, pts.reshape(-1, 2, 3)).shape == (pts.shape[0] // 2, 2)
 
 
 class TestAbsoluteMoments:

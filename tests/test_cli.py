@@ -1,6 +1,9 @@
 """Command-line runner: config schema, round-trips, and end-to-end smokes."""
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +258,26 @@ class TestExecute:
         assert "theta simulation steady:" in out
         plot = (tmp_path / "plot.gp").read_text()
         assert "h_functional" in plot
+
+    def test_linear_run_does_not_import_scipy_interpolate(self, tmp_path):
+        # The H reference is trilinear in numpy; importing scipy.interpolate
+        # alone costs about 0.3 s of a run.  A fresh interpreter, since this
+        # one may already hold the module.
+        path = write_config(tmp_path, LINEAR_SMOKE)
+        code = (
+            "import sys\n"
+            "from granular_bath.cli import main\n"
+            f"rc = main(['linear', '--config', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+            "print(rc, 'scipy.interpolate' in sys.modules)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            timeout=120, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_full_smoke(self, tmp_path, capsys):
         parsed = parse_config_dict(FULL_SMOKE)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from granular_bath.background import BathParams, nu
+from granular_bath import dsmc
+from granular_bath.background import BathParams, bath_density, nu
 from granular_bath.dsmc import (
     Ensemble,
     NumericalFault,
@@ -21,7 +22,7 @@ from granular_bath.dsmc import (
     step_q,
 )
 from granular_bath.kinematics import RestitutionParams
-from granular_bath.observables import MomentRecord, lp_norm, moments, read_records
+from granular_bath.observables import MomentRecord, h_phi, lp_norm, moments, read_records
 
 
 def bath_at(theta1=1.0, m1=1.0, lam=1.0, u1=(0.0, 0.0, 0.0)):
@@ -423,6 +424,47 @@ class TestRecordObservers:
         assert last.t == traj.final.t
         for p in (2.0, 1.5):
             assert last.lp_value(p) == lp_norm(traj.final.velocities, p, bins=32).value
+
+
+    @pytest.mark.parametrize("fixed_box", [True, False])
+    def test_reference_evaluations_and_h_columns(self, monkeypatch, fixed_box):
+        # A fixed H box (extent and centre set) has the same cells at every
+        # record, so the reference is evaluated once per run; a box that
+        # follows the sample needs one evaluation per record.  Either way each
+        # record's H values equal a one-shot h_phi on that record's sample.
+        bath = bath_at(theta1=0.8)
+        calls = []
+
+        def reference(pts):
+            calls.append(pts.shape)
+            return bath_density(bath, pts)
+
+        samples = []
+        make_record = dsmc._make_record
+
+        def recording(velocities, *args):
+            samples.append(velocities.copy())
+            return make_record(velocities, *args)
+
+        monkeypatch.setattr(dsmc, "_make_record", recording)
+        box = {"h_extent": 4.5, "h_center": np.zeros(3)} if fixed_box else {}
+        observers = ObserverConfig(
+            record_every=4, h_reference=reference, h_bins=16, h_bias_correct=True, **box
+        )
+        config = SimConfig(
+            tau=0.0, restitution=RestitutionParams(epsilon=1.0, e=0.8, m1=1.0),
+            bath=bath, dt=0.01, t_end=0.2, n_particles=3000, seed=66,
+        )
+        traj = run(config, observers=observers)
+        assert len(traj.records) == len(samples) == 6
+        assert len(calls) == (1 if fixed_box else len(traj.records))
+        for rec, vel in zip(traj.records, samples):
+            for tag in ("quad", "ent"):
+                one_shot = h_phi(
+                    vel, reference, phi=tag, bins=16, extent=box.get("h_extent"),
+                    center=box.get("h_center"), bias_correct=tag == "quad",
+                )
+                assert rec.h_value(tag) == one_shot
 
 
 class TestReproducibility:
