@@ -16,17 +16,18 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import special  # nu needs the vectorized erf
 
 __all__ = [
     "BathParams",
     "TabulatedDensity",
     "load_table",
     "sample_bath",
+    "sample_partners",
     "trilinear",
     "bath_density",
     "abs_moment",
@@ -200,6 +201,33 @@ class BathParams:
         """Per-component thermal width sqrt(theta1/m1) of the bath velocity."""
         return math.sqrt(self.theta1 / self.m1)
 
+    @cached_property
+    def cell_bounds(self) -> Array:
+        """Tabulated bath: per cell, |c - u1| + the half-diagonal, the bound
+        B(w) >= |w - u1| for every w in the cell (cached for the bath sweep)."""
+        table = self.table
+        assert table is not None
+        half_diagonal = 0.5 * math.sqrt(sum(h * h for h in table.spacing))
+        return np.linalg.norm(table.nodes() - self.u1, axis=1) + half_diagonal
+
+    @cached_property
+    def bound_mean(self) -> float:
+        """b = E B(W) for the bounds B(w) >= |w - u1| that
+        :func:`sample_partners` returns, so lambda nu(v) <= |v - u1| + b."""
+        if self.kind == "maxwellian":
+            return 2.0 * self.sigma_th * math.sqrt(2.0 / math.pi)  # E|W - u1|
+        table = self.table
+        assert table is not None
+        return float(np.dot(self.cell_bounds, table.values.ravel()) * table.cell_volume)
+
+
+def _sample_cells(table: TabulatedDensity, weights: Array, n: int, rng: np.random.Generator):
+    """``n`` cells drawn with probability proportional to ``weights``, each
+    jittered uniformly within the cell; returns (velocities, cells)."""
+    cells = rng.choice(weights.size, size=n, p=weights / weights.sum())
+    h = np.asarray(table.spacing)
+    return table.nodes()[cells] + (rng.random((n, 3)) - 0.5) * h, cells
+
 
 def sample_bath(bath: BathParams, n: int, rng: np.random.Generator) -> Array:
     """Draw ``n`` bath velocities.
@@ -218,12 +246,33 @@ def sample_bath(bath: BathParams, n: int, rng: np.random.Generator) -> Array:
         return z
     table = bath.table
     assert table is not None
-    weights = table.values.ravel()
-    p = weights / weights.sum()
-    cells = rng.choice(weights.size, size=n, p=p)
-    centers = table.nodes()[cells]
-    h = np.asarray(table.spacing)
-    return centers + (rng.random((n, 3)) - 0.5) * h
+    return _sample_cells(table, table.values.ravel(), n, rng)[0]
+
+
+def sample_partners(
+    bath: BathParams, n: int, n_biased: int, rng: np.random.Generator
+) -> tuple[Array, Array]:
+    """``n`` bath velocities from F1, then ``n_biased`` from the size-biased
+    law B F1 / b (b = ``bath.bound_mean``), with their bounds B(w) >= |w - u1|.
+
+    Maxwellian: B(w) = |w - u1|; a size-biased draw is u1 + sigma_th z3
+    |z4| / |z3|, z4 a 4-D standard normal and z3 its first three components.
+    Tabulated: B(w) = |c - u1| + the cell half-diagonal, c the centre of w's
+    cell; a size-biased draw picks its cell with weight * B(c).
+    """
+    if bath.kind == "maxwellian":
+        plain = sample_bath(bath, n, rng)
+        z = rng.standard_normal((n_biased, 4))
+        radius = bath.sigma_th * np.sqrt(np.einsum("ij,ij->i", z, z))
+        biased = z[:, :3] * (radius / np.linalg.norm(z[:, :3], axis=1))[:, None] + bath.u1
+        bounds = np.concatenate([np.linalg.norm(plain - bath.u1, axis=1), radius])
+        return np.concatenate([plain, biased]), bounds
+    table = bath.table
+    assert table is not None
+    cell_bounds = bath.cell_bounds
+    plain, cells = _sample_cells(table, table.values.ravel(), n, rng)
+    biased, biased_cells = _sample_cells(table, table.values.ravel() * cell_bounds, n_biased, rng)
+    return np.concatenate([plain, biased]), cell_bounds[np.concatenate([cells, biased_cells])]
 
 
 def trilinear(axes: Sequence[Array], values: Array, points: Array) -> Array:
@@ -293,7 +342,7 @@ def abs_moment(bath: BathParams, k: float, center: Array | None = None) -> float
     s = bath.sigma_th
     delta = 0.0 if center is None else float(np.linalg.norm(np.asarray(center) - bath.u1))
     if delta == 0.0:
-        return s**k * 2.0 ** (k / 2.0) * special.gamma((3.0 + k) / 2.0) / special.gamma(1.5)
+        return s**k * 2.0 ** (k / 2.0) * math.gamma((3.0 + k) / 2.0) / math.gamma(1.5)
     # Radial density of |W - center| when W ~ N(u1, s^2 I) and
     # |center - u1| = delta:
     # f_R(r) = r / (delta s sqrt(2 pi)) [exp(-(r-delta)^2/2s^2) - exp(-(r+delta)^2/2s^2)]
@@ -341,9 +390,11 @@ def nu(bath: BathParams, v: Array) -> Array:
         rho = np.linalg.norm(pts - bath.u1, axis=-1) / s
         small = rho < 1e-4
         rho_safe = np.where(small, 1.0, rho)
+        x = (rho_safe / math.sqrt(2.0)).ravel().tolist()
+        erf = np.fromiter(map(math.erf, x), float, count=len(x)).reshape(rho.shape)
         g = (
             math.sqrt(2.0 / math.pi) * np.exp(-0.5 * rho**2)
-            + (rho_safe + 1.0 / rho_safe) * special.erf(rho_safe / math.sqrt(2.0))
+            + (rho_safe + 1.0 / rho_safe) * erf
         )
         series = math.sqrt(2.0 / math.pi) * (2.0 + rho**2 / 3.0 - rho**4 / 60.0)
         out = s * np.where(small, series, g) / bath.lambda_

@@ -46,6 +46,7 @@ import numpy as np
 
 from .background import BathParams, bath_density, nu
 from .kinematics import RestitutionParams, _orthonormal_frame
+from .observables import bin_counts
 
 __all__ = [
     "KernelGrid",
@@ -575,7 +576,7 @@ class CompareReport:
 
 
 def _histogram_on_grid(grid: KernelGrid, velocities: Array) -> tuple[Array, float]:
-    counts, _ = np.histogramdd(velocities, bins=grid.edges())
+    counts = bin_counts(velocities, grid.edges())
     inside = float(counts.sum())
     frac_out = 1.0 - inside / velocities.shape[0]
     if inside == 0.0:
@@ -604,8 +605,7 @@ def compare_dsmc(
     analytic collision average, and the mass rates (exactly zero for DSMC;
     machine-zero for the renormalized grid operator).
     """
-    from .background import abs_moment
-    from .dsmc import _MajorantOverflow, step_l  # avoid a module cycle
+    from .dsmc import _speeds, step_l  # avoid a module cycle
 
     vel = np.asarray(velocities, dtype=float)
     n = vel.shape[0]
@@ -629,20 +629,14 @@ def compare_dsmc(
 
     # DSMC finite differences, replicated for an honest error bar.
     rng = np.random.default_rng(seed)
-    rel_max = float(np.linalg.norm(vel - bath.u1, axis=1).max())
-    l_max = 1.25 * (rel_max + 4.0 * abs_moment(bath, 1))
+    # The hard bath majorant R + b, with R from the distances step_l checks.
+    l_max = float(_speeds(vel, bath.u1).max()) + bath.bound_mean
     theta0 = float(np.sum((vel - vel.mean(axis=0)) ** 2) / (3.0 * n))
     theta_rates = np.empty(n_reps)
     f_diff = np.zeros_like(f_hat)
     for rep in range(n_reps):
         work = vel.copy()
-        for _attempt in range(32):
-            try:
-                step_l(work, dt, rest, bath, l_max, rng)
-                break
-            except _MajorantOverflow as exc:
-                l_max = max(1.5 * l_max, 1.1 * exc.observed)
-                work = vel.copy()
+        step_l(work, dt, rest, bath, l_max, rng)
         u_w = work.mean(axis=0)
         theta_w = float(np.sum((work - u_w) ** 2) / (3.0 * n))
         theta_rates[rep] = (theta_w - theta0) / dt
@@ -689,10 +683,10 @@ def write_grid_csv(path: str | Path, grid: KernelGrid, f: Array) -> None:
     f = np.asarray(f, dtype=float).reshape(-1)
     if f.size != grid.n_nodes:
         raise ValueError(f"expected {grid.n_nodes} node values, got {f.size}")
+    # The nodes are the C-order product of the axes, so each axis value is
+    # formatted once; Python floats, whose repr is the shortest round trip.
+    x, y, z = ([repr(c) for c in ax.tolist()] for ax in grid.axes)
+    prefixes = [f"{a},{b},{c}," for a in x for b in y for c in z]
+    text = "".join([p + repr(d) + "\n" for p, d in zip(prefixes, f.tolist())])
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write("vx,vy,vz,density\n")
-        for node, value in zip(grid.nodes, f):
-            fh.write(
-                f"{float(node[0])!r},{float(node[1])!r},"
-                f"{float(node[2])!r},{float(value)!r}\n"
-            )
+        fh.write("vx,vy,vz,density\n" + text)

@@ -5,31 +5,28 @@ Evolves an N-particle ensemble under gas-gas collisions at rate ``tau``
 partner per event, discarded afterwards), both by majorant rejection, in one
 unsplit step: each particle takes part in at most one candidate event per
 step, a gas-gas pair with probability p_q = tau q_max dt or a bath event with
-probability p_l = l_max dt / lambda, and a candidate is accepted with
-probability (its relative speed) / (its majorant).  A particle at v thus
-collides with a gas partner w with probability tau |v - w| dt and with the
-bath with probability nu(v) dt, so the expected change of the one-particle
-density over a step is dt (Q + L) f, and the fixed point of the step is the
-zero of Q + L at every dt.  The split step this replaces (a gas-gas sweep,
-then a bath sweep with candidate probability 1 - exp(-nu_max dt)) had the
-fixed point (I + dt L)(I + dt Q) f = f and under-rated the bath, which biased
-the driven steady temperature by O(dt).
+probability p_l = l_max dt / lambda.  A particle at v thus collides with a
+gas partner w with probability tau |v - w| dt and with the bath with
+probability nu(v) dt, so the expected change of the one-particle density
+over a step is dt (Q + L) f, and the fixed point of the step is the zero of
+Q + L at every dt.
 
-One pass over the ensemble per step gives both majorants.  q_max =
-2 max|v - u|, u the mean velocity, bounds every pair speed, so the gas-gas
-majorant never overflows.  l_max = max|v - u1| plus the bath's reach: the
-farthest occupied cell corner of a tabulated bath (a hard bound) or 7
-thermal widths of a Maxwellian one (exceeded with probability ~1e-10 per
-draw).  A bath candidate above l_max is detected before any velocity
-changes; the step is then redrawn with the majorant enlarged by
-``majorant_safety``.  The candidates are drawn as one sample without
-replacement, so the work per step is proportional to the candidates, apart
-from the majorant pass and the finiteness check.
+Neither majorant can be exceeded.  A gas-gas pair is accepted with
+probability |v - w| / q_max, q_max = 2 max|v - u| with u the mean velocity.
+The bath majorant is the paper's bound lambda nu(v) <= |v - u1| + b, used as
+a majorant kernel (Rjasanow & Wagner, Stochastic Numerics for the Boltzmann
+Equation, 2005): l_max = max|v - u1| + b, with b the mean of a bound
+B(w) >= |w - u1| (``BathParams.bound_mean``).  A bath candidate at v
+takes a partner from F1 with probability |v - u1| / l_max, one from the
+size-biased law B F1 / b with probability b / l_max, or none, and accepts
+with probability |v - w| / (|v - u1| + B(w)) <= 1: its rate is nu(v).
+The candidates are drawn as one sample without replacement, so the work per
+step is proportional to the candidates, apart from the majorant pass and
+the finiteness check.
 """
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 import struct
 import tempfile
@@ -39,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .background import BathParams, sample_bath
+from .background import BathParams, sample_partners
 from .kinematics import RestitutionParams, collide_l_sigma, collide_q
 from .observables import (
     DEFAULT_SIGMA_PAIRS,
@@ -73,8 +70,6 @@ __all__ = [
     "load_checkpoint",
 ]
 
-log = logging.getLogger(__name__)
-
 Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"GBDS"
@@ -93,14 +88,6 @@ class NumericalFault(RuntimeError):
 
 class TimeStepError(ValueError):
     """dt times the majorant collision rate reached 1; shrink dt."""
-
-
-class _MajorantOverflow(Exception):
-    """Internal: an observed relative speed exceeded the current majorant."""
-
-    def __init__(self, observed: float):
-        super().__init__(f"observed relative speed {observed:.6g} above majorant")
-        self.observed = observed
 
 
 @dataclass
@@ -136,7 +123,6 @@ class SimConfig:
     t_end: float
     n_particles: int
     seed: int
-    majorant_safety: float = 1.5
     steady_window: int = 16
     steady_tol: float = 0.05
 
@@ -149,8 +135,6 @@ class SimConfig:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.n_particles < 2:
             raise ValueError(f"need at least 2 particles, got {self.n_particles}")
-        if self.majorant_safety <= 1.0:
-            raise ValueError(f"majorant_safety must exceed 1, got {self.majorant_safety}")
         if self.steady_window < 2:
             raise ValueError(f"steady_window must be >= 2, got {self.steady_window}")
         if self.steady_tol <= 0.0:
@@ -190,7 +174,6 @@ class MomentTrajectory:
     collisions_q: int = 0
     candidates_l: int = 0  # candidate bath events
     collisions_l: int = 0
-    overflows: int = 0  # bath candidates above l_max (q_max is a hard bound)
     final: Ensemble | None = None
 
     def times(self) -> Array:
@@ -232,8 +215,8 @@ def step_q(
     Binomial(floor(N/2), p_q) disjoint pairs from all N particles, with
     p_q = tau q_max dt.  Each pair is accepted with probability |q| / q_max,
     so a particle collides with probability tau |v - w| dt per step.  Returns
-    (accepted collisions, largest candidate |q|).  A pair above the majorant
-    raises before any velocity changes, so the caller can enlarge and retry.
+    (accepted collisions, largest candidate |q|).  A ``q_max`` below a
+    candidate's |q| raises ValueError before any velocity changes.
     """
     if candidates is None:
         n = velocities.shape[0]
@@ -250,7 +233,7 @@ def step_q(
     speeds = _speeds(v, w)
     max_speed = float(speeds.max())
     if max_speed > q_max:
-        raise _MajorantOverflow(max_speed)
+        raise ValueError(f"q_max = {q_max:.6g} below a pair speed {max_speed:.6g}")
     acc = rng.random(m) * q_max < speeds
     count = int(np.count_nonzero(acc))
     if count == 0:
@@ -275,49 +258,43 @@ def step_l(
 
     ``candidates`` holds the distinct indices of this step's bath candidates.
     Without it the sweep draws them itself by the law :func:`run` uses: each
-    particle is a candidate with probability p_l = nu_max dt, nu_max =
-    l_max / lambda.  A candidate draws a fresh bath partner, accepts with
-    probability |v - w| / l_max (a particle collides with probability
-    nu(v) dt per step), and is transformed by the sigma-form bath collision
-    map; the partner is discarded, the bath being a fixed reservoir.
-    Returns (accepted collisions, largest observed |v - w|).  A candidate
-    above the majorant raises before any velocity changes.
+    particle is a candidate with probability p_l = l_max dt / lambda.  A
+    candidate draws a partner or none and accepts as the module docstring
+    says, so it collides with probability nu(v) dt; the partner is
+    discarded.  Returns (accepted collisions, largest |v - w| over the
+    partners).  ``l_max`` below |v - u1| + b for a candidate raises
+    ValueError before any velocity changes.
     """
     if candidates is None:
         n = velocities.shape[0]
         p_l = l_max * dt / bath.lambda_
         if p_l > 1.0:
-            raise TimeStepError(f"dt * nu_max = {p_l:.3g} > 1; shrink dt")
+            raise TimeStepError(f"dt * l_max / lambda = {p_l:.3g} > 1; shrink dt")
         candidates = rng.choice(n, int(rng.binomial(n, p_l)), replace=False)
     if candidates.size == 0:
         return 0, 0.0
     v = velocities.take(candidates, axis=0)
-    partners = sample_bath(bath, candidates.size, rng)
+    dist = _speeds(v, bath.u1)  # |v - u1|
+    b = bath.bound_mean
+    need = float(dist.max()) + b
+    if need > l_max:
+        raise ValueError(f"l_max = {l_max:.6g} below max|v - u1| + E B(W) = {need:.6g}")
+    pick = rng.random(candidates.size) * l_max
+    plain = np.flatnonzero(pick < dist)
+    biased = np.flatnonzero((pick >= dist) & (pick < dist + b))
+    events = np.concatenate([plain, biased])
+    v = v.take(events, axis=0)
+    partners, bounds = sample_partners(bath, plain.size, biased.size, rng)
     speeds = _speeds(v, partners)
-    max_rel = float(speeds.max())
-    if max_rel > l_max:
-        raise _MajorantOverflow(max_rel)
-    acc = rng.random(candidates.size) * l_max < speeds
-    idx = candidates[acc]
+    acc = rng.random(events.size) * (dist.take(events) + bounds) < speeds
+    idx = candidates.take(events)[acc]
+    max_rel = float(speeds.max(initial=0.0))
     if idx.size == 0:
         return 0, max_rel
     sigma = _uniform_sphere(rng, idx.size)
     v_post, _ = collide_l_sigma(v[acc], partners[acc], sigma, restitution)
     velocities[idx] = v_post
     return int(idx.size), max_rel
-
-
-def _bath_reach(bath: BathParams) -> float:
-    """Radius about u1 holding the bath velocities: every velocity of a
-    tabulated bath (its farthest occupied cell corner), all but a ~1e-10
-    fraction of a Maxwellian's (7 thermal widths)."""
-    if bath.kind == "maxwellian":
-        return 7.0 * bath.sigma_th
-    table = bath.table
-    assert table is not None
-    nodes = table.nodes()[table.values.ravel() > 0.0]
-    half_diagonal = 0.5 * math.sqrt(sum(h * h for h in table.spacing))
-    return float(np.linalg.norm(nodes - bath.u1, axis=1).max()) + half_diagonal
 
 
 def _radius(velocities: Array, sq: Array, sq_max: float, centre: Array) -> float:
@@ -444,7 +421,7 @@ def run(
     tau, dt = config.tau, config.dt
     n = vel.shape[0]
     ones = np.ones(n)
-    reach = _bath_reach(bath) if bath is not None else 0.0
+    b = bath.bound_mean if bath is not None else 0.0
 
     n_steps = max(1, int(round((config.t_end - t0) / dt)))
     traj = MomentTrajectory(records=[], config=config)
@@ -454,28 +431,15 @@ def run(
         sq = np.square(vel) @ _ONES3
         sq_max = float(sq.max())
         q_max = 2.0 * _radius(vel, sq, sq_max, (ones @ vel) / n) if tau > 0.0 else 0.0
-        l_max = _radius(vel, sq, sq_max, bath.u1) + reach if bath is not None else 0.0
-        for _attempt in range(64):
-            p_l = l_max * dt / bath.lambda_ if bath is not None else 0.0
-            m, cand = _candidates(rng, n, tau * q_max * dt, p_l, step)
-            if bath is None:
-                break
-            try:
-                nl, _ = step_l(
-                    vel, dt, config.restitution, bath, l_max, rng, candidates=cand[2 * m :]
-                )
-            except _MajorantOverflow as exc:
-                # step_l runs first and raises before any velocity changes,
-                # so nothing has moved yet: redraw the whole step.
-                log.warning("bath majorant overflow at step %d: %s", step, exc)
-                traj.overflows += 1
-                l_max = max(l_max, exc.observed) * config.majorant_safety
-                continue
+        l_max = _radius(vel, sq, sq_max, bath.u1) + b if bath is not None else 0.0
+        p_l = l_max * dt / bath.lambda_ if bath is not None else 0.0
+        m, cand = _candidates(rng, n, tau * q_max * dt, p_l, step)
+        if bath is not None:
+            nl, _ = step_l(
+                vel, dt, config.restitution, bath, l_max, rng, candidates=cand[2 * m :]
+            )
             traj.candidates_l += cand.size - 2 * m
             traj.collisions_l += nl
-            break
-        else:
-            raise NumericalFault(f"bath majorant failed to stabilize at step {step}")
         if tau > 0.0:
             nq, _ = step_q(
                 vel, dt, tau, config.restitution, q_max, rng, candidates=cand[: 2 * m]

@@ -17,6 +17,7 @@ from granular_bath.background import (
     nu,
     nu_mc,
     sample_bath,
+    sample_partners,
     trilinear,
 )
 
@@ -93,6 +94,47 @@ class TestSampling:
         )
         got_theta = float(np.sum((draws - draws.mean(axis=0)) ** 2) / (3 * n))
         assert got_theta == pytest.approx(bath.theta1, rel=0.01)
+
+
+class TestSizeBiasedPartners:
+    def test_maxwellian_size_biased_law(self):
+        # Under |w - u1| F1(w) / b the mean of |w - u1| is
+        # E|W - u1|^2 / E|W - u1|, its direction is uniform, and the bound
+        # returned with each draw is |w - u1| itself.
+        bath = maxwell_bath(m1=2.0, theta1=0.5, u1=(0.3, -0.2, 1.0))
+        n = 200_000
+        draws, bounds = sample_partners(bath, 1000, n, np.random.default_rng(17))
+        assert draws.shape == (1000 + n, 3) and bounds.shape == (1000 + n,)
+        dist = np.linalg.norm(draws - bath.u1, axis=1)
+        np.testing.assert_allclose(bounds, dist, rtol=1e-12)
+        r = dist[1000:]
+        e1, e2 = abs_moment(bath, 1.0), abs_moment(bath, 2.0)
+        assert bath.bound_mean == pytest.approx(e1, rel=1e-14)
+        assert r.mean() == pytest.approx(e2 / e1, abs=4 * r.std(ddof=1) / math.sqrt(n))
+        # The unbiased part keeps the plain law: mean |w - u1| = E|W - u1|.
+        plain = dist[:1000]
+        assert plain.mean() == pytest.approx(e1, abs=4 * plain.std(ddof=1) / math.sqrt(1000))
+        direction = (draws[1000:] - bath.u1) / r[:, None]
+        np.testing.assert_allclose(direction.mean(axis=0), 0.0, atol=4 / math.sqrt(3 * n))
+
+    def test_tabulated_size_biased_law(self):
+        # Cells are drawn with probability weight * B(c) / b, so the mean
+        # bound over size-biased draws is E B^2 / E B under the table.
+        ax = np.linspace(-2.0, 2.0, 9)
+        gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
+        vals = np.exp(-0.5 * ((gx - 0.5) ** 2 + gy**2 / 0.5 + gz**2))
+        table = TabulatedDensity(axes=(ax, ax, ax), values=vals)
+        bath = BathParams(
+            m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0, kind="tabulated", table=table,
+        )
+        p = table.values.ravel() * table.cell_volume
+        cell_b = np.linalg.norm(table.nodes() - bath.u1, axis=1) + 0.5 * math.sqrt(3 * 0.25)
+        assert bath.bound_mean == pytest.approx(float(cell_b @ p), rel=1e-12)
+        n = 200_000
+        draws, bounds = sample_partners(bath, 0, n, np.random.default_rng(19))
+        want = float(cell_b**2 @ p) / float(cell_b @ p)
+        assert bounds.mean() == pytest.approx(want, abs=4 * bounds.std(ddof=1) / math.sqrt(n))
+        assert np.all(np.linalg.norm(draws - bath.u1, axis=1) <= bounds)
 
 
 class TestTrilinear:

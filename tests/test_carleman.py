@@ -335,6 +335,19 @@ class TestGridCsv:
         got = table.values.ravel()
         np.testing.assert_allclose(got, ss.f, rtol=1e-12, atol=1e-300)
 
+    def test_rows_are_node_by_node_reprs(self, tmp_path):
+        # Reference: one row per node, each value the repr of a Python float.
+        grid = make_grid(RestitutionParams(epsilon=1.0, e=0.7, m1=2.0),
+                         bath_at(m1=2.0, u1=(0.2, -0.1, 0.4)), n=5, extent_sigma=4.0)
+        f = np.random.default_rng(3).random(grid.n_nodes) * 1e-3
+        path = tmp_path / "grid.csv"
+        write_grid_csv(path, grid, f)
+        want = "vx,vy,vz,density\n" + "".join(
+            ",".join(repr(float(x)) for x in (*node, value)) + "\n"
+            for node, value in zip(grid.nodes, f)
+        )
+        assert path.read_text(encoding="utf-8") == want
+
 
 class TestCompareDsmc:
     @staticmethod

@@ -259,16 +259,18 @@ class TestExecute:
         plot = (tmp_path / "plot.gp").read_text()
         assert "h_functional" in plot
 
-    def test_linear_run_does_not_import_scipy_interpolate(self, tmp_path):
-        # The H reference is trilinear in numpy; importing scipy.interpolate
-        # alone costs about 0.3 s of a run.  A fresh interpreter, since this
-        # one may already hold the module.
-        path = write_config(tmp_path, LINEAR_SMOKE)
+    @pytest.mark.parametrize("config", [FULL_SMOKE, LINEAR_SMOKE], ids=["full", "linear"])
+    def test_runs_load_no_scipy(self, tmp_path, config):
+        # The run path is numpy only: importing scipy.special alone costs
+        # about 0.2 s of a run, scipy.interpolate 0.3 s.  A fresh
+        # interpreter, since this one may already hold scipy modules.
+        path = write_config(tmp_path, config)
         code = (
             "import sys\n"
             "from granular_bath.cli import main\n"
-            f"rc = main(['linear', '--config', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}])\n"
-            "print(rc, 'scipy.interpolate' in sys.modules)\n"
+            f"rc = main([{config['mode']!r}, '--config', {str(path)!r}, "
+            f"'--out', {str(tmp_path / 'o')!r}])\n"
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -277,7 +279,7 @@ class TestExecute:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env,
             timeout=120, check=True,
         )
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_full_smoke(self, tmp_path, capsys):
         parsed = parse_config_dict(FULL_SMOKE)

@@ -29,6 +29,18 @@ def bath_at(theta1=1.0, m1=1.0, lam=1.0, u1=(0.0, 0.0, 0.0)):
     return BathParams(m1=m1, u1=np.array(u1, float), theta1=theta1, lambda_=lam)
 
 
+def skewed_table_bath(lam=1.0, m1=1.0):
+    # An anisotropic, off-centre tabulated bath on 9^3 cells of width 0.5.
+    from granular_bath.background import TabulatedDensity
+
+    ax = np.linspace(-2.0, 2.0, 9)
+    g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
+    values = np.exp(-0.5 * np.sum((g - [0.4, -0.3, 0.1]) ** 2 / [0.5, 1.0, 0.3], axis=-1))
+    values *= 1.0 + 0.5 * np.tanh(g[..., 0])
+    table = TabulatedDensity(axes=(ax, ax, ax), values=values)
+    return BathParams(m1=m1, u1=np.zeros(3), theta1=1.0, lambda_=lam, kind="tabulated", table=table)
+
+
 def gaussian_init(n, theta=1.0, seed=0):
     return np.random.default_rng(seed).normal(size=(n, 3)) * math.sqrt(theta)
 
@@ -111,17 +123,53 @@ class TestStepL:
         assert accepted / trials == pytest.approx(p_want, abs=4 * se)
 
     def test_majorant_overflow_is_raised_before_mutation(self):
-        from granular_bath.dsmc import _MajorantOverflow
-
+        # l_max must cover |v - u1| + E B(W) for every candidate; a smaller
+        # caller-supplied value is an error, raised before any velocity moves.
         rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
         bath = bath_at()
         vel = gaussian_init(500, seed=12)
         vel[0] = [50.0, 0.0, 0.0]  # guaranteed to exceed the tiny majorant
         snapshot = vel.copy()
-        with pytest.raises(_MajorantOverflow) as exc_info:
+        with pytest.raises(ValueError, match="l_max"):
             step_l(vel, 0.05, rest, bath, l_max=1.0, rng=np.random.default_rng(13))
-        assert exc_info.value.observed > 1.0
         np.testing.assert_array_equal(vel, snapshot)  # staged, not applied
+        with pytest.raises(ValueError, match="q_max"):
+            step_q(vel, 0.05, 1.0, rest, q_max=1.0, rng=np.random.default_rng(13))
+        np.testing.assert_array_equal(vel, snapshot)
+
+    @pytest.mark.parametrize("kind", ["shifted_maxwellian", "tabulated"])
+    def test_acceptance_rate_matches_nu_with_hard_majorant(self, kind):
+        # Beams at two speeds about u1, swept with the majorant run uses,
+        # l_max = |v - u1| + E B(W): per particle and step the collision
+        # probability is nu(v) dt, also for m1 != 1, a shifted u1 and a
+        # tabulated bath.
+        from granular_bath.background import nu_mc
+
+        rng = np.random.default_rng(71)
+        if kind == "tabulated":
+            bath = skewed_table_bath(lam=1.5)
+        else:
+            bath = bath_at(theta1=1.3, m1=2.0, lam=1.5, u1=(0.3, -0.2, 0.5))
+        rest = RestitutionParams(epsilon=1.0, e=0.8, m1=bath.m1)
+        n, dt, reps = 40_000, 0.01, 12
+        for offset in ([0.1, 0.0, -0.1], [1.5, -2.0, 0.5]):
+            v0 = bath.u1 + np.array(offset)
+            if kind == "tabulated":
+                # The sampler jitters within cells, which the cell-midpoint
+                # nu does not see: take the rate of the sampled law itself.
+                want, want_se = nu_mc(bath, v0, 2_000_000, rng)
+            else:
+                want, want_se = float(nu(bath, v0)), 0.0
+            l_max = float(np.linalg.norm(v0 - bath.u1)) * (1 + 1e-12) + bath.bound_mean
+            accepted = 0
+            for _ in range(reps):
+                vel = np.tile(v0, (n, 1))
+                n_acc, _ = step_l(vel, dt, rest, bath, l_max=l_max, rng=rng)
+                accepted += n_acc
+            p_want = want * dt
+            trials = n * reps
+            se = math.hypot(math.sqrt(p_want * (1 - p_want) / trials), want_se * dt)
+            assert accepted / trials == pytest.approx(p_want, abs=4 * se), offset
 
 
 class TestRunCooling:
@@ -193,50 +241,27 @@ class TestRunLinear:
         se_theta = math.sqrt(2.0 / (3 * n))
         assert abs(traj.thetas()[-1] - 1.0) <= 4 * se_theta
 
-    def test_overflow_recovery_is_transparent(self, monkeypatch):
-        # With no allowance for the bath's own spread (reach 0), the bath
-        # majorant max|v - u1| of a cold start is exceeded as soon as a bath
-        # partner is drawn; the run must recover by redrawing the step with
-        # a grown majorant (recorded in traj.overflows) and finish.
-        import granular_bath.dsmc as dsmc_mod
-
-        monkeypatch.setattr(dsmc_mod, "_bath_reach", lambda bath: 0.0)
-        rest = RestitutionParams(epsilon=1.0, e=0.5, m1=1.0)
-        bath = bath_at(theta1=4.0)
-        n = 2000
-        config = SimConfig(
-            tau=0.0, restitution=rest, bath=bath, dt=0.01, t_end=4.0,
-            n_particles=n, seed=51, majorant_safety=1.0001,
-        )
-        init = np.full((n, 3), 0.0) + 1e-3 * gaussian_init(n, seed=52)
-        traj = run(config, init=init)
-        final_theta = traj.thetas()[-1]
-        assert traj.overflows > 0
-        assert final_theta > 1.0  # actually heated up
-        assert np.all(np.isfinite(traj.final.velocities))
-
 
 class TestUnsplitStep:
     def test_strong_coupling_runs_without_gas_overflow(self):
         # tau = 4, dt = 0.01 exceeded the old loose gas-gas majorant's time
         # step.  q_max = 2 max|v - u| bounds every pair speed, so a step_q
-        # overflow (which run does not catch) cannot end the run.
+        # ValueError (which run does not catch) cannot end the run.
         rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
         config = SimConfig(
             tau=4.0, restitution=rest, bath=bath_at(), dt=0.01, t_end=1.0,
             n_particles=20_000, seed=65,
         )
         traj = run(config)
-        assert traj.overflows == 0
         assert traj.collisions_q > 0
         assert traj.collisions_q <= traj.candidates_q
         assert traj.collisions_l <= traj.candidates_l
 
-    def test_tabulated_bath_reach_is_a_tight_hard_bound(self):
-        # A tabulated bath's velocities stay within its farthest occupied
-        # cell corner of u1, so l_max = max|v - u1| + reach never overflows.
-        from granular_bath.background import TabulatedDensity, sample_bath
-        from granular_bath.dsmc import _bath_reach
+    def test_tabulated_bath_bound_is_a_tight_hard_bound(self):
+        # B(w) = |c - u1| + half-diagonal, c the centre of w's cell, bounds
+        # |w - u1| for every draw, plain or size-biased, and exceeds it by at
+        # most a cell diagonal; a run on the table needs no other bound.
+        from granular_bath.background import TabulatedDensity, sample_partners
 
         ax = np.linspace(-3.0, 3.0, 7)  # unit cells
         values = np.zeros((7, 7, 7))
@@ -245,17 +270,16 @@ class TestUnsplitStep:
         bath = BathParams(
             m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0, kind="tabulated", table=table,
         )
-        reach = _bath_reach(bath)
-        draws = sample_bath(bath, 200_000, np.random.default_rng(67))
-        farthest = float(np.linalg.norm(draws - bath.u1, axis=1).max())
-        assert reach - 0.2 <= farthest <= reach
+        draws, bounds = sample_partners(bath, 100_000, 100_000, np.random.default_rng(67))
+        dist = np.linalg.norm(draws - bath.u1, axis=1)
+        assert np.all(dist <= bounds)
+        assert np.all(bounds - dist <= math.sqrt(3.0))
         rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
         config = SimConfig(
             tau=1.0, restitution=rest, bath=bath, dt=0.01, t_end=0.5,
             n_particles=2000, seed=68,
         )
         traj = run(config)
-        assert traj.overflows == 0
         assert traj.collisions_l > 0
 
     def test_event_sets_are_disjoint_with_linear_sizes(self, monkeypatch):

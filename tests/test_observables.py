@@ -13,7 +13,9 @@ from granular_bath.observables import (
     FitRefusedError,
     MomentRecord,
     SupportMismatchError,
+    bin_counts,
     bound_params,
+    box_edges,
     f_aux,
     f_aux_stderr,
     h_phi,
@@ -194,6 +196,44 @@ class TestNorms:
         b = rng.normal(size=(50_000, 3)) * 0.1 + np.array([3.0, 0, 0])
         dist = histogram_l1_distance(a, b, bins=32)
         assert dist == pytest.approx(2.0, abs=0.05)
+
+
+class TestBinCounts:
+    @pytest.mark.parametrize("bins", [1, 7, 32])
+    def test_matches_histogramdd_on_edges_and_outside(self, bins):
+        # Random points, points exactly on every edge of every axis and one
+        # ulp to either side, points outside the box and non-finite ones:
+        # the counts equal np.histogramdd's, upper-edge points in the last
+        # cell included.
+        rng = np.random.default_rng(bins)
+        center, extent = np.array([0.3, -1.7, 2.2]), 2.9
+        edge_sets = [
+            box_edges(center, extent, bins),
+            # Node-centred edges as a kernel grid builds them: uniform only
+            # up to rounding.
+            [np.concatenate([ax - 0.05, [ax[-1] + 0.05]])
+             for ax in (c + (np.arange(bins) - 0.5 * (bins - 1)) * 0.1 for c in center)],
+        ]
+        for edges in edge_sets:
+            pts = [center + 0.7 * extent * rng.standard_normal((4000, 3))]
+            for d, e in enumerate(edges):
+                for value in e:
+                    on = center + extent * rng.uniform(-1.0, 1.0, (3, 3))
+                    on[:, d] = value
+                    pts.append(on)
+                far = center + extent * rng.uniform(-1.0, 1.0, (2, 3))
+                far[:, d] = [e[0] - 3.0 * extent, e[-1] + 3.0 * extent]
+                pts.append(far)
+            pts.append(np.array([[e[-1] for e in edges], [e[0] for e in edges]]))
+            sample = np.concatenate(pts)
+            nonfinite = center + np.array([[np.nan, 0, 0], [0, np.inf, 0], [0, 0, -np.inf]])
+            for x in (
+                np.concatenate([sample, nonfinite]),
+                np.nextafter(sample, np.inf),
+                np.nextafter(sample, -np.inf),
+            ):
+                want, _ = np.histogramdd(x, bins=edges)
+                np.testing.assert_array_equal(bin_counts(x, edges), want)
 
 
 class TestHPhi:
