@@ -11,18 +11,27 @@ probability nu(v) dt, so the expected change of the one-particle density
 over a step is dt (Q + L) f, and the fixed point of the step is the zero of
 Q + L at every dt.
 
-Neither majorant can be exceeded.  A gas-gas pair is accepted with
-probability |v - w| / q_max, q_max = 2 max|v - u| with u the mean velocity.
-The bath majorant is the paper's bound lambda nu(v) <= |v - u1| + b, used as
-a majorant kernel (Rjasanow & Wagner, Stochastic Numerics for the Boltzmann
-Equation, 2005): l_max = max|v - u1| + b, with b the mean of a bound
-B(w) >= |w - u1| (``BathParams.bound_mean``).  A bath candidate at v
-takes a partner from F1 with probability |v - u1| / l_max, one from the
-size-biased law B F1 / b with probability b / l_max, or none, and accepts
-with probability |v - w| / (|v - u1| + B(w)) <= 1: its rate is nu(v).
-The candidates are drawn as one sample without replacement, so the work per
-step is proportional to the candidates, apart from the majorant pass and
-the finiteness check.
+Neither majorant can be exceeded.  Both are radii about one centre c fixed
+for the run: u1 with a bath, otherwise the initial mean velocity, which
+gas-gas collisions conserve.  With R = max|v - c|, a gas-gas pair is
+accepted with probability |v - w| / q_max, q_max = 2R, which bounds every
+pair speed by the triangle inequality.  The bath majorant is the paper's
+bound lambda nu(v) <= |v - u1| + b, used as a majorant kernel (Rjasanow &
+Wagner, Stochastic Numerics for the Boltzmann Equation, 2005): l_max = R + b,
+with b the mean of a bound B(w) >= |w - u1| (``BathParams.bound_mean``).  A
+bath candidate at v takes a partner from F1 with probability
+|v - u1| / l_max, one from the size-biased law B F1 / b with probability
+b / l_max, or none, and accepts with probability |v - w| / (|v - u1| + B(w))
+<= 1: its rate is nu(v).
+
+The candidates are drawn as one sample without replacement.  The run keeps
+|v - c|^2 per particle and refreshes it at each step's candidates, the only
+particles a step moves, so the work per step is proportional to the
+candidates, apart from the finiteness check.  A fixed centre can give a
+looser gas bound than the current mean, for instance while a cold gas drifts
+towards u1.  So when dt (tau q_max + l_max / lambda) reaches 1, the step
+takes q_max = 2 max|v - u| about the current mean u instead, and raises
+TimeStepError only if that fails too.
 """
 from __future__ import annotations
 
@@ -75,7 +84,6 @@ Array = np.ndarray
 CHECKPOINT_MAGIC = b"GBDS"
 CHECKPOINT_VERSION = 1
 _NO_SEED = 0xFFFFFFFFFFFFFFFF
-_ONES3 = np.ones(3)
 
 
 class NumericalFault(RuntimeError):
@@ -193,9 +201,13 @@ def _uniform_sphere(rng: np.random.Generator, k: int) -> Array:
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
-def _speeds(a: Array, b: Array) -> Array:
+def _sq_dist(a: Array, b: Array) -> Array:
     rel = a - b
-    return np.sqrt(np.einsum("ij,ij->i", rel, rel))
+    return np.einsum("ij,ij->i", rel, rel)
+
+
+def _speeds(a: Array, b: Array) -> Array:
+    return np.sqrt(_sq_dist(a, b))
 
 
 def step_q(
@@ -297,19 +309,13 @@ def step_l(
     return int(idx.size), max_rel
 
 
-def _radius(velocities: Array, sq: Array, sq_max: float, centre: Array) -> float:
-    """Hard upper bound on max |v - centre| over the ensemble.
+def _radius(d2: Array) -> float:
+    """Hard upper bound on the largest sqrt(d2), d2 = |v - c|^2 by ``_sq_dist``.
 
-    ``sq`` holds |v|^2 and ``sq_max`` its maximum, so each centre costs one
-    matrix-vector product through |v - c|^2 = |v|^2 - 2 v.c + |c|^2.  That
-    expansion loses a few ulp of (|v| + |c|)^2; the bound adds 1e-14 of it,
-    far above the rounding.
+    Each component of v - c, and so d2 and every computed pair speed, is
+    within a few ulp of its exact value; the pad of 1e-14 lies far above that.
     """
-    d = velocities @ (-2.0 * centre)
-    d += sq
-    c2 = float(centre @ centre)
-    scale = math.sqrt(sq_max) + math.sqrt(c2)
-    return math.sqrt(max(float(d.max()) + c2, 0.0) + 1e-14 * scale * scale)
+    return math.sqrt(float(d2.max())) * (1.0 + 1e-14)
 
 
 def _candidates(
@@ -396,6 +402,12 @@ def run(
     the run's seed; an Ensemble resumes from its stored time (pass the
     checkpointed generator as ``rng`` to continue its stream).  Runs with the
     same (config, seed) are bit-reproducible.
+
+    The majorants of each step are radii about one centre, u1 or the initial
+    mean (see the module docstring), read off a per-particle |v - c|^2 that
+    is refreshed at the step's candidates.  A step whose event probabilities
+    reach 1 with them retries with q_max about the current mean;
+    TimeStepError is raised only if that fails too.
     """
     obs = observers or ObserverConfig()
     if callable(obs.h_reference) and obs.h_extent is not None and obs.h_center is not None:
@@ -420,19 +432,22 @@ def run(
     bath = config.bath
     tau, dt = config.tau, config.dt
     n = vel.shape[0]
-    ones = np.ones(n)
     b = bath.bound_mean if bath is not None else 0.0
+    centre = bath.u1 if bath is not None else vel.mean(axis=0)
+    d2 = _sq_dist(vel, centre)
 
     n_steps = max(1, int(round((config.t_end - t0) / dt)))
     traj = MomentTrajectory(records=[], config=config)
     traj.records.append(_make_record(vel, t0, config, obs))
 
     for step in range(1, n_steps + 1):
-        sq = np.square(vel) @ _ONES3
-        sq_max = float(sq.max())
-        q_max = 2.0 * _radius(vel, sq, sq_max, (ones @ vel) / n) if tau > 0.0 else 0.0
-        l_max = _radius(vel, sq, sq_max, bath.u1) + b if bath is not None else 0.0
+        radius = _radius(d2)
+        q_max = 2.0 * radius if tau > 0.0 else 0.0
+        l_max = radius + b if bath is not None else 0.0
         p_l = l_max * dt / bath.lambda_ if bath is not None else 0.0
+        if tau > 0.0 and tau * q_max * dt + p_l >= 1.0:
+            # The fixed centre can be loose; try the mean's bound before dt fails.
+            q_max = 2.0 * _radius(_sq_dist(vel, vel.mean(axis=0)))
         m, cand = _candidates(rng, n, tau * q_max * dt, p_l, step)
         if bath is not None:
             nl, _ = step_l(
@@ -446,6 +461,7 @@ def run(
             )
             traj.candidates_q += m
             traj.collisions_q += nq
+        d2[cand] = _sq_dist(vel.take(cand, axis=0), centre)
         t = t0 + step * dt
         if not np.all(np.isfinite(vel)):
             path = _dump_fault(vel, step, t, rng)

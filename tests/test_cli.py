@@ -303,6 +303,16 @@ class TestExecute:
         assert rc == 1
         assert "time-step error" in capsys.readouterr().err
 
+    def test_loose_fixed_centre_is_no_time_step_error(self, tmp_path):
+        # The fixed-centre gas bound about u1 alone would reject this dt at
+        # step 1; the run's fallback to the gas mean lets it run.
+        config = dict(FULL_SMOKE, u1=[3.0, 0.0, 0.0], dt=0.05, t_end=1.0,
+                      n_particles=20_000, seed=5)
+        path = write_config(tmp_path, config)
+        rc = main(["full", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert len(read_records(tmp_path / "o" / "trajectory.csv")) == 11
+
     def test_reruns_are_byte_identical(self, tmp_path):
         parsed = parse_config_dict(COOLING_SMOKE)
         execute(parsed, out_dir=tmp_path / "a")

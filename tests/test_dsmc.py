@@ -325,6 +325,57 @@ class TestUnsplitStep:
         assert traj.candidates_q == got_q / 2
         assert traj.candidates_l == got_l
 
+    @pytest.mark.parametrize("case", ["cooling", "shifted_cold_start", "tabulated"])
+    def test_majorants_are_exact_every_step(self, monkeypatch, case):
+        # Every step, q_max / 2 and l_max - b equal max|v - c| over all N
+        # particles, c = u1 with a bath and the initial mean without one, up
+        # to the 1e-14 pad: no smaller (a hard bound) and no larger (tight).
+        # The maximum is taken over the velocities the step began with,
+        # which the first sweep receives; step_l runs before step_q and moves
+        # some particles in between.
+        import granular_bath.dsmc as dsmc_mod
+
+        n = 4000
+        rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
+        init = gaussian_init(n, seed=72)
+        if case == "cooling":
+            bath = None
+        elif case == "shifted_cold_start":
+            bath = bath_at(m1=2.0, u1=(0.3, -0.2, 0.5))
+            rest = RestitutionParams(epsilon=0.8, e=0.8, m1=2.0)
+            init = gaussian_init(n, theta=0.04, seed=72)
+        else:
+            bath = skewed_table_bath()
+        centre = bath.u1 if bath is not None else init.mean(axis=0)
+        checked = {"q": 0, "l": 0}
+        start = {}
+
+        def check(kind, bound, velocities):
+            if kind == "l" or bath is None:  # the first sweep of the step
+                start["r"] = float(np.linalg.norm(velocities - centre, axis=1).max())
+            r = start["r"]
+            assert r <= bound <= r * (1.0 + 1e-12), (kind, checked[kind], bound, r)
+            checked[kind] += 1
+
+        def wrapped_q(velocities, dt, tau, restitution, q_max, rng, candidates=None):
+            check("q", q_max / 2.0, velocities)
+            return step_q(velocities, dt, tau, restitution, q_max, rng, candidates=candidates)
+
+        def wrapped_l(velocities, dt, restitution, bath_, l_max, rng, candidates=None):
+            check("l", l_max - bath_.bound_mean, velocities)
+            return step_l(velocities, dt, restitution, bath_, l_max, rng, candidates=candidates)
+
+        monkeypatch.setattr(dsmc_mod, "step_q", wrapped_q)
+        monkeypatch.setattr(dsmc_mod, "step_l", wrapped_l)
+        config = SimConfig(
+            tau=1.0, restitution=rest, bath=bath, dt=0.01, t_end=2.0,
+            n_particles=n, seed=73,
+        )
+        traj = run(config, init=init)
+        assert checked == {"q": 200, "l": 0 if bath is None else 200}
+        assert traj.collisions_q > 0
+        assert bath is None or traj.collisions_l > 0
+
 
 class TestFaults:
     def test_nan_init_is_rejected_up_front(self):
@@ -368,6 +419,42 @@ class TestFaults:
         )
         with pytest.raises(TimeStepError):
             run(config)
+
+    def test_loose_fixed_centre_falls_back_to_the_mean_bound(self, monkeypatch):
+        # A gas at rest far from u1 = (3, 0, 0): about u1, q_max = 2 max|v - u1|
+        # makes dt (tau q_max + l_max / lambda) = 1.13 at step 1.  The step
+        # must retry with q_max = 2 max|v - u| about the gas mean u, which
+        # fits, and run on, not raise TimeStepError.
+        import granular_bath.dsmc as dsmc_mod
+
+        first = []
+
+        def recording_l(velocities, *args, **kwargs):
+            if not first:
+                first.append(velocities.copy())
+            return step_l(velocities, *args, **kwargs)
+
+        def recording_q(velocities, dt, tau, restitution, q_max, rng, candidates=None):
+            if len(first) == 1:
+                first.append(q_max)
+            return step_q(velocities, dt, tau, restitution, q_max, rng, candidates=candidates)
+
+        monkeypatch.setattr(dsmc_mod, "step_l", recording_l)
+        monkeypatch.setattr(dsmc_mod, "step_q", recording_q)
+        rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
+        bath = bath_at(u1=(3.0, 0.0, 0.0))
+        config = SimConfig(
+            tau=1.0, restitution=rest, bath=bath, dt=0.05, t_end=1.0,
+            n_particles=20_000, seed=5,
+        )
+        traj = run(config)
+        assert traj.final.t == pytest.approx(1.0)
+        vel, q_max = first
+        about_mean = float(np.linalg.norm(vel - vel.mean(axis=0), axis=1).max())
+        about_u1 = float(np.linalg.norm(vel - bath.u1, axis=1).max())
+        assert about_mean <= q_max / 2.0 <= about_mean * (1.0 + 1e-12)
+        p_q = config.tau * 2.0 * about_u1 * config.dt
+        assert p_q + (about_u1 + bath.bound_mean) * config.dt / bath.lambda_ >= 1.0
 
 
 class TestDetectSteady:
