@@ -27,10 +27,11 @@ b / l_max, or none, and accepts with probability |v - w| / (|v - u1| + B(w))
 The candidates are drawn as one sample without replacement.  The run keeps
 |v - c|^2 per particle and refreshes it at each step's candidates, the only
 particles a step moves, so the work per step is proportional to the
-candidates, apart from the finiteness check.  A fixed centre can give a
-looser gas bound than the current mean, for instance while a cold gas drifts
-towards u1.  So when dt (tau q_max + l_max / lambda) reaches 1, the step
-takes q_max = 2 max|v - u| about the current mean u instead, and raises
+candidates, apart from one max over the cached |v - c|^2 and the finiteness
+check.  A fixed centre can give a looser gas bound than the current mean,
+for instance while a gas drifts towards u1.  So when dt (tau q_max +
+l_max / lambda) reaches 1, the step takes q_max = 2 max|v - u| about the
+current mean u instead, at the cost of one full pass, and raises
 TimeStepError only if that fails too.
 """
 from __future__ import annotations
