@@ -68,15 +68,14 @@ def main() -> None:
         h_extent=0.9 * 8.0 * bath.sigma_th,
         h_center=bath.u1,
         h_bins=24,
-        h_bias_correct=True,
     )
     print(f"particle run from a 1.5x-hot start, N = {args.n_particles} ...")
     traj = run(config, observers=observers, init=hot)
     for rec in traj.records[:: max(1, len(traj.records) // 8)]:
         print(f"  t = {rec.t:5.2f}   Theta = {rec.theta:.5f}   "
-              f"H(f|f1) = {rec.h_value('quad'):.5f}")
+              f"H(f|f1) = {rec.h_quad:.5f}")
     print(f"final Theta = {traj.records[-1].theta:.5f} vs grid "
-          f"{ss.theta:.5f}; final H = {traj.records[-1].h_value('quad'):.2e}")
+          f"{ss.theta:.5f}; final H = {traj.records[-1].h_quad:.2e}")
 
     args.out.mkdir(parents=True, exist_ok=True)
     traj.to_csv(args.out / "trajectory.csv")

@@ -59,7 +59,6 @@ __all__ = [
     "kernel_quadrature",
     "make_grid",
     "dense_matrix",
-    "apply_l",
     "steady_state",
     "compare_dsmc",
     "write_grid_csv",
@@ -476,11 +475,6 @@ def dense_matrix(grid: KernelGrid) -> Array:
     return kmat
 
 
-def apply_l(grid: KernelGrid, f: Array) -> Array:
-    """Module-level alias for :meth:`KernelGrid.apply_l`."""
-    return grid.apply_l(f)
-
-
 @dataclass(frozen=True)
 class SteadyState:
     """Normalized nonnegative fixed point of the discrete bath operator."""
@@ -521,41 +515,33 @@ def steady_state(
     exercise uniqueness; that iterates on :func:`dense_matrix`, so it needs
     a grid of at most 5000 nodes.
     """
-    h3 = grid.cell_volume
+    # The iterate g holds one value per orbit (weights: orbit sizes) or one
+    # per node (weights 1, exact in every product below); ``nodes`` maps it
+    # back to node values.
     if f0 is None:
-        mult = grid.orbit_mult.astype(float)
-        nu_rep = grid.nu_vec[grid.rep_index]
+        op, nu_g = grid.reduced, grid.nu_vec[grid.rep_index]
+        weights, nodes = grid.orbit_mult.astype(float), grid.orbit_index
         g = grid.maxwellian()[grid.rep_index]
-        g /= float((mult * g).sum() * h3)
-        for it in range(1, max_iter + 1):
-            g_new = np.maximum(grid.reduced @ g / nu_rep, 0.0)
-            g_new /= float((mult * g_new).sum() * h3)
-            dist = float((mult * np.abs(g_new - g)).sum() * h3)
-            g = g_new
-            if dist < tol:
-                f = g[grid.orbit_index]
-                u, theta = _grid_moments(grid, f)
-                return SteadyState(f=f, theta=theta, u=u, iterations=it, residual=dist)
-        raise ConvergenceError(
-            f"no convergence after {max_iter} iterations (residual {dist:.3e})",
-            last_iterate=g[grid.orbit_index], residual=dist,
-        )
-    f = np.array(f0, dtype=float).reshape(-1)
-    if f.size != grid.n_nodes or np.any(f < 0.0) or f.sum() <= 0.0:
-        raise ValueError("f0 must be nonnegative node values with positive mass")
-    kmat = dense_matrix(grid)
-    f /= f.sum() * h3
+    else:
+        g = np.array(f0, dtype=float).reshape(-1)
+        if g.size != grid.n_nodes or np.any(g < 0.0) or g.sum() <= 0.0:
+            raise ValueError("f0 must be nonnegative node values with positive mass")
+        op, nu_g = dense_matrix(grid), grid.nu_vec
+        weights, nodes = np.ones(grid.n_nodes), slice(None)
+    h3 = grid.cell_volume
+    g /= float((weights * g).sum() * h3)
     for it in range(1, max_iter + 1):
-        f_new = np.maximum(kmat @ f / grid.nu_vec, 0.0)
-        f_new /= f_new.sum() * h3
-        dist = float(np.sum(np.abs(f_new - f)) * h3)
-        f = f_new
+        g_new = np.maximum(op @ g / nu_g, 0.0)
+        g_new /= float((weights * g_new).sum() * h3)
+        dist = float((weights * np.abs(g_new - g)).sum() * h3)
+        g = g_new
         if dist < tol:
+            f = g[nodes]
             u, theta = _grid_moments(grid, f)
             return SteadyState(f=f, theta=theta, u=u, iterations=it, residual=dist)
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (residual {dist:.3e})",
-        last_iterate=f, residual=dist,
+        last_iterate=g[nodes], residual=dist,
     )
 
 

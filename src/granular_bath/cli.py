@@ -69,6 +69,7 @@ from .kinematics import (
 from .observables import (
     FitRefusedError,
     SupportMismatchError,
+    _fmt,
     bound_params,
     f_aux_stderr,
     haff_fit,
@@ -303,10 +304,6 @@ def serialize_config(parsed: ParsedConfig) -> str:
     return json.dumps(parsed.normalized, indent=2) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _plot_script(bound: float | None, has_h: bool) -> str:
     """Gnuplot text plotting the trajectory CSV written beside it."""
     lines = [
@@ -449,7 +446,6 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
         h_reference=h_reference,
         h_extent=h_extent,
         h_center=h_center,
-        h_bias_correct=True,
     )
     try:
         traj = run(sim, observers=observers)

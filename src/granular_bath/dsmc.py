@@ -42,15 +42,13 @@ import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .background import BathParams, sample_partners
 from .kinematics import RestitutionParams, collide_l_sigma, collide_q
 from .observables import (
-    DEFAULT_SIGMA_PAIRS,
-    DEFAULT_Y_ORDERS,
     MomentRecord,
     box_edges,
     f_aux,
@@ -150,27 +148,38 @@ class SimConfig:
             raise ValueError(f"steady_tol must be positive, got {self.steady_tol}")
 
 
+_LP_BINS = 32
+
+
 @dataclass(frozen=True)
 class ObserverConfig:
-    """What to compute at each record (costs beyond moments are opt-in)."""
+    """What to compute at each record (costs beyond moments are opt-in).
+
+    Every record holds the moments, Y_r for r = 1, 1.5, 2, 3, and F when
+    there is a bath.  ``compute_lp`` adds the L^2 and L^1.5 norms from one
+    histogram of 32^3 cells, 6 thermal widths about the record's own mean.
+    ``compute_sigma`` adds the mean collision frequency, whose convolution
+    term is sampled from 2^17 velocity pairs once N^2 exceeds that.
+    ``h_reference``, a density callable on (M, 3) points, adds the
+    bias-corrected quadratic and the entropy H-functional on the fixed box
+    of ``h_bins``^3 cells spanning ``h_center +- h_extent``, both of which
+    it requires; the reference is evaluated once per run, at the centres of
+    those cells.
+    """
 
     record_every: int = 10
-    y_orders: tuple[float, ...] = DEFAULT_Y_ORDERS
     compute_lp: bool = False
-    lp_p: float = 1.5
-    lp_bins: int = 32
     compute_sigma: bool = False
-    sigma_pairs: int = DEFAULT_SIGMA_PAIRS
-    h_reference: object | None = None  # callable density or grid array
-    h_tags: tuple[str, ...] = ("quad", "ent")
+    h_reference: Callable[[Array], Array] | None = None
     h_bins: int = 32
     h_extent: float | None = None
     h_center: Array | None = None
-    h_bias_correct: bool = False
 
     def __post_init__(self) -> None:
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if self.h_reference is not None and (self.h_extent is None or self.h_center is None):
+            raise ValueError("h_reference needs the H box: set h_extent and h_center")
 
 
 @dataclass
@@ -191,8 +200,8 @@ class MomentTrajectory:
     def thetas(self) -> Array:
         return np.array([r.theta for r in self.records])
 
-    def to_csv(self, path: str | Path, lp_p: float = 1.5) -> None:
-        write_records(path, self.records, lp_p=lp_p)
+    def to_csv(self, path: str | Path) -> None:
+        write_records(path, self.records)
 
 
 def _uniform_sphere(rng: np.random.Generator, k: int) -> Array:
@@ -344,8 +353,10 @@ def _make_record(
     t: float,
     config: SimConfig,
     obs: ObserverConfig,
+    h_cells: Array | None,
 ) -> MomentRecord:
-    rec = moments(velocities, t=t, y_orders=obs.y_orders)
+    """The record of one sample; ``h_cells`` is ``obs.h_reference`` on the H box."""
+    rec = moments(velocities, t=t)
     extras: dict = {}
     if config.bath is not None:
         extras["f_aux"] = f_aux(rec, config.bath, velocities=velocities)
@@ -353,28 +364,20 @@ def _make_record(
         # Before the histograms, so that none is held while the pair arrays
         # of sigma_freq, the largest a record allocates, are alive.
         extras["sigma_mean"] = sigma_freq(
-            velocities, config.bath, config.tau,
-            rng=np.random.default_rng(0), max_pairs=obs.sigma_pairs,
+            velocities, config.bath, config.tau, rng=np.random.default_rng(0)
         )
     if obs.compute_lp:
         # The default box about the record's own u and theta: the same edges
         # lp_norm would derive from the sample.
         hist = histogram(
-            velocities, bins=obs.lp_bins, extent=thermal_extent(rec.theta), center=rec.u
+            velocities, bins=_LP_BINS, extent=thermal_extent(rec.theta), center=rec.u
         )
-        extras["lp"] = tuple((p, lp_norm(hist, p).value) for p in (2.0, obs.lp_p))
-    if obs.h_reference is not None:
+        extras["l2"] = lp_norm(hist, 2.0).value
+        extras["lp"] = lp_norm(hist, 1.5).value
+    if h_cells is not None:
         hist = histogram(velocities, bins=obs.h_bins, extent=obs.h_extent, center=obs.h_center)
-        reference = obs.h_reference
-        if callable(reference):  # a box that follows the sample
-            reference = reference_on_cells(reference, hist.edges)
-        extras["h_phi"] = tuple(
-            (tag, h_phi(
-                hist, reference, phi=tag,
-                bias_correct=obs.h_bias_correct and tag == "quad",
-            ))
-            for tag in obs.h_tags
-        )
+        extras["h_quad"] = h_phi(hist, h_cells, phi="quad", bias_correct=True)
+        extras["h_ent"] = h_phi(hist, h_cells, phi="ent")
     return dataclasses.replace(rec, **extras) if extras else rec
 
 
@@ -411,11 +414,12 @@ def run(
     TimeStepError is raised only if that fails too.
     """
     obs = observers or ObserverConfig()
-    if callable(obs.h_reference) and obs.h_extent is not None and obs.h_center is not None:
+    h_cells = None
+    if obs.h_reference is not None:
         # Every record's H histogram has the same cells: evaluate the
         # reference on them once, not once per record.
         edges = box_edges(obs.h_center, obs.h_extent, obs.h_bins)
-        obs = dataclasses.replace(obs, h_reference=reference_on_cells(obs.h_reference, edges))
+        h_cells = reference_on_cells(obs.h_reference, edges)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     if init is None:
@@ -439,7 +443,7 @@ def run(
 
     n_steps = max(1, int(round((config.t_end - t0) / dt)))
     traj = MomentTrajectory(records=[], config=config)
-    traj.records.append(_make_record(vel, t0, config, obs))
+    traj.records.append(_make_record(vel, t0, config, obs, h_cells))
 
     for step in range(1, n_steps + 1):
         radius = _radius(d2)
@@ -472,7 +476,7 @@ def run(
                 dump_path=path,
             )
         if step % obs.record_every == 0 or step == n_steps:
-            traj.records.append(_make_record(vel, t, config, obs))
+            traj.records.append(_make_record(vel, t, config, obs, h_cells))
     traj.final = Ensemble(velocities=vel, t=t0 + n_steps * dt, seed=config.seed)
     return traj
 
@@ -519,7 +523,7 @@ def detect_steady(
         )
     theta = np.array([r.theta for r in records])
     dev = np.array([float(np.linalg.norm(r.u - u1)) for r in records])
-    y2 = np.array([r.y(2.0) for r in records])
+    y2 = np.array([r.y2 for r in records])
     series = {"theta": theta, "u_dev": dev, "y2": y2}
     last_drifts: dict = {}
     for start in range(0, len(records) - 2 * window + 1):

@@ -48,13 +48,19 @@ __all__ = [
 
 Array = np.ndarray
 
-DEFAULT_Y_ORDERS = (1.0, 1.5, 2.0, 3.0)
 DEFAULT_SIGMA_PAIRS = 2**17
 
-CSV_COLUMNS = (
-    "t", "rho", "ux", "uy", "uz", "theta", "F",
-    "Y1", "Y1.5", "Y2", "Y3", "L2", "Lp", "Hquad", "Hent", "sigma",
+# The trajectory CSV's columns and the MomentRecord field each one holds; the
+# three u columns hold the components of u.  Writer and reader both use it.
+_COLUMN_FIELDS = (
+    ("t", "t"), ("rho", "rho"), ("ux", "u"), ("uy", "u"), ("uz", "u"),
+    ("theta", "theta"), ("F", "f_aux"),
+    ("Y1", "y1"), ("Y1.5", "y1_5"), ("Y2", "y2"), ("Y3", "y3"),
+    ("L2", "l2"), ("Lp", "lp"), ("Hquad", "h_quad"), ("Hent", "h_ent"),
+    ("sigma", "sigma_mean"),
 )
+CSV_COLUMNS = tuple(column for column, _ in _COLUMN_FIELDS)
+_RECORD_FIELDS = tuple(dict.fromkeys(field for _, field in _COLUMN_FIELDS))
 
 
 class DegenerateParameterError(ValueError):
@@ -71,12 +77,13 @@ class SupportMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class MomentRecord:
-    """One observation of the ensemble: moments plus optional diagnostics.
+    """One observation of the ensemble, one field per trajectory CSV column.
 
-    ``y_r`` holds (r, Y_r) pairs with Y_r the 2r-th moment about the origin;
-    ``lp`` holds (p, estimate) pairs; ``h_phi`` holds (tag, value) pairs for
-    tag in {"quad", "ent"}.  Diagnostics that were not computed stay NaN /
-    empty.
+    ``y1``, ``y1_5``, ``y2`` and ``y3`` are Y_r = mean |v|^(2r) for
+    r = 1, 1.5, 2, 3; ``l2`` and ``lp`` are histogram estimates of the L^2
+    and L^1.5 norms; ``h_quad`` (with the multinomial bias correction of
+    :func:`h_phi`) and ``h_ent`` are the H-functionals against a reference
+    density.  Diagnostics that were not computed stay NaN.
     """
 
     t: float
@@ -84,9 +91,14 @@ class MomentRecord:
     u: Array
     theta: float
     f_aux: float = math.nan
-    y_r: tuple[tuple[float, float], ...] = ()
-    lp: tuple[tuple[float, float], ...] = ()
-    h_phi: tuple[tuple[str, float], ...] = ()
+    y1: float = math.nan
+    y1_5: float = math.nan
+    y2: float = math.nan
+    y3: float = math.nan
+    l2: float = math.nan
+    lp: float = math.nan
+    h_quad: float = math.nan
+    h_ent: float = math.nan
     sigma_mean: float = math.nan
 
     def __post_init__(self) -> None:
@@ -94,24 +106,6 @@ class MomentRecord:
             raise ValueError(f"mass must be 1 within 1e-12, got {self.rho!r}")
         if self.theta < 0.0:
             raise ValueError(f"temperature must be >= 0, got {self.theta!r}")
-
-    def y(self, r: float) -> float:
-        for order, value in self.y_r:
-            if order == r:
-                return value
-        return math.nan
-
-    def lp_value(self, p: float) -> float:
-        for order, value in self.lp:
-            if order == p:
-                return value
-        return math.nan
-
-    def h_value(self, tag: str) -> float:
-        for name, value in self.h_phi:
-            if name == tag:
-                return value
-        return math.nan
 
 
 @dataclass(frozen=True)
@@ -129,16 +123,13 @@ class BoundParams:
             raise ValueError(f"gamma2 must be positive, got {self.gamma2}")
 
 
-def moments(
-    velocities: Array,
-    t: float = 0.0,
-    y_orders: Sequence[float] = DEFAULT_Y_ORDERS,
-) -> MomentRecord:
+def moments(velocities: Array, t: float = 0.0) -> MomentRecord:
     """Empirical mass, bulk velocity, temperature, and origin moments Y_r.
 
     rho is accumulated from the 1/N particle weights (so the recorded value
     carries honest accumulation rounding); u is the mean velocity;
-    Theta = (1/3) mean |v - u|^2; Y_r = mean |v|^(2r).
+    Theta = (1/3) mean |v - u|^2; Y_r = mean |v|^(2r) for r = 1, 1.5, 2, 3,
+    formed from |v|^2 by products and one square root.
     """
     vel = np.asarray(velocities, dtype=float)
     if vel.ndim != 2 or vel.shape[1] != 3 or vel.shape[0] < 2:
@@ -147,9 +138,15 @@ def moments(
     rho = float(np.sum(np.full(n, 1.0 / n)))
     u = vel.mean(axis=0)
     theta = float(np.sum((vel - u) ** 2) / (3.0 * n))
-    speed2 = np.sum(vel**2, axis=1)
-    y_r = tuple((float(r), float(np.mean(speed2 ** float(r)))) for r in y_orders)
-    return MomentRecord(t=float(t), rho=rho, u=u, theta=theta, y_r=y_r)
+    s2 = np.sum(vel**2, axis=1)
+    s4 = s2 * s2
+    return MomentRecord(
+        t=float(t), rho=rho, u=u, theta=theta,
+        y1=float(np.mean(s2)),
+        y1_5=float(np.mean(s2 * np.sqrt(s2))),
+        y2=float(np.mean(s4)),
+        y3=float(np.mean(s4 * s2)),
+    )
 
 
 def f_aux(record: MomentRecord, bath: BathParams, velocities: Array | None = None) -> float:
@@ -533,30 +530,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_records(path: str | Path, records: Sequence[MomentRecord], lp_p: float = 1.5) -> None:
+def write_records(path: str | Path, records: Sequence[MomentRecord]) -> None:
     """Serialize records as CSV with the fixed column order.
 
     Columns: t, rho, ux, uy, uz, theta, F, Y1, Y1.5, Y2, Y3, L2, Lp, Hquad,
-    Hent, sigma.  ``Lp`` is the entry of the record's lp list at order
-    ``lp_p``.  Floats are written with shortest round-trip formatting so a
-    rerun with the same seed is byte-identical.
+    Hent, sigma, one per :class:`MomentRecord` field (``Lp`` is p = 1.5).
+    Floats are written with shortest round-trip formatting so a rerun with
+    the same seed is byte-identical.
     """
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in records:
             writer.writerow([
-                _fmt(rec.t), _fmt(rec.rho),
-                _fmt(rec.u[0]), _fmt(rec.u[1]), _fmt(rec.u[2]),
-                _fmt(rec.theta), _fmt(rec.f_aux),
-                _fmt(rec.y(1.0)), _fmt(rec.y(1.5)), _fmt(rec.y(2.0)), _fmt(rec.y(3.0)),
-                _fmt(rec.lp_value(2.0)), _fmt(rec.lp_value(lp_p)),
-                _fmt(rec.h_value("quad")), _fmt(rec.h_value("ent")),
-                _fmt(rec.sigma_mean),
+                _fmt(x) for field in _RECORD_FIELDS for x in np.atleast_1d(getattr(rec, field))
             ])
 
 
-def read_records(path: str | Path, lp_p: float = 1.5) -> list[MomentRecord]:
+def read_records(path: str | Path) -> list[MomentRecord]:
     """Parse a trajectory CSV written by :func:`write_records`."""
     records = []
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
@@ -565,12 +556,12 @@ def read_records(path: str | Path, lp_p: float = 1.5) -> list[MomentRecord]:
         if header != CSV_COLUMNS:
             raise ValueError(f"unexpected trajectory header {header!r}")
         for row in reader:
-            x = [float(s) for s in row]
-            records.append(MomentRecord(
-                t=x[0], rho=x[1], u=np.array(x[2:5]), theta=x[5], f_aux=x[6],
-                y_r=((1.0, x[7]), (1.5, x[8]), (2.0, x[9]), (3.0, x[10])),
-                lp=((2.0, x[11]), (lp_p, x[12])),
-                h_phi=(("quad", x[13]), ("ent", x[14])),
-                sigma_mean=x[15],
-            ))
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"trajectory row has {len(row)} fields, not {len(CSV_COLUMNS)}")
+            values: dict[str, list[float]] = {}
+            for (_, field), cell in zip(_COLUMN_FIELDS, row):
+                values.setdefault(field, []).append(float(cell))
+            records.append(MomentRecord(**{
+                field: np.array(v) if field == "u" else v[0] for field, v in values.items()
+            }))
     return records

@@ -328,7 +328,6 @@ def test_criterion_09_h_theorem():
         h_extent=0.9 * 8.0 * bath.sigma_th,
         h_center=bath.u1,
         h_bins=24,
-        h_bias_correct=True,
     )
     # The decay is resolvable down to the estimator's lattice-mismatch floor
     # (~2e-3 at this N and bin count); the run ends while the signal is still
@@ -338,7 +337,7 @@ def test_criterion_09_h_theorem():
         n_particles=n, seed=1009,
     )
     traj = run(config, observers=observers, init=hot)
-    h = np.array([rec.h_value("quad") for rec in traj.records])
+    h = np.array([rec.h_quad for rec in traj.records])
     assert np.all(np.isfinite(h))
     smooth = np.convolve(h, np.ones(5) / 5.0, mode="valid")
     diffs = np.diff(smooth)
@@ -371,7 +370,7 @@ def test_criterion_10_kernel_closed_form_vs_quadrature():
 
 def test_criterion_11_moment_propagation(driven_runs):
     traj = driven_runs[0]
-    y3 = np.array([rec.y(3.0) for rec in traj.records])
+    y3 = np.array([rec.y3 for rec in traj.records])
     assert np.all(np.isfinite(y3))
     half = y3.size // 2
     first_max = float(y3[:half].max())

@@ -15,7 +15,6 @@ from granular_bath.background import BathParams, TabulatedDensity, bath_density,
 from granular_bath.carleman import (
     ConvergenceError,
     _kernel_safe,
-    apply_l,
     compare_dsmc,
     dense_matrix,
     kernel,
@@ -190,7 +189,7 @@ class TestGridAssembly:
     def test_mass_conserved_for_arbitrary_density(self, grid12):
         rng = np.random.default_rng(304)
         f = rng.random(grid12.n_nodes)
-        out = apply_l(grid12, f)
+        out = grid12.apply_l(f)
         scale = float(np.sum(np.abs(grid12.nu_vec * f)) * grid12.cell_volume)
         assert abs(float(out.sum()) * grid12.cell_volume) <= 1e-12 * scale
 
@@ -207,7 +206,7 @@ class TestGridAssembly:
     def test_elastic_fixed_point_machine_exact(self):
         g = make_grid(rest_at(1.0, 1.0), bath_at(), n=12, extent_sigma=6.0)
         m = g.maxwellian()
-        res = apply_l(g, m)
+        res = g.apply_l(m)
         scale = float(np.max(g.nu_vec * m))
         assert float(np.max(np.abs(res))) <= 1e-12 * scale
 
@@ -226,7 +225,7 @@ class TestGridAssembly:
         rng = np.random.default_rng(305)
         f = rng.random(grid12.n_nodes)
         want = dense_matrix(grid12) @ f - grid12.nu_vec * f
-        np.testing.assert_allclose(apply_l(grid12, f), want, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(grid12.apply_l(f), want, rtol=1e-12, atol=1e-14)
 
     def test_odd_grid_with_shifted_bath_matches_all_pairs_kernel(self):
         # Odd n puts nodes on the symmetry planes and a shifted bath mean

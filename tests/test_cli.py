@@ -23,7 +23,7 @@ from granular_bath.cli import (
     run_validation,
     serialize_config,
 )
-from granular_bath.observables import read_records
+from granular_bath.observables import read_records, write_records
 
 
 def write_config(tmp_path: Path, obj: dict, name: str = "config.json") -> Path:
@@ -290,6 +290,15 @@ class TestExecute:
         report = (tmp_path / "bound_report.txt").read_text()
         assert "verdict: OK" in report
         assert "gamma1:" in report
+
+    def test_full_trajectory_survives_read_and_write(self, tmp_path):
+        # Every column, the NaN H columns of a run without a grid included.
+        assert execute(parse_config_dict(FULL_SMOKE), out_dir=tmp_path) == 0
+        records = read_records(tmp_path / "trajectory.csv")
+        assert all(np.isnan(r.h_quad) and np.isnan(r.h_ent) for r in records)
+        write_records(tmp_path / "again.csv", records)
+        again = (tmp_path / "again.csv").read_bytes()
+        assert again == (tmp_path / "trajectory.csv").read_bytes()
 
     def test_short_run_has_no_steady_window(self, tmp_path, capsys):
         config = dict(FULL_SMOKE, t_end=0.1)  # 10 records < 2 * window

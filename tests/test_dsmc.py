@@ -466,7 +466,7 @@ class TestDetectSteady:
             recs.append(
                 MomentRecord(
                     t=float(i), rho=1.0, u=u, theta=float(th),
-                    y_r=((1.0, 3 * th), (2.0, 15 * th**2)),
+                    y1=3 * th, y2=15 * th**2,
                 )
             )
         return recs
@@ -530,19 +530,17 @@ class TestRecordObservers:
             n_particles=2000, seed=64,
         )
         traj = run(config, observers=ObserverConfig(record_every=5, compute_lp=True))
-        traj.to_csv(tmp_path / "trajectory.csv", lp_p=1.5)
-        last = read_records(tmp_path / "trajectory.csv", lp_p=1.5)[-1]
+        traj.to_csv(tmp_path / "trajectory.csv")
+        last = read_records(tmp_path / "trajectory.csv")[-1]
         assert last.t == traj.final.t
-        for p in (2.0, 1.5):
-            assert last.lp_value(p) == lp_norm(traj.final.velocities, p, bins=32).value
+        assert last.l2 == lp_norm(traj.final.velocities, 2.0, bins=32).value
+        assert last.lp == lp_norm(traj.final.velocities, 1.5, bins=32).value
 
 
-    @pytest.mark.parametrize("fixed_box", [True, False])
-    def test_reference_evaluations_and_h_columns(self, monkeypatch, fixed_box):
-        # A fixed H box (extent and centre set) has the same cells at every
-        # record, so the reference is evaluated once per run; a box that
-        # follows the sample needs one evaluation per record.  Either way each
-        # record's H values equal a one-shot h_phi on that record's sample.
+    def test_reference_evaluations_and_h_columns(self, monkeypatch):
+        # The H box has the same cells at every record, so the reference is
+        # evaluated once per run, and each record's H values equal a one-shot
+        # h_phi on that record's sample.
         bath = bath_at(theta1=0.8)
         calls = []
 
@@ -558,9 +556,8 @@ class TestRecordObservers:
             return make_record(velocities, *args)
 
         monkeypatch.setattr(dsmc, "_make_record", recording)
-        box = {"h_extent": 4.5, "h_center": np.zeros(3)} if fixed_box else {}
         observers = ObserverConfig(
-            record_every=4, h_reference=reference, h_bins=16, h_bias_correct=True, **box
+            record_every=4, h_reference=reference, h_bins=16, h_extent=4.5, h_center=np.zeros(3)
         )
         config = SimConfig(
             tau=0.0, restitution=RestitutionParams(epsilon=1.0, e=0.8, m1=1.0),
@@ -568,14 +565,22 @@ class TestRecordObservers:
         )
         traj = run(config, observers=observers)
         assert len(traj.records) == len(samples) == 6
-        assert len(calls) == (1 if fixed_box else len(traj.records))
+        assert len(calls) == 1
         for rec, vel in zip(traj.records, samples):
-            for tag in ("quad", "ent"):
+            for tag, value in (("quad", rec.h_quad), ("ent", rec.h_ent)):
                 one_shot = h_phi(
-                    vel, reference, phi=tag, bins=16, extent=box.get("h_extent"),
-                    center=box.get("h_center"), bias_correct=tag == "quad",
+                    vel, reference, phi=tag, bins=16, extent=4.5,
+                    center=np.zeros(3), bias_correct=tag == "quad",
                 )
-                assert rec.h_value(tag) == one_shot
+                assert value == one_shot
+
+    @pytest.mark.parametrize(
+        "box", [{}, {"h_extent": 4.5}, {"h_center": np.zeros(3)}],
+        ids=["no-box", "extent-only", "center-only"],
+    )
+    def test_reference_needs_the_h_box(self, box):
+        with pytest.raises(ValueError, match="h_extent and h_center"):
+            ObserverConfig(h_reference=lambda pts: np.ones(len(pts)), **box)
 
 
 class TestReproducibility:

@@ -1,5 +1,6 @@
 """Observable-layer oracles: hand-computed moment examples, the explicit
 temperature bound, histogram norms against closed forms, fits, and CSV I/O."""
+import dataclasses
 import math
 
 import numpy as np
@@ -41,14 +42,13 @@ class TestMoments:
     def test_two_particle_example(self):
         # {(1,0,0), (-1,0,0)}: u = 0, Theta = mean |v|^2 / 3 = 1/3,
         # Y_r = mean |v|^(2r) = 1 for every r.
-        rec = moments(np.array([[1.0, 0, 0], [-1.0, 0, 0]]), t=2.5, y_orders=(1.0, 3.0))
+        rec = moments(np.array([[1.0, 0, 0], [-1.0, 0, 0]]), t=2.5)
         assert rec.t == 2.5
         assert rec.rho == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(rec.u, 0.0, atol=1e-15)
         assert rec.theta == pytest.approx(1.0 / 3.0, rel=1e-15)
-        assert rec.y(1.0) == pytest.approx(1.0, rel=1e-15)
-        assert rec.y(3.0) == pytest.approx(1.0, rel=1e-15)
-        assert math.isnan(rec.y(2.0))
+        for y in (rec.y1, rec.y1_5, rec.y2, rec.y3):
+            assert y == pytest.approx(1.0, rel=1e-15)
 
     def test_gaussian_sample(self):
         n = 1_000_000
@@ -58,8 +58,17 @@ class TestMoments:
         se_theta = theta * math.sqrt(2.0 / (3 * n))
         assert rec.theta == pytest.approx(theta, abs=4 * se_theta)
         # Y1 = E|v|^2 = 3 Theta; Y2 = E|v|^4 = 15 Theta^2.
-        assert rec.y(1.0) == pytest.approx(3 * theta, rel=0.01)
-        assert rec.y(2.0) == pytest.approx(15 * theta**2, rel=0.01)
+        assert rec.y1 == pytest.approx(3 * theta, rel=0.01)
+        assert rec.y2 == pytest.approx(15 * theta**2, rel=0.01)
+
+    def test_products_match_float_powers(self):
+        # Y_r is formed by products and one square root; against the float
+        # power mean |v|^(2r) it may differ by a few ulp of rounding only.
+        vel = np.random.default_rng(1).normal(size=(10_000, 3)) * 1.7
+        rec = moments(vel)
+        s2 = np.sum(vel**2, axis=1)
+        for r, y in ((1.0, rec.y1), (1.5, rec.y1_5), (2.0, rec.y2), (3.0, rec.y3)):
+            assert y == pytest.approx(float(np.mean(s2**r)), rel=1e-13)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -367,28 +376,17 @@ class TestRecordIO:
         for i in range(3):
             rec = moments(vel * (1 + 0.1 * i), t=0.5 * i)
             recs.append(
-                MomentRecord(
-                    t=rec.t, rho=rec.rho, u=rec.u, theta=rec.theta,
-                    f_aux=f_aux(rec, bath),
-                    y_r=rec.y_r,
-                    lp=((2.0, 0.1 + i), (1.5, 0.2 + i)),
-                    h_phi=(("quad", 0.01 * i), ("ent", 0.02 * i)),
-                    sigma_mean=1.5 + i,
+                dataclasses.replace(
+                    rec, f_aux=f_aux(rec, bath), l2=0.1 + i, lp=0.2 + i,
+                    h_quad=0.01 * i, h_ent=0.02 * i, sigma_mean=1.5 + i,
                 )
             )
         path = tmp_path / "records.csv"
-        write_records(path, recs, lp_p=1.5)
-        back = read_records(path, lp_p=1.5)
+        write_records(path, recs)
+        back = read_records(path)
         assert len(back) == 3
         for orig, rt in zip(recs, back):
-            assert rt.t == orig.t
-            assert rt.theta == orig.theta  # repr round-trip is exact
             np.testing.assert_array_equal(rt.u, orig.u)
-            assert rt.f_aux == orig.f_aux
-            for r in (1.0, 1.5, 2.0, 3.0):
-                assert rt.y(r) == orig.y(r)
-            assert rt.lp_value(2.0) == orig.lp_value(2.0)
-            assert rt.lp_value(1.5) == orig.lp_value(1.5)
-            assert rt.h_value("quad") == orig.h_value("quad")
-            assert rt.h_value("ent") == orig.h_value("ent")
-            assert rt.sigma_mean == orig.sigma_mean
+            for field in dataclasses.fields(MomentRecord):  # repr round-trip is exact
+                if field.name != "u":
+                    assert getattr(rt, field.name) == getattr(orig, field.name), field.name
