@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .kinematics import _sq_norm
+
 __all__ = [
     "BathParams",
     "TabulatedDensity",
@@ -239,10 +241,12 @@ def sample_bath(bath: BathParams, n: int, rng: np.random.Generator) -> Array:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if bath.kind == "maxwellian":
-        # In place: broadcasting u1 over a fresh (n, 3) result costs more.
+        # In place and one component at a time: broadcasting u1 along the
+        # rows costs more.
         z = rng.standard_normal((n, 3))
         z *= bath.sigma_th
-        z += bath.u1
+        for i in range(3):
+            z[:, i] += bath.u1[i]
         return z
     table = bath.table
     assert table is not None
@@ -264,9 +268,15 @@ def sample_partners(
         plain = sample_bath(bath, n, rng)
         z = rng.standard_normal((n_biased, 4))
         radius = bath.sigma_th * np.sqrt(np.einsum("ij,ij->i", z, z))
-        biased = z[:, :3] * (radius / np.linalg.norm(z[:, :3], axis=1))[:, None] + bath.u1
-        bounds = np.concatenate([np.linalg.norm(plain - bath.u1, axis=1), radius])
-        return np.concatenate([plain, biased]), bounds
+        scale = radius / np.sqrt(_sq_norm(z[:, :3]))
+        partners = np.empty((n + n_biased, 3))
+        partners[:n] = plain
+        for i in range(3):
+            col = partners[n:, i]
+            np.multiply(z[:, i], scale, out=col)
+            col += bath.u1[i]
+        bounds = np.concatenate([np.sqrt(_sq_norm(plain, bath.u1)), radius])
+        return partners, bounds
     table = bath.table
     assert table is not None
     cell_bounds = bath.cell_bounds
@@ -387,7 +397,7 @@ def nu(bath: BathParams, v: Array) -> Array:
     pts = np.atleast_2d(v)
     if bath.kind == "maxwellian":
         s = bath.sigma_th
-        rho = np.linalg.norm(pts - bath.u1, axis=-1) / s
+        rho = np.sqrt(_sq_norm(pts, bath.u1)) / s
         small = rho < 1e-4
         rho_safe = np.where(small, 1.0, rho)
         x = (rho_safe / math.sqrt(2.0)).ravel().tolist()

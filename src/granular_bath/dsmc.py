@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .background import BathParams, sample_partners
-from .kinematics import RestitutionParams, collide_l_sigma, collide_q
+from .kinematics import RestitutionParams, _sq_norm, collide_l_sigma, collide_q
 from .observables import (
     MomentRecord,
     box_edges,
@@ -208,16 +208,15 @@ def _uniform_sphere(rng: np.random.Generator, k: int) -> Array:
     z = rng.uniform(-1.0, 1.0, k)
     phi = rng.uniform(0.0, 2.0 * math.pi, k)
     s = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-
-
-def _sq_dist(a: Array, b: Array) -> Array:
-    rel = a - b
-    return np.einsum("ij,ij->i", rel, rel)
+    sigma = np.empty((k, 3))
+    np.multiply(s, np.cos(phi), out=sigma[:, 0])
+    np.multiply(s, np.sin(phi), out=sigma[:, 1])
+    sigma[:, 2] = z
+    return sigma
 
 
 def _speeds(a: Array, b: Array) -> Array:
-    return np.sqrt(_sq_dist(a, b))
+    return np.sqrt(_sq_norm(a, b))
 
 
 def step_q(
@@ -256,15 +255,14 @@ def step_q(
     max_speed = float(speeds.max())
     if max_speed > q_max:
         raise ValueError(f"q_max = {q_max:.6g} below a pair speed {max_speed:.6g}")
-    acc = rng.random(m) * q_max < speeds
-    count = int(np.count_nonzero(acc))
-    if count == 0:
+    acc = np.flatnonzero(rng.random(m) * q_max < speeds)
+    if acc.size == 0:
         return 0, max_speed
-    sigma = _uniform_sphere(rng, count)
-    v_post, w_post = collide_q(v[acc], w[acc], sigma, restitution)
-    velocities[i[acc]] = v_post
-    velocities[j[acc]] = w_post
-    return count, max_speed
+    sigma = _uniform_sphere(rng, acc.size)
+    v_post, w_post = collide_q(v.take(acc, axis=0), w.take(acc, axis=0), sigma, restitution)
+    velocities[i.take(acc)] = v_post
+    velocities[j.take(acc)] = w_post
+    return int(acc.size), max_speed
 
 
 def step_l(
@@ -308,19 +306,21 @@ def step_l(
     v = v.take(events, axis=0)
     partners, bounds = sample_partners(bath, plain.size, biased.size, rng)
     speeds = _speeds(v, partners)
-    acc = rng.random(events.size) * (dist.take(events) + bounds) < speeds
-    idx = candidates.take(events)[acc]
+    acc = np.flatnonzero(rng.random(events.size) * (dist.take(events) + bounds) < speeds)
+    idx = candidates.take(events.take(acc))
     max_rel = float(speeds.max(initial=0.0))
     if idx.size == 0:
         return 0, max_rel
     sigma = _uniform_sphere(rng, idx.size)
-    v_post, _ = collide_l_sigma(v[acc], partners[acc], sigma, restitution)
+    v_post, _ = collide_l_sigma(
+        v.take(acc, axis=0), partners.take(acc, axis=0), sigma, restitution
+    )
     velocities[idx] = v_post
     return int(idx.size), max_rel
 
 
 def _radius(d2: Array) -> float:
-    """Hard upper bound on the largest sqrt(d2), d2 = |v - c|^2 by ``_sq_dist``.
+    """Hard upper bound on the largest sqrt(d2), d2 = |v - c|^2 by ``_sq_norm``.
 
     Each component of v - c, and so d2 and every computed pair speed, is
     within a few ulp of its exact value; the pad of 1e-14 lies far above that.
@@ -439,7 +439,7 @@ def run(
     n = vel.shape[0]
     b = bath.bound_mean if bath is not None else 0.0
     centre = bath.u1 if bath is not None else vel.mean(axis=0)
-    d2 = _sq_dist(vel, centre)
+    d2 = _sq_norm(vel, centre)
 
     n_steps = max(1, int(round((config.t_end - t0) / dt)))
     traj = MomentTrajectory(records=[], config=config)
@@ -452,7 +452,7 @@ def run(
         p_l = l_max * dt / bath.lambda_ if bath is not None else 0.0
         if tau > 0.0 and tau * q_max * dt + p_l >= 1.0:
             # The fixed centre can be loose; try the mean's bound before dt fails.
-            q_max = 2.0 * _radius(_sq_dist(vel, vel.mean(axis=0)))
+            q_max = 2.0 * _radius(_sq_norm(vel, vel.mean(axis=0)))
         m, cand = _candidates(rng, n, tau * q_max * dt, p_l, step)
         if bath is not None:
             nl, _ = step_l(
@@ -466,7 +466,7 @@ def run(
             )
             traj.candidates_q += m
             traj.collisions_q += nq
-        d2[cand] = _sq_dist(vel.take(cand, axis=0), centre)
+        d2[cand] = _sq_norm(vel.take(cand, axis=0), centre)
         t = t0 + step * dt
         if not np.all(np.isfinite(vel)):
             path = _dump_fault(vel, step, t, rng)

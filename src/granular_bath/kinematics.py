@@ -103,11 +103,34 @@ class VelocityPair(NamedTuple):
     w: Array
 
 
+def _sq_norm(x: Array, centre: Array | None = None) -> Array:
+    """|x - centre|^2 over the last axis of a (..., 3) array.
+
+    ``centre`` is an array broadcastable to ``x`` (one 3-vector or rows like
+    ``x``); it defaults to 0.  Each component is formed on its own, so the
+    leading axes are numpy's inner loop, and the squares are summed as
+    (d0 d0 + d1 d1) + d2 d2 with d = x - centre.  That is bitwise equal to
+    ``np.sum((x - centre) ** 2, axis=-1)`` and to the square under
+    ``np.linalg.norm(x - centre, axis=-1)``.
+    """
+    lead = x.shape if centre is None else np.broadcast_shapes(x.shape, centre.shape)
+    total = np.empty(lead[:-1])
+    part = np.empty(lead[:-1])
+    for i, out in enumerate((total, part, part)):
+        if centre is None:
+            np.multiply(x[..., i], x[..., i], out=out)
+        else:
+            np.subtract(x[..., i], centre[..., i], out=out)
+            out *= out
+        if i:
+            total += out
+    return total[()]
+
+
 def _check_unit(direction: Array, name: str) -> None:
-    norms = np.linalg.norm(direction, axis=-1)
-    bad = np.abs(norms - 1.0) > _UNIT_TOL
-    if np.any(bad):
-        worst = float(np.max(np.abs(norms - 1.0)))
+    dev = np.abs(np.sqrt(_sq_norm(direction)) - 1.0)
+    if np.any(dev > _UNIT_TOL):
+        worst = float(np.max(dev))
         raise ValueError(
             f"{name} must be a unit vector (|1 - |{name}|| <= {_UNIT_TOL:g}); "
             f"worst deviation {worst:.3e}"
@@ -126,8 +149,13 @@ def collide_q(v: Array, w: Array, sigma: Array, params: RestitutionParams) -> Ve
     sigma = np.asarray(sigma, dtype=float)
     _check_unit(sigma, "sigma")
     q = v - w
-    qn = np.linalg.norm(q, axis=-1, keepdims=True)
-    delta = 0.5 * params.zeta * (qn * sigma - q)
+    qn = np.sqrt(_sq_norm(q))
+    delta = np.empty(np.broadcast_shapes(q.shape, sigma.shape))
+    for i in range(3):
+        di = delta[..., i]
+        np.multiply(qn, sigma[..., i], out=di)
+        di -= q[..., i]
+        di *= 0.5 * params.zeta
     return VelocityPair(v + delta, w - delta)
 
 
@@ -143,8 +171,12 @@ def collide_l_sigma(v: Array, w: Array, sigma: Array, params: RestitutionParams)
     sigma = np.asarray(sigma, dtype=float)
     _check_unit(sigma, "sigma")
     q = v - w
-    qn = np.linalg.norm(q, axis=-1, keepdims=True)
-    d = q - qn * sigma
+    qn = np.sqrt(_sq_norm(q))
+    d = np.empty(np.broadcast_shapes(q.shape, sigma.shape))
+    for i in range(3):
+        di = d[..., i]
+        np.multiply(qn, sigma[..., i], out=di)
+        np.subtract(q[..., i], di, out=di)
     v_post = v - params.kappa * d
     w_post = w + (1.0 - params.alpha) * (1.0 - params.beta) * d
     return VelocityPair(v_post, w_post)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .background import BathParams, c0, nu
-from .kinematics import RestitutionParams
+from .kinematics import RestitutionParams, _sq_norm
 
 __all__ = [
     "MomentRecord",
@@ -137,8 +137,13 @@ def moments(velocities: Array, t: float = 0.0) -> MomentRecord:
     n = vel.shape[0]
     rho = float(np.sum(np.full(n, 1.0 / n)))
     u = vel.mean(axis=0)
-    theta = float(np.sum((vel - u) ** 2) / (3.0 * n))
-    s2 = np.sum(vel**2, axis=1)
+    dev = np.empty_like(vel)
+    for i in range(3):
+        np.subtract(vel[:, i], u[i], out=dev[:, i])
+    dev *= dev
+    theta = float(np.sum(dev) / (3.0 * n))
+    del dev
+    s2 = _sq_norm(vel)
     s4 = s2 * s2
     return MomentRecord(
         t=float(t), rho=rho, u=u, theta=theta,
@@ -161,7 +166,7 @@ def f_aux(record: MomentRecord, bath: BathParams, velocities: Array | None = Non
     value = 3.0 * record.theta + float(np.sum((record.u - bath.u1) ** 2)) + shift
     if velocities is not None:
         vel = np.asarray(velocities, dtype=float)
-        direct = float(np.mean(np.sum((vel - bath.u1) ** 2, axis=1))) + shift
+        direct = float(np.mean(_sq_norm(vel, bath.u1))) + shift
         if abs(direct - value) > 1e-10 * max(1.0, abs(value)):
             raise RuntimeError(
                 f"moment and direct forms of F disagree: {value!r} vs {direct!r}"

@@ -183,6 +183,7 @@ def test_criterion_03_energy_dissipation_rate():
     )
 
 
+@pytest.mark.slow
 def test_criterion_04_temperature_bound(driven_runs):
     traj = driven_runs[0]
     bath = traj.config.bath
@@ -251,6 +252,7 @@ class TestCriterion06ElasticBathEquilibrium:
         )
 
 
+@pytest.mark.slow
 def test_criterion_07_inelastic_linear_steady_state():
     lines = []
     for e in (0.7, 0.9):
@@ -290,6 +292,7 @@ def test_criterion_07_inelastic_linear_steady_state():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_driven_steady_state(driven_runs):
     stats = []
     for traj in driven_runs:
@@ -368,6 +371,7 @@ def test_criterion_10_kernel_closed_form_vs_quadrature():
     print(f"criterion 10 PASS  kernel closed form vs quadrature, worst rel {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_11_moment_propagation(driven_runs):
     traj = driven_runs[0]
     y3 = np.array([rec.y3 for rec in traj.records])

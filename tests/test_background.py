@@ -117,6 +117,21 @@ class TestSizeBiasedPartners:
         direction = (draws[1000:] - bath.u1) / r[:, None]
         np.testing.assert_allclose(direction.mean(axis=0), 0.0, atol=4 / math.sqrt(3 * n))
 
+    def test_maxwellian_draws_match_the_broadcast_forms(self):
+        # The draws and bounds are formed one component at a time, with the
+        # bits and the RNG stream of the (n, 3) broadcast expressions.
+        bath = maxwell_bath(m1=0.7, theta1=1.3, u1=(0.3, -0.2, 1.0))
+        partners, bounds = sample_partners(bath, 500, 300, np.random.default_rng(23))
+        rng = np.random.default_rng(23)
+        plain = rng.standard_normal((500, 3)) * bath.sigma_th + bath.u1
+        z = rng.standard_normal((300, 4))
+        radius = bath.sigma_th * np.sqrt(np.einsum("ij,ij->i", z, z))
+        biased = z[:, :3] * (radius / np.linalg.norm(z[:, :3], axis=1))[:, None] + bath.u1
+        want = np.concatenate([plain, biased])
+        assert partners.tobytes() == want.tobytes()
+        want_bounds = np.concatenate([np.linalg.norm(plain - bath.u1, axis=1), radius])
+        assert bounds.tobytes() == want_bounds.tobytes()
+
     def test_tabulated_size_biased_law(self):
         # Cells are drawn with probability weight * B(c) / b, so the mean
         # bound over size-biased draws is E B^2 / E B under the table.

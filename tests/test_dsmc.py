@@ -88,6 +88,34 @@ class TestStepQ:
         assert 0.0 < max_rel <= 2.0 * top + 1e-12
 
 
+    def test_uniform_sphere_matches_the_stacked_form(self):
+        rng = np.random.default_rng(31)
+        z = rng.uniform(-1.0, 1.0, 777)
+        phi = rng.uniform(0.0, 2.0 * math.pi, 777)
+        s = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
+        want = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+        got = dsmc._uniform_sphere(np.random.default_rng(31), 777)
+        assert got.tobytes() == want.tobytes()
+
+    def test_sweeps_write_through_non_contiguous_arrays(self):
+        # A Fortran-ordered array and a row-strided view are updated in place
+        # exactly as a C-contiguous copy of the same velocities.
+        rest = RestitutionParams(epsilon=0.7, e=0.8, m1=1.3)
+        bath = bath_at(u1=(0.2, 0.0, -0.1))
+        base = gaussian_init(3000, seed=9)
+        wide = np.zeros((6000, 3))
+        views = [base.copy(), np.asfortranarray(base), wide[::2]]
+        views[2][...] = base
+        for vel in views:
+            rng = np.random.default_rng(10)
+            step_q(vel, 0.05, 1.0, rest, q_max=12.0, rng=rng)
+            step_l(vel, 0.05, rest, bath, l_max=10.0, rng=rng)
+        assert not np.array_equal(views[0], base)
+        for vel in views[1:]:
+            assert np.array_equal(vel, views[0])
+        assert np.array_equal(wide[::2], views[0]) and not wide[1::2].any()
+
+
 class TestStepL:
     def test_momentum_not_conserved_but_finite(self):
         # Bath collisions exchange momentum with the reservoir; the sweep

@@ -7,6 +7,7 @@ import pytest
 
 from granular_bath.kinematics import (
     RestitutionParams,
+    _sq_norm,
     collide_l_n,
     collide_l_sigma,
     collide_q,
@@ -270,3 +271,108 @@ class TestSphereAverages:
             order=64, form="both", check_tol=1e-6,
         )
         assert math.isfinite(val)
+
+
+def wide_rows(shape, rng):
+    """Rows of (..., 3) with magnitudes from 1e-300 to 1e150."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-300.0, 150.0, size=shape)
+
+
+def special_rows():
+    """Rows holding 0, +-inf and NaN in every component position."""
+    rows = [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]]
+    for value in (np.inf, -np.inf, np.nan):
+        for i in range(3):
+            row = [1.5, -0.25, 3.0]
+            row[i] = value
+            rows.append(row)
+    rows.append([np.inf, -np.inf, np.nan])
+    return np.array(rows)
+
+
+def bitwise_cases():
+    """(..., 3) inputs of every shape the helpers accept."""
+    rng = np.random.default_rng(7)
+    specials = special_rows()
+    return [
+        np.empty((0, 3)),
+        rng.normal(size=3),
+        rng.normal(size=(2, 5, 3)),
+        rng.normal(size=(1000, 3)),
+        wide_rows((400, 3), rng),
+        specials,
+        np.concatenate([wide_rows((50, 3), rng), specials]),
+    ]
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def parent_collide_q(v, w, sigma, params):
+    """The broadcast form of :func:`collide_q`, the reference it must match."""
+    q = v - w
+    qn = np.linalg.norm(q, axis=-1, keepdims=True)
+    delta = 0.5 * params.zeta * (qn * sigma - q)
+    return v + delta, w - delta
+
+
+def parent_collide_l_sigma(v, w, sigma, params):
+    """The broadcast form of :func:`collide_l_sigma`."""
+    q = v - w
+    qn = np.linalg.norm(q, axis=-1, keepdims=True)
+    d = q - qn * sigma
+    v_post = v - params.kappa * d
+    w_post = w + (1.0 - params.alpha) * (1.0 - params.beta) * d
+    return v_post, w_post
+
+
+COLLISION_FORMS = ((collide_q, parent_collide_q), (collide_l_sigma, parent_collide_l_sigma))
+
+
+class TestSqNormBitwise:
+    """The per-component helper against the numpy forms it replaces."""
+
+    @pytest.mark.parametrize("x", bitwise_cases(), ids=lambda x: str(x.shape))
+    def test_sq_norm_matches_sum_and_norm(self, x):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = _sq_norm(x)
+            assert_bitwise(got, np.sum(x**2, axis=-1))
+            assert_bitwise(np.sqrt(got), np.linalg.norm(x, axis=-1))
+
+    @pytest.mark.parametrize("x", bitwise_cases(), ids=lambda x: str(x.shape))
+    def test_sq_norm_about_a_centre(self, x):
+        rng = np.random.default_rng(11)
+        centres = [np.array([0.7, -1e-200, 3e120]), wide_rows(x.shape, rng)]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for c in centres:
+                assert_bitwise(_sq_norm(x, c), np.sum((x - c) ** 2, axis=-1))
+                assert_bitwise(np.sqrt(_sq_norm(x, c)), np.linalg.norm(x - c, axis=-1))
+
+    @pytest.mark.parametrize("v", bitwise_cases(), ids=lambda x: str(x.shape))
+    @pytest.mark.parametrize("params", PARAM_SETS)
+    @pytest.mark.parametrize("new, old", COLLISION_FORMS, ids=("q", "l_sigma"))
+    def test_collisions_match_the_broadcast_forms(self, v, params, new, old):
+        rng = np.random.default_rng(13)
+        w = rng.normal(size=v.shape)
+        sigma = rng.normal(size=v.shape)
+        sigma /= np.linalg.norm(sigma, axis=-1, keepdims=True)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = new(v, w, sigma, params)
+            want = old(v, w, sigma, params)
+        assert_bitwise(got.v, want[0])
+        assert_bitwise(got.w, want[1])
+
+    @pytest.mark.parametrize("new, old", COLLISION_FORMS, ids=("q", "l_sigma"))
+    def test_collisions_broadcast_a_single_partner(self, new, old):
+        rng = np.random.default_rng(17)
+        v = rng.normal(size=(6, 3))
+        w = rng.normal(size=3)
+        sigma = random_units(6, rng=rng)
+        got = new(v, w, sigma, PARAM_SETS[3])
+        want = old(v, w, sigma, PARAM_SETS[3])
+        assert_bitwise(got.v, want[0])
+        assert_bitwise(got.w, want[1])

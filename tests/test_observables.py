@@ -70,6 +70,19 @@ class TestMoments:
         for r, y in ((1.0, rec.y1), (1.5, rec.y1_5), (2.0, rec.y2), (3.0, rec.y3)):
             assert y == pytest.approx(float(np.mean(s2**r)), rel=1e-13)
 
+    def test_bitwise_equal_to_the_broadcast_forms(self):
+        # theta and |v|^2 are formed one component at a time; the values
+        # are the bits of the (N, 3) broadcast expressions they replace.
+        vel = np.random.default_rng(2).normal(size=(3001, 3)) * [1.0, 2.5, 0.3] + [0.4, -2.0, 7.0]
+        n = vel.shape[0]
+        rec = moments(vel)
+        u = vel.mean(axis=0)
+        assert rec.theta == float(np.sum((vel - u) ** 2) / (3.0 * n))
+        s2 = np.sum(vel**2, axis=1)
+        assert rec.y1 == float(np.mean(s2))
+        assert rec.y1_5 == float(np.mean(s2 * np.sqrt(s2)))
+        assert rec.y3 == float(np.mean(s2 * s2 * s2))
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             moments(np.zeros((5, 2)))
