@@ -363,9 +363,7 @@ def _make_record(
     if obs.compute_sigma:
         # Before the histograms, so that none is held while the pair arrays
         # of sigma_freq, the largest a record allocates, are alive.
-        extras["sigma_mean"] = sigma_freq(
-            velocities, config.bath, config.tau, rng=np.random.default_rng(0)
-        )
+        extras["sigma_mean"] = sigma_freq(velocities, config.bath, config.tau)
     if obs.compute_lp:
         # The default box about the record's own u and theta: the same edges
         # lp_norm would derive from the sample.

@@ -11,6 +11,7 @@ with gamma1 = 2 kappa (1-kappa)/lambda and gamma2 = 2 C0 kappa / lambda.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -469,6 +470,41 @@ def haff_fit(times: Array, thetas: Array) -> HaffFit:
     return HaffFit(exponent=float(g), t0=float(math.exp(log_t0)), residual=resid)
 
 
+@functools.lru_cache(maxsize=1)
+def _pair_table(n: int, max_pairs: int) -> tuple[Array, Array]:
+    """The default pair sample of ``sigma_freq``: ``max_pairs`` index pairs
+    drawn by ``default_rng(0)``, the same for every record of N particles
+    (read-only, kept for the last (N, ``max_pairs``) asked for)."""
+    table = np.random.default_rng(0).integers(0, n, size=(2, max_pairs))
+    table.flags.writeable = False
+    return table[0], table[1]
+
+
+def _pair_distances(vel: Array, i: Array, j: Array) -> Array:
+    """|vel[i] - vel[j]| for the index pairs (i, j).
+
+    Each velocity column is copied once to a contiguous array and gathered
+    at i and at j on its own; the squares are summed (d0^2 + d2^2) + d1^2,
+    the order of ``einsum("ij,ij->i", d, d)`` on whole gathered rows, so the
+    result is bitwise equal to that form.
+    """
+    col = np.empty(vel.shape[0])
+    total = np.empty(i.size)
+    part = np.empty(i.size)
+    other = np.empty(i.size)
+    for c, out in zip((0, 2, 1), (total, part, part)):
+        np.copyto(col, vel[:, c])
+        # The indices lie in [0, N): "wrap" never wraps, and unlike the
+        # default "raise" it gathers straight into ``out``.
+        np.take(col, i, out=out, mode="wrap")
+        np.take(col, j, out=other, mode="wrap")
+        out -= other
+        out *= out
+        if c:
+            total += out
+    return np.sqrt(total, out=total)
+
+
 def sigma_freq(
     velocities: Array,
     bath: BathParams | None,
@@ -483,8 +519,10 @@ def sigma_freq(
     included).  It is the exact double sum when N^2 <= ``max_pairs``, and
     otherwise the mean over ``max_pairs`` independent uniform index pairs,
     an unbiased estimate with standard error sd(|v - w|) / sqrt(max_pairs).
-    ``rng`` draws the pairs; it defaults to a fixed generator so records
-    stay reproducible.
+    ``rng`` draws the pairs; without it they come from one fixed table per
+    (N, ``max_pairs``), the draws of ``default_rng(0)``, so every record of
+    a run averages over the same index pairs.  The nu term is the mean of
+    :func:`~granular_bath.background.nu` over all N velocities.
     """
     vel = np.asarray(velocities, dtype=float)
     n = vel.shape[0]
@@ -494,10 +532,10 @@ def sigma_freq(
             conv = float(np.mean(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
         else:
             if rng is None:
-                rng = np.random.default_rng(0)
-            i, j = rng.integers(0, n, size=(2, max_pairs))
-            d = np.take(vel, i, axis=0) - np.take(vel, j, axis=0)
-            conv = float(np.mean(np.sqrt(np.einsum("ij,ij->i", d, d))))
+                i, j = _pair_table(n, max_pairs)
+            else:
+                i, j = rng.integers(0, n, size=(2, max_pairs))
+            conv = float(np.mean(_pair_distances(vel, i, j)))
         total += tau * conv
     if bath is not None:
         total += float(np.mean(nu(bath, vel)))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from granular_bath.background import BathParams
+from granular_bath.background import BathParams, nu
 from granular_bath.kinematics import RestitutionParams
 from granular_bath.observables import (
     DEFAULT_SIGMA_PAIRS,
@@ -29,6 +29,7 @@ from granular_bath.observables import (
     third_cumulant,
     write_records,
 )
+from granular_bath.observables import _pair_distances, _pair_table
 
 C0_UNIT = 4.255384324281949  # 2 E3 / (3 s^3) for a unit-width Maxwellian
 E1_UNIT = 1.5957691216057308
@@ -365,6 +366,78 @@ class TestSigmaFreq:
         se = math.sqrt(total_sq / n_pairs - exact**2) / math.sqrt(DEFAULT_SIGMA_PAIRS)
         got = sigma_freq(vel, None, tau=1.0)
         assert abs(got - exact) <= 4.0 * se, (got, exact, se)
+
+
+def sigma_broadcast_form(vel, bath, tau, rng, max_pairs=DEFAULT_SIGMA_PAIRS):
+    """sigma_freq as whole gathered rows summed by einsum, the reference the
+    column-wise kernel must match bit for bit."""
+    n = vel.shape[0]
+    total = 0.0
+    if tau > 0.0:
+        if n * n <= max_pairs:
+            conv = float(np.mean(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
+        else:
+            i, j = rng.integers(0, n, size=(2, max_pairs))
+            d = np.take(vel, i, axis=0) - np.take(vel, j, axis=0)
+            conv = float(np.mean(np.sqrt(np.einsum("ij,ij->i", d, d))))
+        total += tau * conv
+    if bath is not None:
+        total += float(np.mean(nu(bath, vel)))
+    return total
+
+
+class TestSigmaFreqBitwise:
+    @pytest.fixture(params=[300, 3000, 20_000], ids=["exact", "n3000", "n20000"])
+    def vel(self, request):
+        n = request.param
+        rng = np.random.default_rng(n)
+        # Spread magnitudes and a shifted mean, so that the rounding of each
+        # squared component differs between summation orders.
+        scale = np.exp(rng.uniform(-3.0, 3.0, size=(n, 1)))
+        return rng.standard_normal((n, 3)) * scale + np.array([3.0, -2.0, 0.5])
+
+    @pytest.mark.parametrize("bath", [None, bath_at(theta1=1.3, m1=0.7, u1=(0.4, 0.0, -0.2))],
+                             ids=["no-bath", "bath"])
+    def test_default_pairs(self, vel, bath):
+        got = sigma_freq(vel, bath, tau=1.7)
+        want = sigma_broadcast_form(vel, bath, 1.7, np.random.default_rng(0))
+        assert got == want
+
+    def test_explicit_rng(self, vel):
+        got = sigma_freq(vel, None, tau=0.8, rng=np.random.default_rng(42))
+        want = sigma_broadcast_form(vel, None, 0.8, np.random.default_rng(42))
+        assert got == want
+
+    def test_small_pair_budget(self, vel):
+        got = sigma_freq(vel, None, tau=1.0, max_pairs=4096)
+        want = sigma_broadcast_form(vel, None, 1.0, np.random.default_rng(0), max_pairs=4096)
+        assert got == want
+
+    def test_non_contiguous_velocities(self, vel):
+        fortran = np.asfortranarray(vel)
+        strided = np.repeat(vel, 2, axis=0)[::2]
+        want = sigma_freq(vel, None, tau=1.0)
+        assert sigma_freq(fortran, None, tau=1.0) == want
+        assert sigma_freq(strided, None, tau=1.0) == want
+
+    def test_pair_distances_match_gathered_rows(self, vel):
+        # Per pair, not through the mean: averaging 2^17 values hides a
+        # last-bit change in a few of them.
+        i, j = np.random.default_rng(7).integers(0, vel.shape[0], size=(2, 50_000))
+        d = np.take(vel, i, axis=0) - np.take(vel, j, axis=0)
+        want = np.sqrt(np.einsum("ij,ij->i", d, d))
+        assert np.array_equal(_pair_distances(vel, i, j), want)
+
+    def test_default_pairs_are_one_read_only_table(self):
+        n = 3000
+        i, j = _pair_table(n, DEFAULT_SIGMA_PAIRS)
+        fresh = np.random.default_rng(0).integers(0, n, size=(2, DEFAULT_SIGMA_PAIRS))
+        assert np.array_equal(i, fresh[0]) and np.array_equal(j, fresh[1])
+        assert not i.flags.writeable and not j.flags.writeable
+        with pytest.raises(ValueError):
+            i[0] = 0
+        again = _pair_table(n, DEFAULT_SIGMA_PAIRS)
+        assert again[0] is i and again[1] is j
 
 
 class TestThirdCumulant:
