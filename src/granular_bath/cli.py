@@ -35,7 +35,9 @@ from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
-from .background import BathParams, abs_moment, load_table, nu, trilinear
+from .background import (
+    BathParams, TableFormatError, abs_moment, erf, load_table, nu, trilinear,
+)
 from .carleman import (
     ConvergenceError,
     KernelBuildError,
@@ -252,9 +254,13 @@ def parse_config_dict(
             table_path = merged["f1_table"]
             if not isinstance(table_path, str):
                 raise ConfigError(f"key 'f1_table' must be a path string, got {table_path!r}")
+            try:
+                table = load_table(table_path)
+            except TableFormatError as exc:
+                raise ConfigError(f"key 'f1_table': {exc}") from exc
             bath = BathParams(
                 m1=m1, u1=np.zeros(3), theta1=1.0, lambda_=lambda_,
-                kind="tabulated", table=load_table(table_path),
+                kind="tabulated", table=table,
             )
         else:
             u1 = merged["u1"]
@@ -605,6 +611,23 @@ def _check_collision_frequency(rng: np.random.Generator) -> None:
         assert val <= (dist + mean_speed) / bath.lambda_ + 1e-12
 
 
+def _check_vectorized_erf(rng: np.random.Generator) -> None:
+    # Every interval of the port, both sides of each edge, tiny arguments.
+    edges = np.array([0.0, 2.0**-28, 0.84375, 1.25, 1.0 / 0.35, 6.0])
+    x = np.concatenate([
+        rng.uniform(-7.0, 7.0, 20_000),
+        np.exp(rng.uniform(-40.0, 2.0, 2_000)),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+    ])
+    got = erf(x)
+    want = np.array([math.erf(t) for t in x.tolist()])
+    ulps = float(np.max(np.abs(got - want) / np.spacing(np.abs(want))))
+    assert ulps <= 1.0, ulps
+    assert np.array_equal(erf(-x), -got)
+    ends = erf(np.array([np.inf, -np.inf, np.nan]))
+    assert ends[0] == 1.0 and ends[1] == -1.0 and np.isnan(ends[2]), ends
+
+
 def _check_abs_moments(rng: np.random.Generator) -> None:
     bath = BathParams(m1=2.0, u1=np.zeros(3), theta1=1.4, lambda_=1.0)
     assert abs(abs_moment(bath, 0.0) - 1.0) <= 1e-12
@@ -677,6 +700,7 @@ _VALIDATION_CHECKS: list[tuple[str, Callable[[np.random.Generator], None]]] = [
     ("energy split factor within [e, 1]", _check_energy_split),
     ("sphere-average identities", _check_sphere_averages),
     ("collision frequency closed form", _check_collision_frequency),
+    ("vectorized erf against math.erf", _check_vectorized_erf),
     ("bath absolute moments", _check_abs_moments),
     ("scattering kernel vs planar quadrature", _check_kernel_oracle),
     ("grid operator conserves mass", _check_grid_mass_conservation),

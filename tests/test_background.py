@@ -13,6 +13,7 @@ from granular_bath.background import (
     bath_density,
     c0,
     chi_empirical,
+    erf,
     load_table,
     nu,
     nu_mc,
@@ -284,6 +285,88 @@ class TestCollisionFrequency:
         vec = nu(bath, pts)
         for i in (0, 17, 63):
             assert vec[i] == pytest.approx(float(nu(bath, pts[i])), rel=1e-13)
+
+
+def nu_math_erf_form(bath, v):
+    """The Maxwellian nu with math.erf per element, the reference for the
+    vectorized erf."""
+    s = bath.sigma_th
+    rho = np.linalg.norm(v - bath.u1, axis=-1) / s
+    small = rho < 1e-4
+    rho_safe = np.where(small, 1.0, rho)
+    x = (rho_safe / math.sqrt(2.0)).ravel().tolist()
+    erf_vals = np.fromiter(map(math.erf, x), float, count=len(x)).reshape(rho.shape)
+    g = (
+        math.sqrt(2.0 / math.pi) * np.exp(-0.5 * rho**2)
+        + (rho_safe + 1.0 / rho_safe) * erf_vals
+    )
+    series = math.sqrt(2.0 / math.pi) * (2.0 + rho**2 / 3.0 - rho**4 / 60.0)
+    return s * np.where(small, series, g) / bath.lambda_
+
+
+class TestErf:
+    EDGES = (0.0, 2.0**-28, 0.84375, 1.25, float.fromhex("0x1.6db6ep+1"), 1.0 / 0.35, 6.0)
+
+    def test_within_one_ulp_of_math_erf(self):
+        rng = np.random.default_rng(21)
+        edges = np.array(self.EDGES)
+        x = np.concatenate([
+            rng.uniform(0.0, 0.84375, 250_000),
+            rng.uniform(0.84375, 1.25, 200_000),
+            rng.uniform(1.25, 1.0 / 0.35, 200_000),
+            rng.uniform(1.0 / 0.35, 6.0, 200_000),
+            rng.uniform(6.0, 30.0, 20_000),
+            np.exp(rng.uniform(-745.0, 0.0, 130_000)),  # down to subnormals
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            [5e-324, 2.0**-1022, 1e300],
+        ])
+        x = np.concatenate([x, -x])
+        assert x.size >= 2_000_000
+        got = erf(x)
+        want = np.array([math.erf(t) for t in x.tolist()])
+        ulps = np.abs(got - want) / np.spacing(np.abs(want))
+        assert float(np.max(ulps)) <= 1.0
+
+    def test_odd_symmetry(self):
+        x = np.random.default_rng(22).uniform(-8.0, 8.0, 100_000)
+        assert np.array_equal(erf(-x), -erf(x))
+        zeros = erf(np.array([0.0, -0.0]))
+        assert zeros[0] == 0.0 and not np.signbit(zeros[0]) and np.signbit(zeros[1])
+
+    def test_special_values(self):
+        got = erf(np.array([np.inf, -np.inf, np.nan, 2.0**-28, 0.0]))
+        assert got[0] == 1.0 and got[1] == -1.0 and np.isnan(got[2])
+        assert got[3] == math.erf(2.0**-28) and got[4] == 0.0
+
+    def test_keeps_the_input_shape(self):
+        x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+        assert erf(x).shape == (2, 3, 4)
+        assert erf(0.5) == math.erf(0.5)
+
+
+class TestNuVectorizedErf:
+    @pytest.mark.parametrize(
+        "m1, theta1, lam, u1",
+        [(1.0, 1.0, 1.0, (0.0, 0.0, 0.0)), (0.6, 1.7, 1.3, (0.7, -0.4, 0.25)),
+         (2.5, 0.4, 0.8, (-3.0, 1.0, 2.0))],
+    )
+    def test_matches_the_math_erf_form(self, m1, theta1, lam, u1):
+        bath = maxwell_bath(m1=m1, theta1=theta1, lam=lam, u1=u1)
+        rng = np.random.default_rng(23)
+        s = bath.sigma_th
+        direction = rng.standard_normal((12, 3))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        # rho on both sides of the series switch at 1e-4, and across every
+        # interval of erf(rho / sqrt 2).
+        rho = np.array([0.0, 1e-6, 0.5e-4, 0.999e-4, 1e-4, 1.001e-4, 2e-4,
+                        0.5, 1.5, 3.0, 7.0, 12.0])
+        pts = np.concatenate([
+            bath.u1 + rho[:, None] * s * direction,
+            bath.u1 + rng.standard_normal((20_000, 3)) * 2.0 * s,
+        ])
+        got = nu(bath, pts)
+        want = nu_math_erf_form(bath, pts)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 class TestChi:

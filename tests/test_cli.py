@@ -222,9 +222,9 @@ class TestValidation:
         rc = run_validation(stream=buf)
         text = buf.getvalue()
         assert rc == 0
-        assert text.count("PASS") == 13
+        assert text.count("PASS") == 14
         assert "FAIL" not in text
-        assert "13/13 checks passed" in text
+        assert "14/14 checks passed" in text
 
 
 class TestExecute:
@@ -336,12 +336,12 @@ class TestMain:
         path = write_config(tmp_path, {"mode": "validate"})
         rc = main(["validate", "--config", str(path)])
         assert rc == 0
-        assert "13/13 checks passed" in capsys.readouterr().out
+        assert "14/14 checks passed" in capsys.readouterr().out
 
     def test_validate_mode_needs_no_config(self, capsys):
         rc = main(["validate"])
         assert rc == 0
-        assert "13/13 checks passed" in capsys.readouterr().out
+        assert "14/14 checks passed" in capsys.readouterr().out
 
     def test_other_modes_require_config(self, capsys):
         rc = main(["cooling"])
@@ -393,6 +393,36 @@ class TestMain:
         assert message in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("np.float64(-4.0),0,0,1", "malformed numeric row"),
+            ("-4,0,0", "expected 4 columns, got 3"),
+        ],
+        ids=["numpy-repr-cell", "three-columns"],
+    )
+    def test_malformed_table_is_one_config_error_line(self, tmp_path, row, message):
+        # A fresh interpreter, so that an exception escaping main shows as
+        # the interpreter's own traceback on standard error.
+        table = tmp_path / "f1.csv"
+        table.write_text(f"vx,vy,vz,density\n{row}\n", encoding="utf-8")
+        config = {k: v for k, v in FULL_SMOKE.items() if k != "theta1"}
+        path = write_config(tmp_path, dict(config, f1_table=str(table)))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "granular_bath.cli", "full", "--config", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("config error: key 'f1_table': ")
+        assert message in lines[0]
+        assert "Traceback" not in proc.stderr
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
