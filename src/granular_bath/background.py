@@ -528,8 +528,9 @@ def nu(bath: BathParams, v: Array) -> Array:
             math.sqrt(2.0 / math.pi) * np.exp(-0.5 * rho**2)
             + (rho_safe + 1.0 / rho_safe) * erf(rho_safe / math.sqrt(2.0))
         )
-        series = math.sqrt(2.0 / math.pi) * (2.0 + rho**2 / 3.0 - rho**4 / 60.0)
-        out = s * np.where(small, series, g) / bath.lambda_
+        r = rho[small]
+        g[small] = math.sqrt(2.0 / math.pi) * (2.0 + r**2 / 3.0 - r**4 / 60.0)
+        out = s * g / bath.lambda_
     else:
         table = bath.table
         assert table is not None

@@ -486,22 +486,19 @@ def _pair_distances(vel: Array, i: Array, j: Array) -> Array:
     Each velocity column is copied once to a contiguous array and gathered
     at i and at j on its own; the squares are summed (d0^2 + d2^2) + d1^2,
     the order of ``einsum("ij,ij->i", d, d)`` on whole gathered rows, so the
-    result is bitwise equal to that form.
+    result is bitwise equal to that form.  Indexing, not ``np.take``: take
+    copies a read-only index array such as the cached pair table.
     """
-    col = np.empty(vel.shape[0])
-    total = np.empty(i.size)
-    part = np.empty(i.size)
-    other = np.empty(i.size)
-    for c, out in zip((0, 2, 1), (total, part, part)):
-        np.copyto(col, vel[:, c])
-        # The indices lie in [0, N): "wrap" never wraps, and unlike the
-        # default "raise" it gathers straight into ``out``.
-        np.take(col, i, out=out, mode="wrap")
-        np.take(col, j, out=other, mode="wrap")
-        out -= other
-        out *= out
-        if c:
-            total += out
+    total = None
+    for c in (0, 2, 1):
+        col = np.ascontiguousarray(vel[:, c])
+        d = col[i]
+        d -= col[j]
+        d *= d
+        if total is None:
+            total = d
+        else:
+            total += d
     return np.sqrt(total, out=total)
 
 
