@@ -498,8 +498,7 @@ def erf(x: Array) -> Array:
     """
     x = np.asarray(x, dtype=float)
     a = np.abs(x).ravel()
-    out = a.copy()
-    out[a >= 6.0] = 1.0
+    out = np.where(a >= 6.0, 1.0, a)  # nan stays nan
     for lo, hi, branch in _ERF_BRANCHES:
         idx = np.flatnonzero((a >= lo) & (a < hi))
         out[idx] = branch(a[idx])
