@@ -37,7 +37,6 @@ __all__ = [
     "erf",
     "nu",
     "nu_mc",
-    "chi_empirical",
 ]
 
 log = logging.getLogger(__name__)
@@ -559,22 +558,3 @@ def nu_mc(
     draws = sample_bath(bath, n_samples, rng)
     r = np.linalg.norm(v - draws, axis=1) / bath.lambda_
     return float(r.mean()), float(r.std(ddof=1) / math.sqrt(n_samples))
-
-
-def chi_empirical(bath: BathParams, radius: float, n: int = 24) -> float:
-    """Empirical coercivity constant min nu(v) / sqrt(1 + |v|^2).
-
-    The minimum is taken over a cubic lattice of ``n``^3 points restricted
-    to the ball |v| <= radius (the ball is centered at the origin: the
-    weight sqrt(1 + |v|^2) is, too).
-    """
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    ax = np.linspace(-radius, radius, n)
-    gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    pts = pts[np.linalg.norm(pts, axis=1) <= radius]
-    vals = nu(bath, pts) / np.sqrt(1.0 + np.sum(pts**2, axis=1))
-    return float(vals.min())

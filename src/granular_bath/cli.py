@@ -58,9 +58,12 @@ from .dsmc import (
     load_checkpoint,
     run,
     save_checkpoint,
+    step_l,
+    step_q,
 )
 from .kinematics import (
     RestitutionParams,
+    _sq_norm,
     collide_l_n,
     collide_l_sigma,
     collide_q,
@@ -692,6 +695,42 @@ def _check_run_reproducibility(rng: np.random.Generator) -> None:
     assert one.thetas().tobytes() == two.thetas().tobytes()
 
 
+def _check_sweep_cache(rng: np.random.Generator) -> None:
+    # Ten steps of both sweeps on N = 2000 particles, each from one generator
+    # state with run's |v - u1|^2 cache and without it.  1800 particles form
+    # pairs with w - u1 = -t (v - u1), where |v - w| = |v - u1| + |w - u1|
+    # and q_max lies just above it, so a screen tighter than the triangle
+    # inequality rejects pairs that the sweep without the cache accepts.
+    params = RestitutionParams(epsilon=0.8, e=0.8, m1=2.0)
+    bath = BathParams(m1=2.0, u1=np.array([0.3, -0.2, 0.5]), theta1=1.3, lambda_=1.0)
+    n, h = 2000, 900
+    pairs, bath_rows = np.arange(2 * h), np.arange(2 * h, n)
+    for _ in range(10):
+        direction = rng.standard_normal((h, 3))
+        direction /= np.sqrt(_sq_norm(direction))[:, None]
+        a = rng.uniform(0.9, 1.0, (h, 1))
+        t = rng.uniform(0.9, 1.0, (h, 1))
+        vel = bath.u1 + np.concatenate(
+            [a * direction, -t * a * direction, rng.standard_normal((n - 2 * h, 3))]
+        )
+        d2 = _sq_norm(vel, bath.u1)
+        q_max = 2.002
+        l_max = float(np.sqrt(d2[bath_rows].max())) * 1.001 + bath.bound_mean
+        state = rng.bit_generator.state
+        got = []
+        for cache in (None, d2):
+            rng.bit_generator.state = state
+            v = vel.copy()
+            nl = step_l(v, 0.01, params, bath, l_max, rng, candidates=bath_rows, d2=cache)
+            nq = step_q(v, 0.01, 1.0, params, q_max, rng, candidates=pairs,
+                        d2=cache, centre=bath.u1)
+            got.append((v, nl[0], nq[0], rng.random()))
+        (v0, *counts0), (v1, *counts1) = got
+        assert counts1 == counts0, (counts0, counts1)
+        assert v1.tobytes() == v0.tobytes(), "velocities differ"
+        assert d2.tobytes() == _sq_norm(v1, bath.u1).tobytes(), "stale cache"
+
+
 _VALIDATION_CHECKS: list[tuple[str, Callable[[np.random.Generator], None]]] = [
     ("pair collision worked example", _check_pair_collision_example),
     ("bath collision worked examples", _check_bath_collision_examples),
@@ -707,6 +746,7 @@ _VALIDATION_CHECKS: list[tuple[str, Callable[[np.random.Generator], None]]] = [
     ("elastic grid fixed point", _check_elastic_fixed_point),
     ("checkpoint round-trip", _check_checkpoint_roundtrip),
     ("run reproducibility", _check_run_reproducibility),
+    ("sweeps with the |v - c|^2 cache equal the sweeps without it", _check_sweep_cache),
 ]
 
 

@@ -25,14 +25,25 @@ b / l_max, or none, and accepts with probability |v - w| / (|v - u1| + B(w))
 <= 1: its rate is nu(v).
 
 The candidates are drawn as one sample without replacement.  The run keeps
-|v - c|^2 per particle and refreshes it at each step's candidates, the only
-particles a step moves, so the work per step is proportional to the
-candidates, apart from one max over the cached |v - c|^2 and the finiteness
-check.  A fixed centre can give a looser gas bound than the current mean,
-for instance while a gas drifts towards u1.  So when dt (tau q_max +
-l_max / lambda) reaches 1, the step takes q_max = 2 max|v - u| about the
-current mean u instead, at the cost of one full pass, and raises
-TimeStepError only if that fails too.
+a cache d2 = |v - c|^2 per particle and hands it to both sweeps, which read
+it at their candidates and write it at the rows they move, so the work per
+step is proportional to the candidates, apart from one max over d2.  The
+gas sweep draws its uniforms first and measures only the pairs that pass a
+screen from the cache, u < (|v - c| + |w - c|)(1 + 1e-14): the triangle
+inequality rejects the others without a gather, and the pad covers the
+rounding of the computed norms.  The bath sweep takes |v - u1| from the
+cache and gathers velocities only at the candidates that draw a partner.
+The cache changes no output and no draw.  A fixed centre can give a looser
+gas bound than the current mean, for instance while a gas drifts towards
+u1.  So when dt (tau q_max + l_max / lambda) reaches 1, the step takes
+q_max = 2 max|v - u| about the current mean u instead, at the cost of one
+full pass, and raises TimeStepError only if that fails too.
+
+Two checks end a run with NumericalFault.  The radius max|v - c| is taken
+from d2 once after each step; a moved row that is NaN or inf, or whose
+|v - c|^2 overflows, makes it non-finite, and the run stops at that step.
+Each record step also checks every velocity for finiteness before it
+writes, which catches a non-finite row that no sweep reported.
 """
 from __future__ import annotations
 
@@ -86,7 +97,7 @@ _NO_SEED = 0xFFFFFFFFFFFFFFFF
 
 
 class NumericalFault(RuntimeError):
-    """Fatal numerical failure (NaN velocities, failed kernel build)."""
+    """Fatal numerical failure (non-finite velocities or |v - c|^2, failed kernel build)."""
 
     def __init__(self, message: str, dump_path: str | None = None):
         super().__init__(message)
@@ -215,6 +226,10 @@ def _uniform_sphere(rng: np.random.Generator, k: int) -> Array:
     return sigma
 
 
+# Relative pad on bounds built from computed norms (see _radius).
+_PAD = 1.0 + 1e-14
+
+
 def _speeds(a: Array, b: Array) -> Array:
     return np.sqrt(_sq_norm(a, b))
 
@@ -227,6 +242,8 @@ def step_q(
     q_max: float,
     rng: np.random.Generator,
     candidates: Array | None = None,
+    d2: Array | None = None,
+    centre: Array | None = None,
 ) -> tuple[int, float]:
     """One Nanbu-Babovsky gas-gas sweep; mutates ``velocities`` on success.
 
@@ -236,8 +253,22 @@ def step_q(
     Binomial(floor(N/2), p_q) disjoint pairs from all N particles, with
     p_q = tau q_max dt.  Each pair is accepted with probability |q| / q_max,
     so a particle collides with probability tau |v - w| dt per step.  Returns
-    (accepted collisions, largest candidate |q|).  A ``q_max`` below a
-    candidate's |q| raises ValueError before any velocity changes.
+    (accepted collisions, largest measured |q|).  A ``q_max`` below a
+    measured |q| raises ValueError before any velocity changes.
+
+    ``d2`` is the cache of :func:`run`: d2[k] = ``_sq_norm``(velocities[k],
+    ``centre``) for every particle, about the origin if ``centre`` is None.
+    The sweep draws the pair uniforms u before it measures any pair, and
+    with the cache it measures only the pairs with u < (a_i + a_j)
+    (1 + 1e-14), a_k = sqrt(d2[k]).  By the triangle inequality about
+    ``centre`` every other pair has |q| <= a_i + a_j <= u and is rejected
+    anyway; the pad covers the rounding of the computed norms, a few ulp
+    each, for components of magnitude 1e-150 to 1e150.  The accepted pairs,
+    their order, the velocities and the random stream are those of the
+    sweep without the cache.  The sweep then writes |v - centre|^2 of the
+    post-collision velocities into ``d2`` at the rows it moved, so the
+    cache stays exact.  The largest measured |q| is taken over the pairs
+    that pass the screen; an unmeasured pair has |q| <= u < q_max.
     """
     if candidates is None:
         n = velocities.shape[0]
@@ -249,19 +280,27 @@ def step_q(
     if m == 0:
         return 0, 0.0
     i, j = candidates[:m], candidates[m:]
+    u = rng.random(m) * q_max
+    if d2 is not None:
+        kept = np.flatnonzero(u < (np.sqrt(d2.take(i)) + np.sqrt(d2.take(j))) * _PAD)
+        i, j, u = i.take(kept), j.take(kept), u.take(kept)
     v = velocities.take(i, axis=0)
     w = velocities.take(j, axis=0)
     speeds = _speeds(v, w)
-    max_speed = float(speeds.max())
+    max_speed = float(speeds.max(initial=0.0))
     if max_speed > q_max:
         raise ValueError(f"q_max = {q_max:.6g} below a pair speed {max_speed:.6g}")
-    acc = np.flatnonzero(rng.random(m) * q_max < speeds)
+    acc = np.flatnonzero(u < speeds)
     if acc.size == 0:
         return 0, max_speed
     sigma = _uniform_sphere(rng, acc.size)
     v_post, w_post = collide_q(v.take(acc, axis=0), w.take(acc, axis=0), sigma, restitution)
-    velocities[i.take(acc)] = v_post
-    velocities[j.take(acc)] = w_post
+    i, j = i.take(acc), j.take(acc)
+    velocities[i] = v_post
+    velocities[j] = w_post
+    if d2 is not None:
+        d2[i] = _sq_norm(v_post, centre)
+        d2[j] = _sq_norm(w_post, centre)
     return int(acc.size), max_speed
 
 
@@ -273,6 +312,7 @@ def step_l(
     l_max: float,
     rng: np.random.Generator,
     candidates: Array | None = None,
+    d2: Array | None = None,
 ) -> tuple[int, float]:
     """One bath sweep; mutates ``velocities`` on success.
 
@@ -284,6 +324,14 @@ def step_l(
     discarded.  Returns (accepted collisions, largest |v - w| over the
     partners).  ``l_max`` below |v - u1| + b for a candidate raises
     ValueError before any velocity changes.
+
+    ``d2`` is the cache of :func:`run` about u1: d2[k] =
+    ``_sq_norm``(velocities[k], ``bath.u1``) for every particle.  With it
+    the sweep takes |v - u1| = sqrt(d2) at the candidates, bitwise the value
+    it would compute, and gathers velocities only at the candidates that
+    draw a partner.  It then writes |v - u1|^2 of the post-collision
+    velocities into ``d2`` at the rows it moved.  Outputs and the random
+    stream are those of the sweep without the cache.
     """
     if candidates is None:
         n = velocities.shape[0]
@@ -293,8 +341,10 @@ def step_l(
         candidates = rng.choice(n, int(rng.binomial(n, p_l)), replace=False)
     if candidates.size == 0:
         return 0, 0.0
-    v = velocities.take(candidates, axis=0)
-    dist = _speeds(v, bath.u1)  # |v - u1|
+    if d2 is None:
+        dist = _speeds(velocities.take(candidates, axis=0), bath.u1)  # |v - u1|
+    else:
+        dist = np.sqrt(d2.take(candidates))
     b = bath.bound_mean
     need = float(dist.max()) + b
     if need > l_max:
@@ -303,7 +353,7 @@ def step_l(
     plain = np.flatnonzero(pick < dist)
     biased = np.flatnonzero((pick >= dist) & (pick < dist + b))
     events = np.concatenate([plain, biased])
-    v = v.take(events, axis=0)
+    v = velocities.take(candidates.take(events), axis=0)
     partners, bounds = sample_partners(bath, plain.size, biased.size, rng)
     speeds = _speeds(v, partners)
     acc = np.flatnonzero(rng.random(events.size) * (dist.take(events) + bounds) < speeds)
@@ -316,6 +366,8 @@ def step_l(
         v.take(acc, axis=0), partners.take(acc, axis=0), sigma, restitution
     )
     velocities[idx] = v_post
+    if d2 is not None:
+        d2[idx] = _sq_norm(v_post, bath.u1)
     return int(idx.size), max_rel
 
 
@@ -324,8 +376,9 @@ def _radius(d2: Array) -> float:
 
     Each component of v - c, and so d2 and every computed pair speed, is
     within a few ulp of its exact value; the pad of 1e-14 lies far above that.
+    A NaN or an overflow in d2 makes the bound NaN or inf.
     """
-    return math.sqrt(float(d2.max())) * (1.0 + 1e-14)
+    return math.sqrt(float(d2.max())) * _PAD
 
 
 def _candidates(
@@ -405,11 +458,16 @@ def run(
     checkpointed generator as ``rng`` to continue its stream).  Runs with the
     same (config, seed) are bit-reproducible.
 
-    The majorants of each step are radii about one centre, u1 or the initial
-    mean (see the module docstring), read off a per-particle |v - c|^2 that
-    is refreshed at the step's candidates.  A step whose event probabilities
-    reach 1 with them retries with q_max about the current mean;
-    TimeStepError is raised only if that fails too.
+    The majorants of each step are radii about one centre c, u1 or the
+    initial mean (see the module docstring), read off a per-particle cache
+    d2 = |v - c|^2.  Both sweeps receive it: they screen their candidates
+    with it and write it at the rows they move, so it stays equal to
+    ``_sq_norm(velocities, c)``.  A step whose event probabilities reach 1
+    with them retries with q_max about the current mean; TimeStepError is
+    raised only if that fails too.  NumericalFault is raised at the step
+    whose moved rows make the radius non-finite (a NaN or an |v - c|^2
+    overflow), or at the first record step that finds a non-finite
+    velocity, after the state is dumped to the temporary directory.
     """
     obs = observers or ObserverConfig()
     h_cells = None
@@ -443,8 +501,8 @@ def run(
     traj = MomentTrajectory(records=[], config=config)
     traj.records.append(_make_record(vel, t0, config, obs, h_cells))
 
+    radius = _radius(d2)
     for step in range(1, n_steps + 1):
-        radius = _radius(d2)
         q_max = 2.0 * radius if tau > 0.0 else 0.0
         l_max = radius + b if bath is not None else 0.0
         p_l = l_max * dt / bath.lambda_ if bath is not None else 0.0
@@ -454,26 +512,36 @@ def run(
         m, cand = _candidates(rng, n, tau * q_max * dt, p_l, step)
         if bath is not None:
             nl, _ = step_l(
-                vel, dt, config.restitution, bath, l_max, rng, candidates=cand[2 * m :]
+                vel, dt, config.restitution, bath, l_max, rng,
+                candidates=cand[2 * m :], d2=d2,
             )
             traj.candidates_l += cand.size - 2 * m
             traj.collisions_l += nl
         if tau > 0.0:
             nq, _ = step_q(
-                vel, dt, tau, config.restitution, q_max, rng, candidates=cand[: 2 * m]
+                vel, dt, tau, config.restitution, q_max, rng,
+                candidates=cand[: 2 * m], d2=d2, centre=centre,
             )
             traj.candidates_q += m
             traj.collisions_q += nq
-        d2[cand] = _sq_norm(vel.take(cand, axis=0), centre)
         t = t0 + step * dt
-        if not np.all(np.isfinite(vel)):
+        record = step % obs.record_every == 0 or step == n_steps
+        # The sweeps write d2 at the rows they move, so a moved row that is
+        # not finite, or whose |v - c|^2 overflows, makes the radius
+        # non-finite; a step without candidates moves nothing.  The full
+        # check at each record catches rows that no sweep reported.
+        fault = False
+        if cand.size:
+            radius = _radius(d2)
+            fault = not math.isfinite(radius)
+        if fault or (record and not np.all(np.isfinite(vel))):
             path = _dump_fault(vel, step, t, rng)
             raise NumericalFault(
-                f"non-finite velocities at step {step}, t = {t:.6g}; "
-                f"diagnostics dumped to {path}",
+                f"non-finite velocities or |v - c|^2 overflow at step {step}, "
+                f"t = {t:.6g}; diagnostics dumped to {path}",
                 dump_path=path,
             )
-        if step % obs.record_every == 0 or step == n_steps:
+        if record:
             traj.records.append(_make_record(vel, t, config, obs, h_cells))
     traj.final = Ensemble(velocities=vel, t=t0 + n_steps * dt, seed=config.seed)
     return traj

@@ -41,7 +41,6 @@ __all__ = [
     "haff_fit",
     "sigma_freq",
     "third_cumulant",
-    "histogram_l1_distance",
     "write_records",
     "read_records",
     "CSV_COLUMNS",
@@ -544,26 +543,6 @@ def third_cumulant(velocities: Array) -> Array:
     vel = np.asarray(velocities, dtype=float)
     centered = vel - vel.mean(axis=0)
     return np.mean(centered**3, axis=0)
-
-
-def histogram_l1_distance(
-    vel_a: Array,
-    vel_b: Array,
-    bins: int = 32,
-    extent: float | None = None,
-    center: Array | None = None,
-) -> float:
-    """L1 distance between the histogram densities of two samples.
-
-    Both samples are binned on the grid derived from their concatenation so
-    the estimate is symmetric.
-    """
-    both = np.concatenate([np.asarray(vel_a, float), np.asarray(vel_b, float)])
-    edges = _grid_edges(both, bins, extent, center)
-    # The cell volume cancels: L1 of the densities is L1 of the cell masses.
-    fa = bin_counts(vel_a, edges) / len(vel_a)
-    fb = bin_counts(vel_b, edges) / len(vel_b)
-    return float(np.sum(np.abs(fa - fb)))
 
 
 def _fmt(x: float) -> str:

@@ -12,7 +12,6 @@ from granular_bath.background import (
     abs_moment,
     bath_density,
     c0,
-    chi_empirical,
     erf,
     load_table,
     nu,
@@ -367,19 +366,6 @@ class TestNuVectorizedErf:
         got = nu(bath, pts)
         want = nu_math_erf_form(bath, pts)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
-
-
-class TestChi:
-    def test_positive_and_bounded_by_center_value(self):
-        bath = maxwell_bath(m1=2.0, theta1=1.0, lam=1.5)
-        val = chi_empirical(bath, radius=3.0)
-        assert 0.0 < val <= float(nu(bath, bath.u1)) * (1 + 1e-9)
-
-    def test_monotone_in_radius(self):
-        # nu grows with |v - u1|, so the infimum over a larger ball cannot
-        # increase.
-        bath = maxwell_bath()
-        assert chi_empirical(bath, 5.0) <= chi_empirical(bath, 1.0) + 1e-12
 
 
 class TestTableIO:

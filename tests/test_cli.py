@@ -222,9 +222,9 @@ class TestValidation:
         rc = run_validation(stream=buf)
         text = buf.getvalue()
         assert rc == 0
-        assert text.count("PASS") == 14
+        assert text.count("PASS") == 15
         assert "FAIL" not in text
-        assert "14/14 checks passed" in text
+        assert "15/15 checks passed" in text
 
 
 class TestExecute:
@@ -336,12 +336,12 @@ class TestMain:
         path = write_config(tmp_path, {"mode": "validate"})
         rc = main(["validate", "--config", str(path)])
         assert rc == 0
-        assert "14/14 checks passed" in capsys.readouterr().out
+        assert "15/15 checks passed" in capsys.readouterr().out
 
     def test_validate_mode_needs_no_config(self, capsys):
         rc = main(["validate"])
         assert rc == 0
-        assert "14/14 checks passed" in capsys.readouterr().out
+        assert "15/15 checks passed" in capsys.readouterr().out
 
     def test_other_modes_require_config(self, capsys):
         rc = main(["cooling"])

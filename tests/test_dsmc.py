@@ -21,7 +21,7 @@ from granular_bath.dsmc import (
     step_l,
     step_q,
 )
-from granular_bath.kinematics import RestitutionParams
+from granular_bath.kinematics import RestitutionParams, _sq_norm
 from granular_bath.observables import MomentRecord, h_phi, lp_norm, moments, read_records
 
 
@@ -385,13 +385,17 @@ class TestUnsplitStep:
             assert r <= bound <= r * (1.0 + 1e-12), (kind, checked[kind], bound, r)
             checked[kind] += 1
 
-        def wrapped_q(velocities, dt, tau, restitution, q_max, rng, candidates=None):
+        def wrapped_q(velocities, dt, tau, restitution, q_max, rng, candidates=None, **kwargs):
             check("q", q_max / 2.0, velocities)
-            return step_q(velocities, dt, tau, restitution, q_max, rng, candidates=candidates)
+            return step_q(
+                velocities, dt, tau, restitution, q_max, rng, candidates=candidates, **kwargs
+            )
 
-        def wrapped_l(velocities, dt, restitution, bath_, l_max, rng, candidates=None):
+        def wrapped_l(velocities, dt, restitution, bath_, l_max, rng, candidates=None, **kwargs):
             check("l", l_max - bath_.bound_mean, velocities)
-            return step_l(velocities, dt, restitution, bath_, l_max, rng, candidates=candidates)
+            return step_l(
+                velocities, dt, restitution, bath_, l_max, rng, candidates=candidates, **kwargs
+            )
 
         monkeypatch.setattr(dsmc_mod, "step_q", wrapped_q)
         monkeypatch.setattr(dsmc_mod, "step_l", wrapped_l)
@@ -403,6 +407,148 @@ class TestUnsplitStep:
         assert checked == {"q": 200, "l": 0 if bath is None else 200}
         assert traj.collisions_q > 0
         assert bath is None or traj.collisions_l > 0
+
+
+class TestSweepCache:
+    # Each sweep with run's |v - c|^2 cache against the same sweep without
+    # it, from one generator state on the same candidates: the same counts,
+    # velocities and stream, and a cache equal to a fresh _sq_norm after.
+
+    @staticmethod
+    def collinear(rng, n, centre, scale):
+        # Pairs (k, n/2 + k) with w - c = -t (v - c): |v - w| = a_i + a_j,
+        # where the screen's bound is tight.
+        h = n // 2
+        direction = rng.standard_normal((h, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        a = rng.uniform(0.3, 1.0, (h, 1)) * scale
+        t = rng.uniform(0.3, 1.0, (h, 1))
+        return np.concatenate([centre + a * direction, centre - t * a * direction])
+
+    def ensemble(self, case, scale, n):
+        rng = np.random.default_rng(81)
+        if case == "cooling":
+            vel = (rng.standard_normal((n, 3)) + [0.2, -0.1, 0.3]) * scale
+            centre = vel.mean(axis=0)  # run's centre without a bath
+        else:
+            centre = np.array([0.3, -0.2, 0.5]) * scale
+            if case == "collinear":
+                vel = self.collinear(rng, n, centre, scale)
+            else:
+                vel = rng.standard_normal((n, 3)) * scale + centre
+        return vel, centre
+
+    @staticmethod
+    def sweep_q(vel, centre, rng_seed, cached, q_max=None):
+        rest = RestitutionParams(epsilon=0.7, e=1.0, m1=1.0)
+        d2 = _sq_norm(vel, centre)
+        if q_max is None:
+            q_max = 2.0 * dsmc._radius(d2)
+        cand = np.arange(vel.shape[0])
+        rng = np.random.default_rng(rng_seed)
+        kwargs = {"d2": d2, "centre": centre} if cached else {}
+        n_acc, _ = step_q(vel, 0.01, 1.0 / q_max, rest, q_max, rng, candidates=cand, **kwargs)
+        return n_acc, rng.random(), d2
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_pad_covers_the_rounding_of_collinear_pairs(self, scale):
+        # The computed |v - w| of a collinear pair exceeds the computed
+        # a_i + a_j by a few ulp for some pairs, never by the 1e-14 pad.
+        centre = np.array([0.3, -0.2, 0.5]) * scale
+        vel = self.collinear(np.random.default_rng(80), 200_000, centre, scale)
+        v, w = vel[:100_000], vel[100_000:]
+        speeds = np.sqrt(_sq_norm(v, w))
+        bound = np.sqrt(_sq_norm(v, centre)) + np.sqrt(_sq_norm(w, centre))
+        assert np.any(speeds > bound)
+        assert np.all(speeds <= bound * dsmc._PAD)
+
+    @pytest.mark.parametrize("case", ["shifted", "cooling", "collinear"])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
+    def test_step_q_with_cache_equals_without(self, case, scale):
+        n = 40_000 if case == "collinear" else 4000
+        base, centre = self.ensemble(case, scale, n)
+        q_max = None
+        if case == "collinear":
+            # Just above the largest pair speed, so that u falls close below
+            # a_i + a_j for many pairs.
+            q_max = 2.0 * float(np.sqrt(_sq_norm(base[: n // 2], centre)).max()) * 1.001
+        plain, cached = base.copy(), base.copy()
+        n_plain, next_plain, _ = self.sweep_q(plain, centre, 82, False, q_max)
+        n_cached, next_cached, d2 = self.sweep_q(cached, centre, 82, True, q_max)
+        assert n_plain > 0
+        assert n_cached == n_plain
+        assert next_cached == next_plain
+        assert cached.tobytes() == plain.tobytes()
+        assert d2.tobytes() == _sq_norm(cached, centre).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, scale",
+        [("shifted_maxwellian", 1e-150), ("shifted_maxwellian", 1.0),
+         ("shifted_maxwellian", 1e150), ("tabulated", 1.0)],
+    )
+    def test_step_l_with_cache_equals_without(self, kind, scale):
+        rng = np.random.default_rng(83)
+        if kind == "tabulated":
+            bath = skewed_table_bath(lam=1.5)
+        else:
+            bath = BathParams(
+                m1=2.0, u1=np.array([0.3, -0.2, 0.5]) * scale, theta1=1.3 * scale**2, lambda_=1.5
+            )
+        rest = RestitutionParams(epsilon=1.0, e=0.8, m1=bath.m1)
+        base = rng.standard_normal((4000, 3)) * 2.0 * scale + bath.u1
+        d2 = _sq_norm(base, bath.u1)
+        l_max = dsmc._radius(d2) + bath.bound_mean
+        cand = rng.permutation(4000)[:3000]
+        plain, cached = base.copy(), base.copy()
+        rng_plain, rng_cached = np.random.default_rng(84), np.random.default_rng(84)
+        got_plain = step_l(plain, 0.01, rest, bath, l_max, rng_plain, candidates=cand)
+        got_cached = step_l(cached, 0.01, rest, bath, l_max, rng_cached, candidates=cand, d2=d2)
+        assert got_plain[0] > 0
+        assert got_cached == got_plain
+        assert rng_cached.random() == rng_plain.random()
+        assert cached.tobytes() == plain.tobytes()
+        assert d2.tobytes() == _sq_norm(cached, bath.u1).tobytes()
+
+    @pytest.mark.parametrize("case", ["cooling", "shifted_cold_start", "tabulated"])
+    def test_cache_is_exact_at_every_step(self, monkeypatch, case):
+        # run reads the radius off its cache once after each step: there the
+        # cache must equal a fresh |v - c|^2 of every particle.
+        n = 4000
+        rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
+        init = gaussian_init(n, seed=85)
+        if case == "cooling":
+            bath = None
+        elif case == "shifted_cold_start":
+            bath = bath_at(m1=2.0, u1=(0.3, -0.2, 0.5))
+            rest = RestitutionParams(epsilon=0.8, e=0.8, m1=2.0)
+            init = gaussian_init(n, theta=0.04, seed=85)
+        else:
+            bath = skewed_table_bath()
+        centre = bath.u1 if bath is not None else init.mean(axis=0)
+        seen = {"cache": None, "vel": None, "checked": 0}
+        radius, sweep = dsmc._radius, step_l if bath is not None else step_q
+
+        def checked_radius(d2):
+            if seen["cache"] is None:
+                seen["cache"] = d2  # the first call, before step 1, gets the cache
+            elif d2 is seen["cache"]:
+                want = _sq_norm(seen["vel"], centre)
+                assert d2.tobytes() == want.tobytes(), seen["checked"]
+                seen["checked"] += 1
+            return radius(d2)
+
+        def first_sweep(velocities, *args, **kwargs):
+            seen["vel"] = velocities
+            return sweep(velocities, *args, **kwargs)
+
+        monkeypatch.setattr(dsmc, "_radius", checked_radius)
+        monkeypatch.setattr(dsmc, "step_l" if bath is not None else "step_q", first_sweep)
+        config = SimConfig(
+            tau=1.0, restitution=rest, bath=bath, dt=0.01, t_end=1.0,
+            n_particles=n, seed=86,
+        )
+        run(config, init=init)
+        assert seen["checked"] == 100
 
 
 class TestFaults:
@@ -438,6 +584,100 @@ class TestFaults:
         data = np.load(dump)
         assert np.isnan(data["velocities"]).any()
 
+    def test_nan_in_a_moved_row_stops_the_run_at_that_step(self, tmp_path, monkeypatch):
+        # A NaN written by the bath collision map at step 3 reaches the cache
+        # at the moved row, and the radius taken after the step is NaN: the
+        # run stops at step 3, not at the record of step 10.
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
+        collide = dsmc.collide_l_sigma
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            post = collide(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 3:
+                post[0][0, 1] = math.nan
+            return post
+
+        monkeypatch.setattr(dsmc, "collide_l_sigma", poisoned)
+        rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
+        config = SimConfig(
+            tau=1.0, restitution=rest, bath=bath_at(), dt=0.01, t_end=0.5,
+            n_particles=2000, seed=87,
+        )
+        with pytest.raises(NumericalFault, match="at step 3,") as exc_info:
+            run(config)
+        data = np.load(exc_info.value.dump_path)
+        assert int(data["step"]) == 3
+        assert np.isnan(data["velocities"]).any()
+
+    def overflowing_step_l(self, at_call):
+        # The real sweep, then 1e200 written into a row it was given, with
+        # the cache refreshed there as the sweep contract asks.
+        calls = []
+
+        def sweep(velocities, dt, restitution, bath, l_max, rng, candidates=None, d2=None):
+            out = step_l(velocities, dt, restitution, bath, l_max, rng, candidates, d2=d2)
+            calls.append(1)
+            if len(calls) == at_call:
+                row = candidates[:1]
+                velocities[row] = 1e200
+                d2[row] = _sq_norm(velocities[row], bath.u1)
+            return out
+
+        return sweep
+
+    def test_overflow_of_a_moved_row_is_a_numerical_fault(self, tmp_path, monkeypatch):
+        # |v - u1|^2 of a velocity of 1e200 overflows to inf: the velocities
+        # are finite, the radius is not, and the run stops at that step.
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
+        monkeypatch.setattr(dsmc, "step_l", self.overflowing_step_l(3))
+        rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
+        config = SimConfig(
+            tau=1.0, restitution=rest, bath=bath_at(), dt=0.01, t_end=0.5,
+            n_particles=2000, seed=88,
+        )
+        with pytest.raises(NumericalFault) as exc_info, np.errstate(over="ignore"):
+            run(config)
+        assert "non-finite velocities or |v - c|^2 overflow at step 3," in str(exc_info.value)
+        assert np.all(np.isfinite(np.load(exc_info.value.dump_path)["velocities"]))
+
+    def test_overflow_of_a_moved_row_exits_3_from_the_cli(self, tmp_path, monkeypatch, capsys):
+        import json
+        import tempfile
+
+        from granular_bath import cli
+
+        monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
+        monkeypatch.setattr(dsmc, "step_l", self.overflowing_step_l(2))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"mode": "full", "n_particles": 2000, "t_end": 0.5, "seed": 89}
+        ))
+        with np.errstate(over="ignore"):
+            code = cli.main(["full", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical fault: non-finite velocities or |v - c|^2 overflow at step 2," in err
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_overflowing_initial_ensemble_is_a_time_step_error(self, tau):
+        # A velocity of 1e200 in the initial ensemble makes the first
+        # majorants infinite: the first step fails its time-step check.
+        rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
+        init = gaussian_init(100, seed=90)
+        init[5] = 1e200
+        config = SimConfig(
+            tau=tau, restitution=rest, bath=bath_at(), dt=0.01, t_end=0.5,
+            n_particles=100, seed=91,
+        )
+        with pytest.raises(TimeStepError, match="at step 1;"), np.errstate(over="ignore"):
+            run(config, init=init)
+
     def test_oversized_dt_is_rejected(self):
         rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
         bath = bath_at(theta1=100.0)  # hot bath -> large nu_max
@@ -462,10 +702,12 @@ class TestFaults:
                 first.append(velocities.copy())
             return step_l(velocities, *args, **kwargs)
 
-        def recording_q(velocities, dt, tau, restitution, q_max, rng, candidates=None):
+        def recording_q(velocities, dt, tau, restitution, q_max, rng, candidates=None, **kwargs):
             if len(first) == 1:
                 first.append(q_max)
-            return step_q(velocities, dt, tau, restitution, q_max, rng, candidates=candidates)
+            return step_q(
+                velocities, dt, tau, restitution, q_max, rng, candidates=candidates, **kwargs
+            )
 
         monkeypatch.setattr(dsmc_mod, "step_l", recording_l)
         monkeypatch.setattr(dsmc_mod, "step_q", recording_q)

@@ -21,7 +21,6 @@ from granular_bath.observables import (
     f_aux_stderr,
     h_phi,
     haff_fit,
-    histogram_l1_distance,
     lp_norm,
     moments,
     read_records,
@@ -211,14 +210,6 @@ class TestNorms:
             lp_norm(vel, p=1.0)
         with pytest.raises(ValueError):
             lp_norm(vel, p=math.inf)
-
-    def test_l1_distance_of_disjoint_samples(self):
-        # Two widely separated clouds: histogram L1 distance -> 2.
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(50_000, 3)) * 0.1 + np.array([-3.0, 0, 0])
-        b = rng.normal(size=(50_000, 3)) * 0.1 + np.array([3.0, 0, 0])
-        dist = histogram_l1_distance(a, b, bins=32)
-        assert dist == pytest.approx(2.0, abs=0.05)
 
 
 class TestBinCounts:
