@@ -15,7 +15,6 @@ from .carleman import (
     KernelGrid,
     SteadyState,
     compare_dsmc,
-    kernel,
     make_grid,
     steady_state,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "KernelGrid",
     "SteadyState",
     "compare_dsmc",
-    "kernel",
     "make_grid",
     "steady_state",
     "Ensemble",

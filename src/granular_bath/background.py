@@ -27,6 +27,7 @@ from .kinematics import _sq_norm
 __all__ = [
     "BathParams",
     "TabulatedDensity",
+    "TableFormatError",
     "load_table",
     "sample_bath",
     "sample_partners",
@@ -504,6 +505,9 @@ def erf(x: Array) -> Array:
     return np.copysign(out, x.ravel()).reshape(x.shape)[()]
 
 
+_NU_CHUNK = 64  # points per block of a tabulated nu: a (64, nodes) buffer
+
+
 def nu(bath: BathParams, v: Array) -> Array:
     """Collision frequency nu(v) = E_{F1} |v - W| / lambda.
 
@@ -511,8 +515,10 @@ def nu(bath: BathParams, v: Array) -> Array:
         lambda nu = s [ sqrt(2/pi) exp(-rho^2/2) + (rho + 1/rho) erf(rho/sqrt 2) ],
     with the small-rho series sqrt(2/pi)(2 + rho^2/3 - rho^4/60) below
     rho = 1e-4; erf is the numpy port :func:`erf`, within 1 ulp of
-    ``math.erf``.  Tabulated: exact cell-midpoint sum.  Accepts (..., 3)
-    input and returns the matching leading shape.
+    ``math.erf``.  Tabulated: the node (point-mass) law, each table node
+    carrying its cell's mass, so lambda nu(v) is the mass-weighted sum of
+    |v - W| over the nodes W.  Accepts (..., 3) input and returns the
+    matching leading shape.
     """
     v = np.asarray(v, dtype=float)
     scalar = v.ndim == 1
@@ -535,12 +541,12 @@ def nu(bath: BathParams, v: Array) -> Array:
         nodes = table.nodes()
         weights = table.values.ravel() * table.cell_volume
         out = np.empty(pts.shape[0])
-        # Chunk the pairwise distance computation to bound memory.
-        step = max(1, int(2e7) // max(nodes.shape[0], 1))
-        for lo in range(0, pts.shape[0], step):
-            hi = min(lo + step, pts.shape[0])
-            d = np.linalg.norm(pts[lo:hi, None, :] - nodes[None, :, :], axis=-1)
-            out[lo:hi] = d @ weights
+        # 64 points at a time against all nodes; _sq_norm forms |v - W|^2 one
+        # component at a time, bitwise equal to the norm of the broadcast
+        # (chunk, nodes, 3) difference without allocating it.
+        for lo in range(0, pts.shape[0], _NU_CHUNK):
+            d = _sq_norm(pts[lo : lo + _NU_CHUNK, None, :], nodes)
+            out[lo : lo + _NU_CHUNK] = np.sqrt(d, out=d) @ weights
         out /= bath.lambda_
     return float(out[0]) if scalar else out.reshape(v.shape[:-1])
 

@@ -54,7 +54,6 @@ __all__ = [
     "CompareReport",
     "KernelBuildError",
     "ConvergenceError",
-    "kernel",
     "kernel_closed_form",
     "kernel_quadrature",
     "make_grid",
@@ -176,21 +175,6 @@ def kernel_quadrature(
         4.0 * math.pi * bath.lambda_ * restitution.e**2 * restitution.gamma_c**2 * r
     )
     return pref * planar
-
-
-def kernel(
-    v: Array,
-    w: Array,
-    restitution: RestitutionParams,
-    bath: BathParams,
-    method: str = "closed",
-) -> Array | float:
-    """Kernel dispatch: closed form (Maxwellian) or planar quadrature."""
-    if method == "closed":
-        return kernel_closed_form(v, w, restitution, bath)
-    if method == "quadrature":
-        return kernel_quadrature(v, w, restitution, bath)
-    raise ValueError(f"method must be 'closed' or 'quadrature', got {method!r}")
 
 
 @dataclass

@@ -86,6 +86,7 @@ __all__ = [
     "DEFAULTS",
     "MODES",
     "parse_config",
+    "parse_config_dict",
     "serialize_config",
     "execute",
     "run_validation",

@@ -418,13 +418,12 @@ def _make_record(
         # of sigma_freq, the largest a record allocates, are alive.
         extras["sigma_mean"] = sigma_freq(velocities, config.bath, config.tau)
     if obs.compute_lp:
-        # The default box about the record's own u and theta: the same edges
-        # lp_norm would derive from the sample.
+        # One box for both orders: the record's u +- 6 thermal widths.
         hist = histogram(
             velocities, bins=_LP_BINS, extent=thermal_extent(rec.theta), center=rec.u
         )
-        extras["l2"] = lp_norm(hist, 2.0).value
-        extras["lp"] = lp_norm(hist, 1.5).value
+        extras["l2"] = lp_norm(hist, 2.0)
+        extras["lp"] = lp_norm(hist, 1.5)
     if h_cells is not None:
         hist = histogram(velocities, bins=obs.h_bins, extent=obs.h_extent, center=obs.h_center)
         extras["h_quad"] = h_phi(hist, h_cells, phi="quad", bias_correct=True)
@@ -464,10 +463,12 @@ def run(
     with it and write it at the rows they move, so it stays equal to
     ``_sq_norm(velocities, c)``.  A step whose event probabilities reach 1
     with them retries with q_max about the current mean; TimeStepError is
-    raised only if that fails too.  NumericalFault is raised at the step
-    whose moved rows make the radius non-finite (a NaN or an |v - c|^2
-    overflow), or at the first record step that finds a non-finite
-    velocity, after the state is dumped to the temporary directory.
+    raised only if that fails too.  An initial ensemble whose |v - c|^2
+    overflows raises ValueError before the first record.  NumericalFault is
+    raised at the step whose moved rows make the radius non-finite (a NaN or
+    an |v - c|^2 overflow), or at the first record step that finds a
+    non-finite velocity, after the state is dumped to the temporary
+    directory.
     """
     obs = observers or ObserverConfig()
     h_cells = None
@@ -495,13 +496,18 @@ def run(
     n = vel.shape[0]
     b = bath.bound_mean if bath is not None else 0.0
     centre = bath.u1 if bath is not None else vel.mean(axis=0)
-    d2 = _sq_norm(vel, centre)
+    with np.errstate(over="ignore"):  # reported as the error below
+        d2 = _sq_norm(vel, centre)
+    radius = _radius(d2)
+    if not math.isfinite(radius):
+        raise ValueError(
+            f"initial velocities too large: |v - c|^2 overflows about c = {centre.tolist()}"
+        )
 
     n_steps = max(1, int(round((config.t_end - t0) / dt)))
     traj = MomentTrajectory(records=[], config=config)
     traj.records.append(_make_record(vel, t0, config, obs, h_cells))
 
-    radius = _radius(d2)
     for step in range(1, n_steps + 1):
         q_max = 2.0 * radius if tau > 0.0 else 0.0
         l_max = radius + b if bath is not None else 0.0
@@ -569,18 +575,24 @@ def detect_steady(
     is steady at the first block start where, for each tracked series, the
     block-mean drift is below ``tol`` relative to its natural scale AND below
     twice its Monte Carlo standard error.  The |u - u1| drift is scaled by
-    sqrt(Theta) (its own mean can legitimately sit at zero).
+    sqrt(Theta) (its own mean can legitimately sit at zero).  ``window`` and
+    ``tol`` default to the trajectory's config; as there, ``window`` must be
+    at least 2 (a standard error needs two records) and ``tol`` positive.
     """
     if isinstance(traj, MomentTrajectory):
         records = traj.records
-        window = window or traj.config.steady_window
-        tol = tol or traj.config.steady_tol
+        window = traj.config.steady_window if window is None else window
+        tol = traj.config.steady_tol if tol is None else tol
         if u1 is None and traj.config.bath is not None:
             u1 = traj.config.bath.u1
     else:
         records = list(traj)
         if window is None or tol is None:
             raise ValueError("window and tol are required for bare record lists")
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if u1 is None:
         u1 = np.zeros(3)
     if len(records) < 2 * window:

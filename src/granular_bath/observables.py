@@ -25,10 +25,13 @@ from .kinematics import RestitutionParams, _sq_norm
 __all__ = [
     "MomentRecord",
     "BoundParams",
-    "LpEstimate",
     "HaffFit",
+    "DegenerateParameterError",
+    "FitRefusedError",
+    "SupportMismatchError",
     "moments",
     "f_aux",
+    "f_aux_stderr",
     "bound_params",
     "Histogram",
     "thermal_extent",
@@ -204,7 +207,8 @@ def bound_params(restitution: RestitutionParams, bath: BathParams, f0: float) ->
 
 
 def thermal_extent(theta: float) -> float:
-    """Half-width of the default histogram box: 6 thermal widths."""
+    """Half-width of the L^p histogram box, 6 thermal widths: the record's
+    ``L2`` and ``Lp`` columns are taken on ``u +- thermal_extent(theta)``."""
     return 6.0 * math.sqrt(max(theta, np.finfo(float).tiny))
 
 
@@ -216,22 +220,6 @@ def box_edges(center: Array, extent: float, bins: int) -> tuple[Array, Array, Ar
 
 def _cell_volume(edges: Sequence[Array]) -> float:
     return float(np.prod([e[1] - e[0] for e in edges]))
-
-
-def _grid_edges(
-    velocities: Array,
-    bins: int,
-    extent: float | None,
-    center: Array | None,
-) -> tuple[Array, Array, Array]:
-    """Per-axis bin edges: ``center +- extent`` or +-6 thermal widths."""
-    vel = np.asarray(velocities, dtype=float)
-    if center is None:
-        center = vel.mean(axis=0)
-    if extent is None:
-        theta = float(np.sum((vel - vel.mean(axis=0)) ** 2) / (3.0 * vel.shape[0]))
-        extent = thermal_extent(theta)
-    return box_edges(center, extent, bins)
 
 
 def bin_counts(velocities: Array, edges: Sequence[Array]) -> Array:
@@ -274,34 +262,20 @@ class Histogram:
         return _cell_volume(self.edges)
 
 
-def histogram(
-    velocities: Array,
-    bins: int = 64,
-    extent: float | None = None,
-    center: Array | None = None,
-) -> Histogram:
+def histogram(velocities: Array, bins: int, extent: float, center: Array) -> Histogram:
     """Histogram of a sample on the cube ``center +- extent`` with ``bins``
-    cells per axis; by default the box is the sample mean +- 6 thermal
-    widths (:func:`thermal_extent`)."""
+    cells per axis."""
     vel = np.asarray(velocities, dtype=float)
-    edges = _grid_edges(vel, bins, extent, center)
+    edges = box_edges(center, extent, bins)
     counts = bin_counts(vel, edges)
     n = vel.shape[0]
     return Histogram(density=counts / (n * _cell_volume(edges)), edges=edges, n=n)
 
 
-def _as_histogram(
-    sample: Array | Histogram, bins: int, extent: float | None, center: Array | None
-) -> Histogram:
-    if isinstance(sample, Histogram):
-        return sample
-    return histogram(sample, bins=bins, extent=extent, center=center)
-
-
 def reference_on_cells(reference: Callable[[Array], Array], edges: Sequence[Array]) -> Array:
     """A reference density evaluated at the centres of the cells between
     ``edges``, shaped like a histogram on them: the array form of
-    ``reference`` that :func:`h_phi` accepts for every histogram on those
+    ``reference`` that :func:`h_phi` takes for every histogram on those
     cells."""
     centers = [0.5 * (e[1:] + e[:-1]) for e in edges]
     gx, gy, gz = np.meshgrid(*centers, indexing="ij")
@@ -309,45 +283,15 @@ def reference_on_cells(reference: Callable[[Array], Array], edges: Sequence[Arra
     return np.asarray(reference(pts), dtype=float).reshape(gx.shape)
 
 
-@dataclass(frozen=True)
-class LpEstimate:
-    """Histogram L^p estimate.
-
-    ``degenerate`` flags an empty histogram; ``concentrated`` flags more
-    than half of the mass inside a single cell (a point-mass-like sample
-    whose L^p estimate diverges with resolution).
-    """
-
-    p: float
-    value: float
-    degenerate: bool
-    concentrated: bool
-
-
-def lp_norm(
-    velocities: Array | Histogram,
-    p: float,
-    bins: int = 64,
-    extent: float | None = None,
-    center: Array | None = None,
-) -> LpEstimate:
-    """Histogram estimate of the L^p norm (sum f^p * cellvol)^(1/p), p > 1.
-
-    ``velocities`` is the sample, or a :class:`Histogram` of it, which is
-    then used as built (``bins``, ``extent`` and ``center`` are not read).
-    """
+def lp_norm(hist: Histogram, p: float) -> float:
+    """Histogram estimate of the L^p norm (sum f^p * cellvol)^(1/p), p > 1;
+    NaN for an empty histogram."""
     if not (p > 1.0 and math.isfinite(p)):
         raise ValueError(f"p must lie in (1, inf), got {p}")
-    hist = _as_histogram(velocities, bins, extent, center)
     density, vol = hist.density, hist.cell_volume
     if density.sum() * vol <= 0.0:
-        return LpEstimate(p=p, value=math.nan, degenerate=True, concentrated=False)
-    return LpEstimate(
-        p=p,
-        value=float(np.sum(density**p) * vol) ** (1.0 / p),
-        degenerate=False,
-        concentrated=float(density.max()) * vol > 0.5,
-    )
+        return math.nan
+    return float(np.sum(density**p) * vol) ** (1.0 / p)
 
 
 _PHI = {
@@ -361,24 +305,19 @@ _PHI = {
 
 
 def h_phi(
-    velocities: Array | Histogram,
-    reference: Callable[[Array], Array] | Array,
+    hist: Histogram,
+    reference: Array,
     phi: str = "quad",
-    bins: int = 64,
-    extent: float | None = None,
-    center: Array | None = None,
     bias_correct: bool = False,
 ) -> float:
     """Histogram estimate of the convex functional H_Phi(f | F).
 
     H = sum over cells of vol * F * Phi(fhat / F), with Phi either
-    (x - 1)^2 ("quad") or x log x - x + 1 ("ent").
-    ``velocities`` is the sample, or a :class:`Histogram` of it, which is
-    then used as built (``bins``, ``extent`` and ``center`` are not read).
-    ``reference`` is either a callable evaluated at cell centers or an array
-    of densities matching the histogram shape (:func:`reference_on_cells`).
-    Cells where fhat > 0 but the reference vanishes raise
-    SupportMismatchError.  Empty cells contribute vol * F * Phi(0).
+    (x - 1)^2 ("quad") or x log x - x + 1 ("ent").  ``reference`` holds the
+    reference density on the cells of ``hist``, shaped like its density
+    (:func:`reference_on_cells`).  Cells where fhat > 0 but the reference
+    vanishes raise SupportMismatchError.  Empty cells contribute
+    vol * F * Phi(0).
 
     ``bias_correct`` (quadratic Phi only) subtracts the plug-in estimate of
     the multinomial sampling bias  (1/N) sum fhat (1 - fhat vol) / F, whose
@@ -387,16 +326,12 @@ def h_phi(
     """
     if phi not in _PHI:
         raise ValueError(f"phi must be one of {sorted(_PHI)}, got {phi!r}")
-    hist = _as_histogram(velocities, bins, extent, center)
     density, vol = hist.density, hist.cell_volume
-    if callable(reference):
-        ref = reference_on_cells(reference, hist.edges)
-    else:
-        ref = np.asarray(reference, dtype=float)
-        if ref.shape != density.shape:
-            raise ValueError(
-                f"reference shape {ref.shape} does not match histogram {density.shape}"
-            )
+    ref = np.asarray(reference, dtype=float)
+    if ref.shape != density.shape:
+        raise ValueError(
+            f"reference shape {ref.shape} does not match histogram {density.shape}"
+        )
     if np.any((density > 0.0) & (ref <= 0.0)):
         n_bad = int(np.count_nonzero((density > 0.0) & (ref <= 0.0)))
         raise SupportMismatchError(
@@ -501,36 +436,27 @@ def _pair_distances(vel: Array, i: Array, j: Array) -> Array:
     return np.sqrt(total, out=total)
 
 
-def sigma_freq(
-    velocities: Array,
-    bath: BathParams | None,
-    tau: float,
-    rng: np.random.Generator | None = None,
-    max_pairs: int = DEFAULT_SIGMA_PAIRS,
-) -> float:
+def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
     """Ensemble mean of the total collision frequency Sigma(f)(v).
 
     Sigma(f)(v) = tau * (|.| convolved with f)(v) + nu(v).  The convolution
     term is the mean of |v_i - v_j| over all N^2 ordered pairs (i = j
-    included).  It is the exact double sum when N^2 <= ``max_pairs``, and
-    otherwise the mean over ``max_pairs`` independent uniform index pairs,
-    an unbiased estimate with standard error sd(|v - w|) / sqrt(max_pairs).
-    ``rng`` draws the pairs; without it they come from one fixed table per
-    (N, ``max_pairs``), the draws of ``default_rng(0)``, so every record of
-    a run averages over the same index pairs.  The nu term is the mean of
+    included).  It is the exact double sum when N^2 <= DEFAULT_SIGMA_PAIRS
+    (2^17), and otherwise the mean over DEFAULT_SIGMA_PAIRS uniform index
+    pairs, an unbiased estimate with standard error
+    sd(|v - w|) / sqrt(DEFAULT_SIGMA_PAIRS).  The pairs come from one fixed
+    table per N, the draws of ``default_rng(0)``, so every record of a run
+    averages over the same index pairs.  The nu term is the mean of
     :func:`~granular_bath.background.nu` over all N velocities.
     """
     vel = np.asarray(velocities, dtype=float)
     n = vel.shape[0]
     total = 0.0
     if tau > 0.0:
-        if n * n <= max_pairs:
+        if n * n <= DEFAULT_SIGMA_PAIRS:
             conv = float(np.mean(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
         else:
-            if rng is None:
-                i, j = _pair_table(n, max_pairs)
-            else:
-                i, j = rng.integers(0, n, size=(2, max_pairs))
+            i, j = _pair_table(n, DEFAULT_SIGMA_PAIRS)
             conv = float(np.mean(_pair_distances(vel, i, j)))
         total += tau * conv
     if bath is not None:

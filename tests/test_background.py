@@ -368,6 +368,29 @@ class TestNuVectorizedErf:
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
+class TestTabulatedNu:
+    def test_matches_the_broadcast_norm_form(self):
+        # A skewed, off-centre 14^3 table; points inside the table and far
+        # outside it, more than one 64-point block and a partial last one.
+        axes = (np.linspace(-3.0, 3.0, 14), np.linspace(-2.5, 3.5, 14), np.linspace(-3.0, 2.0, 14))
+        g = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        vals = np.exp(-0.5 * np.sum((g - [0.4, -0.3, 0.1]) ** 2 / [0.5, 1.0, 0.3], axis=-1))
+        vals *= 1.0 + 0.5 * np.tanh(g[..., 0])
+        table = TabulatedDensity(axes=axes, values=vals)
+        bath = BathParams(
+            m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.3, kind="tabulated", table=table,
+        )
+        rng = np.random.default_rng(29)
+        pts = np.concatenate([
+            rng.uniform(-2.5, 2.0, (150, 3)),
+            rng.standard_normal((50, 3)) * 20.0 + [5.0, -4.0, 3.0],
+        ])
+        got = nu(bath, pts)
+        dist = np.linalg.norm(pts[:, None, :] - table.nodes()[None, :, :], axis=-1)
+        want = (dist @ (table.values.ravel() * table.cell_volume)) / bath.lambda_
+        assert got.tobytes() == want.tobytes()
+
+
 class TestTableIO:
     def write_table(self, tmp_path, rows, header="vx,vy,vz,density"):
         path = tmp_path / "table.csv"

@@ -17,7 +17,6 @@ from granular_bath.carleman import (
     _kernel_safe,
     compare_dsmc,
     dense_matrix,
-    kernel,
     kernel_closed_form,
     kernel_quadrature,
     make_grid,
@@ -127,17 +126,6 @@ class TestKernelClosedForm:
         v = np.array([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             kernel_closed_form(v, v, rest, bath)
-
-    def test_dispatch(self):
-        bath = bath_at()
-        rest = rest_at(0.8, 1.0)
-        v = np.array([1.0, 0.0, 0.0])
-        w = np.array([0.0, 1.0, 0.0])
-        a = kernel(v, w, rest, bath, method="closed")
-        b = kernel(v, w, rest, bath, method="quadrature")
-        assert float(a) == pytest.approx(float(b), rel=1e-8)
-        with pytest.raises(ValueError):
-            kernel(v, w, rest, bath, method="series")
 
     def test_tabulated_bath_needs_quadrature(self):
         ax = np.linspace(-3.0, 3.0, 9)

@@ -2,6 +2,7 @@
 rates against closed forms, equilibrium stationarity, fault handling, and
 bitwise reproducibility."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from granular_bath import dsmc
 from granular_bath.background import BathParams, bath_density, nu
 from granular_bath.dsmc import (
     Ensemble,
+    MomentTrajectory,
     NumericalFault,
     ObserverConfig,
     SimConfig,
@@ -22,7 +24,16 @@ from granular_bath.dsmc import (
     step_q,
 )
 from granular_bath.kinematics import RestitutionParams, _sq_norm
-from granular_bath.observables import MomentRecord, h_phi, lp_norm, moments, read_records
+from granular_bath.observables import (
+    MomentRecord,
+    h_phi,
+    histogram,
+    lp_norm,
+    moments,
+    read_records,
+    reference_on_cells,
+    thermal_extent,
+)
 
 
 def bath_at(theta1=1.0, m1=1.0, lam=1.0, u1=(0.0, 0.0, 0.0)):
@@ -665,9 +676,11 @@ class TestFaults:
         assert "numerical fault: non-finite velocities or |v - c|^2 overflow at step 2," in err
 
     @pytest.mark.parametrize("tau", [0.0, 1.0])
-    def test_overflowing_initial_ensemble_is_a_time_step_error(self, tau):
-        # A velocity of 1e200 in the initial ensemble makes the first
-        # majorants infinite: the first step fails its time-step check.
+    def test_overflowing_initial_ensemble_is_rejected(self, tau):
+        # A velocity of 1e200 in the initial ensemble is finite, but its
+        # |v - c|^2 overflows: the run names the initial velocities before
+        # the first record, with no overflow warning on the way, and does
+        # not blame dt (TimeStepError is a ValueError too).
         rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
         init = gaussian_init(100, seed=90)
         init[5] = 1e200
@@ -675,8 +688,11 @@ class TestFaults:
             tau=tau, restitution=rest, bath=bath_at(), dt=0.01, t_end=0.5,
             n_particles=100, seed=91,
         )
-        with pytest.raises(TimeStepError, match="at step 1;"), np.errstate(over="ignore"):
-            run(config, init=init)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="initial velocities") as exc_info:
+                run(config, init=init)
+        assert type(exc_info.value) is ValueError
 
     def test_oversized_dt_is_rejected(self):
         rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
@@ -763,6 +779,29 @@ class TestDetectSteady:
         with pytest.raises(ValueError):
             detect_steady(self.synthetic_records(thetas), window=16, tol=0.05)
 
+    def test_rejects_windows_and_tolerances_that_cannot_detect(self):
+        # A pure ramp is never steady.  A window of 1 has no standard error
+        # and a window of 0 compares empty blocks; both, and a tolerance that
+        # is not positive, are refused, also when given explicitly for a
+        # trajectory (not replaced by its config's values).
+        records = self.synthetic_records(1.0 + np.arange(40.0))
+        traj = MomentTrajectory(
+            records=records,
+            config=SimConfig(
+                tau=1.0, restitution=RestitutionParams(epsilon=0.8, e=0.8, m1=1.0),
+                bath=None, dt=0.01, t_end=0.4, n_particles=100, seed=0,
+            ),
+        )
+        for source in (records, traj):
+            for window in (0, 1):
+                with pytest.raises(ValueError, match="window must be >= 2"):
+                    detect_steady(source, window=window, tol=0.05)
+            for tol in (0.0, -0.05):
+                with pytest.raises(ValueError, match="tol must be positive"):
+                    detect_steady(source, window=4, tol=tol)
+            assert not detect_steady(source, window=4, tol=0.05).steady
+        assert not detect_steady(traj).steady
+
 
 class TestCheckpoints:
     def test_round_trip_preserves_state_and_stream(self, tmp_path):
@@ -803,8 +842,11 @@ class TestRecordObservers:
         traj.to_csv(tmp_path / "trajectory.csv")
         last = read_records(tmp_path / "trajectory.csv")[-1]
         assert last.t == traj.final.t
-        assert last.l2 == lp_norm(traj.final.velocities, 2.0, bins=32).value
-        assert last.lp == lp_norm(traj.final.velocities, 1.5, bins=32).value
+        vel = traj.final.velocities
+        m = moments(vel)
+        hist = histogram(vel, 32, thermal_extent(m.theta), m.u)
+        assert last.l2 == lp_norm(hist, 2.0)
+        assert last.lp == lp_norm(hist, 1.5)
 
 
     def test_reference_evaluations_and_h_columns(self, monkeypatch):
@@ -837,11 +879,10 @@ class TestRecordObservers:
         assert len(traj.records) == len(samples) == 6
         assert len(calls) == 1
         for rec, vel in zip(traj.records, samples):
+            hist = histogram(vel, 16, 4.5, np.zeros(3))
+            cells = reference_on_cells(reference, hist.edges)
             for tag, value in (("quad", rec.h_quad), ("ent", rec.h_ent)):
-                one_shot = h_phi(
-                    vel, reference, phi=tag, bins=16, extent=4.5,
-                    center=np.zeros(3), bias_correct=tag == "quad",
-                )
+                one_shot = h_phi(hist, cells, phi=tag, bias_correct=tag == "quad")
                 assert value == one_shot
 
     @pytest.mark.parametrize(

@@ -21,9 +21,11 @@ from granular_bath.observables import (
     f_aux_stderr,
     h_phi,
     haff_fit,
+    histogram,
     lp_norm,
     moments,
     read_records,
+    reference_on_cells,
     sigma_freq,
     third_cumulant,
     write_records,
@@ -187,29 +189,30 @@ class TestNorms:
         L = 2.0
         vel = (rng.random((400_000, 3)) - 0.5) * L
         V = L**3
-        est = lp_norm(vel, p=1.5, bins=16, extent=L / 2, center=np.zeros(3))
-        assert est.value == pytest.approx(V ** (-1.0 / 3.0), rel=0.02)
-        assert not est.degenerate
-        assert not est.concentrated
+        est = lp_norm(histogram(vel, 16, L / 2, np.zeros(3)), p=1.5)
+        assert est == pytest.approx(V ** (-1.0 / 3.0), rel=0.02)
 
     def test_gaussian_l2(self):
         # ||N(0, Theta I)||_2 = (4 pi Theta)^(-3/4).
         theta = 1.0
         vel = np.random.default_rng(3).normal(size=(1_000_000, 3))
-        est = lp_norm(vel, p=2.0, bins=48, extent=6.0, center=np.zeros(3))
-        assert est.value == pytest.approx((4 * math.pi * theta) ** -0.75, rel=0.05)
-
-    def test_point_mass_is_flagged(self):
-        vel = np.zeros((1000, 3))
-        est = lp_norm(vel, p=2.0, bins=8, extent=1.0, center=np.zeros(3))
-        assert est.concentrated
+        est = lp_norm(histogram(vel, 48, 6.0, np.zeros(3)), p=2.0)
+        assert est == pytest.approx((4 * math.pi * theta) ** -0.75, rel=0.05)
 
     def test_rejects_bad_p(self):
         vel = np.random.default_rng(0).normal(size=(100, 3))
+        hist = histogram(vel, 8, 4.0, np.zeros(3))
         with pytest.raises(ValueError):
-            lp_norm(vel, p=1.0)
+            lp_norm(hist, p=1.0)
         with pytest.raises(ValueError):
-            lp_norm(vel, p=math.inf)
+            lp_norm(hist, p=math.inf)
+
+    def test_empty_histogram_is_nan(self):
+        # Every particle lies outside the box, so no cell holds any mass.
+        vel = np.random.default_rng(1).normal(size=(100, 3)) + np.array([50.0, 0.0, 0.0])
+        hist = histogram(vel, 8, 4.0, np.zeros(3))
+        assert not hist.density.any()
+        assert math.isnan(lp_norm(hist, p=2.0))
 
 
 class TestBinCounts:
@@ -260,24 +263,24 @@ class TestHPhi:
 
     def test_matched_sample_is_small(self):
         vel = np.random.default_rng(6).normal(size=(200_000, 3))
-        raw = h_phi(vel, self.gaussian_ref(1.0), phi="quad", bins=24, extent=5.0,
-                    center=np.zeros(3))
-        corrected = h_phi(vel, self.gaussian_ref(1.0), phi="quad", bins=24,
-                          extent=5.0, center=np.zeros(3), bias_correct=True)
+        hist = histogram(vel, 24, 5.0, np.zeros(3))
+        ref = reference_on_cells(self.gaussian_ref(1.0), hist.edges)
+        raw = h_phi(hist, ref, phi="quad")
+        corrected = h_phi(hist, ref, phi="quad", bias_correct=True)
         # Raw noise floor is about (occupied cells)/N; correction removes it.
         assert 0.0 <= raw < 0.15
         assert abs(corrected) < 0.2 * raw
 
     def test_mismatched_sample_is_large(self):
         vel = np.random.default_rng(7).normal(size=(200_000, 3)) * math.sqrt(2.0)
-        hot = h_phi(vel, self.gaussian_ref(1.0), phi="quad", bins=24, extent=6.0,
-                    center=np.zeros(3))
+        hist = histogram(vel, 24, 6.0, np.zeros(3))
+        hot = h_phi(hist, reference_on_cells(self.gaussian_ref(1.0), hist.edges), phi="quad")
         assert hot > 0.2
 
     def test_entropy_variant_nonnegative(self):
         vel = np.random.default_rng(8).normal(size=(100_000, 3))
-        val = h_phi(vel, self.gaussian_ref(1.0), phi="ent", bins=24, extent=5.0,
-                    center=np.zeros(3))
+        hist = histogram(vel, 24, 5.0, np.zeros(3))
+        val = h_phi(hist, reference_on_cells(self.gaussian_ref(1.0), hist.edges), phi="ent")
         assert val >= 0.0
 
     def test_support_mismatch_raises(self):
@@ -287,18 +290,21 @@ class TestHPhi:
             # Vanishes on the half-space where the sample lives.
             return np.where(pts[..., 0] < 0.0, 1.0, 0.0)
 
+        hist = histogram(vel, 16, 8.0, np.zeros(3))
         with pytest.raises(SupportMismatchError):
-            h_phi(vel, ref, bins=16, extent=8.0, center=np.zeros(3))
+            h_phi(hist, reference_on_cells(ref, hist.edges))
 
     def test_grid_reference_shape_check(self):
         vel = np.random.default_rng(10).normal(size=(1000, 3))
         with pytest.raises(ValueError):
-            h_phi(vel, np.ones((4, 4, 5)), bins=4, extent=5.0, center=np.zeros(3))
+            h_phi(histogram(vel, 4, 5.0, np.zeros(3)), np.ones((4, 4, 5)))
 
     def test_unknown_phi(self):
         vel = np.random.default_rng(11).normal(size=(100, 3))
-        with pytest.raises(ValueError):
-            h_phi(vel, self.gaussian_ref(1.0), phi="cubic")
+        hist = histogram(vel, 8, 5.0, np.zeros(3))
+        ref = reference_on_cells(self.gaussian_ref(1.0), hist.edges)
+        with pytest.raises(ValueError, match="phi must be one of"):
+            h_phi(hist, ref, phi="cubic")
 
 
 class TestHaffFit:
@@ -341,8 +347,7 @@ class TestSigmaFreq:
         rng = np.random.default_rng(12)
         vel = rng.normal(size=(20_000, 3))
         small = sigma_freq(vel[:5000], None, tau=1.0)
-        big = sigma_freq(vel, None, tau=1.0, rng=np.random.default_rng(0),
-                         max_pairs=4096)
+        big = sigma_freq(vel, None, tau=1.0)
         assert big == pytest.approx(small, rel=0.05)
 
     def test_sampled_pairs_within_four_standard_errors_of_exact_sum(self):
@@ -359,16 +364,17 @@ class TestSigmaFreq:
         assert abs(got - exact) <= 4.0 * se, (got, exact, se)
 
 
-def sigma_broadcast_form(vel, bath, tau, rng, max_pairs=DEFAULT_SIGMA_PAIRS):
-    """sigma_freq as whole gathered rows summed by einsum, the reference the
-    column-wise kernel must match bit for bit."""
+def sigma_broadcast_form(vel, bath, tau):
+    """sigma_freq as whole gathered rows summed by einsum over the pairs of
+    ``default_rng(0)``, the reference the column-wise kernel must match bit
+    for bit."""
     n = vel.shape[0]
     total = 0.0
     if tau > 0.0:
-        if n * n <= max_pairs:
+        if n * n <= DEFAULT_SIGMA_PAIRS:
             conv = float(np.mean(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
         else:
-            i, j = rng.integers(0, n, size=(2, max_pairs))
+            i, j = np.random.default_rng(0).integers(0, n, size=(2, DEFAULT_SIGMA_PAIRS))
             d = np.take(vel, i, axis=0) - np.take(vel, j, axis=0)
             conv = float(np.mean(np.sqrt(np.einsum("ij,ij->i", d, d))))
         total += tau * conv
@@ -391,17 +397,7 @@ class TestSigmaFreqBitwise:
                              ids=["no-bath", "bath"])
     def test_default_pairs(self, vel, bath):
         got = sigma_freq(vel, bath, tau=1.7)
-        want = sigma_broadcast_form(vel, bath, 1.7, np.random.default_rng(0))
-        assert got == want
-
-    def test_explicit_rng(self, vel):
-        got = sigma_freq(vel, None, tau=0.8, rng=np.random.default_rng(42))
-        want = sigma_broadcast_form(vel, None, 0.8, np.random.default_rng(42))
-        assert got == want
-
-    def test_small_pair_budget(self, vel):
-        got = sigma_freq(vel, None, tau=1.0, max_pairs=4096)
-        want = sigma_broadcast_form(vel, None, 1.0, np.random.default_rng(0), max_pairs=4096)
+        want = sigma_broadcast_form(vel, bath, 1.7)
         assert got == want
 
     def test_non_contiguous_velocities(self, vel):
