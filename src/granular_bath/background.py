@@ -505,9 +505,6 @@ def erf(x: Array) -> Array:
     return np.copysign(out, x.ravel()).reshape(x.shape)[()]
 
 
-_NU_CHUNK = 64  # points per block of a tabulated nu: a (64, nodes) buffer
-
-
 def nu(bath: BathParams, v: Array) -> Array:
     """Collision frequency nu(v) = E_{F1} |v - W| / lambda.
 
@@ -540,13 +537,18 @@ def nu(bath: BathParams, v: Array) -> Array:
         assert table is not None
         nodes = table.nodes()
         weights = table.values.ravel() * table.cell_volume
-        out = np.empty(pts.shape[0])
-        # 64 points at a time against all nodes; _sq_norm forms |v - W|^2 one
-        # component at a time, bitwise equal to the norm of the broadcast
-        # (chunk, nodes, 3) difference without allocating it.
-        for lo in range(0, pts.shape[0], _NU_CHUNK):
-            d = _sq_norm(pts[lo : lo + _NU_CHUNK, None, :], nodes)
-            out[lo : lo + _NU_CHUNK] = np.sqrt(d, out=d) @ weights
+        # _sq_norm forms |v - W|^2 one component at a time, bitwise equal to
+        # the norm of the broadcast (points, nodes, 3) difference without
+        # allocating it.  Blocks start at multiples of 64 points, so the
+        # product sums each row as one call over all points would; a lone
+        # last row joins the block before it, as a one-row product takes
+        # another path whose last bit can differ.
+        n = pts.shape[0]
+        starts = list(range(0, max(n - 1, 1), 64))
+        out = np.empty(n)
+        for lo, hi in zip(starts, starts[1:] + [n]):
+            d = _sq_norm(pts[lo:hi, None, :], nodes)
+            out[lo:hi] = np.sqrt(d, out=d) @ weights
         out /= bath.lambda_
     return float(out[0]) if scalar else out.reshape(v.shape[:-1])
 

@@ -207,8 +207,7 @@ def bound_params(restitution: RestitutionParams, bath: BathParams, f0: float) ->
 
 
 def thermal_extent(theta: float) -> float:
-    """Half-width of the L^p histogram box, 6 thermal widths: the record's
-    ``L2`` and ``Lp`` columns are taken on ``u +- thermal_extent(theta)``."""
+    """Half-width of the records' L^p histogram box about u: 6 thermal widths."""
     return 6.0 * math.sqrt(max(theta, np.finfo(float).tiny))
 
 

@@ -369,9 +369,11 @@ class TestNuVectorizedErf:
 
 
 class TestTabulatedNu:
-    def test_matches_the_broadcast_norm_form(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 65, 67, 129, 200])
+    def test_matches_the_broadcast_norm_form(self, n):
         # A skewed, off-centre 14^3 table; points inside the table and far
-        # outside it, more than one 64-point block and a partial last one.
+        # outside it, in one block or several, sizes that would leave one
+        # point alone in a block of 64 included.
         axes = (np.linspace(-3.0, 3.0, 14), np.linspace(-2.5, 3.5, 14), np.linspace(-3.0, 2.0, 14))
         g = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         vals = np.exp(-0.5 * np.sum((g - [0.4, -0.3, 0.1]) ** 2 / [0.5, 1.0, 0.3], axis=-1))
@@ -384,7 +386,7 @@ class TestTabulatedNu:
         pts = np.concatenate([
             rng.uniform(-2.5, 2.0, (150, 3)),
             rng.standard_normal((50, 3)) * 20.0 + [5.0, -4.0, 3.0],
-        ])
+        ])[rng.permutation(200)[:n]]
         got = nu(bath, pts)
         dist = np.linalg.norm(pts[:, None, :] - table.nodes()[None, :, :], axis=-1)
         want = (dist @ (table.values.ravel() * table.cell_volume)) / bath.lambda_
