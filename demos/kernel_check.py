@@ -57,7 +57,7 @@ def main() -> None:
     weights = ss.f * grid.cell_volume
     cells = rng.choice(grid.n_nodes, size=50_000, p=weights / weights.sum())
     sample = grid.nodes[cells].astype(float).copy()
-    report = compare_dsmc(sample, grid, dt=5e-3, n_reps=8, seed=20260817)
+    report = compare_dsmc(sample, grid, seed=20260817)
     print(f"   d Theta/dt: grid {report.theta_rate_grid:+.4f} vs particles "
           f"{report.theta_rate_dsmc:+.4f} +- {report.theta_rate_dsmc_se:.4f}")
     print(f"   d energy/dt: grid {report.energy_rate_grid:+.4f} vs "

@@ -28,6 +28,7 @@ from granular_bath.background import BathParams, trilinear
 from granular_bath.carleman import make_grid, steady_state, write_grid_csv
 from granular_bath.dsmc import ObserverConfig, SimConfig, run
 from granular_bath.kinematics import RestitutionParams
+from granular_bath.observables import box_edges, reference_on_cells
 
 
 def main() -> None:
@@ -62,12 +63,9 @@ def main() -> None:
         tau=0.0, restitution=rest, bath=bath, dt=0.01, t_end=5.0,
         n_particles=args.n_particles, seed=20260817,
     )
+    edges = box_edges(bath.u1, 0.9 * 8.0 * bath.sigma_th, 24)
     observers = ObserverConfig(
-        record_every=25,
-        h_reference=reference,
-        h_extent=0.9 * 8.0 * bath.sigma_th,
-        h_center=bath.u1,
-        h_bins=24,
+        record_every=25, h_reference=(edges, reference_on_cells(reference, edges)),
     )
     print(f"particle run from a 1.5x-hot start, N = {args.n_particles} ...")
     traj = run(config, observers=observers, init=hot)

@@ -55,14 +55,12 @@ class TabulatedDensity:
 
     ``values[i, j, k]`` is the density at ``(axes[0][i], axes[1][j],
     axes[2][k])``.  Values are renormalized on construction so that the
-    cell-sum mass is one; ``entropy`` stores the cell-sum of F log F (finite
-    by construction on a bounded grid, recorded so callers can report it).
+    cell-sum mass is one.
     """
 
     axes: tuple[Array, Array, Array]
     values: Array
     spacing: tuple[float, float, float] = field(init=False)
-    entropy: float = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.axes) != 3:
@@ -92,11 +90,8 @@ class TabulatedDensity:
         if mass <= 0.0:
             raise TableFormatError("tabulated density has zero total mass")
         values = values / mass
-        pos = values[values > 0.0]
-        entropy = float(np.sum(pos * np.log(pos)) * cell)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "spacing", tuple(spacing))
-        object.__setattr__(self, "entropy", entropy)
         if abs(mass - 1.0) > 1e-6:
             log.info("tabulated density renormalized: raw mass %.6g", mass)
 
@@ -335,37 +330,21 @@ def bath_density(bath: BathParams, points: Array) -> Array:
     return trilinear(table.axes, table.values, points)
 
 
-def abs_moment(bath: BathParams, k: float, center: Array | None = None) -> float:
-    """k-th absolute moment E_{F1} |W - center|^k (center defaults to u1).
+def abs_moment(bath: BathParams, k: float) -> float:
+    """k-th absolute moment E_{F1} |W - u1|^k about the bath mean.
 
-    Maxwellian about u1: the closed form s^k 2^{k/2} Gamma((3+k)/2) /
-    Gamma(3/2).  Maxwellian about another center: 1-D quadrature of the
-    noncentral radial density.  Tabulated: cell-midpoint sum.
+    Maxwellian: the closed form s^k 2^{k/2} Gamma((3+k)/2) / Gamma(3/2).
+    Tabulated: cell-midpoint sum.
     """
     if k < 0:
         raise ValueError(f"moment order k must be >= 0, got {k}")
     if bath.kind == "tabulated":
         table = bath.table
         assert table is not None
-        c = bath.u1 if center is None else np.asarray(center, dtype=float)
-        r = np.linalg.norm(table.nodes() - c, axis=1)
+        r = np.linalg.norm(table.nodes() - bath.u1, axis=1)
         return float((r**k) @ table.values.ravel() * table.cell_volume)
     s = bath.sigma_th
-    delta = 0.0 if center is None else float(np.linalg.norm(np.asarray(center) - bath.u1))
-    if delta == 0.0:
-        return s**k * 2.0 ** (k / 2.0) * math.gamma((3.0 + k) / 2.0) / math.gamma(1.5)
-    # Radial density of |W - center| when W ~ N(u1, s^2 I) and
-    # |center - u1| = delta:
-    # f_R(r) = r / (delta s sqrt(2 pi)) [exp(-(r-delta)^2/2s^2) - exp(-(r+delta)^2/2s^2)]
-    def integrand(r: float) -> float:
-        g = math.exp(-0.5 * ((r - delta) / s) ** 2) - math.exp(-0.5 * ((r + delta) / s) ** 2)
-        return r**k * r * g / (delta * s * math.sqrt(2.0 * math.pi))
-
-    from scipy.integrate import quad
-
-    upper = delta + 12.0 * s
-    value, _ = quad(integrand, 0.0, upper, limit=200)
-    return float(value)
+    return s**k * 2.0 ** (k / 2.0) * math.gamma((3.0 + k) / 2.0) / math.gamma(1.5)
 
 
 def c0(bath: BathParams) -> float:

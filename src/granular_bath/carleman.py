@@ -136,17 +136,16 @@ def kernel_quadrature(
     w: Array,
     restitution: RestitutionParams,
     bath: BathParams,
-    n_quad: int = 96,
-    span: float = 11.0,
 ) -> float:
     """Scattering kernel via direct 2-D quadrature of the planar integral.
 
     Independent oracle for :func:`kernel_closed_form` (and the fallback for
-    non-Maxwellian baths): tensor Gauss-Legendre quadrature of the bath
-    density over the plane through v + g (w - v) orthogonal to w - v,
-    centered on the in-plane projection of the bath mean and spanning
-    ``span`` thermal widths each way.
+    non-Maxwellian baths): tensor Gauss-Legendre quadrature, 96 nodes per
+    axis, of the bath density over the plane through v + g (w - v)
+    orthogonal to w - v, centered on the in-plane projection of the bath
+    mean and spanning 11 thermal widths each way.
     """
+    n_quad, span = 96, 11.0
     v = np.asarray(v, dtype=float).reshape(3)
     w = np.asarray(w, dtype=float).reshape(3)
     d = w - v
@@ -182,8 +181,9 @@ class KernelGrid:
     """Cube velocity grid carrying the discretized bath operator.
 
     Node coordinates are cell centers u1 + (i - (n-1)/2) h per axis with
-    h = 2 extent_sigma sqrt(Theta1/m1) / n; even n keeps nodes off the
-    symmetry planes.  The operator is stored as its octahedral orbit
+    h = 2 extent_sigma sqrt(Theta1/m1) / n, extent_sigma the half-width
+    :func:`make_grid` was given; even n keeps nodes off the symmetry
+    planes.  The operator is stored as its octahedral orbit
     reduction (``reduced``) and the renormalized diagonal (``diag``), which
     is what makes 48^3 steady-state iteration affordable; the full n^3 x n^3
     matrix is built only on request, by :func:`dense_matrix`.
@@ -192,7 +192,6 @@ class KernelGrid:
     restitution: RestitutionParams
     bath: BathParams
     n: int
-    extent_sigma: float
     axes: list[Array]
     nodes: Array
     h: float
@@ -431,8 +430,8 @@ def make_grid(
     _check_column_defect(defect, nu_rep)
     reduced[np.arange(n_orb), np.arange(n_orb)] += defect
     return KernelGrid(
-        restitution=restitution, bath=bath, n=n, extent_sigma=extent_sigma,
-        axes=axes, nodes=nodes, h=h, nu_vec=nu_vec, diag=(defect / h3)[orbit_index],
+        restitution=restitution, bath=bath, n=n, axes=axes, nodes=nodes, h=h,
+        nu_vec=nu_vec, diag=(defect / h3)[orbit_index],
         orbit_index=orbit_index, orbit_mult=orbit_mult, rep_index=rep_index,
         reduced=reduced,
     )
@@ -497,7 +496,8 @@ def steady_state(
     the octahedral-orbit subspace, on the reduced matrix (the steady state
     is symmetric).  Asymmetric initial data can be supplied explicitly to
     exercise uniqueness; that iterates on :func:`dense_matrix`, so it needs
-    a grid of at most 5000 nodes.
+    a grid of at most 5000 nodes.  Initial data that are not finite,
+    nonnegative node values with positive mass raise ValueError.
     """
     # The iterate g holds one value per orbit (weights: orbit sizes) or one
     # per node (weights 1, exact in every product below); ``nodes`` maps it
@@ -508,7 +508,8 @@ def steady_state(
         g = grid.maxwellian()[grid.rep_index]
     else:
         g = np.array(f0, dtype=float).reshape(-1)
-        if g.size != grid.n_nodes or np.any(g < 0.0) or g.sum() <= 0.0:
+        if (g.size != grid.n_nodes or not np.all(np.isfinite(g))
+                or np.any(g < 0.0) or g.sum() <= 0.0):
             raise ValueError("f0 must be nonnegative node values with positive mass")
         op, nu_g = dense_matrix(grid), grid.nu_vec
         weights, nodes = np.ones(grid.n_nodes), slice(None)
@@ -558,25 +559,22 @@ def _histogram_on_grid(grid: KernelGrid, velocities: Array) -> tuple[Array, floa
 def compare_dsmc(
     velocities: Array,
     grid: KernelGrid,
-    dt: float = 5e-3,
-    n_reps: int = 8,
-    n_bath_draws: int = 64,
     seed: int = 1234,
-    max_outside: float = 5e-3,
 ) -> CompareReport:
     """Compare the grid operator with direct simulation on the same sample.
 
-    The ensemble is histogrammed onto the grid (raising if more than
-    ``max_outside`` of the particles fall outside); the report contains the
-    L1 distance between apply_l(fhat) and a finite-difference estimate of
-    L f from two short bath sweeps, the temperature rate from both routes
-    (DSMC rate averaged over ``n_reps`` independent replicas with its
-    standard error), the fixed-center energy rate against the per-sample
-    analytic collision average, and the mass rates (exactly zero for DSMC;
+    The ensemble is histogrammed onto the grid (raising if more than 0.5% of
+    the particles fall outside); the report contains the L1 distance between
+    apply_l(fhat) and a finite-difference estimate of L f from bath sweeps
+    of dt = 5e-3, the temperature rate from both routes (DSMC rate averaged
+    over 8 independent replicas with its standard error), the fixed-center
+    energy rate against the per-sample analytic collision average (64 bath
+    draws per replica), and the mass rates (exactly zero for DSMC;
     machine-zero for the renormalized grid operator).
     """
     from .dsmc import _speeds, step_l  # avoid a module cycle
 
+    dt, n_reps, n_bath_draws, max_outside = 5e-3, 8, 64, 5e-3
     vel = np.asarray(velocities, dtype=float)
     n = vel.shape[0]
     f_hat, frac_out = _histogram_on_grid(grid, vel)

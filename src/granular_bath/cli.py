@@ -76,8 +76,10 @@ from .observables import (
     SupportMismatchError,
     _fmt,
     bound_params,
+    box_edges,
     f_aux_stderr,
     haff_fit,
+    reference_on_cells,
 )
 
 __all__ = [
@@ -96,6 +98,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 MODES = ("cooling", "linear", "full", "validate")
+
+_H_BINS = 32  # cells per axis of the linear-mode H box
 
 DEFAULTS: dict = {
     "tau": 1.0,
@@ -144,7 +148,6 @@ class ParsedConfig:
     record_every: int
     grid_nodes: int
     grid_extent: float
-    f1_table: str | None
     normalized: dict
 
 
@@ -227,7 +230,7 @@ def parse_config_dict(
     if mode == "validate":
         return ParsedConfig(
             mode=mode, sim=None, record_every=1, grid_nodes=0, grid_extent=0.0,
-            f1_table=None, normalized=normalized,
+            normalized=normalized,
         )
 
     tau = _as_float(merged, "tau", lo=0.0)
@@ -304,8 +307,7 @@ def parse_config_dict(
         normalized[key] = merged[key]
     return ParsedConfig(
         mode=mode, sim=sim, record_every=record_every,
-        grid_nodes=grid_nodes, grid_extent=grid_extent,
-        f1_table=merged.get("f1_table"), normalized=normalized,
+        grid_nodes=grid_nodes, grid_extent=grid_extent, normalized=normalized,
     )
 
 
@@ -430,9 +432,7 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    h_reference: Callable | None = None
-    h_extent = None
-    h_center = None
+    h_reference = None
     steady_grid = None
     grid = None
     if parsed.mode == "linear" and sim.bath is not None and sim.bath.kind == "maxwellian":
@@ -443,19 +443,16 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
         )
         steady_grid = steady_state(grid)
         write_grid_csv(out / "steady_f1.csv", grid, steady_grid.f)
-        h_reference = functools.partial(
-            trilinear, grid.axes, steady_grid.f.reshape((grid.n,) * 3)
-        )
-        h_extent = 0.9 * parsed.grid_extent * sim.bath.sigma_th
-        h_center = sim.bath.u1
+        # The H box: _H_BINS^3 cells over 90% of the grid's half-width.
+        edges = box_edges(sim.bath.u1, 0.9 * parsed.grid_extent * sim.bath.sigma_th, _H_BINS)
+        reference = functools.partial(trilinear, grid.axes, steady_grid.f.reshape((grid.n,) * 3))
+        h_reference = (edges, reference_on_cells(reference, edges))
 
     observers = ObserverConfig(
         record_every=parsed.record_every,
         compute_lp=True,
         compute_sigma=True,
         h_reference=h_reference,
-        h_extent=h_extent,
-        h_center=h_center,
     )
     try:
         traj = run(sim, observers=observers)

@@ -53,7 +53,7 @@ import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,13 +61,12 @@ from .background import BathParams, sample_partners
 from .kinematics import RestitutionParams, _sq_norm, collide_l_sigma, collide_q
 from .observables import (
     MomentRecord,
-    box_edges,
+    _histogram_on,
     f_aux,
     h_phi,
     histogram,
     lp_norm,
     moments,
-    reference_on_cells,
     sigma_freq,
     thermal_extent,
     write_records,
@@ -141,22 +140,16 @@ class SimConfig:
     t_end: float
     n_particles: int
     seed: int
-    steady_window: int = 16
-    steady_tol: float = 0.05
 
     def __post_init__(self) -> None:
         if self.tau < 0.0 or not math.isfinite(self.tau):
             raise ValueError(f"tau must be >= 0 and finite, got {self.tau}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.n_particles < 2:
             raise ValueError(f"need at least 2 particles, got {self.n_particles}")
-        if self.steady_window < 2:
-            raise ValueError(f"steady_window must be >= 2, got {self.steady_window}")
-        if self.steady_tol <= 0.0:
-            raise ValueError(f"steady_tol must be positive, got {self.steady_tol}")
 
 
 _LP_BINS = 32
@@ -171,26 +164,22 @@ class ObserverConfig:
     histogram of 32^3 cells, 6 thermal widths about the record's own mean.
     ``compute_sigma`` adds the mean collision frequency, whose convolution
     term is sampled from 2^17 velocity pairs once N^2 exceeds that.
-    ``h_reference``, a density callable on (M, 3) points, adds the
-    bias-corrected quadratic and the entropy H-functional on the fixed box
-    of ``h_bins``^3 cells spanning ``h_center +- h_extent``, both of which
-    it requires; the reference is evaluated once per run, at the centres of
-    those cells.
+    ``h_reference`` adds the bias-corrected quadratic and the entropy
+    H-functional on one fixed box.  It is the pair (edges, cells): the box's
+    per-axis cell edges (:func:`~granular_bath.observables.box_edges`) and
+    the reference density evaluated on those cells
+    (:func:`~granular_bath.observables.reference_on_cells`), so the
+    reference is evaluated once, not at every record.
     """
 
     record_every: int = 10
     compute_lp: bool = False
     compute_sigma: bool = False
-    h_reference: Callable[[Array], Array] | None = None
-    h_bins: int = 32
-    h_extent: float | None = None
-    h_center: Array | None = None
+    h_reference: tuple[tuple[Array, Array, Array], Array] | None = None
 
     def __post_init__(self) -> None:
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if self.h_reference is not None and (self.h_extent is None or self.h_center is None):
-            raise ValueError("h_reference needs the H box: set h_extent and h_center")
 
 
 @dataclass
@@ -406,13 +395,13 @@ def _make_record(
     t: float,
     config: SimConfig,
     obs: ObserverConfig,
-    h_cells: Array | None,
+    d2: Array,
 ) -> MomentRecord:
-    """The record of one sample; ``h_cells`` is ``obs.h_reference`` on the H box."""
+    """The record of one sample; ``d2`` is the run's |v - c|^2 cache."""
     rec = moments(velocities, t=t)
     extras: dict = {}
     if config.bath is not None:
-        extras["f_aux"] = f_aux(rec, config.bath, velocities=velocities)
+        extras["f_aux"] = f_aux(rec, config.bath, d2)
     if obs.compute_sigma:
         # Before the histograms, so that none is held while the pair arrays
         # of sigma_freq, the largest a record allocates, are alive.
@@ -424,8 +413,9 @@ def _make_record(
         )
         extras["l2"] = lp_norm(hist, 2.0)
         extras["lp"] = lp_norm(hist, 1.5)
-    if h_cells is not None:
-        hist = histogram(velocities, bins=obs.h_bins, extent=obs.h_extent, center=obs.h_center)
+    if obs.h_reference is not None:
+        edges, h_cells = obs.h_reference
+        hist = _histogram_on(velocities, edges)
         extras["h_quad"] = h_phi(hist, h_cells, phi="quad", bias_correct=True)
         extras["h_ent"] = h_phi(hist, h_cells, phi="ent")
     return dataclasses.replace(rec, **extras) if extras else rec
@@ -461,9 +451,10 @@ def run(
     initial mean (see the module docstring), read off a per-particle cache
     d2 = |v - c|^2.  Both sweeps receive it: they screen their candidates
     with it and write it at the rows they move, so it stays equal to
-    ``_sq_norm(velocities, c)``.  A step whose event probabilities reach 1
-    with them retries with q_max about the current mean; TimeStepError is
-    raised only if that fails too.  An initial ensemble whose |v - c|^2
+    ``_sq_norm(velocities, c)``; with a bath, c = u1 and each record's F
+    cross-checks its moments against the mean of the cache.  A step whose
+    event probabilities reach 1 with them retries with q_max about the
+    current mean; TimeStepError is raised only if that fails too.  An initial ensemble whose |v - c|^2
     overflows raises ValueError before the first record.  NumericalFault is
     raised at the step whose moved rows make the radius non-finite (a NaN or
     an |v - c|^2 overflow), or at the first record step that finds a
@@ -471,12 +462,6 @@ def run(
     directory.
     """
     obs = observers or ObserverConfig()
-    h_cells = None
-    if obs.h_reference is not None:
-        # Every record's H histogram has the same cells: evaluate the
-        # reference on them once, not once per record.
-        edges = box_edges(obs.h_center, obs.h_extent, obs.h_bins)
-        h_cells = reference_on_cells(obs.h_reference, edges)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     if init is None:
@@ -506,7 +491,7 @@ def run(
 
     n_steps = max(1, int(round((config.t_end - t0) / dt)))
     traj = MomentTrajectory(records=[], config=config)
-    traj.records.append(_make_record(vel, t0, config, obs, h_cells))
+    traj.records.append(_make_record(vel, t0, config, obs, d2))
 
     for step in range(1, n_steps + 1):
         q_max = 2.0 * radius if tau > 0.0 else 0.0
@@ -548,7 +533,7 @@ def run(
                 dump_path=path,
             )
         if record:
-            traj.records.append(_make_record(vel, t, config, obs, h_cells))
+            traj.records.append(_make_record(vel, t, config, obs, d2))
     traj.final = Ensemble(velocities=vel, t=t0 + n_steps * dt, seed=config.seed)
     return traj
 
@@ -565,8 +550,8 @@ class SteadyVerdict:
 
 def detect_steady(
     traj: MomentTrajectory | Sequence[MomentRecord],
-    window: int | None = None,
-    tol: float | None = None,
+    window: int = 16,
+    tol: float = 0.05,
     u1: Array | None = None,
 ) -> SteadyVerdict:
     """Scan for the earliest window where Theta, |u - u1| and Y2 stop drifting.
@@ -575,20 +560,16 @@ def detect_steady(
     is steady at the first block start where, for each tracked series, the
     block-mean drift is below ``tol`` relative to its natural scale AND below
     twice its Monte Carlo standard error.  The |u - u1| drift is scaled by
-    sqrt(Theta) (its own mean can legitimately sit at zero).  ``window`` and
-    ``tol`` default to the trajectory's config; as there, ``window`` must be
-    at least 2 (a standard error needs two records) and ``tol`` positive.
+    sqrt(Theta) (its own mean can legitimately sit at zero).  ``window``
+    must be at least 2 (a standard error needs two records) and ``tol``
+    positive.  ``u1`` defaults to the trajectory's bath mean, else 0.
     """
     if isinstance(traj, MomentTrajectory):
         records = traj.records
-        window = traj.config.steady_window if window is None else window
-        tol = traj.config.steady_tol if tol is None else tol
         if u1 is None and traj.config.bath is not None:
             u1 = traj.config.bath.u1
     else:
         records = list(traj)
-        if window is None or tol is None:
-            raise ValueError("window and tol are required for bare record lists")
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
     if not tol > 0.0:

@@ -299,18 +299,17 @@ def sphere_average_l(
     w: Array,
     params: RestitutionParams,
     order: int = 64,
-    form: str = "both",
     check_tol: float = 1e-6,
 ) -> float:
     """Sphere-averaged weak form of a gas-bath collision (tagged particle).
 
-    form="sigma": (1/4pi) * integral over sigma of psi(v*) - psi(v) with the
-    center-of-mass map.  form="n": (1/2pi) * integral over n of
+    The sigma form is (1/4pi) * integral over sigma of psi(v*) - psi(v) with
+    the center-of-mass map; the n form is (1/2pi) * integral over n of
     |qhat . n| (psi(v*) - psi(v)) with the impact-direction map.  The two
-    parametrizations represent the same average; the default form="both"
-    evaluates both quadratures, raises if they disagree beyond ``check_tol``
-    (relative to the larger magnitude, floored at 1), and returns the
-    sigma-form value.  For psi(x) = |x - u1|^2 the average equals
+    parametrizations represent the same average: both quadratures are
+    evaluated, a disagreement beyond ``check_tol`` (relative to the larger
+    magnitude, floored at 1) raises RuntimeError, and the sigma-form value
+    is returned.  For psi(x) = |x - u1|^2 the average equals
     2 kappa^2 |q|^2 - 2 kappa <q, v - u1>
     = -2 kappa (1 - kappa) |q|^2 - 2 kappa <q, w - u1>.
     """
@@ -320,28 +319,16 @@ def sphere_average_l(
     qn = float(np.linalg.norm(q))
     if qn == 0.0:
         return 0.0
-    if form not in ("sigma", "n", "both"):
-        raise ValueError(f"form must be 'sigma', 'n' or 'both', got {form!r}")
-    value_sigma = value_n = None
-    if form in ("sigma", "both"):
-        sig, wts = sphere_quadrature(order)
-        d = q - qn * sig
-        v_post = v - params.kappa * d
-        base = float(psi(v[None, :])[0])
-        value_sigma = float(np.dot(wts, psi(v_post) - base) / (4.0 * math.pi))
-    if form in ("n", "both"):
-        qhat = q / qn
-        # |qhat . n| has a kink at the equator: split the polar rule there.
-        n, wts = sphere_quadrature(order, axis=qhat, split_equator=True)
-        mu = n @ qhat
-        c = qn * mu  # q . n
-        v_post = v - 2.0 * params.kappa * c[:, None] * n
-        base = float(psi(v[None, :])[0])
-        value_n = float(np.dot(wts * np.abs(mu), psi(v_post) - base) / (2.0 * math.pi))
-    if form == "sigma":
-        return value_sigma
-    if form == "n":
-        return value_n
+    base = float(psi(v[None, :])[0])
+    sig, wts = sphere_quadrature(order)
+    v_post = v - params.kappa * (q - qn * sig)
+    value_sigma = float(np.dot(wts, psi(v_post) - base) / (4.0 * math.pi))
+    qhat = q / qn
+    # |qhat . n| has a kink at the equator: split the polar rule there.
+    n, wts = sphere_quadrature(order, axis=qhat, split_equator=True)
+    mu = n @ qhat
+    v_post = v - 2.0 * params.kappa * (qn * mu)[:, None] * n  # qn mu = q . n
+    value_n = float(np.dot(wts * np.abs(mu), psi(v_post) - base) / (2.0 * math.pi))
     scale = max(1.0, abs(value_sigma), abs(value_n))
     if abs(value_sigma - value_n) > check_tol * scale:
         raise RuntimeError(

@@ -157,23 +157,23 @@ def moments(velocities: Array, t: float = 0.0) -> MomentRecord:
     )
 
 
-def f_aux(record: MomentRecord, bath: BathParams, velocities: Array | None = None) -> float:
+def f_aux(record: MomentRecord, bath: BathParams, d2: Array) -> float:
     """The driven-temperature functional F = 3 Theta + |u - u1|^2 + 3 Theta1/m1.
 
-    When ``velocities`` is supplied, the direct empirical form
-    mean |v - u1|^2 + 3 Theta1/m1 is computed as well and the two routes must
-    agree within 1e-10 (they are algebraically identical; a mismatch means
-    the record does not belong to the sample).
+    ``d2`` holds |v - u1|^2 for each particle of the sample that ``record``
+    describes: the |v - c|^2 cache of :func:`~granular_bath.dsmc.run`, whose
+    centre is u1 when there is a bath.  The direct empirical form
+    mean(d2) + 3 Theta1/m1 must agree with the moment form within 1e-10
+    (they are algebraically identical), so a record that does not belong to
+    the sample, or a stale cache, raises RuntimeError.
     """
     shift = 3.0 * bath.theta1 / bath.m1
     value = 3.0 * record.theta + float(np.sum((record.u - bath.u1) ** 2)) + shift
-    if velocities is not None:
-        vel = np.asarray(velocities, dtype=float)
-        direct = float(np.mean(_sq_norm(vel, bath.u1))) + shift
-        if abs(direct - value) > 1e-10 * max(1.0, abs(value)):
-            raise RuntimeError(
-                f"moment and direct forms of F disagree: {value!r} vs {direct!r}"
-            )
+    direct = float(np.mean(d2)) + shift
+    if abs(direct - value) > 1e-10 * max(1.0, abs(value)):
+        raise RuntimeError(
+            f"moment and direct forms of F disagree: {value!r} vs {direct!r}"
+        )
     return value
 
 
@@ -264,8 +264,12 @@ class Histogram:
 def histogram(velocities: Array, bins: int, extent: float, center: Array) -> Histogram:
     """Histogram of a sample on the cube ``center +- extent`` with ``bins``
     cells per axis."""
+    return _histogram_on(velocities, box_edges(center, extent, bins))
+
+
+def _histogram_on(velocities: Array, edges: tuple[Array, Array, Array]) -> Histogram:
+    """Histogram of a sample on the cells between per-axis uniform ``edges``."""
     vel = np.asarray(velocities, dtype=float)
-    edges = box_edges(center, extent, bins)
     counts = bin_counts(vel, edges)
     n = vel.shape[0]
     return Histogram(density=counts / (n * _cell_volume(edges)), edges=edges, n=n)

@@ -28,8 +28,10 @@ from granular_bath.kinematics import (
 )
 from granular_bath.observables import (
     bound_params,
+    box_edges,
     f_aux_stderr,
     haff_fit,
+    reference_on_cells,
     third_cumulant,
 )
 
@@ -325,12 +327,9 @@ def test_criterion_09_h_theorem():
     hot = np.random.default_rng(1109).standard_normal((n, 3)) * math.sqrt(
         1.5 * ss.theta
     )
+    edges = box_edges(bath.u1, 0.9 * 8.0 * bath.sigma_th, 24)
     observers = ObserverConfig(
-        record_every=15,
-        h_reference=reference,
-        h_extent=0.9 * 8.0 * bath.sigma_th,
-        h_center=bath.u1,
-        h_bins=24,
+        record_every=15, h_reference=(edges, reference_on_cells(reference, edges)),
     )
     # The decay is resolvable down to the estimator's lattice-mismatch floor
     # (~2e-3 at this N and bin count); the run ends while the signal is still
@@ -365,7 +364,7 @@ def test_criterion_10_kernel_closed_form_vs_quadrature():
         v = bath.u1 + rng.standard_normal(3) * 2.0
         w = bath.u1 + rng.standard_normal(3) * 2.0
         closed = float(kernel_closed_form(v, w, rest, bath))
-        quad = kernel_quadrature(v, w, rest, bath, n_quad=96)
+        quad = kernel_quadrature(v, w, rest, bath)
         worst = max(worst, abs(closed - quad) / max(abs(closed), 1e-300))
     assert worst <= 1e-8, worst
     print(f"criterion 10 PASS  kernel closed form vs quadrature, worst rel {worst:.2e}")

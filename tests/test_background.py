@@ -210,14 +210,6 @@ class TestAbsoluteMoments:
             se = sample.std() / math.sqrt(n)
             assert abs_moment(bath, k) == pytest.approx(sample.mean(), abs=4 * se)
 
-    def test_off_center_equals_collision_frequency(self):
-        # E|W - c| about an arbitrary center is nu(c) * lambda.
-        bath = maxwell_bath(m1=2.0, theta1=0.5, lam=3.0, u1=(0.2, 0.1, 0.0))
-        for c in ([0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [5.0, 5.0, 5.0]):
-            c = np.array(c)
-            want = float(nu(bath, c)) * bath.lambda_
-            assert abs_moment(bath, 1.0, center=c) == pytest.approx(want, rel=1e-12)
-
 
 class TestC0:
     def test_maxwellian_value(self):

@@ -52,7 +52,7 @@ class TestKernelClosedForm:
                 v = bath.u1 + rng.normal(size=3) * 2.0
                 w = bath.u1 + rng.normal(size=3) * 2.0
                 closed = float(kernel_closed_form(v, w, rest, bath))
-                quad = kernel_quadrature(v, w, rest, bath, n_quad=96)
+                quad = kernel_quadrature(v, w, rest, bath)
                 scale = max(abs(closed), 1e-30)
                 assert abs(closed - quad) <= 1e-8 * scale
 
@@ -304,12 +304,41 @@ class TestSteadyState:
         with pytest.raises(ValueError):
             steady_state(grid12, f0=np.zeros(grid12.n_nodes))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_f0(self, grid12, bad):
+        # Refused before the first iteration, so no overflow or invalid
+        # value warning fires on the way.
+        f0 = np.ones(grid12.n_nodes)
+        f0[5] = bad
+        with pytest.raises(ValueError, match="f0 must be nonnegative node values"):
+            steady_state(grid12, f0=f0, max_iter=2000)
+
     def test_convergence_error_carries_last_iterate(self, grid12):
         with pytest.raises(ConvergenceError) as exc_info:
             steady_state(grid12, tol=1e-16, max_iter=2)
         err = exc_info.value
         assert err.last_iterate.shape == (grid12.n_nodes,)
         assert err.residual > 0.0
+
+
+class TestLinearClosedForm:
+    """The linear steady state in closed form: the gas Maxwellian at u1 with
+    temperature theta_lin = kappa theta1 / (m1 (1 - kappa)) (Martin &
+    Piasecki, Europhys. Lett. 46, 1999).  Gas particles have unit mass, so
+    its variance per axis is theta_lin."""
+
+    @pytest.mark.parametrize("m1", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("e", [0.7, 0.9])
+    def test_grid_steady_state_is_the_closed_form(self, e, m1):
+        bath = bath_at(theta1=1.3, m1=m1, u1=(0.3, -0.2, 0.5))
+        rest = rest_at(e, m1)
+        g = make_grid(rest, bath, n=32, extent_sigma=8.0)
+        ss = steady_state(g)
+        theta_lin = rest.kappa * bath.theta1 / (m1 * (1.0 - rest.kappa))
+        assert abs(ss.theta - theta_lin) <= 1e-6
+        gas = bath_at(theta1=theta_lin, m1=1.0, u1=bath.u1)
+        l1 = float(np.abs(ss.f - bath_density(gas, g.nodes)).sum()) * g.cell_volume
+        assert l1 <= 1e-6
 
 
 class TestGridCsv:
@@ -360,7 +389,7 @@ class TestCompareDsmc:
         g = make_grid(rest_at(1.0, 1.0), bath, n=16, extent_sigma=8.0)
         ss = steady_state(g, tol=1e-11)
         vel = self.node_sample(g, ss.f, 60_000, np.random.default_rng(307))
-        rep = compare_dsmc(vel, g, dt=5e-3, n_reps=8, seed=308)
+        rep = compare_dsmc(vel, g, seed=308)
         assert rep.outside_fraction <= 5e-3
         assert rep.mass_rate_dsmc == 0.0
         assert abs(rep.mass_rate_grid) <= 1e-12
@@ -378,7 +407,7 @@ class TestCompareDsmc:
         g = make_grid(rest_at(0.8, 1.0), bath, n=16, extent_sigma=8.0)
         ss = steady_state(g, tol=1e-11)
         vel = self.node_sample(g, ss.f, 60_000, np.random.default_rng(309))
-        rep = compare_dsmc(vel, g, dt=5e-3, n_reps=8, seed=310)
+        rep = compare_dsmc(vel, g, seed=310)
         assert abs(rep.theta_rate_grid) <= 0.05
         assert abs(rep.theta_rate_dsmc - rep.theta_rate_grid) <= (
             4.0 * rep.theta_rate_dsmc_se + self.THETA_SYSTEMATIC

@@ -26,6 +26,7 @@ from granular_bath.dsmc import (
 from granular_bath.kinematics import RestitutionParams, _sq_norm
 from granular_bath.observables import (
     MomentRecord,
+    box_edges,
     h_phi,
     histogram,
     lp_norm,
@@ -694,6 +695,20 @@ class TestFaults:
                 run(config, init=init)
         assert type(exc_info.value) is ValueError
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("dt", math.nan), ("dt", math.inf), ("t_end", math.nan), ("t_end", math.inf)],
+    )
+    def test_non_finite_dt_and_t_end_are_rejected(self, field, value):
+        # Each would fail later in run: a NaN step count cannot become an
+        # integer, t_end = inf overflows it, and dt = inf fails a step.
+        times = {"dt": 0.01, "t_end": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SimConfig(
+                tau=1.0, restitution=RestitutionParams(epsilon=0.8, e=0.8, m1=1.0),
+                bath=bath_at(), n_particles=100, seed=0, **times,
+            )
+
     def test_oversized_dt_is_rejected(self):
         rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
         bath = bath_at(theta1=100.0)  # hot bath -> large nu_max
@@ -851,8 +866,8 @@ class TestRecordObservers:
 
     def test_reference_evaluations_and_h_columns(self, monkeypatch):
         # The H box has the same cells at every record, so the reference is
-        # evaluated once per run, and each record's H values equal a one-shot
-        # h_phi on that record's sample.
+        # evaluated once, by the caller, and each record's H values equal a
+        # one-shot h_phi on that record's sample.
         bath = bath_at(theta1=0.8)
         calls = []
 
@@ -868,8 +883,9 @@ class TestRecordObservers:
             return make_record(velocities, *args)
 
         monkeypatch.setattr(dsmc, "_make_record", recording)
+        edges = box_edges(np.zeros(3), 4.5, 16)
         observers = ObserverConfig(
-            record_every=4, h_reference=reference, h_bins=16, h_extent=4.5, h_center=np.zeros(3)
+            record_every=4, h_reference=(edges, reference_on_cells(reference, edges))
         )
         config = SimConfig(
             tau=0.0, restitution=RestitutionParams(epsilon=1.0, e=0.8, m1=1.0),
@@ -884,14 +900,6 @@ class TestRecordObservers:
             for tag, value in (("quad", rec.h_quad), ("ent", rec.h_ent)):
                 one_shot = h_phi(hist, cells, phi=tag, bias_correct=tag == "quad")
                 assert value == one_shot
-
-    @pytest.mark.parametrize(
-        "box", [{}, {"h_extent": 4.5}, {"h_center": np.zeros(3)}],
-        ids=["no-box", "extent-only", "center-only"],
-    )
-    def test_reference_needs_the_h_box(self, box):
-        with pytest.raises(ValueError, match="h_extent and h_center"):
-            ObserverConfig(h_reference=lambda pts: np.ones(len(pts)), **box)
 
 
 class TestReproducibility:

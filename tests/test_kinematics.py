@@ -260,7 +260,7 @@ class TestSphereAverages:
             assert abs(got - want) <= 1e-8 * scale
 
     def test_form_agreement_is_enforced(self):
-        # form="both" cross-checks the sigma- and n-parametrizations; a
+        # Every call cross-checks the sigma- and n-parametrizations; a
         # crafted non-rotation-invariant psi still passes because the two
         # parametrizations represent the same scattering average.
         params = PARAM_SETS[3]
@@ -268,7 +268,7 @@ class TestSphereAverages:
         w = np.array([-0.5, 0.1, 0.8])
         val = sphere_average_l(
             lambda x: x[..., 0] ** 3 + np.sum(x * x, axis=-1), v, w, params,
-            order=64, form="both", check_tol=1e-6,
+            order=64, check_tol=1e-6,
         )
         assert math.isfinite(val)
 

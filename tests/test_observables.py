@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from granular_bath.background import BathParams, nu
-from granular_bath.kinematics import RestitutionParams
+from granular_bath.kinematics import RestitutionParams, _sq_norm
 from granular_bath.observables import (
     DEFAULT_SIGMA_PAIRS,
     DegenerateParameterError,
@@ -108,14 +108,15 @@ class TestAuxFunctional:
         )
         bath = bath_at()
         rec = moments(corners)
-        assert f_aux(rec, bath, velocities=corners) == pytest.approx(6.0, rel=1e-12)
+        assert f_aux(rec, bath, _sq_norm(corners, bath.u1)) == pytest.approx(6.0, rel=1e-12)
 
     def test_two_routes_agree(self):
         vel = np.random.default_rng(4).normal(size=(5000, 3)) + np.array([0.5, 0, 0])
         bath = bath_at(theta1=0.7, m1=2.0, u1=(0.1, -0.2, 0.3))
         rec = moments(vel)
-        via_moments = f_aux(rec, bath)
-        via_sample = f_aux(rec, bath, velocities=vel)
+        d2 = _sq_norm(vel, bath.u1)
+        via_moments = f_aux(rec, bath, d2)
+        via_sample = float(np.mean(d2)) + 3.0 * bath.theta1 / bath.m1
         assert via_moments == pytest.approx(via_sample, rel=1e-12)
 
     def test_mismatched_sample_is_rejected(self):
@@ -123,7 +124,20 @@ class TestAuxFunctional:
         bath = bath_at()
         rec = moments(vel)
         with pytest.raises(RuntimeError):
-            f_aux(rec, bath, velocities=vel + 1.0)
+            f_aux(rec, bath, _sq_norm(vel + 1.0, bath.u1))
+
+    def test_stale_cache_is_rejected(self):
+        # A sweep that moves one row and does not write the cache leaves
+        # d2 stale; F of the moved sample no longer matches mean(d2).
+        vel = np.random.default_rng(5).normal(size=(2000, 3))
+        bath = bath_at(u1=(0.2, 0.0, -0.1))
+        d2 = _sq_norm(vel, bath.u1)
+        vel[7] *= 0.5
+        rec = moments(vel)
+        with pytest.raises(RuntimeError, match="moment and direct forms of F disagree"):
+            f_aux(rec, bath, d2)
+        d2[7] = _sq_norm(vel[7], bath.u1)
+        assert f_aux(rec, bath, d2) == pytest.approx(float(np.mean(d2)) + 3.0, rel=1e-12)
 
     def test_stderr_matches_resampling(self):
         bath = bath_at()
@@ -132,7 +146,7 @@ class TestAuxFunctional:
         values = []
         for _ in range(300):
             vel = rng.normal(size=(n, 3)) * math.sqrt(theta)
-            values.append(f_aux(moments(vel), bath))
+            values.append(f_aux(moments(vel), bath, _sq_norm(vel, bath.u1)))
         predicted = f_aux_stderr(moments(vel), bath, n)
         observed = float(np.std(values))
         assert predicted == pytest.approx(observed, rel=0.25)
@@ -447,10 +461,12 @@ class TestRecordIO:
         bath = bath_at(theta1=0.5, m1=2.0)
         recs = []
         for i in range(3):
-            rec = moments(vel * (1 + 0.1 * i), t=0.5 * i)
+            scaled = vel * (1 + 0.1 * i)
+            rec = moments(scaled, t=0.5 * i)
             recs.append(
                 dataclasses.replace(
-                    rec, f_aux=f_aux(rec, bath), l2=0.1 + i, lp=0.2 + i,
+                    rec, f_aux=f_aux(rec, bath, _sq_norm(scaled, bath.u1)),
+                    l2=0.1 + i, lp=0.2 + i,
                     h_quad=0.01 * i, h_ent=0.02 * i, sigma_mean=1.5 + i,
                 )
             )
