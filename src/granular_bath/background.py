@@ -484,6 +484,13 @@ def erf(x: Array) -> Array:
     return np.copysign(out, x.ravel()).reshape(x.shape)[()]
 
 
+# Points per block of the Maxwellian closed form: each temporary is 256 KB,
+# and the ~9 alive at once fill about one core's L2 cache (2 MB).  erf's
+# branch dispatch has a fixed cost per call of about a tenth of such a
+# block's work, so much smaller blocks pay it too often.
+_NU_BLOCK = 1 << 15
+
+
 def nu(bath: BathParams, v: Array) -> Array:
     """Collision frequency nu(v) = E_{F1} |v - W| / lambda.
 
@@ -498,19 +505,25 @@ def nu(bath: BathParams, v: Array) -> Array:
     """
     v = np.asarray(v, dtype=float)
     scalar = v.ndim == 1
-    pts = np.atleast_2d(v)
+    pts = v.reshape(-1, v.shape[-1])
+    n = pts.shape[0]
+    out = np.empty(n)
     if bath.kind == "maxwellian":
+        # Elementwise, so blocks of _NU_BLOCK points give the values of one
+        # pass over all points.  erf runs first, while the fewest block
+        # temporaries are alive.
         s = bath.sigma_th
-        rho = np.sqrt(_sq_norm(pts, bath.u1)) / s
-        small = rho < 1e-4
-        rho_safe = np.where(small, 1.0, rho)
-        g = (
-            math.sqrt(2.0 / math.pi) * np.exp(-0.5 * rho**2)
-            + (rho_safe + 1.0 / rho_safe) * erf(rho_safe / math.sqrt(2.0))
-        )
-        r = rho[small]
-        g[small] = math.sqrt(2.0 / math.pi) * (2.0 + r**2 / 3.0 - r**4 / 60.0)
-        out = s * g / bath.lambda_
+        for lo in range(0, n, _NU_BLOCK):
+            rho = np.sqrt(_sq_norm(pts[lo : lo + _NU_BLOCK], bath.u1)) / s
+            small = rho < 1e-4
+            r = rho[small]
+            rho[small] = 1.0  # these take the series below
+            g = (
+                erf(rho / math.sqrt(2.0)) * (rho + 1.0 / rho)
+                + math.sqrt(2.0 / math.pi) * np.exp(-0.5 * rho**2)
+            )
+            g[small] = math.sqrt(2.0 / math.pi) * (2.0 + r**2 / 3.0 - r**4 / 60.0)
+            out[lo : lo + _NU_BLOCK] = s * g / bath.lambda_
     else:
         table = bath.table
         assert table is not None
@@ -522,9 +535,7 @@ def nu(bath: BathParams, v: Array) -> Array:
         # product sums each row as one call over all points would; a lone
         # last row joins the block before it, as a one-row product takes
         # another path whose last bit can differ.
-        n = pts.shape[0]
         starts = list(range(0, max(n - 1, 1), 64))
-        out = np.empty(n)
         for lo, hi in zip(starts, starts[1:] + [n]):
             d = _sq_norm(pts[lo:hi, None, :], nodes)
             out[lo:hi] = np.sqrt(d, out=d) @ weights

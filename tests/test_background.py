@@ -1,6 +1,7 @@
 """Bath-model oracles: sampling statistics, closed-form absolute moments,
 collision-frequency closed form vs Monte Carlo, and table I/O."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from granular_bath.background import (
     sample_partners,
     trilinear,
 )
+from granular_bath.kinematics import _sq_norm
 
 # E|W - u1|^k for W ~ N(u1, s^2 I3) equals s^k 2^(k/2) Gamma((3+k)/2)/Gamma(3/2):
 #   k=1 -> 2 sqrt(2/pi) s, k=2 -> 3 s^2, k=3 -> (16/sqrt(2 pi)) s^3.
@@ -358,6 +360,55 @@ class TestNuVectorizedErf:
         got = nu(bath, pts)
         want = nu_math_erf_form(bath, pts)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+class TestBlockedNu:
+    @staticmethod
+    def one_call_form(bath, v):
+        """The Maxwellian closed form over all points in one pass."""
+        s = bath.sigma_th
+        rho = np.sqrt(_sq_norm(v, bath.u1)) / s
+        small = rho < 1e-4
+        rho_safe = np.where(small, 1.0, rho)
+        g = (
+            math.sqrt(2.0 / math.pi) * np.exp(-0.5 * rho**2)
+            + (rho_safe + 1.0 / rho_safe) * erf(rho_safe / math.sqrt(2.0))
+        )
+        r = rho[small]
+        g[small] = math.sqrt(2.0 / math.pi) * (2.0 + r**2 / 3.0 - r**4 / 60.0)
+        return s * g / bath.lambda_
+
+    @pytest.mark.parametrize("n", [1, 32_767, 32_768, 32_769, 200_001])
+    def test_matches_the_one_call_form(self, n):
+        # Sizes below, at and just past one block of 2^15 points, and many
+        # blocks with a short tail; points on both sides of the series
+        # switch.
+        bath = maxwell_bath(m1=0.6, theta1=1.7, lam=1.3, u1=(0.7, -0.4, 0.25))
+        rng = np.random.default_rng(31)
+        pts = bath.u1 + rng.standard_normal((n, 3)) * 2.0 * bath.sigma_th
+        pts[: min(n, 4)] = bath.u1 + np.array([1e-6, 0.0, 0.0])
+        assert nu(bath, pts).tobytes() == self.one_call_form(bath, pts).tobytes()
+
+    def test_keeps_leading_axes(self):
+        bath = maxwell_bath(theta1=0.7, lam=1.3)
+        pts = np.random.default_rng(37).normal(size=(4, 5, 3))
+        got = nu(bath, pts)
+        assert got.shape == (4, 5)
+        assert got.tobytes() == nu(bath, pts.reshape(-1, 3)).reshape(4, 5).tobytes()
+
+    def test_traced_peak_stays_in_blocks(self):
+        # numpy reports its buffers to tracemalloc, so the count repeats
+        # exactly: the 1.5 MiB output and one block's temporaries.
+        bath = maxwell_bath()
+        pts = np.random.default_rng(41).standard_normal((200_000, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            nu(bath, pts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestTabulatedNu:

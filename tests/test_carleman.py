@@ -7,6 +7,7 @@ reproduce the collision frequency nu exactly (spherical product quadrature
 around the pre-collision velocity).
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from granular_bath.background import BathParams, TabulatedDensity, bath_density,
 from granular_bath.carleman import (
     ConvergenceError,
     _kernel_safe,
+    _orbit_decomposition,
     compare_dsmc,
     dense_matrix,
     kernel_closed_form,
@@ -242,6 +244,24 @@ class TestGridAssembly:
         with pytest.raises(ValueError):
             make_grid(rest_at(0.8, 1.0), bath_at(), n=3)
 
+    @pytest.mark.parametrize("extent", [-8.0, math.nan, 0.0, math.inf])
+    def test_rejects_bad_extent(self, extent):
+        # Refused before any node is placed, so no divide-by-zero or
+        # invalid-value warning fires on the way.
+        with pytest.raises(ValueError, match="extent_sigma"):
+            make_grid(rest_at(0.8, 1.0), bath_at(), n=8, extent_sigma=extent)
+
+    def test_traced_peak_of_the_default_grid(self):
+        # numpy reports its buffers to tracemalloc, so the count repeats
+        # exactly.  One block of rows is 2 MB; the reduced matrix is 5.3 MB.
+        tracemalloc.start()
+        try:
+            make_grid(rest_at(0.8, 1.0), bath_at(), n=32, extent_sigma=8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
+
     def test_rejects_tabulated_bath(self):
         ax = np.linspace(-2.0, 2.0, 5)
         bath = BathParams(
@@ -251,6 +271,32 @@ class TestGridAssembly:
         )
         with pytest.raises(ValueError):
             make_grid(rest_at(0.8, 1.0), bath, n=8)
+
+
+def sorted_triple_orbits(n):
+    """Orbits by sorting each node's |offset| triple and a 2-D unique: the
+    construction the one-key-per-node form replaced."""
+    offsets2 = 2 * np.arange(n) - (n - 1)
+    gx, gy, gz = np.meshgrid(offsets2, offsets2, offsets2, indexing="ij")
+    triples = np.stack([np.abs(gx.ravel()), np.abs(gy.ravel()), np.abs(gz.ravel())], axis=1)
+    triples.sort(axis=1)
+    _, orbit_index, orbit_mult = np.unique(
+        triples, axis=0, return_inverse=True, return_counts=True
+    )
+    orbit_index = orbit_index.reshape(-1)
+    seen_order = np.argsort(orbit_index, kind="stable")
+    first = np.searchsorted(orbit_index[seen_order], np.arange(orbit_mult.size))
+    return orbit_index, orbit_mult, seen_order[first]
+
+
+class TestOrbitDecomposition:
+    @pytest.mark.parametrize("n", [*range(4, 14), 32])
+    def test_matches_the_sorted_triple_construction(self, n):
+        got = _orbit_decomposition(n)
+        want = sorted_triple_orbits(n)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
 
 
 class TestSteadyState:
@@ -312,6 +358,17 @@ class TestSteadyState:
         f0[5] = bad
         with pytest.raises(ValueError, match="f0 must be nonnegative node values"):
             steady_state(grid12, f0=f0, max_iter=2000)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iter": 0}, {"max_iter": -3},
+        {"tol": math.nan}, {"tol": -1.0}, {"tol": 0.0}, {"tol": math.inf},
+    ])
+    def test_rejects_bad_loop_settings(self, grid12, kwargs):
+        # With no iteration there is no residual to report, and a tol that
+        # no residual can meet would end in a ConvergenceError.
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=name):
+            steady_state(grid12, **kwargs)
 
     def test_convergence_error_carries_last_iterate(self, grid12):
         with pytest.raises(ConvergenceError) as exc_info:
