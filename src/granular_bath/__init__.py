@@ -18,7 +18,7 @@ from .carleman import (
     make_grid,
     steady_state,
 )
-from .dsmc import Ensemble, SimConfig, detect_steady, load_checkpoint, run, save_checkpoint
+from .dsmc import Ensemble, SimConfig, detect_steady, run
 from .kinematics import (
     RestitutionParams,
     VelocityPair,
@@ -47,9 +47,7 @@ __all__ = [
     "Ensemble",
     "SimConfig",
     "detect_steady",
-    "load_checkpoint",
     "run",
-    "save_checkpoint",
     "RestitutionParams",
     "VelocityPair",
     "collide_l_n",

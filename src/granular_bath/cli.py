@@ -48,16 +48,13 @@ from .carleman import (
     write_grid_csv,
 )
 from .dsmc import (
-    Ensemble,
     MomentTrajectory,
     NumericalFault,
     ObserverConfig,
     SimConfig,
     TimeStepError,
     detect_steady,
-    load_checkpoint,
     run,
-    save_checkpoint,
     step_l,
     step_q,
 )
@@ -434,7 +431,6 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
 
     h_reference = None
     steady_grid = None
-    grid = None
     if parsed.mode == "linear" and sim.bath is not None and sim.bath.kind == "maxwellian":
         log.info("building %d^3 kernel grid", parsed.grid_nodes)
         grid = make_grid(
@@ -447,6 +443,9 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
         edges = box_edges(sim.bath.u1, 0.9 * parsed.grid_extent * sim.bath.sigma_th, _H_BINS)
         reference = functools.partial(trilinear, grid.axes, steady_grid.f.reshape((grid.n,) * 3))
         h_reference = (edges, reference_on_cells(reference, edges))
+        # Only steady_grid is read from here on: free the grid's reduced
+        # matrix and node arrays before the particle run allocates.
+        del grid, reference
 
     observers = ObserverConfig(
         record_every=parsed.record_every,
@@ -666,19 +665,6 @@ def _check_elastic_fixed_point(rng: np.random.Generator) -> None:
     assert np.max(np.abs(res)) <= 1e-10 * scale, np.max(np.abs(res))
 
 
-def _check_checkpoint_roundtrip(rng: np.random.Generator) -> None:
-    import tempfile
-
-    ens = Ensemble(velocities=rng.standard_normal((64, 3)), t=1.25, seed=99)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "state.ckpt"
-        save_checkpoint(path, ens, rng)
-        restored, rng2 = load_checkpoint(path)
-        assert restored.velocities.tobytes() == ens.velocities.tobytes()
-        assert restored.t == ens.t and restored.seed == ens.seed
-        assert rng2.random() == rng.random()
-
-
 def _check_run_reproducibility(rng: np.random.Generator) -> None:
     params = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
     bath = BathParams(m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0)
@@ -742,7 +728,6 @@ _VALIDATION_CHECKS: list[tuple[str, Callable[[np.random.Generator], None]]] = [
     ("scattering kernel vs planar quadrature", _check_kernel_oracle),
     ("grid operator conserves mass", _check_grid_mass_conservation),
     ("elastic grid fixed point", _check_elastic_fixed_point),
-    ("checkpoint round-trip", _check_checkpoint_roundtrip),
     ("run reproducibility", _check_run_reproducibility),
     ("sweeps with the |v - c|^2 cache equal the sweeps without it", _check_sweep_cache),
 ]

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,15 +83,9 @@ __all__ = [
     "step_l",
     "run",
     "detect_steady",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 Array = np.ndarray
-
-CHECKPOINT_MAGIC = b"GBDS"
-CHECKPOINT_VERSION = 1
-_NO_SEED = 0xFFFFFFFFFFFFFFFF
 
 
 class NumericalFault(RuntimeError):
@@ -109,11 +102,10 @@ class TimeStepError(ValueError):
 
 @dataclass
 class Ensemble:
-    """Equal-weight particle ensemble: velocities (N, 3), time, seed record."""
+    """Equal-weight particle ensemble: velocities (N, 3) and time."""
 
     velocities: Array
     t: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         self.velocities = np.ascontiguousarray(self.velocities, dtype=float)
@@ -444,8 +436,8 @@ def run(
 
     ``init=None`` draws a standard-normal ensemble (Theta = 1, u = 0) from
     the run's seed; an Ensemble resumes from its stored time (pass the
-    checkpointed generator as ``rng`` to continue its stream).  Runs with the
-    same (config, seed) are bit-reproducible.
+    generator that evolved it as ``rng`` to continue its stream).  Runs with
+    the same (config, seed) are bit-reproducible.
 
     The majorants of each step are radii about one centre c, u1 or the
     initial mean (see the module docstring), read off a per-particle cache
@@ -473,7 +465,7 @@ def run(
     else:
         vel = np.array(init, dtype=float)
         t0 = 0.0
-    ens = Ensemble(velocities=vel, t=t0, seed=config.seed)
+    ens = Ensemble(velocities=vel, t=t0)
     vel = ens.velocities
 
     bath = config.bath
@@ -534,7 +526,7 @@ def run(
             )
         if record:
             traj.records.append(_make_record(vel, t, config, obs, d2))
-    traj.final = Ensemble(velocities=vel, t=t0 + n_steps * dt, seed=config.seed)
+    traj.final = Ensemble(velocities=vel, t=t0 + n_steps * dt)
     return traj
 
 
@@ -605,59 +597,3 @@ def detect_steady(
         if ok:
             return SteadyVerdict(True, records[start].t, start, drifts)
     return SteadyVerdict(False, None, None, last_drifts)
-
-
-def save_checkpoint(path: str | Path, ens: Ensemble, rng: np.random.Generator) -> None:
-    """Write a binary checkpoint: magic GBDS, version, N, t, seed state, velocities."""
-    state = rng.bit_generator.state
-    if state.get("bit_generator") != "PCG64":
-        raise ValueError("checkpointing supports the PCG64 bit generator only")
-    s = state["state"]["state"]
-    inc = state["state"]["inc"]
-    mask = (1 << 64) - 1
-    seed = ens.seed if ens.seed is not None else _NO_SEED
-    header = struct.pack(
-        "<4sIQdQQQQQII",
-        CHECKPOINT_MAGIC,
-        CHECKPOINT_VERSION,
-        ens.n_particles,
-        ens.t,
-        seed,
-        s & mask,
-        (s >> 64) & mask,
-        inc & mask,
-        (inc >> 64) & mask,
-        int(state["has_uint32"]),
-        int(state["uinteger"]),
-    )
-    with Path(path).open("wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(ens.velocities, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path: str | Path) -> tuple[Ensemble, np.random.Generator]:
-    """Read a checkpoint back into an ensemble and its reconstructed generator."""
-    raw = Path(path).read_bytes()
-    head_size = struct.calcsize("<4sIQdQQQQQII")
-    if len(raw) < head_size:
-        raise ValueError(f"{path}: truncated checkpoint")
-    (magic, version, n, t, seed, s_lo, s_hi, inc_lo, inc_hi, has_u32, uint) = struct.unpack(
-        "<4sIQdQQQQQII", raw[:head_size]
-    )
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    body = np.frombuffer(raw[head_size:], dtype="<f8")
-    if body.size != 3 * n:
-        raise ValueError(f"{path}: expected {3 * n} doubles, found {body.size}")
-    vel = body.reshape(n, 3).astype(float)
-    bg = np.random.PCG64()
-    bg.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": (s_hi << 64) | s_lo, "inc": (inc_hi << 64) | inc_lo},
-        "has_uint32": int(has_u32),
-        "uinteger": int(uint),
-    }
-    ens = Ensemble(velocities=vel, t=t, seed=None if seed == _NO_SEED else int(seed))
-    return ens, np.random.Generator(bg)

@@ -279,11 +279,17 @@ def reference_on_cells(reference: Callable[[Array], Array], edges: Sequence[Arra
     """A reference density evaluated at the centres of the cells between
     ``edges``, shaped like a histogram on them: the array form of
     ``reference`` that :func:`h_phi` takes for every histogram on those
-    cells."""
-    centers = [0.5 * (e[1:] + e[:-1]) for e in edges]
-    gx, gy, gz = np.meshgrid(*centers, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    return np.asarray(reference(pts), dtype=float).reshape(gx.shape)
+    cells.  ``reference`` maps (m, 3) points to m values point by point; it
+    is called on one x-plane of centres at a time."""
+    cx, cy, cz = (0.5 * (e[1:] + e[:-1]) for e in edges)
+    out = np.empty((cx.size, cy.size, cz.size))
+    plane = np.empty((cy.size, cz.size, 3))
+    plane[..., 1] = cy[:, None]
+    plane[..., 2] = cz[None, :]
+    for x, values in zip(cx, out):
+        plane[..., 0] = x
+        values[...] = np.reshape(reference(plane.reshape(-1, 3)), values.shape)
+    return out
 
 
 def lp_norm(hist: Histogram, p: float) -> float:

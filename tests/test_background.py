@@ -1,10 +1,10 @@
 """Bath-model oracles: sampling statistics, closed-form absolute moments,
 collision-frequency closed form vs Monte Carlo, and table I/O."""
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from granular_bath.background import (
     BathParams,
@@ -397,18 +397,10 @@ class TestBlockedNu:
         assert got.tobytes() == nu(bath, pts.reshape(-1, 3)).reshape(4, 5).tobytes()
 
     def test_traced_peak_stays_in_blocks(self):
-        # numpy reports its buffers to tracemalloc, so the count repeats
-        # exactly: the 1.5 MiB output and one block's temporaries.
+        # The 1.5 MiB output and one block's temporaries.
         bath = maxwell_bath()
         pts = np.random.default_rng(41).standard_normal((200_000, 3))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            nu(bath, pts)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 2**20
+        assert traced_peak(nu, bath, pts) <= 4 * 2**20
 
 
 class TestTabulatedNu:

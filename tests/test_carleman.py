@@ -7,16 +7,18 @@ reproduce the collision frequency nu exactly (spherical product quadrature
 around the pre-collision velocity).
 """
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from granular_bath.background import BathParams, TabulatedDensity, bath_density, nu
 from granular_bath.carleman import (
     ConvergenceError,
+    _Lattice,
     _kernel_safe,
     _orbit_decomposition,
+    _stretch_offset,
     compare_dsmc,
     dense_matrix,
     kernel_closed_form,
@@ -252,15 +254,10 @@ class TestGridAssembly:
             make_grid(rest_at(0.8, 1.0), bath_at(), n=8, extent_sigma=extent)
 
     def test_traced_peak_of_the_default_grid(self):
-        # numpy reports its buffers to tracemalloc, so the count repeats
-        # exactly.  One block of rows is 2 MB; the reduced matrix is 5.3 MB.
-        tracemalloc.start()
-        try:
-            make_grid(rest_at(0.8, 1.0), bath_at(), n=32, extent_sigma=8.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 20 * 2**20
+        # One block of rows is 2 MB, the three reach-limited lattice tables
+        # 0.83 MB each and the reduced matrix 5.3 MB: 12.1 MiB measured.
+        peak = traced_peak(make_grid, rest_at(0.8, 1.0), bath_at(), n=32, extent_sigma=8.0)
+        assert peak <= 13 * 2**20
 
     def test_rejects_tabulated_bath(self):
         ax = np.linspace(-2.0, 2.0, 5)
@@ -297,6 +294,49 @@ class TestOrbitDecomposition:
         for g, w in zip(got, want):
             assert g.shape == w.shape
             np.testing.assert_array_equal(g, w)
+
+
+class TestLatticeReach:
+    REST, BATH = rest_at(0.7, 2.0), bath_at(m1=2.0, u1=(0.2, -0.1, 0.4))
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 16, 17, 32])
+    def test_reach_limited_rows_equal_full_reach_rows(self, n):
+        # make_grid's tables reach only the separations its rows read: every
+        # orbit representative has indices below ceil(n/2) on each axis.
+        h = 2.0 * 6.0 * self.BATH.sigma_th / n
+        reach = (n + 1) // 2
+        full = _Lattice(self.REST, self.BATH, n, h)
+        near = _Lattice(self.REST, self.BATH, n, h, reach=reach)
+        assert near.pref.shape == (n - 1 + reach,) * 3
+        reps = _orbit_decomposition(n)[2]
+        want, got = np.empty((2, 8, n**3))
+        for lo in range(0, reps.size, 8):
+            block = reps[lo : lo + 8]
+            a = full.rows(block, want[: block.size])
+            b = near.rows(block, got[: block.size])
+            assert b.tobytes() == a.tobytes()
+
+    def test_row_beyond_the_reach_is_refused(self):
+        near = _Lattice(self.REST, self.BATH, 8, 0.5, reach=4)
+        with pytest.raises(ValueError, match="reach"):
+            near.rows([4], np.empty((1, 512)))
+
+    def test_in_place_tables_equal_the_out_of_place_form(self):
+        n, h, rest, bath = 9, 0.7, self.REST, self.BATH
+        sq = np.arange(-(n - 1), n, dtype=float) ** 2
+        r = h * np.sqrt(sq[:, None, None] + sq[None, :, None] + sq[None, None, :])
+        inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)
+        s2 = bath.theta1 / bath.m1
+        scale = 1.0 / math.sqrt(2.0 * s2)
+        pref = h**3 * inv_r / (
+            4.0 * math.pi * bath.lambda_
+            * rest.e**2 * rest.gamma_c**2
+            * math.sqrt(2.0 * math.pi * s2)
+        )
+        lattice = _Lattice(rest, bath, n, h)
+        assert lattice.inv_r.tobytes() == (scale * inv_r).tobytes()
+        assert lattice.g_r.tobytes() == (scale * _stretch_offset(rest) * r).tobytes()
+        assert lattice.pref.tobytes() == pref.tobytes()
 
 
 class TestSteadyState:

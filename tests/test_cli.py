@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -222,9 +223,9 @@ class TestValidation:
         rc = run_validation(stream=buf)
         text = buf.getvalue()
         assert rc == 0
-        assert text.count("PASS") == 15
+        assert text.count("PASS") == 14
         assert "FAIL" not in text
-        assert "15/15 checks passed" in text
+        assert "14/14 checks passed" in text
 
 
 class TestExecute:
@@ -258,6 +259,26 @@ class TestExecute:
         assert "theta simulation steady:" in out
         plot = (tmp_path / "plot.gp").read_text()
         assert "h_functional" in plot
+
+    def test_linear_frees_the_grid_before_the_particle_run(self, tmp_path, monkeypatch):
+        # After the H reference is built only the steady state is read, so
+        # the grid's reduced matrix and node arrays are gone when run starts.
+        grids, alive_at_run = [], []
+
+        def make_grid(*args, **kwargs):
+            grid = cli_make_grid(*args, **kwargs)
+            grids.append(weakref.ref(grid))
+            return grid
+
+        def run(*args, **kwargs):
+            alive_at_run.extend(ref() is not None for ref in grids)
+            return cli_run(*args, **kwargs)
+
+        cli_make_grid, cli_run = cli.make_grid, cli.run
+        monkeypatch.setattr(cli, "make_grid", make_grid)
+        monkeypatch.setattr(cli, "run", run)
+        assert execute(parse_config_dict(LINEAR_SMOKE), out_dir=tmp_path) == 0
+        assert alive_at_run == [False]
 
     @pytest.mark.parametrize("config", [FULL_SMOKE, LINEAR_SMOKE], ids=["full", "linear"])
     def test_runs_load_no_scipy(self, tmp_path, config):
@@ -336,12 +357,12 @@ class TestMain:
         path = write_config(tmp_path, {"mode": "validate"})
         rc = main(["validate", "--config", str(path)])
         assert rc == 0
-        assert "15/15 checks passed" in capsys.readouterr().out
+        assert "14/14 checks passed" in capsys.readouterr().out
 
     def test_validate_mode_needs_no_config(self, capsys):
         rc = main(["validate"])
         assert rc == 0
-        assert "15/15 checks passed" in capsys.readouterr().out
+        assert "14/14 checks passed" in capsys.readouterr().out
 
     def test_other_modes_require_config(self, capsys):
         rc = main(["cooling"])

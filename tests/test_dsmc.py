@@ -17,9 +17,7 @@ from granular_bath.dsmc import (
     SimConfig,
     TimeStepError,
     detect_steady,
-    load_checkpoint,
     run,
-    save_checkpoint,
     step_l,
     step_q,
 )
@@ -818,34 +816,6 @@ class TestDetectSteady:
         assert not detect_steady(traj).steady
 
 
-class TestCheckpoints:
-    def test_round_trip_preserves_state_and_stream(self, tmp_path):
-        rest = RestitutionParams(epsilon=0.9, e=0.9, m1=1.0)
-        bath = bath_at()
-        n = 1000
-        config = SimConfig(
-            tau=0.5, restitution=rest, bath=bath, dt=0.01, t_end=0.3,
-            n_particles=n, seed=58,
-        )
-        traj = run(config)
-        rng = np.random.default_rng(59)
-        path = tmp_path / "state.ckpt"
-        save_checkpoint(path, traj.final, rng)
-        ens, rng_back = load_checkpoint(path)
-        np.testing.assert_array_equal(ens.velocities, traj.final.velocities)
-        assert ens.t == traj.final.t
-        assert ens.seed == traj.final.seed
-        # The restored generator must continue the exact stream.
-        rng_ref = np.random.default_rng(59)
-        np.testing.assert_array_equal(rng_back.random(16), rng_ref.random(16))
-
-    def test_corrupt_magic_is_rejected(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"XXXX" + bytes(64))
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-
 class TestRecordObservers:
     def test_lp_columns_are_single_histogram_estimates(self, tmp_path):
         rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
@@ -866,8 +836,9 @@ class TestRecordObservers:
 
     def test_reference_evaluations_and_h_columns(self, monkeypatch):
         # The H box has the same cells at every record, so the reference is
-        # evaluated once, by the caller, and each record's H values equal a
-        # one-shot h_phi on that record's sample.
+        # evaluated once, by the caller (one x-plane of cells per call), and
+        # each record's H values equal a one-shot h_phi on that record's
+        # sample.
         bath = bath_at(theta1=0.8)
         calls = []
 
@@ -893,7 +864,7 @@ class TestRecordObservers:
         )
         traj = run(config, observers=observers)
         assert len(traj.records) == len(samples) == 6
-        assert len(calls) == 1
+        assert calls == [(16 * 16, 3)] * 16  # one call per x-plane of cells
         for rec, vel in zip(traj.records, samples):
             hist = histogram(vel, 16, 4.5, np.zeros(3))
             cells = reference_on_cells(reference, hist.edges)
@@ -933,7 +904,7 @@ class TestReproducibility:
         assert t1.thetas().tobytes() == t2.thetas().tobytes()
 
     def test_explicit_generator_resume_is_deterministic(self):
-        # Passing a generator (the checkpoint-resume path) replaces config
+        # Passing a generator (the resume path, with init=) replaces config
         # seeding; identical generator states give identical runs.
         t1 = run(self.config(), rng=np.random.default_rng(63))
         t2 = run(self.config(), rng=np.random.default_rng(63))

@@ -1,12 +1,14 @@
 """Observable-layer oracles: hand-computed moment examples, the explicit
 temperature bound, histogram norms against closed forms, fits, and CSV I/O."""
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
-from granular_bath.background import BathParams, nu
+from granular_bath.background import BathParams, nu, trilinear
 from granular_bath.kinematics import RestitutionParams, _sq_norm
 from granular_bath.observables import (
     DEFAULT_SIGMA_PAIRS,
@@ -319,6 +321,36 @@ class TestHPhi:
         ref = reference_on_cells(self.gaussian_ref(1.0), hist.edges)
         with pytest.raises(ValueError, match="phi must be one of"):
             h_phi(hist, ref, phi="cubic")
+
+
+class TestReferenceOnCells:
+    @staticmethod
+    def stacked_form(reference, edges):
+        """All cell centres stacked into one (m, 3) array, one call."""
+        centers = [0.5 * (e[1:] + e[:-1]) for e in edges]
+        gx, gy, gz = np.meshgrid(*centers, indexing="ij")
+        pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+        return np.asarray(reference(pts), dtype=float).reshape(gx.shape)
+
+    @staticmethod
+    def grid_reference(nodes=12):
+        # A trilinear table on a box that the cells overhang, as in linear mode.
+        axes = [np.linspace(-3.0, 3.0, nodes) + c for c in (0.2, -0.1, 0.4)]
+        values = np.random.default_rng(13).random((nodes,) * 3)
+        return functools.partial(trilinear, axes, values)
+
+    def test_equals_the_stacked_form(self):
+        edges = [np.linspace(-3.5, 3.1, 6), np.linspace(-2.9, 3.3, 8), np.linspace(-3.2, 4.0, 10)]
+        for ref in (self.grid_reference(), TestHPhi().gaussian_ref(0.8)):
+            got = reference_on_cells(ref, edges)
+            assert got.shape == (5, 7, 9)
+            assert got.tobytes() == self.stacked_form(ref, edges).tobytes()
+
+    def test_traced_peak_is_one_plane(self):
+        # The 0.25 MiB output and one x-plane's temporaries; the stacked
+        # form holds 5.3 MiB.
+        edges = box_edges(np.zeros(3), 4.5, 32)
+        assert traced_peak(reference_on_cells, self.grid_reference(32), edges) <= 2**20
 
 
 class TestHaffFit:
