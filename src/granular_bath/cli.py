@@ -431,7 +431,7 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
 
     h_reference = None
     steady_grid = None
-    if parsed.mode == "linear" and sim.bath is not None and sim.bath.kind == "maxwellian":
+    if parsed.mode == "linear":  # linear mode takes no f1_table: a Maxwellian bath
         log.info("building %d^3 kernel grid", parsed.grid_nodes)
         grid = make_grid(
             sim.restitution, sim.bath, n=parsed.grid_nodes,
@@ -460,7 +460,7 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
         return 1
 
     traj.to_csv(out / "trajectory.csv")
-    if steady_grid is not None:
+    if parsed.mode == "linear":
         # Bath collisions with e <= 1 cannot heat the gas above theta1, so a
         # grid steady temperature above max(theta1, Theta(0)) is a grid artefact.
         theta_max = max(sim.bath.theta1, traj.records[0].theta)
@@ -472,33 +472,25 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
             )
 
     extra: list[str] = []
-    code = 0
-    if parsed.mode == "full":
+    if parsed.mode != "cooling":
         verdict, theta_s, theta_se = _steady_theta(traj, sim.bath.u1)
         if verdict is None:
             line = "steady verdict: not enough records for the steady window"
-        elif verdict.steady:
-            line = (f"steady verdict: steady at t = {_fmt(verdict.t_steady)}, "
-                    f"theta = {_fmt(theta_s)} +- {_fmt(theta_se)}")
-        else:
+        elif not verdict.steady:
             line = "steady verdict: not steady"
-        extra.append(line)
-        print(line)
-    elif parsed.mode == "linear":
-        verdict, theta_s, theta_se = _steady_theta(traj, sim.bath.u1)
-        if verdict is None:
-            extra.append("steady verdict: not enough records for the steady window")
         else:
-            extra.append(
-                f"steady verdict: {'steady at t = ' + _fmt(verdict.t_steady) if verdict.steady else 'not steady'}"
-            )
-        if steady_grid is not None:
-            extra.append(f"theta grid steady: {_fmt(steady_grid.theta)}")
-            extra.append(f"theta simulation steady: {_fmt(theta_s)} +- {_fmt(theta_se)}")
-            disc = abs(theta_s - steady_grid.theta)
-            extra.append(f"theta discrepancy: {_fmt(disc)}")
-            for line in extra:
-                print(line)
+            line = f"steady verdict: steady at t = {_fmt(verdict.t_steady)}"
+            if parsed.mode == "full":
+                line += f", theta = {_fmt(theta_s)} +- {_fmt(theta_se)}"
+        extra.append(line)
+    if parsed.mode == "linear":
+        extra += [
+            f"theta grid steady: {_fmt(steady_grid.theta)}",
+            f"theta simulation steady: {_fmt(theta_s)} +- {_fmt(theta_se)}",
+            f"theta discrepancy: {_fmt(abs(theta_s - steady_grid.theta))}",
+        ]
+    for line in extra:
+        print(line)
 
     bound_value = None
     if sim.bath is not None:
@@ -511,8 +503,8 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
     )
     if violated:
         print("temperature bound violated beyond the 4 sigma allowance", file=sys.stderr)
-        code = 2
-    return code
+        return 2
+    return 0
 
 
 # --------------------------------------------------------------------------

@@ -89,12 +89,6 @@ class RestitutionParams:
             (1.0 - self.alpha) * (1.0 - self.beta) / (1.0 - 2.0 * self.beta),
         )
 
-    def derived_residual(self) -> float:
-        """Largest mismatch between stored derived fields and a recomputation."""
-        fresh = RestitutionParams(self.epsilon, self.e, self.m1)
-        names = ("zeta", "alpha", "beta", "kappa", "gamma_c", "gamma_bar")
-        return max(abs(getattr(self, n) - getattr(fresh, n)) for n in names)
-
 
 class VelocityPair(NamedTuple):
     """A (v, w) velocity pair; each entry has trailing dimension 3."""

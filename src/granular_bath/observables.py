@@ -379,38 +379,46 @@ class HaffFit:
 def haff_fit(times: Array, thetas: Array) -> HaffFit:
     """Least-squares fit of algebraic cooling; refuses shallow decays.
 
-    Fits log Theta = log Theta(0) + g * log(1 + t/t0) with Theta(0) pinned
-    to the first record.  Requires at least two decades of temperature decay
-    so the exponent is identifiable.
+    Fits log(Theta/Theta(0)) = g * log1p(t/t0) with Theta(0) pinned to the
+    first record; needs two decades of decay so g is identifiable.  For a
+    fixed t0 the model is linear in g, so g has a closed form (variable
+    projection, Golub & Pereyra 1973), and a golden-section search over
+    log t0 on [log(first positive t) - 5, log(last t) + 5] minimises what
+    is left.  A minimum at an end of that bracket raises FitRefusedError.
     """
     t = np.asarray(times, dtype=float)
     th = np.asarray(thetas, dtype=float)
     if t.shape != th.shape or t.ndim != 1 or t.size < 4:
         raise ValueError("times and thetas must be equal-length 1-D arrays, >= 4 points")
-    if np.any(th <= 0.0):
-        raise ValueError("temperatures must be positive for a cooling fit")
+    if not (np.all(np.isfinite(t)) and t[0] >= 0.0 and np.all(np.diff(t) > 0.0)):
+        raise ValueError("times must be finite, start at t >= 0 and strictly increase")
+    if not np.all((th > 0.0) & np.isfinite(th)):
+        raise ValueError("temperatures must be positive and finite for a cooling fit")
     decay = float(th[0] / th.min())
     if decay < 100.0:
         raise FitRefusedError(
             f"temperature decays by {decay:.3g}x; need >= 100x (two decades) for a fit"
         )
-    theta0 = float(th[0])
-    # Initial t0 from where the data first drops to Theta0/4 (exact for -2).
-    below = np.nonzero(th <= theta0 / 4.0)[0]
-    t0_guess = float(t[below[0]]) if below.size else float(t[-1] / 10.0)
-    t0_guess = max(t0_guess, 1e-12)
+    y = np.log(th / th[0])
 
-    def model(tt: Array, log_t0: float, g: float) -> Array:
-        return math.log(theta0) + g * np.log1p(tt / math.exp(log_t0))
+    def project(log_t0: float) -> tuple[float, float, Array]:  # (rss, g, residuals)
+        x = np.log1p(t / math.exp(log_t0))
+        g = float(np.dot(x, y) / np.dot(x, x))
+        r = g * x - y
+        return float(np.dot(r, r)), g, r
 
-    from scipy.optimize import curve_fit
-
-    popt, _ = curve_fit(
-        model, t, np.log(th), p0=(math.log(t0_guess), -2.0), maxfev=20000
-    )
-    log_t0, g = popt
-    resid = float(np.sqrt(np.mean((model(t, *popt) - np.log(th)) ** 2)))
-    return HaffFit(exponent=float(g), t0=float(math.exp(log_t0)), residual=resid)
+    lo, hi = a, b = math.log(t[t > 0.0][0]) - 5.0, math.log(t[-1]) + 5.0
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    while b - a > 1e-10:
+        c, d = b - shrink * (b - a), a + shrink * (b - a)
+        if project(c)[0] <= project(d)[0]:
+            b = d
+        else:
+            a = c
+    if a == lo or b == hi:
+        raise FitRefusedError(f"best t0 at an end of [{math.exp(lo):.3g}, {math.exp(hi):.3g}]")
+    _, g, r = project(0.5 * (a + b))
+    return HaffFit(exponent=g, t0=math.exp(0.5 * (a + b)), residual=float(np.sqrt(np.mean(r * r))))
 
 
 @functools.lru_cache(maxsize=1)

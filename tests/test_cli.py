@@ -44,6 +44,12 @@ COOLING_SMOKE = {
     "seed": 5,
 }
 
+# A cooling run whose theta decays 155x, so the bound report holds a fit.
+COOLING_FIT = {
+    "mode": "cooling", "epsilon": 0.5, "n_particles": 2000, "dt": 0.02,
+    "t_end": 40, "record_every": 10, "seed": 3,
+}
+
 LINEAR_SMOKE = {
     "mode": "linear",
     "e": 0.8,
@@ -280,11 +286,14 @@ class TestExecute:
         assert execute(parse_config_dict(LINEAR_SMOKE), out_dir=tmp_path) == 0
         assert alive_at_run == [False]
 
-    @pytest.mark.parametrize("config", [FULL_SMOKE, LINEAR_SMOKE], ids=["full", "linear"])
+    @pytest.mark.parametrize(
+        "config", [FULL_SMOKE, LINEAR_SMOKE, COOLING_FIT], ids=["full", "linear", "cooling-fit"]
+    )
     def test_runs_load_no_scipy(self, tmp_path, config):
-        # The run path is numpy only: importing scipy.special alone costs
-        # about 0.2 s of a run, scipy.interpolate 0.3 s.  A fresh
-        # interpreter, since this one may already hold scipy modules.
+        # The run path, the cooling fit included, is numpy only: importing
+        # scipy.special alone costs about 0.2 s of a run, scipy.interpolate
+        # 0.3 s, scipy.optimize 0.55 s.  A fresh interpreter, since this one
+        # may already hold scipy modules.
         path = write_config(tmp_path, config)
         code = (
             "import sys\n"
@@ -301,6 +310,9 @@ class TestExecute:
             timeout=120, check=True,
         )
         assert proc.stdout.splitlines()[-1] == "0 []"
+        if config is COOLING_FIT:
+            report = (tmp_path / "o" / "bound_report.txt").read_text(encoding="utf-8")
+            assert "\ncooling exponent: " in report
 
     def test_full_smoke(self, tmp_path, capsys):
         parsed = parse_config_dict(FULL_SMOKE)

@@ -53,7 +53,6 @@ class TestDerivedParameters:
 
     @pytest.mark.parametrize("params", PARAM_SETS)
     def test_internal_consistency(self, params):
-        assert params.derived_residual() <= 1e-14
         # Two identities the closed-form kernel relies on:
         # (1 - 2 beta) = e, hence e * gamma_c = kappa.
         assert params.e * params.gamma_c == pytest.approx(params.kappa, rel=1e-14)

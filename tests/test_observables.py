@@ -9,6 +9,7 @@ import pytest
 from conftest import traced_peak
 
 from granular_bath.background import BathParams, nu, trilinear
+from granular_bath.dsmc import ObserverConfig, SimConfig, run
 from granular_bath.kinematics import RestitutionParams, _sq_norm
 from granular_bath.observables import (
     DEFAULT_SIGMA_PAIRS,
@@ -372,6 +373,56 @@ class TestHaffFit:
         t = np.linspace(0.0, 1.0, 10)
         with pytest.raises(ValueError):
             haff_fit(t, np.zeros(10))
+
+    def test_matches_curve_fit_on_a_cooling_run(self):
+        # Oracle: scipy's curve_fit on the same model, started from the t0
+        # where Theta first falls to Theta(0)/4 and from exponent -2.
+        # theta decays 155x over 201 records.
+        from scipy.optimize import curve_fit
+
+        config = SimConfig(
+            tau=1.0, restitution=RestitutionParams(epsilon=0.5, e=1.0, m1=1.0),
+            bath=None, dt=0.02, t_end=40.0, n_particles=2000, seed=3,
+        )
+        traj = run(config, observers=ObserverConfig(record_every=10))
+        t, theta = np.asarray(traj.times()), np.asarray(traj.thetas())
+
+        def model(tt, log_t0, g):
+            return math.log(theta[0]) + g * np.log1p(tt / math.exp(log_t0))
+
+        t0_guess = t[np.nonzero(theta <= theta[0] / 4.0)[0][0]]
+        (log_t0, g), _ = curve_fit(
+            model, t, np.log(theta), p0=(math.log(t0_guess), -2.0), maxfev=20000
+        )
+        fit = haff_fit(t, theta)
+        assert fit.exponent == pytest.approx(g, abs=1e-6)
+        assert fit.t0 == pytest.approx(math.exp(log_t0), rel=1e-6)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_refuses_exponential_decay(self, noise):
+        # exp(-t) is (1 + t/t0)^-t0 as t0 -> infinity: the best t0 lies at
+        # the top of the search bracket, and the fit is refused rather than
+        # reported with an exponent of about -t0.
+        t = np.linspace(0.0, 10.0, 501)
+        theta = np.exp(-t) * (1.0 + noise * np.random.default_rng(7).standard_normal(t.size))
+        with pytest.raises(FitRefusedError, match="at an end of"):
+            haff_fit(t, theta)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            [0.0, 1.0, np.nan, 3.0, 4.0],
+            [0.0, 1.0, 2.0, 3.0, np.inf],
+            [0.0, 1.0, 1.0, 3.0, 4.0],
+            [0.0, 2.0, 1.0, 3.0, 4.0],
+            [-1.0, 1.0, 2.0, 3.0, 4.0],
+        ],
+        ids=["nan", "inf", "repeated", "decreasing", "negative-start"],
+    )
+    def test_rejects_bad_times(self, t):
+        theta = 1e3 * (1.0 + np.arange(5.0)) ** -3.0
+        with pytest.raises(ValueError, match="times must be"):
+            haff_fit(np.asarray(t), theta)
 
 
 class TestSigmaFreq:
