@@ -155,7 +155,8 @@ class ObserverConfig:
     there is a bath.  ``compute_lp`` adds the L^2 and L^1.5 norms from one
     histogram of 32^3 cells, 6 thermal widths about the record's own mean.
     ``compute_sigma`` adds the mean collision frequency, whose convolution
-    term is sampled from 2^17 velocity pairs once N^2 exceeds that.
+    term is sampled by ceil(2^17 / N) cyclic shifts of the particles once N^2
+    exceeds 2^17.
     ``h_reference`` adds the bias-corrected quadratic and the entropy
     H-functional on one fixed box.  It is the pair (edges, cells): the box's
     per-axis cell edges (:func:`~granular_bath.observables.box_edges`) and
@@ -395,8 +396,8 @@ def _make_record(
     if config.bath is not None:
         extras["f_aux"] = f_aux(rec, config.bath, d2)
     if obs.compute_sigma:
-        # Before the histograms, so that none is held while the pair arrays
-        # of sigma_freq, the largest a record allocates, are alive.
+        # Before the histograms, so that none is held while sigma_freq runs:
+        # at N = 2e4 its nu temporaries are the largest a record allocates.
         extras["sigma_mean"] = sigma_freq(velocities, config.bath, config.tau)
     if obs.compute_lp:
         # One box for both orders: the record's u +- 6 thermal widths.

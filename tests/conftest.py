@@ -1,6 +1,11 @@
 """Helpers shared by the test modules."""
 import tracemalloc
 
+import numpy as np
+
+from granular_bath.background import nu
+from granular_bath.observables import DEFAULT_SIGMA_PAIRS
+
 
 def traced_peak(fn, *args, **kwargs) -> int:
     """Bytes that ``fn(*args, **kwargs)`` holds at its traced high-water mark.
@@ -15,3 +20,28 @@ def traced_peak(fn, *args, **kwargs) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def sigma_shift_form(vel, bath, tau):
+    """``sigma_freq`` from whole rows: each sampled shift s pairs the rows
+    with ``np.roll(vel, -s, axis=0)``, and ``einsum`` forms the squared
+    distances.  The per-shift sums are added in shift order, so the column-
+    and block-wise kernel must match this bit for bit while N fits one block.
+    """
+    n = vel.shape[0]
+    total = 0.0
+    if tau > 0.0:
+        if n * n <= DEFAULT_SIGMA_PAIRS:
+            conv = float(np.mean(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
+        else:
+            k = -(-DEFAULT_SIGMA_PAIRS // n)
+            shifts = np.random.default_rng(0).choice(n - 1, size=k, replace=False) + 1
+            acc = 0.0
+            for s in shifts:
+                d = vel - np.roll(vel, -s, axis=0)
+                acc += float(np.sum(np.sqrt(np.einsum("ij,ij->i", d, d))))
+            conv = (n - 1) / n * (acc / (k * n))
+        total += tau * conv
+    if bath is not None:
+        total += float(np.mean(nu(bath, vel)))
+    return total

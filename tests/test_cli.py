@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import sigma_shift_form
 
 from granular_bath import cli
 from granular_bath.background import load_table
@@ -24,6 +25,7 @@ from granular_bath.cli import (
     run_validation,
     serialize_config,
 )
+from granular_bath.dsmc import ObserverConfig, run
 from granular_bath.observables import read_records, write_records
 
 
@@ -332,6 +334,19 @@ class TestExecute:
         write_records(tmp_path / "again.csv", records)
         again = (tmp_path / "again.csv").read_bytes()
         assert again == (tmp_path / "trajectory.csv").read_bytes()
+
+    def test_record_sigma_is_the_shift_design_mean(self):
+        # N^2 > 2^17, so the pair term is sampled: the last record's sigma
+        # is tau times the shift-design mean plus the mean of nu, both over
+        # the final velocities.
+        parsed = parse_config_dict(dict(FULL_SMOKE, n_particles=2000, t_end=0.1,
+                                        record_every=10))
+        sim = parsed.sim
+        traj = run(sim, observers=ObserverConfig(record_every=parsed.record_every,
+                                                 compute_sigma=True))
+        assert len(traj.records) == 2
+        want = sigma_shift_form(traj.final.velocities, sim.bath, sim.tau)
+        assert traj.records[-1].sigma_mean == want
 
     def test_short_run_has_no_steady_window(self, tmp_path, capsys):
         config = dict(FULL_SMOKE, t_end=0.1)  # 10 records < 2 * window

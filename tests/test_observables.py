@@ -3,12 +3,13 @@ temperature bound, histogram norms against closed forms, fits, and CSV I/O."""
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import sigma_shift_form, traced_peak
 
-from granular_bath.background import BathParams, nu, trilinear
+from granular_bath.background import BathParams, trilinear
 from granular_bath.dsmc import ObserverConfig, SimConfig, run
 from granular_bath.kinematics import RestitutionParams, _sq_norm
 from granular_bath.observables import (
@@ -33,7 +34,7 @@ from granular_bath.observables import (
     third_cumulant,
     write_records,
 )
-from granular_bath.observables import _pair_distances, _pair_table
+from granular_bath.observables import _shift_mean
 
 C0_UNIT = 4.255384324281949  # 2 E3 / (3 s^3) for a unit-width Maxwellian
 E1_UNIT = 1.5957691216057308
@@ -460,24 +461,55 @@ class TestSigmaFreq:
         got = sigma_freq(vel, None, tau=1.0)
         assert abs(got - exact) <= 4.0 * se, (got, exact, se)
 
+    @pytest.mark.parametrize("n", [363, 5000])
+    def test_shift_sample_within_four_standard_errors_of_exact_sum(self, n):
+        # 363 is the first N that samples (362 shifts, every shift there
+        # is); at 5000 the sample is 27 shifts, K N = 135 000 pairs.
+        vel = np.random.default_rng(n).normal(size=(n, 3))
+        total = total_sq = 0.0
+        for lo in range(0, n, 100):
+            d = np.linalg.norm(vel[lo : lo + 100, None, :] - vel[None, :, :], axis=-1)
+            total += float(d.sum())
+            total_sq += float(np.sum(d**2))
+        exact = total / n**2
+        se = math.sqrt(total_sq / n**2 - exact**2) / math.sqrt(DEFAULT_SIGMA_PAIRS)
+        got = sigma_freq(vel, None, tau=1.0)
+        assert abs(got - exact) <= 4.0 * se, (got, exact, se)
 
-def sigma_broadcast_form(vel, bath, tau):
-    """sigma_freq as whole gathered rows summed by einsum over the pairs of
-    ``default_rng(0)``, the reference the column-wise kernel must match bit
-    for bit."""
-    n = vel.shape[0]
-    total = 0.0
-    if tau > 0.0:
-        if n * n <= DEFAULT_SIGMA_PAIRS:
-            conv = float(np.mean(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
-        else:
-            i, j = np.random.default_rng(0).integers(0, n, size=(2, DEFAULT_SIGMA_PAIRS))
-            d = np.take(vel, i, axis=0) - np.take(vel, j, axis=0)
-            conv = float(np.mean(np.sqrt(np.einsum("ij,ij->i", d, d))))
-        total += tau * conv
-    if bath is not None:
-        total += float(np.mean(nu(bath, vel)))
-    return total
+    def test_all_shifts_give_the_exact_mean(self):
+        # Every ordered pair i != j has one shift, j - i mod N; the factor
+        # (N - 1)/N adds the N zero distances i = j.
+        n = 400
+        vel = np.random.default_rng(16).normal(size=(n, 3)) + np.array([1.0, 0.0, -2.0])
+        exact = float(np.mean(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
+        got = (n - 1) / n * _shift_mean(vel, range(1, n))
+        assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_blocks_match_whole_rows(self):
+        # Two blocks of particles, with shifts whose partners wrap in the
+        # first block, the second, or between them; the blocks are summed
+        # apart, so the match is to rounding, not to the bit.
+        n = 2**15 + 1000
+        vel = np.random.default_rng(19).normal(size=(n, 3))
+        shifts = [1, 1000, 1001, 2**15, n - 1]
+        want = np.mean([np.linalg.norm(vel - np.roll(vel, -s, axis=0), axis=1) for s in shifts])
+        assert _shift_mean(vel, shifts) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n, limit", [(20_000, 1.5 * 2**20), (200_000, 5.05 * 2**20)])
+    def test_traced_peak_with_a_bath(self, n, limit):
+        vel = np.random.default_rng(17).normal(size=(n, 3))
+        assert traced_peak(sigma_freq, vel, bath_at(), 1.0) <= limit
+
+    def test_keeps_no_array_between_calls(self):
+        vel = np.random.default_rng(18).normal(size=(20_001, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sigma_freq(vel, bath_at(), 1.0)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert kept <= 4096, kept
 
 
 class TestSigmaFreqBitwise:
@@ -494,7 +526,7 @@ class TestSigmaFreqBitwise:
                              ids=["no-bath", "bath"])
     def test_default_pairs(self, vel, bath):
         got = sigma_freq(vel, bath, tau=1.7)
-        want = sigma_broadcast_form(vel, bath, 1.7)
+        want = sigma_shift_form(vel, bath, 1.7)
         assert got == want
 
     def test_non_contiguous_velocities(self, vel):
@@ -504,24 +536,14 @@ class TestSigmaFreqBitwise:
         assert sigma_freq(fortran, None, tau=1.0) == want
         assert sigma_freq(strided, None, tau=1.0) == want
 
-    def test_pair_distances_match_gathered_rows(self, vel):
-        # Per pair, not through the mean: averaging 2^17 values hides a
-        # last-bit change in a few of them.
-        i, j = np.random.default_rng(7).integers(0, vel.shape[0], size=(2, 50_000))
-        d = np.take(vel, i, axis=0) - np.take(vel, j, axis=0)
+    def test_distances_match_einsum_rows(self, vel):
+        # Per pair, not through the mean: averaging many distances hides a
+        # last-bit change in a few of them.  Two rows and the shift 1 give
+        # the mean of one distance taken twice, which is that distance.
+        d = vel[0:300:2] - vel[1:300:2]
         want = np.sqrt(np.einsum("ij,ij->i", d, d))
-        assert np.array_equal(_pair_distances(vel, i, j), want)
-
-    def test_default_pairs_are_one_read_only_table(self):
-        n = 3000
-        i, j = _pair_table(n, DEFAULT_SIGMA_PAIRS)
-        fresh = np.random.default_rng(0).integers(0, n, size=(2, DEFAULT_SIGMA_PAIRS))
-        assert np.array_equal(i, fresh[0]) and np.array_equal(j, fresh[1])
-        assert not i.flags.writeable and not j.flags.writeable
-        with pytest.raises(ValueError):
-            i[0] = 0
-        again = _pair_table(n, DEFAULT_SIGMA_PAIRS)
-        assert again[0] is i and again[1] is j
+        got = [_shift_mean(vel[k : k + 2], [1]) for k in range(0, 300, 2)]
+        assert np.array_equal(got, want)
 
 
 class TestThirdCumulant:
