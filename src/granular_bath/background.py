@@ -484,11 +484,13 @@ def erf(x: Array) -> Array:
     return np.copysign(out, x.ravel()).reshape(x.shape)[()]
 
 
-# Points per block of the Maxwellian closed form: each temporary is 256 KB,
-# and the ~9 alive at once fill about one core's L2 cache (2 MB).  erf's
-# branch dispatch has a fixed cost per call of about a tenth of such a
-# block's work, so much smaller blocks pay it too often.
-_NU_BLOCK = 1 << 15
+# Rows per block of every per-particle pass whose temporaries would
+# otherwise grow with N: the Maxwellian nu, sigma's pair term and a record's
+# moments and bin counts.  Each float temporary is 256 KB, and the ~9 alive
+# at once in nu fill about one core's L2 cache (2 MB).  erf's branch
+# dispatch has a fixed cost per call of about a tenth of such a block's
+# work, so much smaller blocks pay it too often.
+_PARTICLE_BLOCK = 1 << 15
 
 
 def nu(bath: BathParams, v: Array) -> Array:
@@ -509,12 +511,12 @@ def nu(bath: BathParams, v: Array) -> Array:
     n = pts.shape[0]
     out = np.empty(n)
     if bath.kind == "maxwellian":
-        # Elementwise, so blocks of _NU_BLOCK points give the values of one
-        # pass over all points.  erf runs first, while the fewest block
+        # Elementwise, so blocks of _PARTICLE_BLOCK points give the values of
+        # one pass over all points.  erf runs first, while the fewest block
         # temporaries are alive.
         s = bath.sigma_th
-        for lo in range(0, n, _NU_BLOCK):
-            rho = np.sqrt(_sq_norm(pts[lo : lo + _NU_BLOCK], bath.u1)) / s
+        for lo in range(0, n, _PARTICLE_BLOCK):
+            rho = np.sqrt(_sq_norm(pts[lo : lo + _PARTICLE_BLOCK], bath.u1)) / s
             small = rho < 1e-4
             r = rho[small]
             rho[small] = 1.0  # these take the series below
@@ -523,7 +525,7 @@ def nu(bath: BathParams, v: Array) -> Array:
                 + math.sqrt(2.0 / math.pi) * np.exp(-0.5 * rho**2)
             )
             g[small] = math.sqrt(2.0 / math.pi) * (2.0 + r**2 / 3.0 - r**4 / 60.0)
-            out[lo : lo + _NU_BLOCK] = s * g / bath.lambda_
+            out[lo : lo + _PARTICLE_BLOCK] = s * g / bath.lambda_
     else:
         table = bath.table
         assert table is not None

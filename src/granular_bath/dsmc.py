@@ -61,9 +61,9 @@ from .kinematics import RestitutionParams, _sq_norm, collide_l_sigma, collide_q
 from .observables import (
     MomentRecord,
     _histogram_on,
+    box_edges,
     f_aux,
     h_phi,
-    histogram,
     lp_norm,
     moments,
     sigma_freq,
@@ -153,7 +153,8 @@ class ObserverConfig:
 
     Every record holds the moments, Y_r for r = 1, 1.5, 2, 3, and F when
     there is a bath.  ``compute_lp`` adds the L^2 and L^1.5 norms from one
-    histogram of 32^3 cells, 6 thermal widths about the record's own mean.
+    histogram of 32^3 cells, 6 thermal widths about the record's own mean;
+    they stay NaN where that box collapses at float precision (a point mass).
     ``compute_sigma`` adds the mean collision frequency, whose convolution
     term is sampled by ceil(2^17 / N) cyclic shifts of the particles once N^2
     exceeds 2^17.
@@ -397,15 +398,19 @@ def _make_record(
         extras["f_aux"] = f_aux(rec, config.bath, d2)
     if obs.compute_sigma:
         # Before the histograms, so that none is held while sigma_freq runs:
-        # at N = 2e4 its nu temporaries are the largest a record allocates.
+        # its blocked nu temporaries are the largest a record allocates.
         extras["sigma_mean"] = sigma_freq(velocities, config.bath, config.tau)
     if obs.compute_lp:
-        # One box for both orders: the record's u +- 6 thermal widths.
-        hist = histogram(
-            velocities, bins=_LP_BINS, extent=thermal_extent(rec.theta), center=rec.u
-        )
-        extras["l2"] = lp_norm(hist, 2.0)
-        extras["lp"] = lp_norm(hist, 1.5)
+        # One box for both orders: the record's u +- 6 thermal widths.  About
+        # a point mass it collapses at float precision, and L2, Lp stay NaN.
+        try:
+            edges = box_edges(rec.u, thermal_extent(rec.theta), _LP_BINS)
+        except ValueError:
+            pass
+        else:
+            hist = _histogram_on(velocities, edges)
+            extras["l2"] = lp_norm(hist, 2.0)
+            extras["lp"] = lp_norm(hist, 1.5)
     if obs.h_reference is not None:
         edges, h_cells = obs.h_reference
         hist = _histogram_on(velocities, edges)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .background import _NU_BLOCK, BathParams, c0, nu
+from .background import _PARTICLE_BLOCK, BathParams, c0, nu
 from .kinematics import RestitutionParams, _sq_norm
 
 __all__ = [
@@ -128,31 +128,36 @@ class BoundParams:
 def moments(velocities: Array, t: float = 0.0) -> MomentRecord:
     """Empirical mass, bulk velocity, temperature, and origin moments Y_r.
 
+    u is the mean velocity, each component the pairwise ``np.sum`` of its
+    column divided by N; Theta = (1/3) mean |v - u|^2; Y_r = mean |v|^(2r) for
+    r = 1, 1.5, 2, 3, formed from |v|^2 by products and one square root;
     rho is accumulated from the 1/N particle weights (so the recorded value
-    carries honest accumulation rounding); u is the mean velocity;
-    Theta = (1/3) mean |v - u|^2; Y_r = mean |v|^(2r) for r = 1, 1.5, 2, 3,
-    formed from |v|^2 by products and one square root.
+    carries honest accumulation rounding).  Theta, the Y_r and rho are sums
+    over blocks of ``_PARTICLE_BLOCK`` rows, so no temporary grows with N;
+    while N fits one block they are the bits of one sum over all rows.
     """
     vel = np.asarray(velocities, dtype=float)
     if vel.ndim != 2 or vel.shape[1] != 3 or vel.shape[0] < 2:
         raise ValueError(f"velocities must be (N >= 2, 3), got shape {vel.shape}")
     n = vel.shape[0]
-    rho = float(np.sum(np.full(n, 1.0 / n)))
-    u = vel.mean(axis=0)
-    dev = np.empty_like(vel)
-    for i in range(3):
-        np.subtract(vel[:, i], u[i], out=dev[:, i])
-    dev *= dev
-    theta = float(np.sum(dev) / (3.0 * n))
-    del dev
-    s2 = _sq_norm(vel)
-    s4 = s2 * s2
+    u = np.array([np.sum(vel[:, c]) for c in range(3)]) / n
+    sums = np.zeros(6)  # rho, 3 N Theta, N Y1, N Y1.5, N Y2, N Y3
+    for lo in range(0, n, _PARTICLE_BLOCK):
+        block = vel[lo : lo + _PARTICLE_BLOCK]
+        dev = np.empty_like(block)
+        for i in range(3):
+            np.subtract(block[:, i], u[i], out=dev[:, i])
+        dev *= dev
+        sums[1] += np.sum(dev)
+        del dev
+        sums[0] += np.sum(np.full(block.shape[0], 1.0 / n))
+        s2 = _sq_norm(block)
+        s4 = s2 * s2
+        sums[2:] += (np.sum(s2), np.sum(s2 * np.sqrt(s2)), np.sum(s4), np.sum(s4 * s2))
+    rho, dev2, y1, y1_5, y2, y3 = sums.tolist()
     return MomentRecord(
-        t=float(t), rho=rho, u=u, theta=theta,
-        y1=float(np.mean(s2)),
-        y1_5=float(np.mean(s2 * np.sqrt(s2))),
-        y2=float(np.mean(s4)),
-        y3=float(np.mean(s4 * s2)),
+        t=float(t), rho=rho, u=u, theta=dev2 / (3.0 * n),
+        y1=y1 / n, y1_5=y1_5 / n, y2=y2 / n, y3=y3 / n,
     )
 
 
@@ -211,9 +216,20 @@ def thermal_extent(theta: float) -> float:
 
 
 def box_edges(center: Array, extent: float, bins: int) -> tuple[Array, Array, Array]:
-    """Per-axis edges of ``bins`` cells spanning ``center +- extent``."""
+    """Per-axis edges of ``bins`` cells spanning ``center +- extent``.
+
+    Raises ValueError when the box collapses at float precision: an axis
+    whose edges do not strictly increase (an extent below a few ulp of
+    the centre), or a cell volume below the smallest normal float, where
+    the densities 1/(N vol) would overflow.
+    """
     center = np.asarray(center, dtype=float).reshape(3)
-    return tuple(np.linspace(c - extent, c + extent, bins + 1) for c in center)
+    edges = tuple(np.linspace(c - extent, c + extent, bins + 1) for c in center)
+    if not all(np.all(np.diff(e) > 0.0) for e in edges):
+        raise ValueError(f"edges of extent {extent!r} about {center} do not strictly increase")
+    if not _cell_volume(edges) >= np.finfo(float).tiny:
+        raise ValueError(f"cells of extent {extent!r} / {bins} underflow the float range")
+    return edges
 
 
 def _cell_volume(edges: Sequence[Array]) -> float:
@@ -224,20 +240,30 @@ def bin_counts(velocities: Array, edges: Sequence[Array]) -> Array:
     """Counts of an (N, 3) sample in the cells between per-axis uniform
     ``edges``, equal to ``np.histogramdd``'s (the last cell holds its upper
     edge): each cell index is computed by arithmetic and corrected by one
-    step against the edges, with no ``searchsorted``."""
+    step against the edges, with no ``searchsorted``.  The sample is
+    counted in blocks of ``_PARTICLE_BLOCK`` rows, one ``bincount`` each."""
     vel = np.asarray(velocities, dtype=float)
-    flat = np.zeros(vel.shape[0], dtype=np.intp)
-    inside = np.ones(vel.shape[0], dtype=bool)
-    for d, e in enumerate(edges):
-        x, bins = vel[:, d], e.size - 1
-        i = np.floor((x - e[0]) * (bins / (e[-1] - e[0])))
-        i = np.fmin(np.fmax(i, 0), bins - 1).astype(np.intp)  # NaN -> 0, then dropped
-        i -= x < e[i]
-        i += (x >= e[i + 1]) & (i < bins - 1)
-        inside &= (x >= e[0]) & (x <= e[-1])
-        flat = flat * bins + i
     shape = [e.size - 1 for e in edges]
-    return np.bincount(flat[inside], minlength=math.prod(shape)).reshape(shape)
+    for lo in range(0, max(vel.shape[0], 1), _PARTICLE_BLOCK):  # N = 0: one empty block
+        block = vel[lo : lo + _PARTICLE_BLOCK]
+        flat = np.zeros(block.shape[0], dtype=np.intp)
+        inside = np.ones(block.shape[0], dtype=bool)
+        for d, e in enumerate(edges):
+            x, bins = block[:, d], e.size - 1
+            i = np.floor((x - e[0]) * (bins / (e[-1] - e[0])))
+            i = np.fmin(np.fmax(i, 0), bins - 1).astype(np.intp)  # NaN -> 0, then dropped
+            i -= x < e[i]
+            i += (x >= e[i + 1]) & (i < bins - 1)
+            inside &= (x >= e[0]) & (x <= e[-1])
+            flat *= bins
+            flat += i
+        # The first block's counts hold the total: no zeroed total beside
+        # them, and no block's counts outlive the += into it.
+        if lo == 0:
+            counts = np.bincount(flat[inside], minlength=math.prod(shape))
+        else:
+            counts += np.bincount(flat[inside], minlength=counts.size)
+    return counts.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -423,18 +449,18 @@ def haff_fit(times: Array, thetas: Array) -> HaffFit:
 def _shift_mean(vel: Array, shifts: Sequence[int]) -> float:
     """Mean of |v_k - v_{(k + s) mod N}| over all k and the given shifts s.
 
-    One velocity column at a time, in blocks of ``_NU_BLOCK`` particles: a
+    One velocity column at a time, in blocks of ``_PARTICLE_BLOCK`` rows: a
     block's partners are two contiguous slices, so nothing is gathered.  The
     squares are summed (d0^2 + d2^2) + d1^2, the order of
     ``einsum("ij,ij->i", d, d)`` on whole rows, and each block's distances
     are summed by ``np.sum``.
     """
     n = vel.shape[0]
-    sq, d = np.empty((2, min(n, _NU_BLOCK)))
+    sq, d = np.empty((2, min(n, _PARTICLE_BLOCK)))
     total = 0.0
     for s in shifts:
-        for lo in range(0, n, _NU_BLOCK):
-            hi = min(lo + _NU_BLOCK, n)
+        for lo in range(0, n, _PARTICLE_BLOCK):
+            hi = min(lo + _PARTICLE_BLOCK, n)
             mid = min(max(n - s, lo), hi)  # partners wrap to the front from here
             acc, tmp = sq[: hi - lo], d[: hi - lo]
             for c, out in ((0, acc), (2, tmp), (1, tmp)):
@@ -465,7 +491,9 @@ def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
     Hoeffding decomposition cancels from the sampling error: at N = 3000
     its spread was 0.68 times the sd(|v - w|) / sqrt(DEFAULT_SIGMA_PAIRS)
     of as many independent pairs.  The nu term is the mean of
-    :func:`~granular_bath.background.nu` over all N velocities.
+    :func:`~granular_bath.background.nu` over all N velocities: the sum
+    over blocks of ``_PARTICLE_BLOCK`` rows of each block's ``np.sum``,
+    divided by N, which is ``np.mean`` to the bit while N fits one block.
     """
     vel = np.asarray(velocities, dtype=float)
     n = vel.shape[0]
@@ -479,7 +507,10 @@ def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
             conv = (n - 1) / n * _shift_mean(vel, shifts.tolist())
         total += tau * conv
     if bath is not None:
-        total += float(np.mean(nu(bath, vel)))
+        total += sum(
+            float(np.sum(nu(bath, vel[lo : lo + _PARTICLE_BLOCK])))
+            for lo in range(0, n, _PARTICLE_BLOCK)
+        ) / n
     return total
 
 

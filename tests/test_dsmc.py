@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from granular_bath import dsmc
 from granular_bath.background import BathParams, bath_density, nu
@@ -591,8 +592,8 @@ class TestFaults:
             run(config)
         dump = exc_info.value.dump_path
         assert dump is not None
-        data = np.load(dump)
-        assert np.isnan(data["velocities"]).any()
+        with np.load(dump) as data:
+            assert np.isnan(data["velocities"]).any()
 
     def test_nan_in_a_moved_row_stops_the_run_at_that_step(self, tmp_path, monkeypatch):
         # A NaN written by the bath collision map at step 3 reaches the cache
@@ -619,9 +620,9 @@ class TestFaults:
         )
         with pytest.raises(NumericalFault, match="at step 3,") as exc_info:
             run(config)
-        data = np.load(exc_info.value.dump_path)
-        assert int(data["step"]) == 3
-        assert np.isnan(data["velocities"]).any()
+        with np.load(exc_info.value.dump_path) as data:
+            assert int(data["step"]) == 3
+            assert np.isnan(data["velocities"]).any()
 
     def overflowing_step_l(self, at_call):
         # The real sweep, then 1e200 written into a row it was given, with
@@ -654,7 +655,8 @@ class TestFaults:
         with pytest.raises(NumericalFault) as exc_info, np.errstate(over="ignore"):
             run(config)
         assert "non-finite velocities or |v - c|^2 overflow at step 3," in str(exc_info.value)
-        assert np.all(np.isfinite(np.load(exc_info.value.dump_path)["velocities"]))
+        with np.load(exc_info.value.dump_path) as data:
+            assert np.all(np.isfinite(data["velocities"]))
 
     def test_overflow_of_a_moved_row_exits_3_from_the_cli(self, tmp_path, monkeypatch, capsys):
         import json
@@ -871,6 +873,52 @@ class TestRecordObservers:
             for tag, value in (("quad", rec.h_quad), ("ent", rec.h_ent)):
                 one_shot = h_phi(hist, cells, phi=tag, bias_correct=tag == "quad")
                 assert value == one_shot
+
+    @pytest.mark.parametrize("point", [(0.5, 0.0, 0.0), (0.0, 0.0, 0.0), (0.1, -0.2, 0.3)])
+    def test_point_mass_leaves_lp_nan(self, point):
+        # At theta = 0 (or a rounding-level theta) the L^p box collapses at
+        # float precision: the first record's L2 and Lp stay NaN, with no
+        # warning, and the collisions spread the sample for later records.
+        config = SimConfig(
+            tau=1.0, restitution=RestitutionParams(epsilon=0.8, e=0.8, m1=1.0),
+            bath=bath_at(), dt=0.01, t_end=0.05, n_particles=1000, seed=67,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run(
+                config, ObserverConfig(record_every=1, compute_lp=True, compute_sigma=True),
+                init=np.tile(point, (1000, 1)),
+            )
+        first, last = traj.records[0], traj.records[-1]
+        assert first.theta < 1e-30
+        assert math.isnan(first.l2) and math.isnan(first.lp)
+        assert math.isfinite(first.sigma_mean)
+        assert last.theta > 0.0 and math.isfinite(last.l2) and math.isfinite(last.lp)
+
+    def test_traced_peak_of_a_record(self):
+        # The CLI's full-mode observers at N = 2e5: every per-particle pass
+        # works in blocks of 2^15 rows, so sigma's blocked nu sets the peak.
+        # A record of the one-pass observers held 6.30 MiB.
+        config = SimConfig(
+            tau=1.0, restitution=RestitutionParams(epsilon=0.8, e=0.8, m1=1.0),
+            bath=bath_at(), dt=0.01, t_end=0.1, n_particles=200_000, seed=68,
+        )
+        vel = gaussian_init(200_000, seed=68)
+        d2 = _sq_norm(vel)
+        obs = ObserverConfig(compute_lp=True, compute_sigma=True)
+        assert traced_peak(dsmc._make_record, vel, 0.0, config, obs, d2) <= 2.5 * 2**20
+
+    def test_traced_peak_of_a_run(self):
+        # The velocities (4.6 MiB) and the |v - c|^2 cache (1.5 MiB) that
+        # the run allocates, and the step's candidate draw above them; the
+        # records stay below that floor.  It was 13.4 MiB with one-pass
+        # records.
+        config = SimConfig(
+            tau=1.0, restitution=RestitutionParams(epsilon=0.8, e=0.8, m1=1.0),
+            bath=bath_at(), dt=0.01, t_end=0.3, n_particles=200_000, seed=69,
+        )
+        obs = ObserverConfig(record_every=10, compute_lp=True, compute_sigma=True)
+        assert traced_peak(run, config, obs) <= 10 * 2**20
 
 
 class TestReproducibility:
