@@ -223,8 +223,9 @@ def _sample_cells(table: TabulatedDensity, weights: Array, n: int, rng: np.rando
     """``n`` cells drawn with probability proportional to ``weights``, each
     jittered uniformly within the cell; returns (velocities, cells)."""
     cells = rng.choice(weights.size, size=n, p=weights / weights.sum())
-    h = np.asarray(table.spacing)
-    return table.nodes()[cells] + (rng.random((n, 3)) - 0.5) * h, cells
+    jitter = rng.random((n, 3)) - 0.5
+    jitter *= table.spacing  # in place, as a table's sigma draws 2^15 at each record
+    return np.add(table.nodes()[cells], jitter, out=jitter), cells
 
 
 def sample_bath(bath: BathParams, n: int, rng: np.random.Generator) -> Array:
@@ -351,10 +352,9 @@ def c0(bath: BathParams) -> float:
     """Collision-frequency linearization constant.
 
     C0 = 2 max{ E|W - u1|, E|W - u1|^3 / E|W - u1|^2 }, which dominates the
-    sublinear part of nu: lambda nu(v) <= |v - u1| + E|W - u1| and
-    lambda nu(v) >= ... C0 closes the moment inequalities either way.
-    For a Maxwellian, E^3/E^2 = (8/3)sqrt(2/pi) s > E^1 = 2 sqrt(2/pi) s,
-    so C0 = (16/3) sqrt(2/pi) s.
+    sublinear part of nu, lambda nu(v) <= |v - u1| + E|W - u1|.  For a
+    Maxwellian, E^3/E^2 = (8/3)sqrt(2/pi) s > E^1 = 2 sqrt(2/pi) s, so
+    C0 = (16/3) sqrt(2/pi) s.
     """
     m1_abs = abs_moment(bath, 1.0)
     m2 = abs_moment(bath, 2.0)
@@ -485,64 +485,46 @@ def erf(x: Array) -> Array:
 
 
 # Rows per block of every per-particle pass whose temporaries would
-# otherwise grow with N: the Maxwellian nu, sigma's pair term and a record's
-# moments and bin counts.  Each float temporary is 256 KB, and the ~9 alive
-# at once in nu fill about one core's L2 cache (2 MB).  erf's branch
-# dispatch has a fixed cost per call of about a tenth of such a block's
-# work, so much smaller blocks pay it too often.
+# otherwise grow with N (the Maxwellian nu, sigma's pair term and a record's
+# moments and bin counts), and the number of a table's sigma draws.  Each
+# float temporary is 256 KB, and the ~9 alive at once in nu fill about one
+# core's L2 cache (2 MB).  erf's branch dispatch has a fixed cost per call
+# of about a tenth of such a block's work, so smaller blocks pay it too often.
 _PARTICLE_BLOCK = 1 << 15
 
 
 def nu(bath: BathParams, v: Array) -> Array:
-    """Collision frequency nu(v) = E_{F1} |v - W| / lambda.
+    """Collision frequency nu(v) = E_{F1} |v - W| / lambda of a Maxwellian bath.
 
-    Maxwellian: closed form in rho = |v - u1| / s,
+    Closed form in rho = |v - u1| / s,
         lambda nu = s [ sqrt(2/pi) exp(-rho^2/2) + (rho + 1/rho) erf(rho/sqrt 2) ],
     with the small-rho series sqrt(2/pi)(2 + rho^2/3 - rho^4/60) below
     rho = 1e-4; erf is the numpy port :func:`erf`, within 1 ulp of
-    ``math.erf``.  Tabulated: the node (point-mass) law, each table node
-    carrying its cell's mass, so lambda nu(v) is the mass-weighted sum of
-    |v - W| over the nodes W.  Accepts (..., 3) input and returns the
+    ``math.erf``.  A table raises ValueError: :func:`nu_mc` estimates its
+    rate under the sweep's cell law.  Accepts (..., 3) input and returns the
     matching leading shape.
     """
+    if bath.kind != "maxwellian":
+        raise ValueError("nu has a closed form for a Maxwellian bath only; use nu_mc")
     v = np.asarray(v, dtype=float)
-    scalar = v.ndim == 1
     pts = v.reshape(-1, v.shape[-1])
-    n = pts.shape[0]
-    out = np.empty(n)
-    if bath.kind == "maxwellian":
-        # Elementwise, so blocks of _PARTICLE_BLOCK points give the values of
-        # one pass over all points.  erf runs first, while the fewest block
-        # temporaries are alive.
-        s = bath.sigma_th
-        for lo in range(0, n, _PARTICLE_BLOCK):
-            rho = np.sqrt(_sq_norm(pts[lo : lo + _PARTICLE_BLOCK], bath.u1)) / s
-            small = rho < 1e-4
-            r = rho[small]
-            rho[small] = 1.0  # these take the series below
-            g = (
-                erf(rho / math.sqrt(2.0)) * (rho + 1.0 / rho)
-                + math.sqrt(2.0 / math.pi) * np.exp(-0.5 * rho**2)
-            )
-            g[small] = math.sqrt(2.0 / math.pi) * (2.0 + r**2 / 3.0 - r**4 / 60.0)
-            out[lo : lo + _PARTICLE_BLOCK] = s * g / bath.lambda_
-    else:
-        table = bath.table
-        assert table is not None
-        nodes = table.nodes()
-        weights = table.values.ravel() * table.cell_volume
-        # _sq_norm forms |v - W|^2 one component at a time, bitwise equal to
-        # the norm of the broadcast (points, nodes, 3) difference without
-        # allocating it.  Blocks start at multiples of 64 points, so the
-        # product sums each row as one call over all points would; a lone
-        # last row joins the block before it, as a one-row product takes
-        # another path whose last bit can differ.
-        starts = list(range(0, max(n - 1, 1), 64))
-        for lo, hi in zip(starts, starts[1:] + [n]):
-            d = _sq_norm(pts[lo:hi, None, :], nodes)
-            out[lo:hi] = np.sqrt(d, out=d) @ weights
-        out /= bath.lambda_
-    return float(out[0]) if scalar else out.reshape(v.shape[:-1])
+    out = np.empty(len(pts))
+    # Elementwise, so blocks of _PARTICLE_BLOCK points give the values of one
+    # pass over all points.  erf runs first, while the fewest block
+    # temporaries are alive.
+    s = bath.sigma_th
+    for lo in range(0, len(pts), _PARTICLE_BLOCK):
+        rho = np.sqrt(_sq_norm(pts[lo : lo + _PARTICLE_BLOCK], bath.u1)) / s
+        small = rho < 1e-4
+        r = rho[small]
+        rho[small] = 1.0  # these take the series below
+        g = (
+            erf(rho / math.sqrt(2.0)) * (rho + 1.0 / rho)
+            + math.sqrt(2.0 / math.pi) * np.exp(-0.5 * rho**2)
+        )
+        g[small] = math.sqrt(2.0 / math.pi) * (2.0 + r**2 / 3.0 - r**4 / 60.0)
+        out[lo : lo + _PARTICLE_BLOCK] = s * g / bath.lambda_
+    return float(out[0]) if v.ndim == 1 else out.reshape(v.shape[:-1])
 
 
 def nu_mc(
@@ -551,7 +533,8 @@ def nu_mc(
     n_samples: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of nu(v) with its standard error."""
+    """Monte Carlo estimate of nu(v), with its standard error, from
+    :func:`sample_bath` draws: a table's rate under the sweep's cell law."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     v = np.asarray(v, dtype=float).reshape(3)

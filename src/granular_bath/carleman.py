@@ -223,9 +223,7 @@ class KernelGrid:
             raise ValueError(f"expected {self.n_nodes} node values, got {f.size}")
         lattice = _Lattice(self.restitution, self.bath, self.n, self.h)
         gain = np.empty(self.n_nodes)
-        # The larger block keeps each product's BLAS summation order, and so
-        # its last bit, as ``validate`` and the tests have pinned it.
-        step = _block_rows(self.n_nodes, _APPLY_BLOCK_ENTRIES)
+        step = max(1, _GRID_BLOCK_ENTRIES // self.n_nodes)
         block = np.empty((min(step, self.n_nodes), self.n_nodes))
         for lo in range(0, self.n_nodes, step):
             hi = min(lo + step, self.n_nodes)
@@ -239,14 +237,9 @@ class KernelGrid:
         return f / (f.sum() * self.cell_volume)
 
 
-# Kernel values per block of rows: make_grid's block (2 MB, one core's L2
-# cache; 8 rows at n = 32) and apply_l's block (16 MB).
+# Kernel values per block of rows of make_grid and apply_l: 2 MB, one core's
+# L2 cache; 8 rows at n = 32.
 _GRID_BLOCK_ENTRIES = 1 << 18
-_APPLY_BLOCK_ENTRIES = 1 << 21
-
-
-def _block_rows(n_nodes: int, entries: int) -> int:
-    return max(1, entries // n_nodes)
 
 
 class _Lattice:
@@ -427,7 +420,7 @@ def make_grid(
 
     lattice = _Lattice(restitution, bath, n, h, reach=(n + 1) // 2)
     reduced = np.empty((n_orb, n_orb))
-    step = _block_rows(n_nodes, _GRID_BLOCK_ENTRIES)
+    step = max(1, _GRID_BLOCK_ENTRIES // n_nodes)
     block = np.empty((min(step, n_orb), n_nodes))
     for lo in range(0, n_orb, step):
         hi = min(lo + step, n_orb)

@@ -69,6 +69,8 @@ from .kinematics import (
     sphere_average_q,
 )
 from .observables import (
+    CSV_COLUMNS,
+    BoundParams,
     FitRefusedError,
     SupportMismatchError,
     _fmt,
@@ -315,6 +317,8 @@ def serialize_config(parsed: ParsedConfig) -> str:
 
 def _plot_script(bound: float | None, has_h: bool) -> str:
     """Gnuplot text plotting the trajectory CSV written beside it."""
+    col = {name: i + 1 for i, name in enumerate(CSV_COLUMNS)}  # gnuplot counts from 1
+    curve = '"trajectory.csv" using 1:{} with lines lw 2 title "{}"'.format
     lines = [
         "# Render with: gnuplot plot.gp  (reads trajectory.csv in this directory)",
         'set datafile separator ","',
@@ -324,28 +328,23 @@ def _plot_script(bound: float | None, has_h: bool) -> str:
         "",
         'set output "theta.png"',
         'set ylabel "temperature"',
-        'plot "trajectory.csv" using 1:6 with lines lw 2 title "Theta(t)"',
+        "plot " + curve(col["theta"], "Theta(t)"),
         "",
         'set output "aux_moment.png"',
         'set ylabel "F(t) = 3 Theta + |u-u1|^2 + 3 Theta1/m1"',
     ]
     if bound is not None:
-        shift_note = "const bound line excludes the 3 Theta1/m1 shift of column 7"
         lines += [
-            f"# {shift_note}",
-            f'plot "trajectory.csv" using 1:7 with lines lw 2 title "F(t)", \\',
+            f"# const bound line excludes the 3 Theta1/m1 shift of column {col['F']}",
+            f"plot {curve(col['F'], 'F(t)')}, \\",
             f'     {_fmt(bound)} with lines dashtype 2 title "bound + shift"',
         ]
     else:
-        lines.append('plot "trajectory.csv" using 1:7 with lines lw 2 title "F(t)"')
+        lines.append("plot " + curve(col["F"], "F(t)"))
     if has_h:
-        lines += [
-            "",
-            'set output "h_functional.png"',
-            'set ylabel "H(t)"',
-            'plot "trajectory.csv" using 1:14 with lines lw 2 title "H quadratic", \\',
-            '     "trajectory.csv" using 1:15 with lines lw 2 title "H entropy"',
-        ]
+        lines += ["", 'set output "h_functional.png"', 'set ylabel "H(t)"',
+                  f"plot {curve(col['Hquad'], 'H quadratic')}, \\",
+                  "     " + curve(col["Hent"], "H entropy")]
     return "\n".join(lines) + "\n"
 
 
@@ -353,9 +352,11 @@ def _write_bound_report(
     path: Path,
     parsed: ParsedConfig,
     traj: MomentTrajectory,
+    bp: BoundParams | None,
     extra_lines: Sequence[str] = (),
 ) -> bool:
-    """Write the bound-compliance report; returns True on a violation."""
+    """Write the bound-compliance report, with ``bp`` None when there is no
+    bath; returns True on a violation."""
     sim = parsed.sim
     assert sim is not None
     lines = [f"mode: {parsed.mode}", f"seed: {sim.seed}",
@@ -376,8 +377,6 @@ def _write_bound_report(
             lines.append(f"cooling fit: refused ({exc})")
     else:
         bath = sim.bath
-        f0 = traj.records[0].f_aux
-        bp = bound_params(sim.restitution, bath, f0)
         lines.append(f"gamma1: {_fmt(bp.gamma1)}")
         lines.append(f"gamma2: {_fmt(bp.gamma2)}")
         lines.append(f"bound max((gamma2/gamma1)^2, F(0)): {_fmt(bp.bound)}")
@@ -492,12 +491,12 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
     for line in extra:
         print(line)
 
-    bound_value = None
+    bp = bound_value = None
     if sim.bath is not None:
         bp = bound_params(sim.restitution, sim.bath, traj.records[0].f_aux)
         # Plot line includes the 3 Theta1/m1 shift so it is comparable to F.
         bound_value = bp.bound + 3.0 * sim.bath.theta1 / sim.bath.m1
-    violated = _write_bound_report(out / "bound_report.txt", parsed, traj, extra)
+    violated = _write_bound_report(out / "bound_report.txt", parsed, traj, bp, extra)
     (out / "plot.gp").write_text(
         _plot_script(bound_value, has_h=h_reference is not None), encoding="utf-8"
     )

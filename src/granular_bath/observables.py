@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .background import _PARTICLE_BLOCK, BathParams, c0, nu
+from .background import _PARTICLE_BLOCK, BathParams, c0, nu, sample_bath
 from .kinematics import RestitutionParams, _sq_norm
 
 __all__ = [
@@ -325,7 +325,12 @@ def lp_norm(hist: Histogram, p: float) -> float:
     density, vol = hist.density, hist.cell_volume
     if density.sum() * vol <= 0.0:
         return math.nan
-    return float(np.sum(density**p) * vol) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        norm = float(np.sum(density**p) * vol) ** (1.0 / p)
+    if not math.isfinite(norm):  # density**p overflows about a near point mass
+        peak = float(density.max())
+        norm = peak * float(np.sum((density / peak) ** p) * vol) ** (1.0 / p)
+    return norm
 
 
 _PHI = {
@@ -446,31 +451,37 @@ def haff_fit(times: Array, thetas: Array) -> HaffFit:
     return HaffFit(exponent=g, t0=math.exp(0.5 * (a + b)), residual=float(np.sqrt(np.mean(r * r))))
 
 
-def _shift_mean(vel: Array, shifts: Sequence[int]) -> float:
-    """Mean of |v_k - v_{(k + s) mod N}| over all k and the given shifts s.
+def _shift_mean(vel: Array, shifts: Sequence[int], w: Array) -> float:
+    """Mean of |v_k - w_{(k + s) mod M}| over all k and the given shifts s,
+    for M partners ``w`` (``vel`` itself for the gas pairs).
 
-    One velocity column at a time, in blocks of ``_PARTICLE_BLOCK`` rows: a
-    block's partners are two contiguous slices, so nothing is gathered.  The
-    squares are summed (d0^2 + d2^2) + d1^2, the order of
+    One velocity column at a time, in blocks of ``_PARTICLE_BLOCK`` rows, or
+    of rows of M particles while M is smaller (N a multiple of M if N > M):
+    a block's partners are two contiguous slices, so nothing is gathered.
+    The squares are summed (d0^2 + d2^2) + d1^2, the order of
     ``einsum("ij,ij->i", d, d)`` on whole rows, and each block's distances
     are summed by ``np.sum``.
     """
-    n = vel.shape[0]
-    sq, d = np.empty((2, min(n, _PARTICLE_BLOCK)))
+    n, m = vel.shape[0], w.shape[0]
+    width = min(m, _PARTICLE_BLOCK)
+    step = max(1, _PARTICLE_BLOCK // m) * width
+    sq, d = np.empty((2, min(n, step)))
     total = 0.0
     for s in shifts:
-        for lo in range(0, n, _PARTICLE_BLOCK):
-            hi = min(lo + _PARTICLE_BLOCK, n)
-            mid = min(max(n - s, lo), hi)  # partners wrap to the front from here
-            acc, tmp = sq[: hi - lo], d[: hi - lo]
+        for lo in range(0, n, step):
+            rows = min(step, n - lo)
+            cols = min(rows, width)
+            start = (lo + s) % m
+            mid = min(cols, m - start)  # partners wrap to the front from here
+            acc, tmp = sq[:rows].reshape(-1, cols), d[:rows].reshape(-1, cols)
             for c, out in ((0, acc), (2, tmp), (1, tmp)):
-                col = vel[:, c]
-                np.subtract(col[lo:mid], col[lo + s : mid + s], out=out[: mid - lo])
-                np.subtract(col[mid:hi], col[mid + s - n : hi + s - n], out=out[mid - lo :])
+                col = vel[lo : lo + rows, c].reshape(-1, cols)
+                np.subtract(col[:, :mid], w[start : start + mid, c], out=out[:, :mid])
+                np.subtract(col[:, mid:], w[: cols - mid, c], out=out[:, mid:])
                 out *= out
                 if out is tmp:
                     acc += tmp
-            total += float(np.sum(np.sqrt(acc, out=acc)))
+            total += float(np.sum(np.sqrt(sq[:rows], out=sq[:rows])))
     return total / (len(shifts) * n)
 
 
@@ -490,10 +501,18 @@ def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
     (Hoeffding, Ann. Math. Statist. 19, 1948), so the linear term of the
     Hoeffding decomposition cancels from the sampling error: at N = 3000
     its spread was 0.68 times the sd(|v - w|) / sqrt(DEFAULT_SIGMA_PAIRS)
-    of as many independent pairs.  The nu term is the mean of
+    of as many independent pairs.  A Maxwellian bath's nu term is the mean of
     :func:`~granular_bath.background.nu` over all N velocities: the sum
     over blocks of ``_PARTICLE_BLOCK`` rows of each block's ``np.sum``,
     divided by N, which is ``np.mean`` to the bit while N fits one block.
+    A table's is the mean of |v_k - W_j| / lambda over at least
+    DEFAULT_SIGMA_PAIRS (particle, draw) pairs, every particle in as many:
+    W is M = ``_PARTICLE_BLOCK`` draws of the sweep's cell law by
+    :func:`~granular_bath.background.sample_bath` and ``default_rng(0)``,
+    the same at every call.  From N = M on, particle k meets W_{(k + s) mod M}
+    for s < r = ceil(DEFAULT_SIGMA_PAIRS / N); below, K = ceil(r / floor(M /
+    N)) shifts pair the first R N draws j, R = ceil(r / K), with the
+    particles (j + s) mod N.
     """
     vel = np.asarray(velocities, dtype=float)
     n = vel.shape[0]
@@ -504,9 +523,15 @@ def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
         else:
             k = -(-DEFAULT_SIGMA_PAIRS // n)
             shifts = np.random.default_rng(0).choice(n - 1, size=k, replace=False) + 1
-            conv = (n - 1) / n * _shift_mean(vel, shifts.tolist())
+            conv = (n - 1) / n * _shift_mean(vel, shifts.tolist(), vel)
         total += tau * conv
-    if bath is not None:
+    if bath is not None and bath.kind == "tabulated":
+        m, r = _PARTICLE_BLOCK, -(-DEFAULT_SIGMA_PAIRS // n)
+        draws = sample_bath(bath, m, np.random.default_rng(0))
+        k = -(-r // max(m // n, 1))  # shifts; r of them from N = M on
+        x, w = (vel, draws) if n >= m else (draws[: -(-r // k) * n], vel)
+        total += _shift_mean(x, range(k), w) / bath.lambda_
+    elif bath is not None:
         total += sum(
             float(np.sum(nu(bath, vel[lo : lo + _PARTICLE_BLOCK])))
             for lo in range(0, n, _PARTICLE_BLOCK)
@@ -526,12 +551,9 @@ def _fmt(x: float) -> str:
 
 
 def write_records(path: str | Path, records: Sequence[MomentRecord]) -> None:
-    """Serialize records as CSV with the fixed column order.
-
-    Columns: t, rho, ux, uy, uz, theta, F, Y1, Y1.5, Y2, Y3, L2, Lp, Hquad,
-    Hent, sigma, one per :class:`MomentRecord` field (``Lp`` is p = 1.5).
-    Floats are written with shortest round-trip formatting so a rerun with
-    the same seed is byte-identical.
+    """Serialize records as CSV with the columns ``CSV_COLUMNS`` (``Lp`` is
+    p = 1.5).  Floats are written with shortest round-trip formatting so a
+    rerun with the same seed is byte-identical.
     """
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

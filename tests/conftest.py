@@ -3,8 +3,18 @@ import tracemalloc
 
 import numpy as np
 
-from granular_bath.background import nu
+from granular_bath.background import BathParams, TabulatedDensity, nu
 from granular_bath.observables import DEFAULT_SIGMA_PAIRS
+
+
+def skewed_table_bath(lam=1.0, m1=1.0):
+    """An anisotropic, off-centre tabulated bath on 9^3 cells of width 0.5."""
+    ax = np.linspace(-2.0, 2.0, 9)
+    g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
+    values = np.exp(-0.5 * np.sum((g - [0.4, -0.3, 0.1]) ** 2 / [0.5, 1.0, 0.3], axis=-1))
+    values *= 1.0 + 0.5 * np.tanh(g[..., 0])
+    table = TabulatedDensity(axes=(ax, ax, ax), values=values)
+    return BathParams(m1=m1, u1=np.zeros(3), theta1=1.0, lambda_=lam, kind="tabulated", table=table)
 
 
 def traced_peak(fn, *args, **kwargs) -> int:

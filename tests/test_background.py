@@ -272,6 +272,16 @@ class TestCollisionFrequency:
         above = float(nu(bath, np.array([1.00001e-4, 0.0, 0.0])))
         assert below == pytest.approx(above, rel=1e-10)
 
+    def test_tabulated_bath_raises_naming_nu_mc(self):
+        # A table has no closed form; its rate is the sampled cell law's.
+        ax = np.linspace(-1.0, 1.0, 5)
+        table = TabulatedDensity(axes=(ax, ax, ax), values=np.ones((5, 5, 5)))
+        bath = BathParams(
+            m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0, kind="tabulated", table=table,
+        )
+        with pytest.raises(ValueError, match="nu_mc"):
+            nu(bath, np.zeros(3))
+
     def test_vectorized_matches_scalar(self):
         bath = maxwell_bath(theta1=0.7, lam=1.3)
         pts = np.random.default_rng(13).normal(size=(64, 3))
@@ -401,31 +411,6 @@ class TestBlockedNu:
         bath = maxwell_bath()
         pts = np.random.default_rng(41).standard_normal((200_000, 3))
         assert traced_peak(nu, bath, pts) <= 4 * 2**20
-
-
-class TestTabulatedNu:
-    @pytest.mark.parametrize("n", [1, 2, 3, 65, 67, 129, 200])
-    def test_matches_the_broadcast_norm_form(self, n):
-        # A skewed, off-centre 14^3 table; points inside the table and far
-        # outside it, in one block or several, sizes that would leave one
-        # point alone in a block of 64 included.
-        axes = (np.linspace(-3.0, 3.0, 14), np.linspace(-2.5, 3.5, 14), np.linspace(-3.0, 2.0, 14))
-        g = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        vals = np.exp(-0.5 * np.sum((g - [0.4, -0.3, 0.1]) ** 2 / [0.5, 1.0, 0.3], axis=-1))
-        vals *= 1.0 + 0.5 * np.tanh(g[..., 0])
-        table = TabulatedDensity(axes=axes, values=vals)
-        bath = BathParams(
-            m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.3, kind="tabulated", table=table,
-        )
-        rng = np.random.default_rng(29)
-        pts = np.concatenate([
-            rng.uniform(-2.5, 2.0, (150, 3)),
-            rng.standard_normal((50, 3)) * 20.0 + [5.0, -4.0, 3.0],
-        ])[rng.permutation(200)[:n]]
-        got = nu(bath, pts)
-        dist = np.linalg.norm(pts[:, None, :] - table.nodes()[None, :, :], axis=-1)
-        want = (dist @ (table.values.ravel() * table.cell_volume)) / bath.lambda_
-        assert got.tobytes() == want.tobytes()
 
 
 class TestTableIO:

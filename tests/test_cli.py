@@ -2,6 +2,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -26,7 +27,7 @@ from granular_bath.cli import (
     serialize_config,
 )
 from granular_bath.dsmc import ObserverConfig, run
-from granular_bath.observables import read_records, write_records
+from granular_bath.observables import CSV_COLUMNS, read_records, write_records
 
 
 def write_config(tmp_path: Path, obj: dict, name: str = "config.json") -> Path:
@@ -369,6 +370,40 @@ class TestExecute:
         rc = main(["full", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 0
         assert len(read_records(tmp_path / "o" / "trajectory.csv")) == 11
+
+    def test_tabulated_full_run(self, tmp_path):
+        # A small anisotropic, off-centre table: the run takes sigma's bath
+        # term from fixed draws of the cell law, so it is finite, positive
+        # and the same in a rerun.
+        ax = np.linspace(-3.0, 3.0, 9)
+        g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+        density = np.exp(-0.5 * np.sum((g - [0.3, 0.0, -0.2]) ** 2 / [1.3, 0.8, 1.0], axis=1))
+        table = tmp_path / "f1.csv"
+        table.write_text("vx,vy,vz,density\n" + "".join(
+            f"{x!r},{y!r},{z!r},{d!r}\n" for (x, y, z), d in zip(g.tolist(), density.tolist())
+        ), encoding="utf-8")
+        config = {k: v for k, v in FULL_SMOKE.items() if k != "theta1"}
+        path = write_config(tmp_path, dict(config, f1_table=str(table), n_particles=500,
+                                           t_end=0.2))
+        outputs = []
+        for name in ("a", "b"):
+            assert main(["full", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())})
+        sigma = np.array([r.sigma_mean for r in read_records(tmp_path / "a" / "trajectory.csv")])
+        assert sigma.size == 11 and np.all(np.isfinite(sigma)) and np.all(sigma > 0.0)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("bound", [None, 2.5])
+    @pytest.mark.parametrize("has_h", [False, True])
+    def test_plot_columns_are_the_plotted_fields(self, bound, has_h):
+        # Each "using 1:k" reads the trajectory column its title names.
+        titles = {"Theta(t)": "theta", "F(t)": "F", "H quadratic": "Hquad",
+                  "H entropy": "Hent"}
+        plotted = re.findall(r'using 1:(\d+) with lines lw 2 title "([^"]+)"',
+                             cli._plot_script(bound, has_h))
+        assert len(plotted) == (4 if has_h else 2)
+        for k, title in plotted:
+            assert CSV_COLUMNS[int(k) - 1] == titles[title]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         parsed = parse_config_dict(COOLING_SMOKE)

@@ -1,12 +1,13 @@
 """Stochastic-solver oracles: exact conservation per collision, collision
 rates against closed forms, equilibrium stationarity, fault handling, and
 bitwise reproducibility."""
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import skewed_table_bath, traced_peak
 
 from granular_bath import dsmc
 from granular_bath.background import BathParams, bath_density, nu
@@ -38,18 +39,6 @@ from granular_bath.observables import (
 
 def bath_at(theta1=1.0, m1=1.0, lam=1.0, u1=(0.0, 0.0, 0.0)):
     return BathParams(m1=m1, u1=np.array(u1, float), theta1=theta1, lambda_=lam)
-
-
-def skewed_table_bath(lam=1.0, m1=1.0):
-    # An anisotropic, off-centre tabulated bath on 9^3 cells of width 0.5.
-    from granular_bath.background import TabulatedDensity
-
-    ax = np.linspace(-2.0, 2.0, 9)
-    g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
-    values = np.exp(-0.5 * np.sum((g - [0.4, -0.3, 0.1]) ** 2 / [0.5, 1.0, 0.3], axis=-1))
-    values *= 1.0 + 0.5 * np.tanh(g[..., 0])
-    table = TabulatedDensity(axes=(ax, ax, ax), values=values)
-    return BathParams(m1=m1, u1=np.zeros(3), theta1=1.0, lambda_=lam, kind="tabulated", table=table)
 
 
 def gaussian_init(n, theta=1.0, seed=0):
@@ -194,8 +183,9 @@ class TestStepL:
         for offset in ([0.1, 0.0, -0.1], [1.5, -2.0, 0.5]):
             v0 = bath.u1 + np.array(offset)
             if kind == "tabulated":
-                # The sampler jitters within cells, which the cell-midpoint
-                # nu does not see: take the rate of the sampled law itself.
+                # nu_mc gives a table's rate: it averages over sample_bath
+                # draws, the cell law that the sweep realizes (nu itself
+                # refuses a table).
                 want, want_se = nu_mc(bath, v0, 2_000_000, rng)
             else:
                 want, want_se = float(nu(bath, v0)), 0.0
@@ -950,6 +940,14 @@ class TestReproducibility:
         t2 = run(self.config(), observers=off)
         assert t1.final.velocities.tobytes() == t2.final.velocities.tobytes()
         assert t1.thetas().tobytes() == t2.thetas().tobytes()
+
+    def test_table_sigma_does_not_touch_the_simulation_stream(self):
+        # A tabulated bath's sigma term draws from a generator of its own.
+        config = dataclasses.replace(self.config(), bath=skewed_table_bath())
+        t1 = run(config, observers=ObserverConfig(compute_sigma=True))
+        t2 = run(config, observers=ObserverConfig(compute_sigma=False))
+        assert t1.final.velocities.tobytes() == t2.final.velocities.tobytes()
+        assert np.all(np.isfinite([r.sigma_mean for r in t1.records]))
 
     def test_explicit_generator_resume_is_deterministic(self):
         # Passing a generator (the resume path, with init=) replaces config

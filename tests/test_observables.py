@@ -7,9 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import sigma_shift_form, traced_peak
+from conftest import sigma_shift_form, skewed_table_bath, traced_peak
 
-from granular_bath.background import BathParams, nu, trilinear
+from granular_bath.background import BathParams, nu, sample_bath, trilinear
 from granular_bath.dsmc import ObserverConfig, SimConfig, run
 from granular_bath.kinematics import RestitutionParams, _sq_norm
 from granular_bath.observables import (
@@ -31,6 +31,7 @@ from granular_bath.observables import (
     read_records,
     reference_on_cells,
     sigma_freq,
+    thermal_extent,
     third_cumulant,
     write_records,
 )
@@ -253,6 +254,32 @@ class TestNorms:
             lp_norm(hist, p=1.0)
         with pytest.raises(ValueError):
             lp_norm(hist, p=math.inf)
+
+    @staticmethod
+    def record_histogram(vel):
+        # The box a record bins on: u +- 6 thermal widths, 32 cells per axis.
+        rec = moments(vel)
+        return histogram(vel, 32, thermal_extent(rec.theta), rec.u)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_near_point_mass_matches_the_rescaled_counts(self, p):
+        # At 1e-52 the cells have volume ~5e-158 and density**p overflows;
+        # the norm is (sum (c/N)^p)^(1/p) vol^(1/p - 1) from the counts.
+        vel = np.random.default_rng(4).normal(size=(1000, 3)) * 1e-52
+        hist = self.record_histogram(vel)
+        assert hist.cell_volume < 1e-150
+        counts = bin_counts(vel, hist.edges)
+        vol = hist.cell_volume
+        want = float(np.sum((counts / 1000.0) ** p)) ** (1.0 / p) * vol ** (1.0 / p - 1.0)
+        got = lp_norm(hist, p)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_unit_scale_keeps_the_direct_sum(self, p):
+        hist = self.record_histogram(np.random.default_rng(4).normal(size=(1000, 3)))
+        want = float(np.sum(hist.density**p) * hist.cell_volume) ** (1.0 / p)
+        assert lp_norm(hist, p) == want
 
     def test_empty_histogram_is_nan(self):
         # Every particle lies outside the box, so no cell holds any mass.
@@ -555,7 +582,7 @@ class TestSigmaFreq:
         n = 400
         vel = np.random.default_rng(16).normal(size=(n, 3)) + np.array([1.0, 0.0, -2.0])
         exact = float(np.mean(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
-        got = (n - 1) / n * _shift_mean(vel, range(1, n))
+        got = (n - 1) / n * _shift_mean(vel, range(1, n), vel)
         assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_blocks_match_whole_rows(self):
@@ -566,7 +593,7 @@ class TestSigmaFreq:
         vel = np.random.default_rng(19).normal(size=(n, 3))
         shifts = [1, 1000, 1001, 2**15, n - 1]
         want = np.mean([np.linalg.norm(vel - np.roll(vel, -s, axis=0), axis=1) for s in shifts])
-        assert _shift_mean(vel, shifts) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert _shift_mean(vel, shifts, vel) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("n, limit", [(20_000, 1.5 * 2**20), (200_000, 2.5 * 2**20)])
     def test_traced_peak_with_a_bath(self, n, limit):
@@ -590,6 +617,66 @@ class TestSigmaFreq:
         finally:
             tracemalloc.stop()
         assert kept <= 4096, kept
+
+
+class TestSigmaFreqTable:
+    """A tabulated bath's term: the mean of |v - W| / lambda over fixed
+    draws W of the cell law that the bath sweep samples."""
+
+    def test_within_four_standard_errors_of_fresh_draws(self):
+        bath = skewed_table_bath(lam=1.3)
+        vel = np.random.default_rng(50).normal(size=(3000, 3)) * 1.2 + [0.5, 0.0, -0.3]
+        got = sigma_freq(vel, bath, 0.0)
+        rng = np.random.default_rng(51)
+        chunks = [
+            np.linalg.norm(vel[rng.integers(3000, size=2**18)] - sample_bath(bath, 2**18, rng),
+                           axis=1) / bath.lambda_
+            for _ in range(8)
+        ]
+        want = float(np.mean([c.mean() for c in chunks]))
+        sd = float(np.std(np.concatenate(chunks)))
+        # The term's own error, from its 2^15 fixed draws and its pairs, is
+        # at most sd sqrt(1/2^15 + 1/2^17); the 2^21 fresh pairs add theirs.
+        se = sd * math.sqrt(1.0 / 2**15 + 1.0 / DEFAULT_SIGMA_PAIRS + 1.0 / 2**21)
+        assert abs(got - want) <= 4.0 * se, (got, want, se)
+
+    @pytest.mark.parametrize("n", [2, 100, 20_000, 2**15 + 5000])
+    def test_every_particle_in_as_many_pairs(self, n):
+        # One particle far out adds D times its share of the pairs, 1/N when
+        # every particle is in the same number of pairs.
+        bath, far = skewed_table_bath(lam=1.3), 1e9
+        vel = np.zeros((n, 3))
+        base = sigma_freq(vel, bath, 0.0)
+        assert sigma_freq(vel, bath, 0.0) == base  # the same draws at every call
+        for i in sorted({0, n // 2, n - 1}):
+            vel[i, 0] = far
+            share = (sigma_freq(vel, bath, 0.0) - base) * bath.lambda_ / far
+            vel[i, 0] = 0.0
+            assert share == pytest.approx(1.0 / n, rel=1e-6), i
+
+    def test_holds_one_block_and_keeps_nothing(self):
+        # The draws and the pair kernel's buffers, at most 2^15 rows each.
+        bath = skewed_table_bath()
+        vel = np.random.default_rng(52).normal(size=(200_000, 3))
+        assert traced_peak(sigma_freq, vel, bath, 1.0) <= 2.5 * 2**20
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sigma_freq(vel, bath, 1.0)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert kept <= 4096, kept
+
+    def test_shift_kernel_with_partners(self):
+        # Fewer partners than particles (rows of M particles) and more.
+        rng = np.random.default_rng(53)
+        x, w = rng.normal(size=(600, 3)), rng.normal(size=(200, 3))
+        for a, b in ((x, w), (w, x)):
+            m = b.shape[0]
+            want = np.mean([np.linalg.norm(a - b[(np.arange(a.shape[0]) + s) % m], axis=1)
+                            for s in (0, 3, m - 1)])
+            assert _shift_mean(a, [0, 3, m - 1], b) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestSigmaFreqBitwise:
@@ -622,7 +709,7 @@ class TestSigmaFreqBitwise:
         # the mean of one distance taken twice, which is that distance.
         d = vel[0:300:2] - vel[1:300:2]
         want = np.sqrt(np.einsum("ij,ij->i", d, d))
-        got = [_shift_mean(vel[k : k + 2], [1]) for k in range(0, 300, 2)]
+        got = [_shift_mean(vel[k : k + 2], [1], vel[k : k + 2]) for k in range(0, 300, 2)]
         assert np.array_equal(got, want)
 
 
