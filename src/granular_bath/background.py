@@ -12,7 +12,6 @@ tabulated density on a regular velocity grid (cell-sum quadratures).
 """
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kinematics import _sq_norm
+from .kinematics import RestitutionParams, _sq_norm
 
 __all__ = [
     "BathParams",
@@ -31,8 +30,8 @@ __all__ = [
     "load_table",
     "sample_bath",
     "sample_partners",
-    "trilinear",
     "bath_density",
+    "linear_steady",
     "abs_moment",
     "c0",
     "erf",
@@ -100,9 +99,16 @@ class TabulatedDensity:
         return float(np.prod(self.spacing))
 
     def nodes(self) -> Array:
-        """All grid nodes as an (n, 3) array (C order, last axis fastest)."""
+        """All grid nodes as an (n, 3) array (C order, last axis fastest),
+        built once per table and read-only."""
+        return self._nodes
+
+    @cached_property
+    def _nodes(self) -> Array:
         gx, gy, gz = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+        nodes = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+        nodes.flags.writeable = False
+        return nodes
 
     def mean(self) -> Array:
         return self.nodes().T @ self.values.ravel() * self.cell_volume
@@ -282,53 +288,30 @@ def sample_partners(
     return np.concatenate([plain, biased]), cell_bounds[np.concatenate([cells, biased_cells])]
 
 
-def trilinear(axes: Sequence[Array], values: Array, points: Array) -> Array:
-    """Trilinear interpolation of ``values`` tabulated on a rectilinear grid.
-
-    ``values[i, j, k]`` is the value at ``(axes[0][i], axes[1][j],
-    axes[2][k])``; each axis is strictly increasing with at least two nodes.
-    ``points`` is (..., 3) and the result has its leading shape.  A point
-    outside the grid gets 0; nodes and faces, the upper ones included, are
-    inside.  The weights and the order of the eight corner terms follow
-    scipy's ``RegularGridInterpolator(method="linear")``.
-    """
-    axes = [np.asarray(ax, dtype=float) for ax in axes]
-    pts = np.asarray(points, dtype=float)
-    flat = pts.reshape(-1, 3)
-    inside = np.ones(flat.shape[0], dtype=bool)
-    for d, ax in enumerate(axes):
-        inside &= (flat[:, d] >= ax[0]) & (flat[:, d] <= ax[-1])
-    q = flat[inside]
-    table = np.asarray(values, dtype=float)
-    lower = np.zeros(q.shape[0], dtype=np.intp)  # flat index of the lower corner
-    weights = []
-    for d, ax in enumerate(axes):
-        i = np.clip(np.searchsorted(ax, q[:, d], side="right") - 1, 0, ax.size - 2)
-        t = (q[:, d] - ax[i]) / (ax[i + 1] - ax[i])
-        lower = lower * ax.size + i
-        weights.append((1.0 - t, t))
-    strides = (table.shape[1] * table.shape[2], table.shape[2], 1)
-    flat_table = table.ravel()
-    value = np.zeros(q.shape[0])
-    for corner in itertools.product((0, 1), repeat=3):
-        w = weights[0][corner[0]] * weights[1][corner[1]] * weights[2][corner[2]]
-        offset = sum(c * s for c, s in zip(corner, strides))
-        value = value + flat_table.take(lower + offset) * w
-    out = np.zeros(flat.shape[0])
-    out[inside] = value
-    return out.reshape(pts.shape[:-1])
-
-
 def bath_density(bath: BathParams, points: Array) -> Array:
-    """Evaluate the bath density F1 at the given (..., 3) points."""
+    """Evaluate a Maxwellian bath density F1 at the given (..., 3) points.
+
+    A table raises ValueError: its law is the cell density that
+    :func:`sample_bath` draws from, with no pointwise form between nodes.
+    """
+    if bath.kind != "maxwellian":
+        raise ValueError("bath_density has a closed form for a Maxwellian bath only")
     points = np.asarray(points, dtype=float)
-    if bath.kind == "maxwellian":
-        s2 = bath.theta1 / bath.m1
-        sq = np.sum((points - bath.u1) ** 2, axis=-1)
-        return np.exp(-0.5 * sq / s2) / (2.0 * math.pi * s2) ** 1.5
-    table = bath.table
-    assert table is not None
-    return trilinear(table.axes, table.values, points)
+    s2 = bath.theta1 / bath.m1
+    sq = np.sum((points - bath.u1) ** 2, axis=-1)
+    return np.exp(-0.5 * sq / s2) / (2.0 * math.pi * s2) ** 1.5
+
+
+def linear_steady(restitution: RestitutionParams, bath: BathParams) -> float:
+    """Temperature theta_lin = kappa theta1 / (m1 (1 - kappa)) of the steady
+    state of bath collisions alone (tau = 0): the gas Maxwellian at u1 with
+    variance theta_lin per axis (Martin & Piasecki, Europhys. Lett. 46,
+    1999).  A table raises ValueError, as in :func:`nu`.
+    """
+    if bath.kind != "maxwellian":
+        raise ValueError("linear_steady has a closed form for a Maxwellian bath only")
+    kappa = restitution.kappa
+    return kappa * bath.theta1 / (bath.m1 * (1.0 - kappa))
 
 
 def abs_moment(bath: BathParams, k: float) -> float:

@@ -139,11 +139,12 @@ def kernel_quadrature(
 ) -> float:
     """Scattering kernel via direct 2-D quadrature of the planar integral.
 
-    Independent oracle for :func:`kernel_closed_form` (and the fallback for
-    non-Maxwellian baths): tensor Gauss-Legendre quadrature, 96 nodes per
-    axis, of the bath density over the plane through v + g (w - v)
-    orthogonal to w - v, centered on the in-plane projection of the bath
-    mean and spanning 11 thermal widths each way.
+    Independent oracle for :func:`kernel_closed_form`: tensor
+    Gauss-Legendre quadrature, 96 nodes per axis, of the Maxwellian bath
+    density over the plane through v + g (w - v) orthogonal to w - v,
+    centered on the in-plane projection of the bath mean and spanning 11
+    thermal widths each way.  A table raises ValueError, as
+    :func:`~granular_bath.background.bath_density` does.
     """
     n_quad, span = 96, 11.0
     v = np.asarray(v, dtype=float).reshape(3)

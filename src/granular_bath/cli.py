@@ -4,7 +4,8 @@ Modes
 -----
 cooling   pair collisions only (no bath): algebraic temperature decay.
 linear    bath only (tau = 0): relaxation to the bath-driven equilibrium,
-          cross-checked against the velocity-grid steady state.
+          the closed-form Maxwellian at theta_lin, which also checks the
+          velocity-grid steady state.
 full      pair collisions + bath: driven steady state with bound report.
 validate  fast self-check suite, one PASS/FAIL line per invariant.
 
@@ -23,6 +24,7 @@ log level.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
@@ -36,7 +38,8 @@ from typing import Callable, NoReturn, Sequence
 import numpy as np
 
 from .background import (
-    BathParams, TableFormatError, abs_moment, erf, load_table, nu, trilinear,
+    BathParams, TableFormatError, abs_moment, bath_density, erf, linear_steady,
+    load_table, nu,
 )
 from .carleman import (
     ConvergenceError,
@@ -99,6 +102,11 @@ log = logging.getLogger(__name__)
 MODES = ("cooling", "linear", "full", "validate")
 
 _H_BINS = 32  # cells per axis of the linear-mode H box
+# Largest relative distance of the grid steady temperature from the closed
+# form theta_lin that a linear run accepts.  At e = 0.8, m1 = 1 the accepted
+# grids (nodes/extent 8/5, 10/4, 12/3, 32/8) lie within 1%, and too narrow
+# or too coarse ones (24/2, 6/6, 5/0.5, 4/20) 15% or more off.
+_GRID_THETA_TOL = 0.02
 
 DEFAULTS: dict = {
     "tau": 1.0,
@@ -288,7 +296,8 @@ def parse_config_dict(
             if sub not in ("nodes", "extent"):
                 raise ConfigError(f"unknown key 'grid.{sub}'")
         grid = {**DEFAULTS["grid"], **grid}
-        grid_nodes = _as_int(grid, "nodes", 4)
+        # The reduced matrix takes C(n/2 + 2, 3)^2 doubles: 273 MiB at n = 64.
+        grid_nodes = _as_int(grid, "nodes", 4, 64)
         grid_extent = _as_float(grid, "extent", lo=0.0, lo_open=True)
         merged["grid"] = {"nodes": grid_nodes, "extent": grid_extent}
 
@@ -437,14 +446,23 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
             extent_sigma=parsed.grid_extent,
         )
         steady_grid = steady_state(grid)
+        theta_lin = linear_steady(sim.restitution, sim.bath)
+        if not abs(steady_grid.theta - theta_lin) <= _GRID_THETA_TOL * theta_lin:
+            raise NumericalFault(
+                f"grid steady temperature {_fmt(steady_grid.theta)} is more than "
+                f"{_GRID_THETA_TOL:.0%} from the closed form theta_lin = "
+                f"{_fmt(theta_lin)}; the grid is too coarse or too narrow for the bath"
+            )
         write_grid_csv(out / "steady_f1.csv", grid, steady_grid.f)
-        # The H box: _H_BINS^3 cells over 90% of the grid's half-width.
-        edges = box_edges(sim.bath.u1, 0.9 * parsed.grid_extent * sim.bath.sigma_th, _H_BINS)
-        reference = functools.partial(trilinear, grid.axes, steady_grid.f.reshape((grid.n,) * 3))
-        h_reference = (edges, reference_on_cells(reference, edges))
         # Only steady_grid is read from here on: free the grid's reduced
         # matrix and node arrays before the particle run allocates.
-        del grid, reference
+        del grid
+        # The H reference is the closed-form steady state, the gas
+        # Maxwellian at (u1, theta_lin), on _H_BINS^3 cells over 90% of the
+        # grid's half-width.
+        gas = dataclasses.replace(sim.bath, m1=1.0, theta1=theta_lin)
+        edges = box_edges(sim.bath.u1, 0.9 * parsed.grid_extent * sim.bath.sigma_th, _H_BINS)
+        h_reference = (edges, reference_on_cells(functools.partial(bath_density, gas), edges))
 
     observers = ObserverConfig(
         record_every=parsed.record_every,
@@ -459,16 +477,6 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
         return 1
 
     traj.to_csv(out / "trajectory.csv")
-    if parsed.mode == "linear":
-        # Bath collisions with e <= 1 cannot heat the gas above theta1, so a
-        # grid steady temperature above max(theta1, Theta(0)) is a grid artefact.
-        theta_max = max(sim.bath.theta1, traj.records[0].theta)
-        if not 0.0 < steady_grid.theta <= theta_max:
-            raise NumericalFault(
-                f"grid steady temperature {_fmt(steady_grid.theta)} lies outside "
-                f"(0, {_fmt(theta_max)}]; the grid is too coarse or too narrow "
-                f"for the bath"
-            )
 
     extra: list[str] = []
     if parsed.mode != "cooling":
@@ -485,8 +493,9 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
     if parsed.mode == "linear":
         extra += [
             f"theta grid steady: {_fmt(steady_grid.theta)}",
+            f"theta exact: {_fmt(theta_lin)}",
             f"theta simulation steady: {_fmt(theta_s)} +- {_fmt(theta_se)}",
-            f"theta discrepancy: {_fmt(abs(theta_s - steady_grid.theta))}",
+            f"theta discrepancy: {_fmt(abs(theta_s - theta_lin))}",
         ]
     for line in extra:
         print(line)

@@ -14,14 +14,14 @@ from granular_bath.background import (
     bath_density,
     c0,
     erf,
+    linear_steady,
     load_table,
     nu,
     nu_mc,
     sample_bath,
     sample_partners,
-    trilinear,
 )
-from granular_bath.kinematics import _sq_norm
+from granular_bath.kinematics import RestitutionParams, _sq_norm
 
 # E|W - u1|^k for W ~ N(u1, s^2 I3) equals s^k 2^(k/2) Gamma((3+k)/2)/Gamma(3/2):
 #   k=1 -> 2 sqrt(2/pi) s, k=2 -> 3 s^2, k=3 -> (16/sqrt(2 pi)) s^3.
@@ -32,6 +32,14 @@ C0_UNIT = 4.255384324281949  # 2 * max(E1, E3/E2) = 2 * E3 / 3
 
 def maxwell_bath(m1=1.0, theta1=1.0, lam=1.0, u1=(0.0, 0.0, 0.0)):
     return BathParams(m1=m1, u1=np.array(u1, dtype=float), theta1=theta1, lambda_=lam)
+
+
+def tabulated_bath():
+    ax = np.linspace(-1.0, 1.0, 5)
+    table = TabulatedDensity(axes=(ax, ax, ax), values=np.ones((5, 5, 5)))
+    return BathParams(
+        m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0, kind="tabulated", table=table,
+    )
 
 
 class TestBathParams:
@@ -154,41 +162,37 @@ class TestSizeBiasedPartners:
         assert np.all(np.linalg.norm(draws - bath.u1, axis=1) <= bounds)
 
 
-class TestTrilinear:
-    def test_matches_scipy_linear_interpolator(self):
-        # Oracle: scipy's RegularGridInterpolator, linear, zero outside.
-        # Each axis has its own spacing and length.
-        from scipy.interpolate import RegularGridInterpolator
+class TestTableLaws:
+    """A table's law is its cell density; the pointwise closed forms of a
+    Maxwellian bath raise on it."""
 
-        rng = np.random.default_rng(71)
-        axes = (
-            np.linspace(-1.3, 2.1, 7),
-            np.linspace(0.5, 1.7, 12),
-            np.linspace(-4.0, -1.0, 5),
-        )
-        values = rng.random((7, 12, 5)) + 0.1
-        inner = np.column_stack([rng.uniform(a[0], a[-1], 4000) for a in axes])
-        wide = np.column_stack([rng.uniform(a[0] - 0.6, a[-1] + 0.6, 4000) for a in axes])
-        nodes = np.stack(
-            [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1
-        )
-        upper = inner[:300].copy()
-        for d, ax in enumerate(axes):
-            upper[d * 100 : (d + 1) * 100, d] = ax[-1]
-        just_out = upper.copy()
-        for d, ax in enumerate(axes):
-            just_out[d * 100 : (d + 1) * 100, d] = np.nextafter(ax[-1], np.inf)
-        pts = np.concatenate([inner, wide, nodes, upper, just_out])
-        want = RegularGridInterpolator(
-            axes, values, method="linear", bounds_error=False, fill_value=0.0
-        )(pts)
-        got = trilinear(axes, values, pts)
-        assert got.shape == want.shape
-        np.testing.assert_array_equal(got == 0.0, want == 0.0)
-        assert np.max(np.abs(got - want)) <= 1e-14 * values.max()
-        np.testing.assert_array_equal(trilinear(axes, values, nodes), values.ravel())
-        assert np.all(trilinear(axes, values, just_out) == 0.0)
-        assert trilinear(axes, values, pts.reshape(-1, 2, 3)).shape == (pts.shape[0] // 2, 2)
+    def test_nodes_are_built_once_and_read_only(self):
+        ax = (np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 2.0, 4), np.linspace(-2.0, 0.5, 5))
+        table = TabulatedDensity(axes=ax, values=np.ones((3, 4, 5)))
+        nodes = table.nodes()
+        assert table.nodes() is nodes
+        assert not nodes.flags.writeable
+        gx, gy, gz = np.meshgrid(*ax, indexing="ij")
+        want = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+        assert nodes.tobytes() == want.tobytes()
+
+    def test_bath_density_raises(self):
+        with pytest.raises(ValueError, match="Maxwellian"):
+            bath_density(tabulated_bath(), np.zeros((2, 3)))
+
+
+class TestLinearSteady:
+    # The grid checks theta_lin at six inelastic parameter sets
+    # (tests/test_carleman.py::TestLinearClosedForm).
+    def test_elastic_equal_mass_is_the_bath_temperature(self):
+        # kappa = 1/2 at e = 1, m1 = 1, so theta_lin = theta1.
+        rest = RestitutionParams(epsilon=1.0, e=1.0, m1=1.0)
+        assert linear_steady(rest, maxwell_bath(theta1=1.7)) == pytest.approx(1.7, rel=1e-15)
+
+    def test_tabulated_bath_raises(self):
+        rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
+        with pytest.raises(ValueError, match="Maxwellian"):
+            linear_steady(rest, tabulated_bath())
 
 
 class TestAbsoluteMoments:
@@ -274,13 +278,8 @@ class TestCollisionFrequency:
 
     def test_tabulated_bath_raises_naming_nu_mc(self):
         # A table has no closed form; its rate is the sampled cell law's.
-        ax = np.linspace(-1.0, 1.0, 5)
-        table = TabulatedDensity(axes=(ax, ax, ax), values=np.ones((5, 5, 5)))
-        bath = BathParams(
-            m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0, kind="tabulated", table=table,
-        )
         with pytest.raises(ValueError, match="nu_mc"):
-            nu(bath, np.zeros(3))
+            nu(tabulated_bath(), np.zeros(3))
 
     def test_vectorized_matches_scalar(self):
         bath = maxwell_bath(theta1=0.7, lam=1.3)

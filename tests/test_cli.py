@@ -200,6 +200,7 @@ class TestSchema:
             parse_config_dict({"mode": "linear", "grid": {"spacing": 1.0}})
         with pytest.raises(ConfigError):
             parse_config_dict({"mode": "linear", "grid": {"nodes": 3}})
+        assert parse_config_dict({"mode": "linear", "grid": {"nodes": 64}}).grid_nodes == 64
         with pytest.raises(ConfigError):
             parse_config_dict({"mode": "linear", "grid": {"extent": 0.0}})
 
@@ -265,6 +266,7 @@ class TestExecute:
         assert "Hquad" in header
         out = capsys.readouterr().out
         assert "theta grid steady:" in out
+        assert "\ntheta exact: 0.8181818181818181\n" in out
         assert "theta simulation steady:" in out
         plot = (tmp_path / "plot.gp").read_text()
         assert "h_functional" in plot
@@ -516,19 +518,35 @@ class TestMain:
     @pytest.mark.parametrize(
         "grid, message",
         [
-            # Too narrow: occupied histogram cells fall outside the grid support.
-            ({"nodes": 5, "extent": 0.5}, "reference density vanishes"),
-            # Too coarse: the grid steady temperature is 25 against theta1 = 1.
+            # Too narrow: the grid steady temperature is 0.077.
+            ({"nodes": 5, "extent": 0.5}, "grid steady temperature"),
+            # Too coarse: the grid steady temperature is 25.
             ({"nodes": 4, "extent": 20.0}, "grid steady temperature"),
+            # Too narrow by 16% only, where every particle lies inside the grid.
+            ({"nodes": 24, "extent": 2.0}, "grid steady temperature 0.68982"),
         ],
     )
-    def test_unusable_grid_exits_three(self, tmp_path, capsys, grid, message):
+    def test_unusable_grid_exits_three(self, tmp_path, capsys, monkeypatch, grid, message):
+        # The grid is judged against theta_lin = 9/11 before any particle runs.
+        runs = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
         path = write_config(tmp_path, dict(LINEAR_SMOKE, t_end=0.1, grid=grid))
         rc = main(["linear", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 3
+        assert runs == []
         err = capsys.readouterr().err
         assert message in err
+        assert "theta_lin = 0.8181818181818181;" in err
         assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_grid_nodes_above_64_is_one_config_error_line(self, tmp_path, capsys):
+        # The reduced matrix of a 65^3 grid would take 0.3 GiB, of 128^3 16 GiB.
+        path = write_config(tmp_path, dict(LINEAR_SMOKE, grid={"nodes": 65, "extent": 5.0}))
+        rc = main(["linear", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key 'nodes' out of range [4, 64], got 65")
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import sigma_shift_form, skewed_table_bath, traced_peak
 
-from granular_bath.background import BathParams, nu, sample_bath, trilinear
+from granular_bath.background import BathParams, bath_density, nu, sample_bath
 from granular_bath.dsmc import ObserverConfig, SimConfig, run
 from granular_bath.kinematics import RestitutionParams, _sq_norm
 from granular_bath.observables import (
@@ -435,24 +435,23 @@ class TestReferenceOnCells:
         return np.asarray(reference(pts), dtype=float).reshape(gx.shape)
 
     @staticmethod
-    def grid_reference(nodes=12):
-        # A trilinear table on a box that the cells overhang, as in linear mode.
-        axes = [np.linspace(-3.0, 3.0, nodes) + c for c in (0.2, -0.1, 0.4)]
-        values = np.random.default_rng(13).random((nodes,) * 3)
-        return functools.partial(trilinear, axes, values)
+    def gas_reference():
+        # The linear-mode form: a Maxwellian off the box centre.
+        gas = BathParams(m1=1.0, u1=np.array([0.2, -0.1, 0.4]), theta1=0.8, lambda_=1.0)
+        return functools.partial(bath_density, gas)
 
     def test_equals_the_stacked_form(self):
         edges = [np.linspace(-3.5, 3.1, 6), np.linspace(-2.9, 3.3, 8), np.linspace(-3.2, 4.0, 10)]
-        for ref in (self.grid_reference(), TestHPhi().gaussian_ref(0.8)):
+        for ref in (self.gas_reference(), TestHPhi().gaussian_ref(0.8)):
             got = reference_on_cells(ref, edges)
             assert got.shape == (5, 7, 9)
             assert got.tobytes() == self.stacked_form(ref, edges).tobytes()
 
     def test_traced_peak_is_one_plane(self):
         # The 0.25 MiB output and one x-plane's temporaries; the stacked
-        # form holds 5.3 MiB.
+        # form holds 2.5 MiB.
         edges = box_edges(np.zeros(3), 4.5, 32)
-        assert traced_peak(reference_on_cells, self.grid_reference(32), edges) <= 2**20
+        assert traced_peak(reference_on_cells, self.gas_reference(), edges) <= 2**20
 
 
 class TestHaffFit:
