@@ -55,7 +55,6 @@ from .dsmc import (
     NumericalFault,
     ObserverConfig,
     SimConfig,
-    TimeStepError,
     detect_steady,
     run,
     step_l,
@@ -295,10 +294,10 @@ def parse_config_dict(
         for sub in sorted(grid):
             if sub not in ("nodes", "extent"):
                 raise ConfigError(f"unknown key 'grid.{sub}'")
-        grid = {**DEFAULTS["grid"], **grid}
+        grid = {f"grid.{sub}": value for sub, value in {**DEFAULTS["grid"], **grid}.items()}
         # The reduced matrix takes C(n/2 + 2, 3)^2 doubles: 273 MiB at n = 64.
-        grid_nodes = _as_int(grid, "nodes", 4, 64)
-        grid_extent = _as_float(grid, "extent", lo=0.0, lo_open=True)
+        grid_nodes = _as_int(grid, "grid.nodes", 4, 64)
+        grid_extent = _as_float(grid, "grid.extent", lo=0.0, lo_open=True)
         merged["grid"] = {"nodes": grid_nodes, "extent": grid_extent}
 
     sim = SimConfig(
@@ -470,12 +469,7 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
         compute_sigma=True,
         h_reference=h_reference,
     )
-    try:
-        traj = run(sim, observers=observers)
-    except TimeStepError as exc:
-        print(f"time-step error: {exc}", file=sys.stderr)
-        return 1
-
+    traj = run(sim, observers=observers)
     traj.to_csv(out / "trajectory.csv")
 
     extra: list[str] = []

@@ -33,14 +33,19 @@ screen from the cache, u < (|v - c| + |w - c|)(1 + 1e-14): the triangle
 inequality rejects the others without a gather, and the pad covers the
 rounding of the computed norms.  The bath sweep takes |v - u1| from the
 cache and gathers velocities only at the candidates that draw a partner.
-The cache changes no output and no draw.  A fixed centre can give a looser
-gas bound than the current mean, for instance while a gas drifts towards
-u1.  So when dt (tau q_max + l_max / lambda) reaches 1, the step takes
-q_max = 2 max|v - u| about the current mean u instead, at the cost of one
-full pass, and raises TimeStepError only if that fails too.
+The cache changes no output and no draw.
+
+A step whose event probability p = dt (tau q_max + l_max / lambda) reaches
+_P_CAP = 1 runs as sub-steps, as a majorant time counter cuts it (Rjasanow
+& Wagner 2005; Bird 1994).  Each takes its majorants from the current
+radius, which a bath partner can widen, splits what is left of the step
+into k = floor(p(left) (1 + 1e-14) / _P_CAP) + 1 equal pieces and runs one
+with its own draw; the pad keeps rounding below the cap.  Each sub-step is
+an unsplit step of its own length, so the fixed point stays the zero of
+Q + L, and a step with p < _P_CAP is one piece of length dt, drawn as before.
 
 Two checks end a run with NumericalFault.  The radius max|v - c| is taken
-from d2 once after each step; a moved row that is NaN or inf, or whose
+from d2 once after each sub-step; a moved row that is NaN or inf, or whose
 |v - c|^2 overflows, makes it non-finite, and the run stops at that step.
 Each record step also checks every velocity for finiteness before it
 writes, which catches a non-finite row that no sweep reported.
@@ -78,7 +83,6 @@ __all__ = [
     "MomentTrajectory",
     "SteadyVerdict",
     "NumericalFault",
-    "TimeStepError",
     "step_q",
     "step_l",
     "run",
@@ -94,10 +98,6 @@ class NumericalFault(RuntimeError):
     def __init__(self, message: str, dump_path: str | None = None):
         super().__init__(message)
         self.dump_path = dump_path
-
-
-class TimeStepError(ValueError):
-    """dt times the majorant collision rate reached 1; shrink dt."""
 
 
 @dataclass
@@ -209,8 +209,10 @@ def _uniform_sphere(rng: np.random.Generator, k: int) -> Array:
     return sigma
 
 
-# Relative pad on bounds built from computed norms (see _radius).
+# Relative pad on bounds built from computed norms (see _radius), and on
+# the event probability that sets a step's number of sub-steps.
 _PAD = 1.0 + 1e-14
+_P_CAP = 1.0  # event probability a sub-step stays below
 
 
 def _speeds(a: Array, b: Array) -> Array:
@@ -257,7 +259,7 @@ def step_q(
         n = velocities.shape[0]
         p_q = tau * q_max * dt
         if p_q > 1.0:
-            raise TimeStepError(f"dt * tau * q_max = {p_q:.3g} > 1; shrink dt")
+            raise ValueError(f"dt * tau * q_max = {p_q:.3g} > 1; shrink dt")
         candidates = rng.choice(n, 2 * int(rng.binomial(n // 2, p_q)), replace=False)
     m = candidates.size // 2
     if m == 0:
@@ -320,7 +322,7 @@ def step_l(
         n = velocities.shape[0]
         p_l = l_max * dt / bath.lambda_
         if p_l > 1.0:
-            raise TimeStepError(f"dt * l_max / lambda = {p_l:.3g} > 1; shrink dt")
+            raise ValueError(f"dt * l_max / lambda = {p_l:.3g} > 1; shrink dt")
         candidates = rng.choice(n, int(rng.binomial(n, p_l)), replace=False)
     if candidates.size == 0:
         return 0, 0.0
@@ -364,21 +366,14 @@ def _radius(d2: Array) -> float:
     return math.sqrt(float(d2.max())) * _PAD
 
 
-def _candidates(
-    rng: np.random.Generator, n: int, p_q: float, p_l: float, step: int
-) -> tuple[int, Array]:
-    """Draw one step's events: m gas-gas pairs, then the bath candidates.
+def _candidates(rng: np.random.Generator, n: int, p_q: float, p_l: float) -> tuple[int, Array]:
+    """Draw one sub-step's events: m gas-gas pairs, then the bath candidates.
 
-    m ~ Binomial(floor(N/2), p_q) and k ~ Binomial(N - 2m, p_l / (1 - p_q)),
-    so a particle is in a pair with probability p_q and a bath candidate with
-    probability p_l, and no particle takes part in two events.  Returns m and
-    the 2m + k distinct indices (pairs first).
+    For p_q + p_l < 1, m ~ Binomial(floor(N/2), p_q) and k ~ Binomial(N - 2m,
+    p_l / (1 - p_q)), so a particle is in a pair with probability p_q and a
+    bath candidate with probability p_l, and no particle takes part in two
+    events.  Returns m and the 2m + k distinct indices (pairs first).
     """
-    if p_q + p_l >= 1.0:
-        raise TimeStepError(
-            f"dt * (tau q_max + l_max / lambda) = {p_q + p_l:.3g} >= 1 "
-            f"at step {step}; shrink dt"
-        )
     m = int(rng.binomial(n // 2, p_q)) if p_q > 0.0 else 0
     k = int(rng.binomial(n - 2 * m, p_l / (1.0 - p_q))) if p_l > 0.0 else 0
     return m, rng.choice(n, 2 * m + k, replace=False)
@@ -451,13 +446,13 @@ def run(
     with it and write it at the rows they move, so it stays equal to
     ``_sq_norm(velocities, c)``; with a bath, c = u1 and each record's F
     cross-checks its moments against the mean of the cache.  A step whose
-    event probabilities reach 1 with them retries with q_max about the
-    current mean; TimeStepError is raised only if that fails too.  An initial ensemble whose |v - c|^2
-    overflows raises ValueError before the first record.  NumericalFault is
-    raised at the step whose moved rows make the radius non-finite (a NaN or
-    an |v - c|^2 overflow), or at the first record step that finds a
-    non-finite velocity, after the state is dumped to the temporary
-    directory.
+    event probability reaches 1 with them runs as sub-steps that each stay
+    below it, so every dt runs to t_end, and records stay at the step times.
+    An initial ensemble whose |v - c|^2 overflows raises ValueError before
+    the first record.  NumericalFault is raised at the step whose moved rows
+    make the radius non-finite (a NaN or an |v - c|^2 overflow), or at the
+    first record step that finds a non-finite velocity, after the state is
+    dumped to the temporary directory.
     """
     obs = observers or ObserverConfig()
     if rng is None:
@@ -478,6 +473,7 @@ def run(
     tau, dt = config.tau, config.dt
     n = vel.shape[0]
     b = bath.bound_mean if bath is not None else 0.0
+    lam = bath.lambda_ if bath is not None else 1.0
     centre = bath.u1 if bath is not None else vel.mean(axis=0)
     with np.errstate(over="ignore"):  # reported as the error below
         d2 = _sq_norm(vel, centre)
@@ -492,37 +488,38 @@ def run(
     traj.records.append(_make_record(vel, t0, config, obs, d2))
 
     for step in range(1, n_steps + 1):
-        q_max = 2.0 * radius if tau > 0.0 else 0.0
-        l_max = radius + b if bath is not None else 0.0
-        p_l = l_max * dt / bath.lambda_ if bath is not None else 0.0
-        if tau > 0.0 and tau * q_max * dt + p_l >= 1.0:
-            # The fixed centre can be loose; try the mean's bound before dt fails.
-            q_max = 2.0 * _radius(_sq_norm(vel, vel.mean(axis=0)))
-        m, cand = _candidates(rng, n, tau * q_max * dt, p_l, step)
-        if bath is not None:
-            nl, _ = step_l(
-                vel, dt, config.restitution, bath, l_max, rng,
-                candidates=cand[2 * m :], d2=d2,
-            )
-            traj.candidates_l += cand.size - 2 * m
-            traj.collisions_l += nl
-        if tau > 0.0:
-            nq, _ = step_q(
-                vel, dt, tau, config.restitution, q_max, rng,
-                candidates=cand[: 2 * m], d2=d2, centre=centre,
-            )
-            traj.candidates_q += m
-            traj.collisions_q += nq
+        fault = False
+        left = dt
+        while left > 0.0 and not fault:
+            q_max = 2.0 * radius if tau > 0.0 else 0.0
+            l_max = radius + b if bath is not None else 0.0
+            k = int((tau * q_max + l_max / lam) * left * _PAD / _P_CAP) + 1
+            h = left / k
+            left = left - h if k > 1 else 0.0
+            m, cand = _candidates(rng, n, tau * q_max * h, l_max * h / lam)
+            if bath is not None:
+                nl, _ = step_l(
+                    vel, h, config.restitution, bath, l_max, rng,
+                    candidates=cand[2 * m :], d2=d2,
+                )
+                traj.candidates_l += cand.size - 2 * m
+                traj.collisions_l += nl
+            if tau > 0.0:
+                nq, _ = step_q(
+                    vel, h, tau, config.restitution, q_max, rng,
+                    candidates=cand[: 2 * m], d2=d2, centre=centre,
+                )
+                traj.candidates_q += m
+                traj.collisions_q += nq
+            # The sweeps write d2 at the rows they move, so a moved row that
+            # is not finite, or whose |v - c|^2 overflows, makes the radius
+            # non-finite; a sub-step without candidates moves nothing.  The
+            # full check at each record catches rows that no sweep reported.
+            if cand.size:
+                radius = _radius(d2)
+                fault = not math.isfinite(radius)
         t = t0 + step * dt
         record = step % obs.record_every == 0 or step == n_steps
-        # The sweeps write d2 at the rows they move, so a moved row that is
-        # not finite, or whose |v - c|^2 overflows, makes the radius
-        # non-finite; a step without candidates moves nothing.  The full
-        # check at each record catches rows that no sweep reported.
-        fault = False
-        if cand.size:
-            radius = _radius(d2)
-            fault = not math.isfinite(radius)
         if fault or (record and not np.all(np.isfinite(vel))):
             path = _dump_fault(vel, step, t, rng)
             raise NumericalFault(

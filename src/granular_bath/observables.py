@@ -414,12 +414,15 @@ def haff_fit(times: Array, thetas: Array) -> HaffFit:
     fixed t0 the model is linear in g, so g has a closed form (variable
     projection, Golub & Pereyra 1973), and a golden-section search over
     log t0 on [log(first positive t) - 5, log(last t) + 5] minimises what
-    is left.  A minimum at an end of that bracket raises FitRefusedError.
+    is left.  Fewer than 4 records, or a minimum at an end of that bracket,
+    raise FitRefusedError.
     """
     t = np.asarray(times, dtype=float)
     th = np.asarray(thetas, dtype=float)
-    if t.shape != th.shape or t.ndim != 1 or t.size < 4:
-        raise ValueError("times and thetas must be equal-length 1-D arrays, >= 4 points")
+    if t.shape != th.shape or t.ndim != 1:
+        raise ValueError("times and thetas must be equal-length 1-D arrays")
+    if t.size < 4:
+        raise FitRefusedError(f"{t.size} records; need >= 4 for a fit")
     if not (np.all(np.isfinite(t)) and t[0] >= 0.0 and np.all(np.diff(t) > 0.0)):
         raise ValueError("times must be finite, start at t >= 0 and strictly increase")
     if not np.all((th > 0.0) & np.isfinite(th)):

@@ -5,14 +5,15 @@ with ``pytest -v -s`` or in failure output); the pytest PASSED/FAILED line is
 the per-criterion verdict.  Standard errors of time-correlated series are
 estimated by batch means so the sigma allowances are honest.
 """
+import dataclasses
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import RegularGridInterpolator
 
-from granular_bath.background import BathParams
+from granular_bath.background import BathParams, bath_density, linear_steady
 from granular_bath.carleman import (
     kernel_closed_form,
     kernel_quadrature,
@@ -315,25 +316,23 @@ def test_criterion_08_driven_steady_state(driven_runs):
 
 
 def test_criterion_09_h_theorem():
+    # The reference is the exact steady state, the gas Maxwellian at
+    # (u1, theta_lin), evaluated on the H box's cells.
     rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
     bath = unit_bath()
-    grid = make_grid(rest, bath, n=32, extent_sigma=8.0)
-    ss = steady_state(grid)
-    reference = RegularGridInterpolator(
-        grid.axes, ss.f.reshape((grid.n,) * 3),
-        method="linear", bounds_error=False, fill_value=0.0,
-    )
+    theta_lin = linear_steady(rest, bath)
+    gas = dataclasses.replace(bath, m1=1.0, theta1=theta_lin)
     n = 200_000
-    hot = np.random.default_rng(1109).standard_normal((n, 3)) * math.sqrt(
-        1.5 * ss.theta
-    )
+    hot = np.random.default_rng(1109).standard_normal((n, 3)) * math.sqrt(1.5 * theta_lin)
     edges = box_edges(bath.u1, 0.9 * 8.0 * bath.sigma_th, 24)
-    observers = ObserverConfig(
-        record_every=15, h_reference=(edges, reference_on_cells(reference, edges)),
-    )
-    # The decay is resolvable down to the estimator's lattice-mismatch floor
-    # (~2e-3 at this N and bin count); the run ends while the signal is still
-    # several times that floor so every smoothed step is genuine decay.
+    reference = reference_on_cells(functools.partial(bath_density, gas), edges)
+    observers = ObserverConfig(record_every=15, h_reference=(edges, reference))
+    # The decay is resolvable down to the estimator's binning floor: the
+    # histogram estimates cell averages and the reference holds cell-centre
+    # values, which differ by H_quad = 2.0e-3 on these cells.  Run on to
+    # t = 12, the steady H_quad is 2.1e-3 +- 0.4e-3 over t in [6, 12].  The
+    # run ends while the signal is still several times that floor so every
+    # smoothed step is genuine decay.
     config = SimConfig(
         tau=0.0, restitution=rest, bath=bath, dt=0.01, t_end=2.1,
         n_particles=n, seed=1009,
@@ -438,5 +437,33 @@ def test_criterion_14_steady_state_independent_of_dt():
             assert diff <= 3.0 * sigma, (stats[a], stats[b], diff, sigma)
     print(
         "criterion 14 PASS  Theta_ss "
+        + ", ".join(f"{th:.4f} +- {se:.4f} (dt = {dt})" for dt, th, se in stats)
+    )
+
+
+def test_criterion_15_steady_state_at_large_dt():
+    # A dt whose event probability reaches 1 runs as sub-steps, so the
+    # default full physics runs at every dt to the same steady state.  At
+    # N = 2e4 the whole step's probability is about 0.17 at dt = 0.01 and
+    # 17 at dt = 1.  Records every 3 time units, the shortest spacing all
+    # four dt share; theta_ss is the mean over t in [9, 39], one record per
+    # batch.
+    stats = []
+    for i, dt in enumerate((0.01, 0.1, 0.3, 1.0)):
+        config = SimConfig(
+            tau=1.0, restitution=DRIVEN_REST, bath=unit_bath(), dt=dt, t_end=39.0,
+            n_particles=20_000, seed=1022 + i,
+        )
+        traj = run(config, observers=ObserverConfig(record_every=round(3.0 / dt)))
+        assert traj.final.t == pytest.approx(39.0, rel=1e-12)
+        tail = traj.thetas()[traj.times() >= 9.0 - 1e-9]
+        stats.append((dt, *batch_mean_se(tail, n_batches=tail.size)))
+    _, ref, ref_se = stats[0]
+    for dt, theta, se in stats[1:]:
+        diff = abs(theta - ref)
+        sigma = math.hypot(se, ref_se)
+        assert diff <= 4.0 * sigma, (stats[0], (dt, theta, se), diff, sigma)
+    print(
+        "criterion 15 PASS  Theta_ss "
         + ", ".join(f"{th:.4f} +- {se:.4f} (dt = {dt})" for dt, th, se in stats)
     )

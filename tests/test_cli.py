@@ -198,10 +198,10 @@ class TestSchema:
             parse_config_dict({"mode": "linear", "grid": 5})
         with pytest.raises(ConfigError, match="grid.spacing"):
             parse_config_dict({"mode": "linear", "grid": {"spacing": 1.0}})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^key 'grid.nodes' out of range"):
             parse_config_dict({"mode": "linear", "grid": {"nodes": 3}})
         assert parse_config_dict({"mode": "linear", "grid": {"nodes": 64}}).grid_nodes == 64
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^key 'grid.extent' must be greater than 0"):
             parse_config_dict({"mode": "linear", "grid": {"extent": 0.0}})
 
     def test_invalid_mode_and_shape(self):
@@ -357,15 +357,22 @@ class TestExecute:
         assert rc == 0
         assert "not enough records" in capsys.readouterr().out
 
-    def test_timestep_error_exits_one(self, tmp_path, capsys):
-        config = dict(COOLING_SMOKE, dt=50.0, t_end=50.0, n_particles=100)
-        rc = execute(parse_config_dict(config), out_dir=tmp_path)
-        assert rc == 1
-        assert "time-step error" in capsys.readouterr().err
+    @pytest.mark.parametrize("dt, t_end", [(0.01, 0.02), (50.0, 50.0)])
+    def test_two_record_cooling_run_refuses_the_fit(self, tmp_path, capsys, dt, t_end):
+        # Two records are too few for the cooling fit, which the report
+        # refuses; the one step of dt = 50 runs as sub-steps.
+        config = dict(COOLING_SMOKE, dt=dt, t_end=t_end, n_particles=100)
+        path = write_config(tmp_path, config)
+        rc = main(["cooling", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert [r.t for r in read_records(tmp_path / "o" / "trajectory.csv")] == [0.0, t_end]
+        report = (tmp_path / "o" / "bound_report.txt").read_text(encoding="utf-8")
+        assert "cooling fit: refused (2 records; need >= 4 for a fit)" in report
 
     def test_loose_fixed_centre_is_no_time_step_error(self, tmp_path):
-        # The fixed-centre gas bound about u1 alone would reject this dt at
-        # step 1; the run's fallback to the gas mean lets it run.
+        # The fixed-centre gas bound about u1 puts the event probability of
+        # step 1 above 1; the step runs as sub-steps and the run goes on.
         config = dict(FULL_SMOKE, u1=[3.0, 0.0, 0.0], dt=0.05, t_end=1.0,
                       n_particles=20_000, seed=5)
         path = write_config(tmp_path, config)
@@ -546,7 +553,7 @@ class TestMain:
         rc = main(["linear", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: key 'nodes' out of range [4, 64], got 65")
+        assert err.startswith("config error: key 'grid.nodes' out of range [4, 64], got 65")
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(

@@ -10,14 +10,13 @@ import pytest
 from conftest import skewed_table_bath, traced_peak
 
 from granular_bath import dsmc
-from granular_bath.background import BathParams, bath_density, nu
+from granular_bath.background import BathParams, bath_density, linear_steady, nu
 from granular_bath.dsmc import (
     Ensemble,
     MomentTrajectory,
     NumericalFault,
     ObserverConfig,
     SimConfig,
-    TimeStepError,
     detect_steady,
     run,
     step_l,
@@ -670,8 +669,7 @@ class TestFaults:
     def test_overflowing_initial_ensemble_is_rejected(self, tau):
         # A velocity of 1e200 in the initial ensemble is finite, but its
         # |v - c|^2 overflows: the run names the initial velocities before
-        # the first record, with no overflow warning on the way, and does
-        # not blame dt (TimeStepError is a ValueError too).
+        # the first record, with no overflow warning on the way.
         rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
         init = gaussian_init(100, seed=90)
         init[5] = 1e200
@@ -699,53 +697,71 @@ class TestFaults:
                 bath=bath_at(), n_particles=100, seed=0, **times,
             )
 
-    def test_oversized_dt_is_rejected(self):
+    def test_oversized_dt_runs_to_t_end(self):
+        # A hot bath with dt = 5 puts the event probability of a whole step
+        # far above 1.  The steps run as sub-steps, and after two steps the
+        # gas sits at the linear steady temperature within 4 standard errors
+        # of one Maxwellian sample, 2 theta^2 / (3N).
         rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
         bath = bath_at(theta1=100.0)  # hot bath -> large nu_max
         config = SimConfig(
             tau=0.0, restitution=rest, bath=bath, dt=5.0, t_end=10.0,
             n_particles=100, seed=55,
         )
-        with pytest.raises(TimeStepError):
-            run(config)
+        traj = run(config)
+        assert traj.final.t == 10.0
+        assert traj.times().tolist() == [0.0, 10.0]
+        theta_lin = linear_steady(rest, bath)
+        se = theta_lin * math.sqrt(2.0 / (3.0 * config.n_particles))
+        assert abs(traj.records[-1].theta - theta_lin) <= 4.0 * se
 
-    def test_loose_fixed_centre_falls_back_to_the_mean_bound(self, monkeypatch):
+    @pytest.mark.parametrize("which", ["step_q", "step_l"])
+    def test_direct_sweep_call_above_probability_one_raises(self, which):
+        # Without candidates a sweep draws its own at probability
+        # tau q_max dt or l_max dt / lambda; above 1 that is a ValueError.
+        rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
+        vel = gaussian_init(100, seed=57)
+        snapshot = vel.copy()
+        rng = np.random.default_rng(58)
+        with pytest.raises(ValueError, match="shrink dt"):
+            if which == "step_q":
+                step_q(vel, 1.0, 1.0, rest, q_max=2.0, rng=rng)
+            else:
+                step_l(vel, 1.0, rest, bath_at(), l_max=2.0, rng=rng)
+        np.testing.assert_array_equal(vel, snapshot)
+
+    def test_loose_fixed_centre_splits_the_step(self, monkeypatch):
         # A gas at rest far from u1 = (3, 0, 0): about u1, q_max = 2 max|v - u1|
         # makes dt (tau q_max + l_max / lambda) = 1.13 at step 1.  The step
-        # must retry with q_max = 2 max|v - u| about the gas mean u, which
-        # fits, and run on, not raise TimeStepError.
+        # runs as sub-steps whose lengths sum to dt, each with its own
+        # majorants and an event probability below 1.
         import granular_bath.dsmc as dsmc_mod
 
-        first = []
+        subs = []
 
-        def recording_l(velocities, *args, **kwargs):
-            if not first:
-                first.append(velocities.copy())
-            return step_l(velocities, *args, **kwargs)
+        def recording_l(velocities, dt, restitution, bath, l_max, *args, **kwargs):
+            subs.append([dt, l_max])
+            return step_l(velocities, dt, restitution, bath, l_max, *args, **kwargs)
 
-        def recording_q(velocities, dt, tau, restitution, q_max, rng, candidates=None, **kwargs):
-            if len(first) == 1:
-                first.append(q_max)
-            return step_q(
-                velocities, dt, tau, restitution, q_max, rng, candidates=candidates, **kwargs
-            )
+        def recording_q(velocities, dt, tau, restitution, q_max, *args, **kwargs):
+            assert subs[-1][0] == dt
+            subs[-1].append(tau * q_max)
+            return step_q(velocities, dt, tau, restitution, q_max, *args, **kwargs)
 
         monkeypatch.setattr(dsmc_mod, "step_l", recording_l)
         monkeypatch.setattr(dsmc_mod, "step_q", recording_q)
         rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
         bath = bath_at(u1=(3.0, 0.0, 0.0))
         config = SimConfig(
-            tau=1.0, restitution=rest, bath=bath, dt=0.05, t_end=1.0,
+            tau=1.0, restitution=rest, bath=bath, dt=0.05, t_end=0.05,
             n_particles=20_000, seed=5,
         )
         traj = run(config)
-        assert traj.final.t == pytest.approx(1.0)
-        vel, q_max = first
-        about_mean = float(np.linalg.norm(vel - vel.mean(axis=0), axis=1).max())
-        about_u1 = float(np.linalg.norm(vel - bath.u1, axis=1).max())
-        assert about_mean <= q_max / 2.0 <= about_mean * (1.0 + 1e-12)
-        p_q = config.tau * 2.0 * about_u1 * config.dt
-        assert p_q + (about_u1 + bath.bound_mean) * config.dt / bath.lambda_ >= 1.0
+        assert traj.final.t == 0.05
+        assert len(subs) >= 2
+        assert math.fsum(h for h, _, _ in subs) == pytest.approx(config.dt, rel=1e-14)
+        for h, l_max, tau_q_max in subs:
+            assert h * (tau_q_max + l_max / bath.lambda_) < 1.0
 
 
 class TestDetectSteady:
