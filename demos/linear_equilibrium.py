@@ -21,18 +21,16 @@ Usage:
         [--nodes N] [--out DIR]
 """
 import argparse
-import dataclasses
-import functools
 import math
 from pathlib import Path
 
 import numpy as np
 
-from granular_bath.background import BathParams, bath_density, linear_steady
+from granular_bath.background import BathParams, linear_steady
 from granular_bath.carleman import make_grid, steady_state, write_grid_csv
 from granular_bath.dsmc import ObserverConfig, SimConfig, run
 from granular_bath.kinematics import RestitutionParams
-from granular_bath.observables import box_edges, reference_on_cells
+from granular_bath.observables import box_edges, maxwellian_cells
 
 
 def main() -> None:
@@ -61,8 +59,6 @@ def main() -> None:
         print(f"elastic equal-mass check: worst nodewise deviation from the "
               f"bath Maxwellian = {dev:.2e}")
 
-    gas = dataclasses.replace(bath, m1=1.0, theta1=theta_lin)
-    reference = functools.partial(bath_density, gas)
     hot = np.random.default_rng(20260817).standard_normal(
         (args.n_particles, 3)
     ) * math.sqrt(1.5 * theta_lin)
@@ -72,7 +68,7 @@ def main() -> None:
     )
     edges = box_edges(bath.u1, 0.9 * 8.0 * bath.sigma_th, 24)
     observers = ObserverConfig(
-        record_every=25, h_reference=(edges, reference_on_cells(reference, edges)),
+        record_every=25, h_reference=(edges, maxwellian_cells(bath.u1, theta_lin, edges)),
     )
     print(f"particle run from a 1.5x-hot start, N = {args.n_particles} ...")
     traj = run(config, observers=observers, init=hot)

@@ -24,8 +24,6 @@ log level.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import functools
 import json
 import logging
 import math
@@ -38,8 +36,7 @@ from typing import Callable, NoReturn, Sequence
 import numpy as np
 
 from .background import (
-    BathParams, TableFormatError, abs_moment, bath_density, erf, linear_steady,
-    load_table, nu,
+    BathParams, TableFormatError, abs_moment, erf, linear_steady, load_table, nu,
 )
 from .carleman import (
     ConvergenceError,
@@ -55,6 +52,7 @@ from .dsmc import (
     NumericalFault,
     ObserverConfig,
     SimConfig,
+    _whole_steps,
     detect_steady,
     run,
     step_l,
@@ -80,7 +78,7 @@ from .observables import (
     box_edges,
     f_aux_stderr,
     haff_fit,
-    reference_on_cells,
+    maxwellian_cells,
 )
 
 __all__ = [
@@ -178,7 +176,8 @@ def _as_int(raw: dict, key: str, lo: int, hi: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
     if value < lo or (hi is not None and value > hi):
-        raise ConfigError(f"key {key!r} out of range [{lo}, {hi}], got {value}")
+        bound = f"must be at least {lo}" if hi is None else f"out of range [{lo}, {hi}]"
+        raise ConfigError(f"key {key!r} {bound}, got {value}")
     return value
 
 
@@ -246,6 +245,7 @@ def parse_config_dict(
         raise ConfigError(f"key 'tau' must be 0 in linear mode, got {tau!r}")
     dt = _as_float(merged, "dt", lo=0.0, lo_open=True)
     t_end = _as_float(merged, "t_end", lo=dt)
+    _whole_steps("key 't_end'", t_end, dt, ConfigError)
     n_particles = _as_int(merged, "n_particles", 2)
     record_every = _as_int(merged, "record_every", 1)
 
@@ -456,12 +456,10 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
         # Only steady_grid is read from here on: free the grid's reduced
         # matrix and node arrays before the particle run allocates.
         del grid
-        # The H reference is the closed-form steady state, the gas
-        # Maxwellian at (u1, theta_lin), on _H_BINS^3 cells over 90% of the
-        # grid's half-width.
-        gas = dataclasses.replace(sim.bath, m1=1.0, theta1=theta_lin)
+        # The H reference: the closed-form steady state's averages over
+        # _H_BINS^3 cells on 90% of the grid's half-width.
         edges = box_edges(sim.bath.u1, 0.9 * parsed.grid_extent * sim.bath.sigma_th, _H_BINS)
-        h_reference = (edges, reference_on_cells(functools.partial(bath_density, gas), edges))
+        h_reference = (edges, maxwellian_cells(sim.bath.u1, theta_lin, edges))
 
     observers = ObserverConfig(
         record_every=parsed.record_every,

@@ -65,10 +65,10 @@ from .background import BathParams, sample_partners
 from .kinematics import RestitutionParams, _sq_norm, collide_l_sigma, collide_q
 from .observables import (
     MomentRecord,
-    _histogram_on,
     box_edges,
     f_aux,
     h_phi,
+    histogram,
     lp_norm,
     moments,
     sigma_freq,
@@ -159,11 +159,9 @@ class ObserverConfig:
     term is sampled by ceil(2^17 / N) cyclic shifts of the particles once N^2
     exceeds 2^17.
     ``h_reference`` adds the bias-corrected quadratic and the entropy
-    H-functional on one fixed box.  It is the pair (edges, cells): the box's
-    per-axis cell edges (:func:`~granular_bath.observables.box_edges`) and
-    the reference density evaluated on those cells
-    (:func:`~granular_bath.observables.reference_on_cells`), so the
-    reference is evaluated once, not at every record.
+    H-functional on one fixed box, built once: the pair (edges, cells) of
+    :func:`~granular_bath.observables.box_edges` and the reference's cell
+    averages on them (:func:`~granular_bath.observables.maxwellian_cells`).
     """
 
     record_every: int = 10
@@ -403,12 +401,12 @@ def _make_record(
         except ValueError:
             pass
         else:
-            hist = _histogram_on(velocities, edges)
+            hist = histogram(velocities, edges)
             extras["l2"] = lp_norm(hist, 2.0)
             extras["lp"] = lp_norm(hist, 1.5)
     if obs.h_reference is not None:
         edges, h_cells = obs.h_reference
-        hist = _histogram_on(velocities, edges)
+        hist = histogram(velocities, edges)
         extras["h_quad"] = h_phi(hist, h_cells, phi="quad", bias_correct=True)
         extras["h_ent"] = h_phi(hist, h_cells, phi="ent")
     return dataclasses.replace(rec, **extras) if extras else rec
@@ -425,6 +423,14 @@ def _dump_fault(velocities: Array, step: int, t: float, rng: np.random.Generator
         rng_state=np.array(repr(state)),
     )
     return str(path)
+
+
+def _whole_steps(name: str, span: float, dt: float, error: type = ValueError) -> int:
+    """The whole number of steps dt in ``span`` (1e-9 relative), else ``error``."""
+    steps = span / dt
+    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        raise error(f"{name} must be a whole number of steps dt = {dt!r}, got {span!r}")
+    return round(steps)
 
 
 def run(
@@ -448,11 +454,11 @@ def run(
     cross-checks its moments against the mean of the cache.  A step whose
     event probability reaches 1 with them runs as sub-steps that each stay
     below it, so every dt runs to t_end, and records stay at the step times.
-    An initial ensemble whose |v - c|^2 overflows raises ValueError before
-    the first record.  NumericalFault is raised at the step whose moved rows
-    make the radius non-finite (a NaN or an |v - c|^2 overflow), or at the
-    first record step that finds a non-finite velocity, after the state is
-    dumped to the temporary directory.
+    A t_end - t0 off the step grid, or an initial ensemble whose |v - c|^2
+    overflows, raises ValueError before the first record.  NumericalFault is
+    raised at the step whose moved rows make the radius non-finite (a NaN or
+    an |v - c|^2 overflow), or at the first record step that finds a non-finite
+    velocity, after the state is dumped to the temporary directory.
     """
     obs = observers or ObserverConfig()
     if rng is None:
@@ -483,7 +489,7 @@ def run(
             f"initial velocities too large: |v - c|^2 overflows about c = {centre.tolist()}"
         )
 
-    n_steps = max(1, int(round((config.t_end - t0) / dt)))
+    n_steps = max(1, _whole_steps("t_end - t0", config.t_end - t0, dt))
     traj = MomentTrajectory(records=[], config=config)
     traj.records.append(_make_record(vel, t0, config, obs, d2))
 

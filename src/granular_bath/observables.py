@@ -14,7 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ __all__ = [
     "bin_counts",
     "histogram",
     "box_edges",
-    "reference_on_cells",
+    "maxwellian_cells",
     "lp_norm",
     "h_phi",
     "haff_fit",
@@ -286,35 +286,29 @@ class Histogram:
         return _cell_volume(self.edges)
 
 
-def histogram(velocities: Array, bins: int, extent: float, center: Array) -> Histogram:
-    """Histogram of a sample on the cube ``center +- extent`` with ``bins``
-    cells per axis."""
-    return _histogram_on(velocities, box_edges(center, extent, bins))
-
-
-def _histogram_on(velocities: Array, edges: tuple[Array, Array, Array]) -> Histogram:
-    """Histogram of a sample on the cells between per-axis uniform ``edges``."""
+def histogram(velocities: Array, edges: tuple[Array, Array, Array]) -> Histogram:
+    """Histogram of a sample on the cells between ``edges`` (:func:`box_edges`)."""
     vel = np.asarray(velocities, dtype=float)
     counts = bin_counts(vel, edges)
     n = vel.shape[0]
     return Histogram(density=counts / (n * _cell_volume(edges)), edges=edges, n=n)
 
 
-def reference_on_cells(reference: Callable[[Array], Array], edges: Sequence[Array]) -> Array:
-    """A reference density evaluated at the centres of the cells between
-    ``edges``, shaped like a histogram on them: the array form of
-    ``reference`` that :func:`h_phi` takes for every histogram on those
-    cells.  ``reference`` maps (m, 3) points to m values point by point; it
-    is called on one x-plane of centres at a time."""
-    cx, cy, cz = (0.5 * (e[1:] + e[:-1]) for e in edges)
-    out = np.empty((cx.size, cy.size, cz.size))
-    plane = np.empty((cy.size, cz.size, 3))
-    plane[..., 1] = cy[:, None]
-    plane[..., 2] = cz[None, :]
-    for x, values in zip(cx, out):
-        plane[..., 0] = x
-        values[...] = np.reshape(reference(plane.reshape(-1, 3)), values.shape)
-    return out
+def maxwellian_cells(center: Array, theta: float, edges: Sequence[Array]) -> Array:
+    """Exact cell averages of the unit-mass Maxwellian with mean ``center``
+    and variance ``theta`` per axis on the cells between ``edges``, for
+    :func:`h_phi`.  Per axis, with q = erfc(|e - c| / sqrt(2 theta)) at each
+    edge, a cell's mass is |q_lo - q_hi| / 2, or 1 - (q_lo + q_hi) / 2 for the
+    cell that holds c, so no two numbers near 1 are subtracted; the density
+    is the outer product of the axes' masses over the cell volume."""
+    scale = math.sqrt(2.0 * theta)
+    masses = []
+    for c, e in zip(center, edges):
+        q = np.array([math.erfc(abs(x - c) / scale) for x in e.tolist()])
+        inside = (e[:-1] < c) & (c < e[1:])
+        masses.append(np.where(inside, 1.0 - 0.5 * (q[:-1] + q[1:]), 0.5 * np.abs(np.diff(q))))
+    mx, my, mz = masses
+    return np.multiply.outer(np.multiply.outer(mx, my), mz) / _cell_volume(edges)
 
 
 def lp_norm(hist: Histogram, p: float) -> float:
@@ -353,8 +347,8 @@ def h_phi(
 
     H = sum over cells of vol * F * Phi(fhat / F), with Phi either
     (x - 1)^2 ("quad") or x log x - x + 1 ("ent").  ``reference`` holds the
-    reference density on the cells of ``hist``, shaped like its density
-    (:func:`reference_on_cells`).  Cells where fhat > 0 but the reference
+    reference's cell averages on the cells of ``hist``, as fhat does
+    (:func:`maxwellian_cells`).  Cells where fhat > 0 but the reference
     vanishes raise SupportMismatchError.  Empty cells contribute
     vol * F * Phi(0).
 

@@ -5,15 +5,13 @@ with ``pytest -v -s`` or in failure output); the pytest PASSED/FAILED line is
 the per-criterion verdict.  Standard errors of time-correlated series are
 estimated by batch means so the sigma allowances are honest.
 """
-import dataclasses
-import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from granular_bath.background import BathParams, bath_density, linear_steady
+from granular_bath.background import BathParams, linear_steady
 from granular_bath.carleman import (
     kernel_closed_form,
     kernel_quadrature,
@@ -32,7 +30,7 @@ from granular_bath.observables import (
     box_edges,
     f_aux_stderr,
     haff_fit,
-    reference_on_cells,
+    maxwellian_cells,
     third_cumulant,
 )
 
@@ -317,22 +315,20 @@ def test_criterion_08_driven_steady_state(driven_runs):
 
 def test_criterion_09_h_theorem():
     # The reference is the exact steady state, the gas Maxwellian at
-    # (u1, theta_lin), evaluated on the H box's cells.
+    # (u1, theta_lin), averaged over the H box's cells.
     rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
     bath = unit_bath()
     theta_lin = linear_steady(rest, bath)
-    gas = dataclasses.replace(bath, m1=1.0, theta1=theta_lin)
     n = 200_000
     hot = np.random.default_rng(1109).standard_normal((n, 3)) * math.sqrt(1.5 * theta_lin)
     edges = box_edges(bath.u1, 0.9 * 8.0 * bath.sigma_th, 24)
-    reference = reference_on_cells(functools.partial(bath_density, gas), edges)
+    reference = maxwellian_cells(bath.u1, theta_lin, edges)
     observers = ObserverConfig(record_every=15, h_reference=(edges, reference))
-    # The decay is resolvable down to the estimator's binning floor: the
-    # histogram estimates cell averages and the reference holds cell-centre
-    # values, which differ by H_quad = 2.0e-3 on these cells.  Run on to
-    # t = 12, the steady H_quad is 2.1e-3 +- 0.4e-3 over t in [6, 12].  The
-    # run ends while the signal is still several times that floor so every
-    # smoothed step is genuine decay.
+    # The histogram and the reference are both cell averages, so the decay
+    # runs down to the sampling noise: run on to t = 12, the steady H_quad
+    # is -0.9e-5 with a record-to-record sd of 2.5e-4 over t in [6, 12].
+    # The run ends while the signal is still several times that noise so
+    # every smoothed step is genuine decay.
     config = SimConfig(
         tau=0.0, restitution=rest, bath=bath, dt=0.01, t_end=2.1,
         n_particles=n, seed=1009,
@@ -418,13 +414,14 @@ def test_criterion_12_reproducibility(tmp_path):
 def test_criterion_14_steady_state_independent_of_dt():
     # The unsplit step changes the one-particle density by dt (Q + L) f in
     # expectation, so its fixed point is the zero of Q + L for every dt.
-    # Records every 0.06 time units at each dt; theta_ss is the mean over
-    # t in [6, 16] with a batch-means standard error.
+    # Records every 0.06 time units at each dt, to t_end = 15.96, 266 record
+    # spacings and a whole number of steps at every dt; theta_ss is the mean
+    # over t in [6, 15.96] with a batch-means standard error.
     rest = RestitutionParams(epsilon=0.5, e=0.8, m1=1.0)
     stats = []
     for i, (dt, every) in enumerate(((0.03, 2), (0.015, 4), (0.0075, 8))):
         config = SimConfig(
-            tau=1.0, restitution=rest, bath=unit_bath(), dt=dt, t_end=16.0,
+            tau=1.0, restitution=rest, bath=unit_bath(), dt=dt, t_end=15.96,
             n_particles=40_000, seed=1014 + i,
         )
         traj = run(config, observers=ObserverConfig(record_every=every))

@@ -184,6 +184,17 @@ class TestSchema:
         with pytest.raises(ConfigError):
             parse_config_dict(raw)
 
+    @pytest.mark.parametrize("key, lo", [("n_particles", 2), ("record_every", 1)])
+    def test_lower_bound_only_integers_name_their_bound(self, key, lo):
+        message = rf"^key '{key}' must be at least {lo}, got {lo - 1}$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_dict({"mode": "full", key: lo - 1})
+
+    @pytest.mark.parametrize("dt, t_end", [(0.6, 1.0), (0.4, 1.0), (0.3, 1.0)])
+    def test_t_end_off_the_step_grid_is_named(self, dt, t_end):
+        with pytest.raises(ConfigError, match=r"^key 't_end' must be a whole number of steps"):
+            parse_config_dict({"mode": "full", "dt": dt, "t_end": t_end})
+
     @pytest.mark.parametrize(
         "u1",
         [[0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, "x"], "origin",
@@ -457,6 +468,16 @@ class TestMain:
         rc = main(["full", "--config", str(path)])
         assert rc == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_t_end_off_the_step_grid_is_one_config_error_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(FULL_SMOKE, dt=0.3, t_end=1.0))
+        rc = main(["full", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: key 't_end' must be a whole number of steps dt = 0.3, got 1.0\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         rc = main(["cooling", "--config", str(tmp_path / "nope.json")])

@@ -10,7 +10,7 @@ import pytest
 from conftest import skewed_table_bath, traced_peak
 
 from granular_bath import dsmc
-from granular_bath.background import BathParams, bath_density, linear_steady, nu
+from granular_bath.background import BathParams, linear_steady, nu
 from granular_bath.dsmc import (
     Ensemble,
     MomentTrajectory,
@@ -29,9 +29,9 @@ from granular_bath.observables import (
     h_phi,
     histogram,
     lp_norm,
+    maxwellian_cells,
     moments,
     read_records,
-    reference_on_cells,
     thermal_extent,
 )
 
@@ -715,6 +715,29 @@ class TestFaults:
         se = theta_lin * math.sqrt(2.0 / (3.0 * config.n_particles))
         assert abs(traj.records[-1].theta - theta_lin) <= 4.0 * se
 
+    @pytest.mark.parametrize("dt, t0", [(0.6, 0.0), (0.4, 0.0), (0.1, 0.05)])
+    def test_t_end_off_the_step_grid_raises(self, dt, t0):
+        # t_end - t0 = 1.0, 1.0 and 0.95 are 1.67, 2.5 and 9.5 steps: a run
+        # would end at 1.2, 0.8 or 1.05, not at t_end.
+        rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
+        config = SimConfig(
+            tau=1.0, restitution=rest, bath=bath_at(), dt=dt, t_end=1.0,
+            n_particles=100, seed=59,
+        )
+        init = Ensemble(velocities=gaussian_init(100, seed=60), t=t0)
+        with pytest.raises(ValueError, match="t_end - t0 must be a whole number of steps"):
+            run(config, init=init)
+
+    def test_rounded_step_count_runs(self):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point: three steps.
+        rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
+        config = SimConfig(
+            tau=1.0, restitution=rest, bath=bath_at(), dt=0.1, t_end=0.3,
+            n_particles=100, seed=61,
+        )
+        traj = run(config, observers=ObserverConfig(record_every=1))
+        assert traj.times().tolist() == pytest.approx([0.0, 0.1, 0.2, 0.3], abs=1e-15)
+
     @pytest.mark.parametrize("which", ["step_q", "step_l"])
     def test_direct_sweep_call_above_probability_one_raises(self, which):
         # Without candidates a sweep draws its own at probability
@@ -837,23 +860,16 @@ class TestRecordObservers:
         assert last.t == traj.final.t
         vel = traj.final.velocities
         m = moments(vel)
-        hist = histogram(vel, 32, thermal_extent(m.theta), m.u)
+        hist = histogram(vel, box_edges(m.u, thermal_extent(m.theta), 32))
         assert last.l2 == lp_norm(hist, 2.0)
         assert last.lp == lp_norm(hist, 1.5)
 
 
-    def test_reference_evaluations_and_h_columns(self, monkeypatch):
+    def test_h_columns_are_one_shot_h_phi(self, monkeypatch):
         # The H box has the same cells at every record, so the reference is
-        # evaluated once, by the caller (one x-plane of cells per call), and
-        # each record's H values equal a one-shot h_phi on that record's
-        # sample.
+        # built once, by the caller, and each record's H values equal a
+        # one-shot h_phi on that record's sample.
         bath = bath_at(theta1=0.8)
-        calls = []
-
-        def reference(pts):
-            calls.append(pts.shape)
-            return bath_density(bath, pts)
-
         samples = []
         make_record = dsmc._make_record
 
@@ -863,19 +879,16 @@ class TestRecordObservers:
 
         monkeypatch.setattr(dsmc, "_make_record", recording)
         edges = box_edges(np.zeros(3), 4.5, 16)
-        observers = ObserverConfig(
-            record_every=4, h_reference=(edges, reference_on_cells(reference, edges))
-        )
+        cells = maxwellian_cells(bath.u1, 0.8, edges)
+        observers = ObserverConfig(record_every=4, h_reference=(edges, cells))
         config = SimConfig(
             tau=0.0, restitution=RestitutionParams(epsilon=1.0, e=0.8, m1=1.0),
             bath=bath, dt=0.01, t_end=0.2, n_particles=3000, seed=66,
         )
         traj = run(config, observers=observers)
         assert len(traj.records) == len(samples) == 6
-        assert calls == [(16 * 16, 3)] * 16  # one call per x-plane of cells
         for rec, vel in zip(traj.records, samples):
-            hist = histogram(vel, 16, 4.5, np.zeros(3))
-            cells = reference_on_cells(reference, hist.edges)
+            hist = histogram(vel, edges)
             for tag, value in (("quad", rec.h_quad), ("ent", rec.h_ent)):
                 one_shot = h_phi(hist, cells, phi=tag, bias_correct=tag == "quad")
                 assert value == one_shot

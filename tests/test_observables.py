@@ -1,7 +1,6 @@
 """Observable-layer oracles: hand-computed moment examples, the explicit
 temperature bound, histogram norms against closed forms, fits, and CSV I/O."""
 import dataclasses
-import functools
 import math
 import tracemalloc
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import sigma_shift_form, skewed_table_bath, traced_peak
 
-from granular_bath.background import BathParams, bath_density, nu, sample_bath
+from granular_bath.background import BathParams, linear_steady, nu, sample_bath
 from granular_bath.dsmc import ObserverConfig, SimConfig, run
 from granular_bath.kinematics import RestitutionParams, _sq_norm
 from granular_bath.observables import (
@@ -27,9 +26,9 @@ from granular_bath.observables import (
     haff_fit,
     histogram,
     lp_norm,
+    maxwellian_cells,
     moments,
     read_records,
-    reference_on_cells,
     sigma_freq,
     thermal_extent,
     third_cumulant,
@@ -237,19 +236,19 @@ class TestNorms:
         L = 2.0
         vel = (rng.random((400_000, 3)) - 0.5) * L
         V = L**3
-        est = lp_norm(histogram(vel, 16, L / 2, np.zeros(3)), p=1.5)
+        est = lp_norm(histogram(vel, box_edges(np.zeros(3), L / 2, 16)), p=1.5)
         assert est == pytest.approx(V ** (-1.0 / 3.0), rel=0.02)
 
     def test_gaussian_l2(self):
         # ||N(0, Theta I)||_2 = (4 pi Theta)^(-3/4).
         theta = 1.0
         vel = np.random.default_rng(3).normal(size=(1_000_000, 3))
-        est = lp_norm(histogram(vel, 48, 6.0, np.zeros(3)), p=2.0)
+        est = lp_norm(histogram(vel, box_edges(np.zeros(3), 6.0, 48)), p=2.0)
         assert est == pytest.approx((4 * math.pi * theta) ** -0.75, rel=0.05)
 
     def test_rejects_bad_p(self):
         vel = np.random.default_rng(0).normal(size=(100, 3))
-        hist = histogram(vel, 8, 4.0, np.zeros(3))
+        hist = histogram(vel, box_edges(np.zeros(3), 4.0, 8))
         with pytest.raises(ValueError):
             lp_norm(hist, p=1.0)
         with pytest.raises(ValueError):
@@ -259,7 +258,7 @@ class TestNorms:
     def record_histogram(vel):
         # The box a record bins on: u +- 6 thermal widths, 32 cells per axis.
         rec = moments(vel)
-        return histogram(vel, 32, thermal_extent(rec.theta), rec.u)
+        return histogram(vel, box_edges(rec.u, thermal_extent(rec.theta), 32))
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_near_point_mass_matches_the_rescaled_counts(self, p):
@@ -284,7 +283,7 @@ class TestNorms:
     def test_empty_histogram_is_nan(self):
         # Every particle lies outside the box, so no cell holds any mass.
         vel = np.random.default_rng(1).normal(size=(100, 3)) + np.array([50.0, 0.0, 0.0])
-        hist = histogram(vel, 8, 4.0, np.zeros(3))
+        hist = histogram(vel, box_edges(np.zeros(3), 4.0, 8))
         assert not hist.density.any()
         assert math.isnan(lp_norm(hist, p=2.0))
 
@@ -348,7 +347,7 @@ class TestBinCounts:
         # One block's indices and masks besides the 32^3 counts and
         # density; the one-pass form held 6.30 MiB at N = 2e5.
         vel = np.random.default_rng(6).normal(size=(200_000, 3))
-        assert traced_peak(histogram, vel, 32, 6.0, np.zeros(3)) <= 1.5 * 2**20
+        assert traced_peak(histogram, vel, box_edges(np.zeros(3), 6.0, 32)) <= 1.5 * 2**20
 
 
 class TestBoxEdges:
@@ -363,8 +362,6 @@ class TestBoxEdges:
     def test_collapsed_box_raises(self, center, extent):
         with pytest.raises(ValueError):
             box_edges(np.array(center), extent, 32)
-        with pytest.raises(ValueError):
-            histogram(np.zeros((10, 3)) + center, 32, extent, np.array(center))
 
     def test_small_resolvable_box(self):
         edges = box_edges(np.array([0.5, 0.0, -3.0]), 1e-9, 32)
@@ -372,17 +369,14 @@ class TestBoxEdges:
 
 
 class TestHPhi:
-    def gaussian_ref(self, theta):
-        def ref(pts):
-            sq = np.sum(pts**2, axis=-1)
-            return np.exp(-0.5 * sq / theta) / (2 * math.pi * theta) ** 1.5
-
-        return ref
+    @staticmethod
+    def unit_cells(hist):
+        return maxwellian_cells(np.zeros(3), 1.0, hist.edges)
 
     def test_matched_sample_is_small(self):
         vel = np.random.default_rng(6).normal(size=(200_000, 3))
-        hist = histogram(vel, 24, 5.0, np.zeros(3))
-        ref = reference_on_cells(self.gaussian_ref(1.0), hist.edges)
+        hist = histogram(vel, box_edges(np.zeros(3), 5.0, 24))
+        ref = self.unit_cells(hist)
         raw = h_phi(hist, ref, phi="quad")
         corrected = h_phi(hist, ref, phi="quad", bias_correct=True)
         # Raw noise floor is about (occupied cells)/N; correction removes it.
@@ -391,67 +385,88 @@ class TestHPhi:
 
     def test_mismatched_sample_is_large(self):
         vel = np.random.default_rng(7).normal(size=(200_000, 3)) * math.sqrt(2.0)
-        hist = histogram(vel, 24, 6.0, np.zeros(3))
-        hot = h_phi(hist, reference_on_cells(self.gaussian_ref(1.0), hist.edges), phi="quad")
+        hist = histogram(vel, box_edges(np.zeros(3), 6.0, 24))
+        hot = h_phi(hist, self.unit_cells(hist), phi="quad")
         assert hot > 0.2
 
     def test_entropy_variant_nonnegative(self):
         vel = np.random.default_rng(8).normal(size=(100_000, 3))
-        hist = histogram(vel, 24, 5.0, np.zeros(3))
-        val = h_phi(hist, reference_on_cells(self.gaussian_ref(1.0), hist.edges), phi="ent")
+        hist = histogram(vel, box_edges(np.zeros(3), 5.0, 24))
+        val = h_phi(hist, self.unit_cells(hist), phi="ent")
         assert val >= 0.0
 
     def test_support_mismatch_raises(self):
         vel = np.random.default_rng(9).normal(size=(1000, 3)) + np.array([4.0, 0, 0])
-
-        def ref(pts):
-            # Vanishes on the half-space where the sample lives.
-            return np.where(pts[..., 0] < 0.0, 1.0, 0.0)
-
-        hist = histogram(vel, 16, 8.0, np.zeros(3))
+        hist = histogram(vel, box_edges(np.zeros(3), 8.0, 16))
+        # Vanishes on the half-space x > 0, where the sample lives.
+        upper = hist.edges[0][1:]
+        ref = np.broadcast_to(np.where(upper <= 0.0, 1.0, 0.0)[:, None, None], hist.density.shape)
         with pytest.raises(SupportMismatchError):
-            h_phi(hist, reference_on_cells(ref, hist.edges))
+            h_phi(hist, ref)
 
     def test_grid_reference_shape_check(self):
         vel = np.random.default_rng(10).normal(size=(1000, 3))
         with pytest.raises(ValueError):
-            h_phi(histogram(vel, 4, 5.0, np.zeros(3)), np.ones((4, 4, 5)))
+            h_phi(histogram(vel, box_edges(np.zeros(3), 5.0, 4)), np.ones((4, 4, 5)))
 
     def test_unknown_phi(self):
         vel = np.random.default_rng(11).normal(size=(100, 3))
-        hist = histogram(vel, 8, 5.0, np.zeros(3))
-        ref = reference_on_cells(self.gaussian_ref(1.0), hist.edges)
+        hist = histogram(vel, box_edges(np.zeros(3), 5.0, 8))
         with pytest.raises(ValueError, match="phi must be one of"):
-            h_phi(hist, ref, phi="cubic")
+            h_phi(hist, self.unit_cells(hist), phi="cubic")
 
 
-class TestReferenceOnCells:
-    @staticmethod
-    def stacked_form(reference, edges):
-        """All cell centres stacked into one (m, 3) array, one call."""
-        centers = [0.5 * (e[1:] + e[:-1]) for e in edges]
-        gx, gy, gz = np.meshgrid(*centers, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-        return np.asarray(reference(pts), dtype=float).reshape(gx.shape)
+class TestMaxwellianCells:
+    LINEAR = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
 
-    @staticmethod
-    def gas_reference():
-        # The linear-mode form: a Maxwellian off the box centre.
-        gas = BathParams(m1=1.0, u1=np.array([0.2, -0.1, 0.4]), theta1=0.8, lambda_=1.0)
-        return functools.partial(bath_density, gas)
+    def test_matches_scipy_normal_differences(self):
+        # An off-centre box of +-30 thermal widths: cells above the mean,
+        # below it, the one that holds it, and tails down to 1e-199 per axis.
+        from scipy.stats import norm
 
-    def test_equals_the_stacked_form(self):
-        edges = [np.linspace(-3.5, 3.1, 6), np.linspace(-2.9, 3.3, 8), np.linspace(-3.2, 4.0, 10)]
-        for ref in (self.gas_reference(), TestHPhi().gaussian_ref(0.8)):
-            got = reference_on_cells(ref, edges)
-            assert got.shape == (5, 7, 9)
-            assert got.tobytes() == self.stacked_form(ref, edges).tobytes()
+        center, theta = np.array([0.2, -0.1, 0.4]), 0.8
+        s = math.sqrt(theta)
+        edges = box_edges(center + s * np.array([1.5, -2.0, 0.7]), 30.0 * s, 32)
+        masses = []
+        for c, e in zip(center, edges):
+            lo, hi = e[:-1], e[1:]
+            masses.append(np.where(
+                lo >= c,
+                norm.sf(lo, loc=c, scale=s) - norm.sf(hi, loc=c, scale=s),
+                norm.cdf(hi, loc=c, scale=s) - norm.cdf(lo, loc=c, scale=s),
+            ))
+        vol = math.prod(e[1] - e[0] for e in edges)
+        want = np.multiply.outer(np.multiply.outer(masses[0], masses[1]), masses[2]) / vol
+        got = maxwellian_cells(center, theta, edges)
+        assert got.shape == (32, 32, 32)
+        # Products below the normal range carry absolute, not relative, error.
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=np.finfo(float).tiny)
 
-    def test_traced_peak_is_one_plane(self):
-        # The 0.25 MiB output and one x-plane's temporaries; the stacked
-        # form holds 2.5 MiB.
-        edges = box_edges(np.zeros(3), 4.5, 32)
-        assert traced_peak(reference_on_cells, self.gas_reference(), edges) <= 2**20
+    def test_every_cell_positive_on_a_wide_box(self):
+        # The linear-mode H box at grid extent 20: +-18 bath widths about u1.
+        bath = bath_at(u1=(0.3, -0.2, 0.1))
+        theta_lin = linear_steady(self.LINEAR, bath)
+        edges = box_edges(bath.u1, 0.9 * 20.0 * bath.sigma_th, 32)
+        cells = maxwellian_cells(bath.u1, theta_lin, edges)
+        assert np.all(cells > 0.0)
+        vol = math.prod(e[1] - e[0] for e in edges)
+        assert float(np.sum(cells)) * vol == pytest.approx(1.0, rel=1e-12)
+
+    def test_exact_steady_samples_have_zero_h(self):
+        # Criterion 09's 24^3 cells: Maxwellian samples at theta_lin give a
+        # bias-corrected H_quad centred on 0.  Cell-centre values of the
+        # same Maxwellian hold it at 2.2e-3 (sd 2.1e-4) on these seeds.
+        bath = bath_at()
+        theta_lin = linear_steady(self.LINEAR, bath)
+        edges = box_edges(bath.u1, 0.9 * 8.0 * bath.sigma_th, 24)
+        cells = maxwellian_cells(bath.u1, theta_lin, edges)
+        h = []
+        for seed in range(8):
+            vel = np.random.default_rng(1200 + seed).normal(size=(200_000, 3))
+            hist = histogram(bath.u1 + math.sqrt(theta_lin) * vel, edges)
+            h.append(h_phi(hist, cells, phi="quad", bias_correct=True))
+        mean, sd = float(np.mean(h)), float(np.std(h, ddof=1))
+        assert abs(mean) <= 4.0 * sd / math.sqrt(8), (mean, sd)
 
 
 class TestHaffFit:
