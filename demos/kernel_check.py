@@ -1,25 +1,33 @@
 """Cross-validation of the scattering-kernel representations.
 
-The gas-bath operator has three independent realizations in this package:
-a closed-form kernel k(v, w), a 2-D quadrature of the same kernel built
-straight from the collision geometry, and the stochastic particle sweep.
-This script checks them against each other:
+The gas-bath operator has a closed-form kernel k(v, w), a 2-D quadrature of
+the same kernel built straight from the collision geometry, and a grid
+assembly of the kernel; the linear problem has a closed-form steady state,
+the gas Maxwellian at (u1, theta_lin).  This script checks them against each
+other, each against a tolerance:
 
-  1. closed form vs quadrature at random velocity pairs (should agree to
-     near machine precision);
-  2. kernel columns vs the collision frequency nu(w) = lambda^-1 |v - w|
-     averaged over the bath (mass conservation of the grid operator);
-  3. the assembled grid generator vs a short burst of particle dynamics
-     started from the same density (rates of change of mass and energy).
+  1. closed form vs quadrature at 20 random velocity pairs: worst relative
+     difference at most 1e-12;
+  2. kernel columns of a 16^3 grid vs the collision frequency
+     nu(w) = lambda^-1 |v - w| averaged over the bath (mass conservation of
+     the grid operator): worst relative difference at most 1e-12;
+  3. the 16^3 grid's steady state vs the closed form: theta within 1e-4
+     relative of theta_lin, and node values within 1e-5 in L1 of the gas
+     Maxwellian at (u1, theta_lin).
+
+It exits 1 when any check misses its tolerance.  The particle side of the
+linear problem is in demos/linear_equilibrium.py.
 
 Usage:
     python3 demos/kernel_check.py
 """
+import math
+import sys
+
 import numpy as np
 
-from granular_bath.background import BathParams, nu
+from granular_bath.background import BathParams, linear_steady, nu
 from granular_bath.carleman import (
-    compare_dsmc,
     dense_matrix,
     kernel_closed_form,
     kernel_quadrature,
@@ -29,10 +37,17 @@ from granular_bath.carleman import (
 from granular_bath.kinematics import RestitutionParams
 
 
-def main() -> None:
+def main() -> int:
     rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
     bath = BathParams(m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0)
     rng = np.random.default_rng(20260817)
+    failed = []
+
+    def check(name: str, value: float, tol: float) -> None:
+        ok = value <= tol
+        print(f"   {name}: {value:.2e} (tolerance {tol:.0e}) {'ok' if ok else 'FAILED'}")
+        if not ok:
+            failed.append(name)
 
     print("1) closed form vs 2-D quadrature at 20 random pairs")
     worst = 0.0
@@ -41,33 +56,34 @@ def main() -> None:
         closed = float(kernel_closed_form(v, w, rest, bath))
         quad = kernel_quadrature(v, w, rest, bath)
         worst = max(worst, abs(closed - quad) / abs(closed))
-    print(f"   worst relative difference: {worst:.2e}")
+    check("worst relative difference", worst, 1e-12)
 
     print("2) grid columns vs collision frequency (16^3 nodes)")
     grid = make_grid(rest, bath, n=16, extent_sigma=8.0)
     gain_cols = dense_matrix(grid).sum(axis=0)  # entries already carry h^3
     nu_nodes = nu(bath, grid.nodes)
-    print(f"   worst |gain column sum - nu| / nu: "
-          f"{np.max(np.abs(gain_cols - nu_nodes) / nu_nodes):.2e}  "
-          f"(zero = gain balances loss exactly, so the generator conserves "
-          f"mass; the diagonal is renormalized to enforce it)")
+    # Zero: gain balances loss exactly, so the generator conserves mass.
+    check("worst |gain column sum - nu| / nu",
+          float(np.max(np.abs(gain_cols - nu_nodes) / nu_nodes)), 1e-12)
 
-    print("3) grid generator vs particle sweep on the steady density")
+    print("3) grid steady state vs the closed form (16^3 nodes)")
     ss = steady_state(grid)
-    weights = ss.f * grid.cell_volume
-    cells = rng.choice(grid.n_nodes, size=50_000, p=weights / weights.sum())
-    sample = grid.nodes[cells].astype(float).copy()
-    report = compare_dsmc(sample, grid, seed=20260817)
-    print(f"   d Theta/dt: grid {report.theta_rate_grid:+.4f} vs particles "
-          f"{report.theta_rate_dsmc:+.4f} +- {report.theta_rate_dsmc_se:.4f}")
-    print(f"   d energy/dt: grid {report.energy_rate_grid:+.4f} vs "
-          f"closed-form {report.energy_rate_analytic:+.4f} "
-          f"+- {report.energy_rate_analytic_se:.4f}")
-    print(f"   mass rates: grid {report.mass_rate_grid:+.2e}, particles "
-          f"{report.mass_rate_dsmc:+.2e}")
-    print(f"   L1 distance of the two one-step actions: "
-          f"{report.l1_operator_distance:.3f} (lattice-resolution limited)")
+    theta_lin = linear_steady(rest, bath)
+    print(f"   theta grid {ss.theta!r}, theta_lin {theta_lin!r}")
+    check("|theta grid - theta_lin| / theta_lin", abs(ss.theta - theta_lin) / theta_lin, 1e-4)
+    gauss = [
+        np.exp(-0.5 * (ax - c) ** 2 / theta_lin) / math.sqrt(2.0 * math.pi * theta_lin)
+        for ax, c in zip(grid.axes, bath.u1)
+    ]
+    exact = np.multiply.outer(np.multiply.outer(*gauss[:2]), gauss[2]).ravel()
+    check("L1 distance to the gas Maxwellian",
+          float(np.abs(ss.f - exact).sum() * grid.cell_volume), 1e-5)
+
+    if failed:
+        print(f"FAILED: {', '.join(failed)}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

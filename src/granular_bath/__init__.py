@@ -11,13 +11,7 @@ compare them.
 from __future__ import annotations
 
 from .background import BathParams, TabulatedDensity, abs_moment, c0, nu, sample_bath
-from .carleman import (
-    KernelGrid,
-    SteadyState,
-    compare_dsmc,
-    make_grid,
-    steady_state,
-)
+from .carleman import KernelGrid, SteadyState, make_grid, steady_state
 from .dsmc import Ensemble, SimConfig, detect_steady, run
 from .kinematics import (
     RestitutionParams,
@@ -41,7 +35,6 @@ __all__ = [
     "sample_bath",
     "KernelGrid",
     "SteadyState",
-    "compare_dsmc",
     "make_grid",
     "steady_state",
     "Ensemble",

@@ -36,7 +36,6 @@ reduction of K, and the dense matrix is built on request.
 """
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -46,12 +45,10 @@ import numpy as np
 
 from .background import BathParams, bath_density, nu
 from .kinematics import RestitutionParams, _orthonormal_frame
-from .observables import bin_counts
 
 __all__ = [
     "KernelGrid",
     "SteadyState",
-    "CompareReport",
     "KernelBuildError",
     "ConvergenceError",
     "kernel_closed_form",
@@ -59,13 +56,11 @@ __all__ = [
     "make_grid",
     "dense_matrix",
     "steady_state",
-    "compare_dsmc",
     "write_grid_csv",
 ]
 
-log = logging.getLogger(__name__)
-
 Array = np.ndarray
+
 
 class KernelBuildError(RuntimeError):
     """Raised when the discrete kernel cannot be assembled consistently."""
@@ -210,12 +205,6 @@ class KernelGrid:
     @property
     def cell_volume(self) -> float:
         return self.h**3
-
-    def edges(self) -> list[Array]:
-        return [
-            np.concatenate([ax - 0.5 * self.h, [ax[-1] + 0.5 * self.h]])
-            for ax in self.axes
-        ]
 
     def apply_l(self, f: Array) -> Array:
         """(K f)_i - nu_i f_i for node values f (any f, symmetric or not)."""
@@ -543,122 +532,6 @@ def steady_state(
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (residual {dist:.3e})",
         last_iterate=g[nodes], residual=dist,
-    )
-
-
-@dataclass(frozen=True)
-class CompareReport:
-    """Cross-validation of the grid operator against short DSMC evolutions."""
-
-    l1_operator_distance: float
-    theta_rate_grid: float
-    theta_rate_dsmc: float
-    theta_rate_dsmc_se: float
-    energy_rate_grid: float
-    energy_rate_analytic: float
-    energy_rate_analytic_se: float
-    mass_rate_grid: float
-    mass_rate_dsmc: float
-    outside_fraction: float
-
-
-def _histogram_on_grid(grid: KernelGrid, velocities: Array) -> tuple[Array, float]:
-    counts = bin_counts(velocities, grid.edges())
-    inside = float(counts.sum())
-    frac_out = 1.0 - inside / velocities.shape[0]
-    if inside == 0.0:
-        raise ValueError("no particles inside the grid box (support mismatch)")
-    f = counts.ravel() / (inside * grid.cell_volume)  # unit mass inside the box
-    return f, frac_out
-
-
-def compare_dsmc(
-    velocities: Array,
-    grid: KernelGrid,
-    seed: int = 1234,
-) -> CompareReport:
-    """Compare the grid operator with direct simulation on the same sample.
-
-    The ensemble is histogrammed onto the grid (raising if more than 0.5% of
-    the particles fall outside); the report contains the L1 distance between
-    apply_l(fhat) and a finite-difference estimate of L f from bath sweeps
-    of dt = 5e-3, the temperature rate from both routes (DSMC rate averaged
-    over 8 independent replicas with its standard error), the fixed-center
-    energy rate against the per-sample analytic collision average (64 bath
-    draws per replica), and the mass rates (exactly zero for DSMC;
-    machine-zero for the renormalized grid operator).
-    """
-    from .dsmc import _speeds, step_l  # avoid a module cycle
-
-    dt, n_reps, n_bath_draws, max_outside = 5e-3, 8, 64, 5e-3
-    vel = np.asarray(velocities, dtype=float)
-    n = vel.shape[0]
-    f_hat, frac_out = _histogram_on_grid(grid, vel)
-    if frac_out > max_outside:
-        raise ValueError(
-            f"{frac_out:.2%} of particles outside the grid box (support mismatch)"
-        )
-    lf = grid.apply_l(f_hat)
-    h3 = grid.cell_volume
-    bath, rest = grid.bath, grid.restitution
-
-    # Grid-side rates from the weak form of the discrete operator.
-    mass_rate_grid = float(lf.sum() * h3)
-    u_hat = grid.nodes.T @ f_hat * h3
-    m2_rate = float(lf @ np.sum(grid.nodes**2, axis=1) * h3)
-    u_rate = grid.nodes.T @ lf * h3
-    theta_rate_grid = (m2_rate - 2.0 * float(u_hat @ u_rate)) / 3.0
-    c = grid.nodes - bath.u1
-    energy_rate_grid = float(lf @ np.sum(c**2, axis=1) * h3)
-
-    # DSMC finite differences, replicated for an honest error bar.
-    rng = np.random.default_rng(seed)
-    # The hard bath majorant R + b, with R from the distances step_l checks.
-    l_max = float(_speeds(vel, bath.u1).max()) + bath.bound_mean
-    theta0 = float(np.sum((vel - vel.mean(axis=0)) ** 2) / (3.0 * n))
-    theta_rates = np.empty(n_reps)
-    f_diff = np.zeros_like(f_hat)
-    for rep in range(n_reps):
-        work = vel.copy()
-        step_l(work, dt, rest, bath, l_max, rng)
-        u_w = work.mean(axis=0)
-        theta_w = float(np.sum((work - u_w) ** 2) / (3.0 * n))
-        theta_rates[rep] = (theta_w - theta0) / dt
-        f_w, _ = _histogram_on_grid(grid, work)
-        f_diff += (f_w - f_hat) / dt
-    f_diff /= n_reps
-    l1_dist = float(np.sum(np.abs(lf - f_diff)) * h3)
-
-    # Analytic fixed-center energy rate: the per-collision average of
-    # |v - u1|^2 change is 2 kappa^2 |q|^2 - 2 kappa <q, v - u1>, integrated
-    # against |q| F1(w) / lambda; Monte Carlo over independent bath-draw
-    # replicas gives the value and its standard error.
-    kappa = rest.kappa
-    rates = np.empty(n_reps)
-    for rep in range(n_reps):
-        w_draws = bath.u1 + bath.sigma_th * rng.standard_normal((n_bath_draws, 3))
-        acc = 0.0
-        for lo in range(0, n, 20_000):
-            chunk = vel[lo : lo + 20_000]
-            q = chunk[:, None, :] - w_draws[None, :, :]
-            qn = np.linalg.norm(q, axis=-1)
-            inner = np.sum(q * (chunk[:, None, :] - bath.u1), axis=-1)
-            acc += float(np.sum(qn * (2.0 * kappa**2 * qn**2 - 2.0 * kappa * inner)))
-        rates[rep] = acc / (n * n_bath_draws * bath.lambda_)
-    energy_rate_analytic = float(rates.mean())
-    energy_rate_analytic_se = float(rates.std(ddof=1) / math.sqrt(n_reps))
-
-    return CompareReport(
-        l1_operator_distance=l1_dist,
-        theta_rate_grid=theta_rate_grid,
-        theta_rate_dsmc=float(theta_rates.mean()),
-        theta_rate_dsmc_se=float(theta_rates.std(ddof=1) / math.sqrt(n_reps)),
-        energy_rate_grid=energy_rate_grid,
-        energy_rate_analytic=energy_rate_analytic,
-        energy_rate_analytic_se=energy_rate_analytic_se,
-        mass_rate_grid=mass_rate_grid,
-        mass_rate_dsmc=0.0,
-        outside_fraction=frac_out,
     )
 
 

@@ -453,6 +453,14 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
                 f"{_fmt(theta_lin)}; the grid is too coarse or too narrow for the bath"
             )
         write_grid_csv(out / "steady_f1.csv", grid, steady_grid.f)
+        # L1 distance of the grid steady state to the closed form, the gas
+        # Maxwellian at (u1, theta_lin) at the nodes: a product of 1-D factors.
+        gauss = [
+            np.exp(-0.5 * (ax - c) ** 2 / theta_lin) / math.sqrt(2.0 * math.pi * theta_lin)
+            for ax, c in zip(grid.axes, sim.bath.u1)
+        ]
+        exact = np.multiply.outer(np.multiply.outer(*gauss[:2]), gauss[2]).ravel()
+        l1_exact = float(np.abs(steady_grid.f - exact).sum() * grid.cell_volume)
         # Only steady_grid is read from here on: free the grid's reduced
         # matrix and node arrays before the particle run allocates.
         del grid
@@ -486,6 +494,7 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
         extra += [
             f"theta grid steady: {_fmt(steady_grid.theta)}",
             f"theta exact: {_fmt(theta_lin)}",
+            f"grid L1 to closed form: {_fmt(l1_exact)}",
             f"theta simulation steady: {_fmt(theta_s)} +- {_fmt(theta_se)}",
             f"theta discrepancy: {_fmt(abs(theta_s - theta_lin))}",
         ]

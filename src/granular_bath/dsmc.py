@@ -426,11 +426,15 @@ def _dump_fault(velocities: Array, step: int, t: float, rng: np.random.Generator
 
 
 def _whole_steps(name: str, span: float, dt: float, error: type = ValueError) -> int:
-    """The whole number of steps dt in ``span`` (1e-9 relative), else ``error``."""
+    """The whole number of steps dt in ``span`` (1e-9 relative), at least
+    one, else ``error``."""
     steps = span / dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+    whole = round(steps)
+    if abs(steps - whole) > 1e-9 * max(1.0, steps):
         raise error(f"{name} must be a whole number of steps dt = {dt!r}, got {span!r}")
-    return round(steps)
+    if whole < 1:
+        raise error(f"{name} must be at least one step dt = {dt!r}, got {span!r}")
+    return whole
 
 
 def run(
@@ -454,8 +458,9 @@ def run(
     cross-checks its moments against the mean of the cache.  A step whose
     event probability reaches 1 with them runs as sub-steps that each stay
     below it, so every dt runs to t_end, and records stay at the step times.
-    A t_end - t0 off the step grid, or an initial ensemble whose |v - c|^2
-    overflows, raises ValueError before the first record.  NumericalFault is
+    A t_end - t0 off the step grid or below one step (a resume at or past
+    t_end), or an initial ensemble whose |v - c|^2 overflows, raises
+    ValueError before the first record.  NumericalFault is
     raised at the step whose moved rows make the radius non-finite (a NaN or
     an |v - c|^2 overflow), or at the first record step that finds a non-finite
     velocity, after the state is dumped to the temporary directory.
@@ -489,7 +494,7 @@ def run(
             f"initial velocities too large: |v - c|^2 overflows about c = {centre.tolist()}"
         )
 
-    n_steps = max(1, _whole_steps("t_end - t0", config.t_end - t0, dt))
+    n_steps = _whole_steps("t_end - t0", config.t_end - t0, dt)
     traj = MomentTrajectory(records=[], config=config)
     traj.records.append(_make_record(vel, t0, config, obs, d2))
 

@@ -42,7 +42,6 @@ __all__ = [
     "h_phi",
     "haff_fit",
     "sigma_freq",
-    "third_cumulant",
     "write_records",
     "read_records",
     "CSV_COLUMNS",
@@ -534,13 +533,6 @@ def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
             for lo in range(0, n, _PARTICLE_BLOCK)
         ) / n
     return total
-
-
-def third_cumulant(velocities: Array) -> Array:
-    """Per-component third central moment E (v_c - u_c)^3 (vector of 3)."""
-    vel = np.asarray(velocities, dtype=float)
-    centered = vel - vel.mean(axis=0)
-    return np.mean(centered**3, axis=0)
 
 
 def _fmt(x: float) -> str:

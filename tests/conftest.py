@@ -55,3 +55,10 @@ def sigma_shift_form(vel, bath, tau):
     if bath is not None:
         total += float(np.mean(nu(bath, vel)))
     return total
+
+
+def third_cumulant(velocities):
+    """Per-component third central moment E (v_c - u_c)^3 (vector of 3)."""
+    vel = np.asarray(velocities, dtype=float)
+    centered = vel - vel.mean(axis=0)
+    return np.mean(centered**3, axis=0)

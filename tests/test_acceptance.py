@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import third_cumulant
 
 from granular_bath.background import BathParams, linear_steady
 from granular_bath.carleman import (
@@ -31,7 +32,6 @@ from granular_bath.observables import (
     f_aux_stderr,
     haff_fit,
     maxwellian_cells,
-    third_cumulant,
 )
 
 N_LARGE = 100_000

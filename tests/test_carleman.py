@@ -21,7 +21,6 @@ from granular_bath.carleman import (
     _kernel_safe,
     _orbit_decomposition,
     _stretch_offset,
-    compare_dsmc,
     dense_matrix,
     kernel_closed_form,
     kernel_quadrature,
@@ -464,60 +463,3 @@ class TestGridCsv:
         )
         assert path.read_text(encoding="utf-8") == want
 
-
-class TestCompareDsmc:
-    @staticmethod
-    def node_sample(grid, f, n, rng):
-        p = f * grid.cell_volume
-        cells = rng.choice(p.size, size=n, p=p / p.sum())
-        return grid.nodes[cells].astype(float).copy()
-
-    # The grid-vs-particle comparisons carry an O(h^2 nu) systematic: the
-    # grid represents each collision's continuous arrival velocity at cell
-    # midpoints, which sheds h^2/12 variance per axis per collision.  At
-    # h = 1 thermal width and nu ~ 2.3 that is ~0.2 on the temperature rate
-    # (measured -0.12..-0.18), so the margins below are 4 standard errors
-    # plus a calibrated systematic allowance -- wide enough for the lattice
-    # artifact, far below the O(1) shift a wrong collision law produces.
-    THETA_SYSTEMATIC = 0.30
-    ENERGY_SYSTEMATIC = 0.45
-
-    def test_elastic_rates_vanish_together(self):
-        # Sample the discrete steady state (atoms at nodes so the histogram
-        # estimator is unbiased); every rate estimate must sit near zero.
-        bath = bath_at()
-        g = make_grid(rest_at(1.0, 1.0), bath, n=16, extent_sigma=8.0)
-        ss = steady_state(g, tol=1e-11)
-        vel = self.node_sample(g, ss.f, 60_000, np.random.default_rng(307))
-        rep = compare_dsmc(vel, g, seed=308)
-        assert rep.outside_fraction <= 5e-3
-        assert rep.mass_rate_dsmc == 0.0
-        assert abs(rep.mass_rate_grid) <= 1e-12
-        assert abs(rep.theta_rate_grid) <= 0.05
-        assert abs(rep.theta_rate_dsmc - rep.theta_rate_grid) <= (
-            4.0 * rep.theta_rate_dsmc_se + self.THETA_SYSTEMATIC
-        )
-        assert abs(rep.energy_rate_grid - rep.energy_rate_analytic) <= (
-            4.0 * rep.energy_rate_analytic_se + self.ENERGY_SYSTEMATIC
-        )
-        assert rep.l1_operator_distance <= 1.5
-
-    def test_inelastic_rates_agree(self):
-        bath = bath_at()
-        g = make_grid(rest_at(0.8, 1.0), bath, n=16, extent_sigma=8.0)
-        ss = steady_state(g, tol=1e-11)
-        vel = self.node_sample(g, ss.f, 60_000, np.random.default_rng(309))
-        rep = compare_dsmc(vel, g, seed=310)
-        assert abs(rep.theta_rate_grid) <= 0.05
-        assert abs(rep.theta_rate_dsmc - rep.theta_rate_grid) <= (
-            4.0 * rep.theta_rate_dsmc_se + self.THETA_SYSTEMATIC
-        )
-        assert abs(rep.energy_rate_grid - rep.energy_rate_analytic) <= (
-            4.0 * rep.energy_rate_analytic_se + self.ENERGY_SYSTEMATIC
-        )
-
-    def test_support_mismatch_raises(self, grid12):
-        rng = np.random.default_rng(311)
-        vel = rng.normal(size=(5000, 3)) + 40.0
-        with pytest.raises(ValueError):
-            compare_dsmc(vel, grid12)

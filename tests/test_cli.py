@@ -36,6 +36,13 @@ def write_config(tmp_path: Path, obj: dict, name: str = "config.json") -> Path:
     return path
 
 
+def grid_l1(report):
+    """The value on a linear run's ``grid L1 to closed form:`` line."""
+    prefix = "grid L1 to closed form: "
+    (line,) = [line for line in report.splitlines() if line.startswith(prefix)]
+    return float(line[len(prefix):])
+
+
 COOLING_SMOKE = {
     "mode": "cooling",
     "tau": 1.0,
@@ -267,18 +274,23 @@ class TestExecute:
         assert "h_functional" not in plot  # no reference density in this mode
 
     def test_linear_smoke(self, tmp_path, capsys):
-        parsed = parse_config_dict(LINEAR_SMOKE)
+        # 16^3 nodes over +-8 bath widths: the grid steady state lies within
+        # 1e-6 in L1 of the gas Maxwellian at theta_lin (5.8e-7; the
+        # smoke's coarse 8^3 grid over +-5 widths reads 1.9e-4).
+        parsed = parse_config_dict(dict(LINEAR_SMOKE, grid={"nodes": 16, "extent": 8.0}))
         rc = execute(parsed, out_dir=tmp_path)
         assert rc == 0
         table = load_table(tmp_path / "steady_f1.csv")
-        assert table.axes[0].size == 8
+        assert table.axes[0].size == 16
         assert np.all(table.values >= 0.0)
         header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
         assert "Hquad" in header
         out = capsys.readouterr().out
         assert "theta grid steady:" in out
-        assert "\ntheta exact: 0.8181818181818181\n" in out
+        assert "\ntheta exact: 0.8181818181818181\ngrid L1 to closed form: " in out
         assert "theta simulation steady:" in out
+        assert grid_l1(out) <= 1e-6
+        assert grid_l1((tmp_path / "bound_report.txt").read_text()) == grid_l1(out)
         plot = (tmp_path / "plot.gp").read_text()
         assert "h_functional" in plot
 

@@ -728,6 +728,19 @@ class TestFaults:
         with pytest.raises(ValueError, match="t_end - t0 must be a whole number of steps"):
             run(config, init=init)
 
+    @pytest.mark.parametrize("t0", [1.0, 2.0])
+    def test_resume_at_or_past_t_end_raises(self, t0):
+        # t_end - t0 = 0 and -1 hold no step: the run must not take one
+        # anyway and end at t0 + dt, past t_end.
+        rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
+        config = SimConfig(
+            tau=1.0, restitution=rest, bath=bath_at(), dt=0.1, t_end=1.0,
+            n_particles=100, seed=62,
+        )
+        init = Ensemble(velocities=gaussian_init(100, seed=63), t=t0)
+        with pytest.raises(ValueError, match="t_end - t0 must be at least one step"):
+            run(config, init=init)
+
     def test_rounded_step_count_runs(self):
         # 0.3 / 0.1 is 2.9999999999999996 in floating point: three steps.
         rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)

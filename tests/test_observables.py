@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import sigma_shift_form, skewed_table_bath, traced_peak
+from conftest import sigma_shift_form, skewed_table_bath, third_cumulant, traced_peak
 
 from granular_bath.background import BathParams, linear_steady, nu, sample_bath
 from granular_bath.dsmc import ObserverConfig, SimConfig, run
@@ -31,7 +31,6 @@ from granular_bath.observables import (
     read_records,
     sigma_freq,
     thermal_extent,
-    third_cumulant,
     write_records,
 )
 from granular_bath.observables import _shift_mean
