@@ -4,12 +4,14 @@ Evolves an N-particle ensemble under gas-gas collisions at rate ``tau``
 (Nanbu-Babovsky candidate pairs) and gas-bath collisions (a fresh bath
 partner per event, discarded afterwards), both by majorant rejection, in one
 unsplit step: each particle takes part in at most one candidate event per
-step, a gas-gas pair with probability p_q = tau q_max dt or a bath event with
-probability p_l = l_max dt / lambda.  A particle at v thus collides with a
-gas partner w with probability tau |v - w| dt and with the bath with
-probability nu(v) dt, so the expected change of the one-particle density
-over a step is dt (Q + L) f, and the fixed point of the step is the zero of
-Q + L at every dt.
+step, a bath event with probability p_l = l_max dt / lambda or a gas-gas
+pair, each pair drawn with probability p_q / (N - 1), p_q = tau q_max dt, or
+p_q / N for odd N (the N^2-pair normalization of ``sigma_freq``).  One draw,
+``_candidates``, makes both sets: it is the one candidate law.  A particle
+at v thus collides with the bath with probability nu(v) dt and with a gas
+partner w with probability tau |v - w| dt / (N - 1), or / N for odd N, so
+the expected change of the one-particle density over a step is dt (Q + L) f,
+and the fixed point of the step is the zero of Q + L at every dt.
 
 Neither majorant can be exceeded.  Both are radii about one centre c fixed
 for the run: u1 with a bath, otherwise the initial mean velocity, which
@@ -224,20 +226,19 @@ def step_q(
     restitution: RestitutionParams,
     q_max: float,
     rng: np.random.Generator,
-    candidates: Array | None = None,
+    candidates: Array,
     d2: Array | None = None,
     centre: Array | None = None,
 ) -> tuple[int, float]:
     """One Nanbu-Babovsky gas-gas sweep; mutates ``velocities`` on success.
 
     ``candidates`` holds 2m distinct particle indices, and particle
-    ``candidates[i]`` is paired with ``candidates[m + i]``.  Without it the
-    sweep draws the pairs itself by the law :func:`run` uses: m ~
-    Binomial(floor(N/2), p_q) disjoint pairs from all N particles, with
-    p_q = tau q_max dt.  Each pair is accepted with probability |q| / q_max,
-    so a particle collides with probability tau |v - w| dt per step.  Returns
-    (accepted collisions, largest measured |q|).  A ``q_max`` below a
-    measured |q| raises ValueError before any velocity changes.
+    ``candidates[i]`` is paired with ``candidates[m + i]``: the pairs of the
+    step's draw by :func:`_candidates`, with p_q = tau q_max dt.  Each pair
+    is accepted with probability |q| / q_max, so a given pair collides with
+    probability tau |q| dt / (N - 1) per step, or tau |q| dt / N for odd N.
+    Returns (accepted collisions, largest measured |q|).  A ``q_max`` below
+    a measured |q| raises ValueError before any velocity changes.
 
     ``d2`` is the cache of :func:`run`: d2[k] = ``_sq_norm``(velocities[k],
     ``centre``) for every particle, about the origin if ``centre`` is None.
@@ -253,12 +254,6 @@ def step_q(
     cache stays exact.  The largest measured |q| is taken over the pairs
     that pass the screen; an unmeasured pair has |q| <= u < q_max.
     """
-    if candidates is None:
-        n = velocities.shape[0]
-        p_q = tau * q_max * dt
-        if p_q > 1.0:
-            raise ValueError(f"dt * tau * q_max = {p_q:.3g} > 1; shrink dt")
-        candidates = rng.choice(n, 2 * int(rng.binomial(n // 2, p_q)), replace=False)
     m = candidates.size // 2
     if m == 0:
         return 0, 0.0
@@ -294,19 +289,18 @@ def step_l(
     bath: BathParams,
     l_max: float,
     rng: np.random.Generator,
-    candidates: Array | None = None,
+    candidates: Array,
     d2: Array | None = None,
 ) -> tuple[int, float]:
     """One bath sweep; mutates ``velocities`` on success.
 
-    ``candidates`` holds the distinct indices of this step's bath candidates.
-    Without it the sweep draws them itself by the law :func:`run` uses: each
-    particle is a candidate with probability p_l = l_max dt / lambda.  A
-    candidate draws a partner or none and accepts as the module docstring
-    says, so it collides with probability nu(v) dt; the partner is
-    discarded.  Returns (accepted collisions, largest |v - w| over the
-    partners).  ``l_max`` below |v - u1| + b for a candidate raises
-    ValueError before any velocity changes.
+    ``candidates`` holds the distinct indices of the step's bath candidates,
+    drawn by :func:`_candidates`: each particle is one with probability
+    p_l = l_max dt / lambda.  A candidate draws a partner or none and
+    accepts as the module docstring says, so it collides with probability
+    nu(v) dt; the partner is discarded.  Returns (accepted collisions,
+    largest |v - w| over the partners).  ``l_max`` below |v - u1| + b for a
+    candidate raises ValueError before any velocity changes.
 
     ``d2`` is the cache of :func:`run` about u1: d2[k] =
     ``_sq_norm``(velocities[k], ``bath.u1``) for every particle.  With it
@@ -316,12 +310,6 @@ def step_l(
     velocities into ``d2`` at the rows it moved.  Outputs and the random
     stream are those of the sweep without the cache.
     """
-    if candidates is None:
-        n = velocities.shape[0]
-        p_l = l_max * dt / bath.lambda_
-        if p_l > 1.0:
-            raise ValueError(f"dt * l_max / lambda = {p_l:.3g} > 1; shrink dt")
-        candidates = rng.choice(n, int(rng.binomial(n, p_l)), replace=False)
     if candidates.size == 0:
         return 0, 0.0
     if d2 is None:
@@ -367,13 +355,16 @@ def _radius(d2: Array) -> float:
 def _candidates(rng: np.random.Generator, n: int, p_q: float, p_l: float) -> tuple[int, Array]:
     """Draw one sub-step's events: m gas-gas pairs, then the bath candidates.
 
-    For p_q + p_l < 1, m ~ Binomial(floor(N/2), p_q) and k ~ Binomial(N - 2m,
-    p_l / (1 - p_q)), so a particle is in a pair with probability p_q and a
-    bath candidate with probability p_l, and no particle takes part in two
-    events.  Returns m and the 2m + k distinct indices (pairs first).
+    For p_q + p_l < 1, m ~ Binomial(floor(N/2), p_q): a given pair is drawn
+    with probability p_q / (N - 1), or p_q / N for odd N (the N^2-pair
+    normalization of ``sigma_freq``), and a particle is in one with p_q s,
+    s = 2 floor(N/2) / N.  k ~ Binomial(N - 2m, p_l / (1 - p_q s)), so a
+    particle is a bath candidate with probability p_l.  Returns m and the
+    2m + k distinct indices (pairs first): no particle is in two events.
     """
+    paired = p_q * (2 * (n // 2) / n)  # p_q s, bitwise p_q for even N
     m = int(rng.binomial(n // 2, p_q)) if p_q > 0.0 else 0
-    k = int(rng.binomial(n - 2 * m, p_l / (1.0 - p_q))) if p_l > 0.0 else 0
+    k = int(rng.binomial(n - 2 * m, p_l / (1.0 - paired))) if p_l > 0.0 else 0
     return m, rng.choice(n, 2 * m + k, replace=False)
 
 

@@ -312,17 +312,21 @@ def maxwellian_cells(center: Array, theta: float, edges: Sequence[Array]) -> Arr
 
 def lp_norm(hist: Histogram, p: float) -> float:
     """Histogram estimate of the L^p norm (sum f^p * cellvol)^(1/p), p > 1;
-    NaN for an empty histogram."""
+    NaN for an empty histogram.  Only the occupied cells are raised to the
+    power p; the sum is that of ``density**p`` to the bit."""
     if not (p > 1.0 and math.isfinite(p)):
         raise ValueError(f"p must lie in (1, inf), got {p}")
     density, vol = hist.density, hist.cell_volume
     if density.sum() * vol <= 0.0:
         return math.nan
+    occ, powed = density > 0.0, np.zeros_like(density)
     with np.errstate(over="ignore"):
-        norm = float(np.sum(density**p) * vol) ** (1.0 / p)
+        np.power(density, p, out=powed, where=occ)
+        norm = float(np.sum(powed) * vol) ** (1.0 / p)
     if not math.isfinite(norm):  # density**p overflows about a near point mass
         peak = float(density.max())
-        norm = peak * float(np.sum((density / peak) ** p) * vol) ** (1.0 / p)
+        np.power(density / peak, p, out=powed, where=occ)
+        norm = peak * float(np.sum(powed) * vol) ** (1.0 / p)
     return norm
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 
+from granular_bath import dsmc
 from granular_bath.background import BathParams, TabulatedDensity, nu
 from granular_bath.observables import DEFAULT_SIGMA_PAIRS
 
@@ -15,6 +16,24 @@ def skewed_table_bath(lam=1.0, m1=1.0):
     values *= 1.0 + 0.5 * np.tanh(g[..., 0])
     table = TabulatedDensity(axes=(ax, ax, ax), values=values)
     return BathParams(m1=m1, u1=np.zeros(3), theta1=1.0, lambda_=lam, kind="tabulated", table=table)
+
+
+def drawn_sweep(sweep, velocities, dt, *args, rng):
+    """``sweep`` (``dsmc.step_q`` or ``dsmc.step_l``) on the candidates that
+    ``run`` draws, ``dsmc._candidates``, at the sweep's own event probability
+    (tau q_max dt or l_max dt / lambda) and none for the other sweep.
+
+    ``args`` are the sweep's arguments between ``dt`` and ``rng``: (tau,
+    restitution, q_max) or (restitution, bath, l_max).
+    """
+    if sweep is dsmc.step_q:
+        tau, _, q_max = args
+        p_q, p_l = tau * q_max * dt, 0.0
+    else:
+        _, bath, l_max = args
+        p_q, p_l = 0.0, l_max * dt / bath.lambda_
+    _, candidates = dsmc._candidates(rng, velocities.shape[0], p_q, p_l)
+    return sweep(velocities, dt, *args, rng, candidates)
 
 
 def traced_peak(fn, *args, **kwargs) -> int:

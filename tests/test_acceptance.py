@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import third_cumulant
+from conftest import drawn_sweep, third_cumulant
 
 from granular_bath.background import BathParams, linear_steady
 from granular_bath.carleman import (
@@ -121,7 +121,7 @@ def test_criterion_02_momentum_conservation():
         vmax = float(np.linalg.norm(vel, axis=1).max())
         q_max = 2.0 * vmax + 1e-9  # hard kinematic envelope, cannot overflow
         dt = 0.9 / q_max  # keeps candidate pairs just under n / 2
-        accepted, _ = step_q(vel, dt, 1.0, rest, q_max, rng)
+        accepted, _ = drawn_sweep(step_q, vel, dt, 1.0, rest, q_max, rng=rng)
         total += accepted
         sweeps += 1
     assert vel.shape == (n, 3)

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import skewed_table_bath, traced_peak
+from conftest import drawn_sweep, skewed_table_bath, traced_peak
 
 from granular_bath import dsmc
 from granular_bath.background import BathParams, linear_steady, nu
@@ -52,7 +52,7 @@ class TestStepQ:
         rng = np.random.default_rng(2)
         total = 0
         for _ in range(20):
-            n_acc, _ = step_q(vel, 0.05, 1.0, rest, q_max=12.0, rng=rng)
+            n_acc, _ = drawn_sweep(step_q, vel, 0.05, 1.0, rest, 12.0, rng=rng)
             total += n_acc
         assert total > 0
         drift = np.abs(vel.sum(axis=0) - before).max()
@@ -65,7 +65,7 @@ class TestStepQ:
         rng = np.random.default_rng(4)
         collisions = 0
         for _ in range(20):
-            n_acc, _ = step_q(vel, 0.05, 1.0, rest, q_max=12.0, rng=rng)
+            n_acc, _ = drawn_sweep(step_q, vel, 0.05, 1.0, rest, 12.0, rng=rng)
             collisions += n_acc
         after = float(np.sum(vel**2))
         assert collisions > 100
@@ -75,7 +75,7 @@ class TestStepQ:
         rest = RestitutionParams(epsilon=0.6, e=1.0, m1=1.0)
         vel = gaussian_init(4000, seed=5)
         before = float(np.sum(vel**2))
-        n_acc, _ = step_q(vel, 0.05, 1.0, rest, q_max=12.0, rng=np.random.default_rng(6))
+        n_acc, _ = drawn_sweep(step_q, vel, 0.05, 1.0, rest, 12.0, rng=np.random.default_rng(6))
         assert n_acc > 0
         assert float(np.sum(vel**2)) < before
 
@@ -83,7 +83,8 @@ class TestStepQ:
         rest = RestitutionParams(epsilon=0.9, e=1.0, m1=1.0)
         vel = gaussian_init(1000, seed=7)
         top = float(np.linalg.norm(vel, axis=1).max())
-        _, max_rel = step_q(vel, 0.05, 1.0, rest, q_max=15.0, rng=np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        _, max_rel = drawn_sweep(step_q, vel, 0.05, 1.0, rest, 15.0, rng=rng)
         assert 0.0 < max_rel <= 2.0 * top + 1e-12
 
 
@@ -107,8 +108,8 @@ class TestStepQ:
         views[2][...] = base
         for vel in views:
             rng = np.random.default_rng(10)
-            step_q(vel, 0.05, 1.0, rest, q_max=12.0, rng=rng)
-            step_l(vel, 0.05, rest, bath, l_max=10.0, rng=rng)
+            drawn_sweep(step_q, vel, 0.05, 1.0, rest, 12.0, rng=rng)
+            drawn_sweep(step_l, vel, 0.05, rest, bath, 10.0, rng=rng)
         assert not np.array_equal(views[0], base)
         for vel in views[1:]:
             assert np.array_equal(vel, views[0])
@@ -122,7 +123,8 @@ class TestStepL:
         rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
         bath = bath_at()
         vel = gaussian_init(2000, seed=9)
-        n_acc, seen = step_l(vel, 0.05, rest, bath, l_max=20.0, rng=np.random.default_rng(10))
+        rng = np.random.default_rng(10)
+        n_acc, seen = drawn_sweep(step_l, vel, 0.05, rest, bath, 20.0, rng=rng)
         assert n_acc > 0
         assert np.all(np.isfinite(vel))
         assert seen > 0.0
@@ -139,11 +141,11 @@ class TestStepL:
         accepted = 0
         for _ in range(reps):
             vel = np.tile(v0, (n, 1))
-            n_acc, _ = step_l(vel, dt, rest, bath, l_max=l_max, rng=rng)
+            n_acc, _ = drawn_sweep(step_l, vel, dt, rest, bath, l_max, rng=rng)
             accepted += n_acc
-        # The sweep makes each particle a candidate with probability
-        # nu_max dt, then thins by |v - W| / l_max, so the exact per-particle,
-        # per-step law is nu dt.
+        # run's draw makes each particle a candidate with probability
+        # l_max dt / lambda, and the sweep thins by |v - W| / l_max, so the
+        # exact per-particle, per-step law is nu dt.
         p_want = want * dt
         trials = n * reps
         se = math.sqrt(p_want * (1 - p_want) / trials)
@@ -158,10 +160,10 @@ class TestStepL:
         vel[0] = [50.0, 0.0, 0.0]  # guaranteed to exceed the tiny majorant
         snapshot = vel.copy()
         with pytest.raises(ValueError, match="l_max"):
-            step_l(vel, 0.05, rest, bath, l_max=1.0, rng=np.random.default_rng(13))
+            drawn_sweep(step_l, vel, 0.05, rest, bath, 1.0, rng=np.random.default_rng(13))
         np.testing.assert_array_equal(vel, snapshot)  # staged, not applied
         with pytest.raises(ValueError, match="q_max"):
-            step_q(vel, 0.05, 1.0, rest, q_max=1.0, rng=np.random.default_rng(13))
+            drawn_sweep(step_q, vel, 0.05, 1.0, rest, 1.0, rng=np.random.default_rng(13))
         np.testing.assert_array_equal(vel, snapshot)
 
     @pytest.mark.parametrize("kind", ["shifted_maxwellian", "tabulated"])
@@ -192,12 +194,44 @@ class TestStepL:
             accepted = 0
             for _ in range(reps):
                 vel = np.tile(v0, (n, 1))
-                n_acc, _ = step_l(vel, dt, rest, bath, l_max=l_max, rng=rng)
+                n_acc, _ = drawn_sweep(step_l, vel, dt, rest, bath, l_max, rng=rng)
                 accepted += n_acc
             p_want = want * dt
             trials = n * reps
             se = math.hypot(math.sqrt(p_want * (1 - p_want) / trials), want_se * dt)
             assert accepted / trials == pytest.approx(p_want, abs=4 * se), offset
+
+
+class TestCandidates:
+    # run's one candidate law, dsmc._candidates, against its marginals: a
+    # particle is a bath candidate with probability p_l and in a pair with
+    # p_q, or p_q (N - 1) / N for odd N, where one particle sits out; the
+    # pair {0, 1} is drawn with p_q / (N - 1), or p_q / N for odd N.
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize(
+        "p_q, p_l, draws", [(0.3, 0.2, 100_000), (0.0, 0.2, 20_000), (0.3, 0.0, 20_000)]
+    )
+    def test_marginals(self, n, p_q, p_l, draws):
+        rng = np.random.default_rng(92)
+        ms, cands = zip(*(dsmc._candidates(rng, n, p_q, p_l) for _ in range(draws)))
+        ms, sizes = np.array(ms), np.array([c.size for c in cands])
+        assert np.all(2 * ms <= sizes) and np.all(sizes <= n)
+        flat = np.concatenate(cands)
+        draw = np.repeat(np.arange(draws), sizes)
+        assert np.bincount(draw * n + flat).max() == 1  # distinct within a draw
+        pos = np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        m = np.repeat(ms, sizes)
+        in_pair = pos < 2 * m
+        paired = np.bincount(flat[in_pair], minlength=n)
+        bathed = np.bincount(flat[~in_pair], minlength=n)
+        first = np.flatnonzero(pos < m)  # candidates[i], paired with [m + i]
+        pair01 = np.count_nonzero(flat[first] + flat[first + m[first]] == 1)  # only {0, 1}
+        pair_want = p_q * (2 * (n // 2)) / n
+        pair01_want = p_q * (n // 2) / (n * (n - 1) / 2)
+        for got, want in ((bathed, p_l), (paired, pair_want), (pair01, pair01_want)):
+            se = math.sqrt(want * (1.0 - want) / draws)
+            assert np.all(np.abs(np.asarray(got) / draws - want) <= 4.0 * se), (got, want)
 
 
 class TestRunCooling:
@@ -319,7 +353,7 @@ class TestUnsplitStep:
         seen = {"q": [], "l": []}
 
         def recorder(kind, orig, majorant_at):
-            def wrapped(*args, candidates=None, **kwargs):
+            def wrapped(*args, candidates, **kwargs):
                 seen[kind].append((candidates.copy(), args[majorant_at]))
                 return orig(*args, candidates=candidates, **kwargs)
             return wrapped
@@ -385,13 +419,13 @@ class TestUnsplitStep:
             assert r <= bound <= r * (1.0 + 1e-12), (kind, checked[kind], bound, r)
             checked[kind] += 1
 
-        def wrapped_q(velocities, dt, tau, restitution, q_max, rng, candidates=None, **kwargs):
+        def wrapped_q(velocities, dt, tau, restitution, q_max, rng, candidates, **kwargs):
             check("q", q_max / 2.0, velocities)
             return step_q(
                 velocities, dt, tau, restitution, q_max, rng, candidates=candidates, **kwargs
             )
 
-        def wrapped_l(velocities, dt, restitution, bath_, l_max, rng, candidates=None, **kwargs):
+        def wrapped_l(velocities, dt, restitution, bath_, l_max, rng, candidates, **kwargs):
             check("l", l_max - bath_.bound_mean, velocities)
             return step_l(
                 velocities, dt, restitution, bath_, l_max, rng, candidates=candidates, **kwargs
@@ -618,7 +652,7 @@ class TestFaults:
         # the cache refreshed there as the sweep contract asks.
         calls = []
 
-        def sweep(velocities, dt, restitution, bath, l_max, rng, candidates=None, d2=None):
+        def sweep(velocities, dt, restitution, bath, l_max, rng, candidates, d2):
             out = step_l(velocities, dt, restitution, bath, l_max, rng, candidates, d2=d2)
             calls.append(1)
             if len(calls) == at_call:
@@ -750,21 +784,6 @@ class TestFaults:
         )
         traj = run(config, observers=ObserverConfig(record_every=1))
         assert traj.times().tolist() == pytest.approx([0.0, 0.1, 0.2, 0.3], abs=1e-15)
-
-    @pytest.mark.parametrize("which", ["step_q", "step_l"])
-    def test_direct_sweep_call_above_probability_one_raises(self, which):
-        # Without candidates a sweep draws its own at probability
-        # tau q_max dt or l_max dt / lambda; above 1 that is a ValueError.
-        rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
-        vel = gaussian_init(100, seed=57)
-        snapshot = vel.copy()
-        rng = np.random.default_rng(58)
-        with pytest.raises(ValueError, match="shrink dt"):
-            if which == "step_q":
-                step_q(vel, 1.0, 1.0, rest, q_max=2.0, rng=rng)
-            else:
-                step_l(vel, 1.0, rest, bath_at(), l_max=2.0, rng=rng)
-        np.testing.assert_array_equal(vel, snapshot)
 
     def test_loose_fixed_centre_splits_the_step(self, monkeypatch):
         # A gas at rest far from u1 = (3, 0, 0): about u1, q_max = 2 max|v - u1|

@@ -275,9 +275,27 @@ class TestNorms:
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_unit_scale_keeps_the_direct_sum(self, p):
-        hist = self.record_histogram(np.random.default_rng(4).normal(size=(1000, 3)))
-        want = float(np.sum(hist.density**p) * hist.cell_volume) ** (1.0 / p)
-        assert lp_norm(hist, p) == want
+        # Sparse to dense histograms: the norm from the occupied cells keeps
+        # the bits of the sum over every cell.
+        rng = np.random.default_rng(4)
+        for n in (30, 1000, 30_000, 100_000):
+            hist = self.record_histogram(rng.normal(size=(n, 3)))
+            want = float(np.sum(hist.density**p) * hist.cell_volume) ** (1.0 / p)
+            assert lp_norm(hist, p) == want, n
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_overflow_keeps_the_rescaled_sum(self, p):
+        # At 1e-80, density**p overflows for both orders, and the norm is
+        # the peak-rescaled sum over every cell to the bit.
+        rng = np.random.default_rng(5)
+        for n in (30, 1000, 100_000):
+            hist = self.record_histogram(rng.normal(size=(n, 3)) * 1e-80)
+            density, vol = hist.density, hist.cell_volume
+            with np.errstate(over="ignore"):
+                assert not math.isfinite(float(np.sum(density**p)))
+            peak = float(density.max())
+            want = peak * float(np.sum((density / peak) ** p) * vol) ** (1.0 / p)
+            assert lp_norm(hist, p) == want, n
 
     def test_empty_histogram_is_nan(self):
         # Every particle lies outside the box, so no cell holds any mass.
