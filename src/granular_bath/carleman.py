@@ -206,29 +206,14 @@ class KernelGrid:
     def cell_volume(self) -> float:
         return self.h**3
 
-    def apply_l(self, f: Array) -> Array:
-        """(K f)_i - nu_i f_i for node values f (any f, symmetric or not)."""
-        f = np.asarray(f, dtype=float).reshape(-1)
-        if f.size != self.n_nodes:
-            raise ValueError(f"expected {self.n_nodes} node values, got {f.size}")
-        lattice = _Lattice(self.restitution, self.bath, self.n, self.h)
-        gain = np.empty(self.n_nodes)
-        step = max(1, _GRID_BLOCK_ENTRIES // self.n_nodes)
-        block = np.empty((min(step, self.n_nodes), self.n_nodes))
-        for lo in range(0, self.n_nodes, step):
-            hi = min(lo + step, self.n_nodes)
-            gain[lo:hi] = lattice.rows(range(lo, hi), block[: hi - lo]) @ f
-        gain += self.diag * f * self.cell_volume
-        return gain - self.nu_vec * f
-
     def maxwellian(self) -> Array:
         """Grid Maxwellian at (u1, Theta1/m1), normalized to unit cell mass."""
         f = bath_density(self.bath, self.nodes)
         return f / (f.sum() * self.cell_volume)
 
 
-# Kernel values per block of rows of make_grid and apply_l: 2 MB, one core's
-# L2 cache; 8 rows at n = 32.
+# Kernel values per block of rows of make_grid: 2 MB, one core's L2 cache;
+# 8 rows at n = 32.
 _GRID_BLOCK_ENTRIES = 1 << 18
 
 

@@ -158,10 +158,11 @@ class ObserverConfig:
     histogram of 32^3 cells, 6 thermal widths about the record's own mean;
     they stay NaN where that box collapses at float precision (a point mass).
     ``compute_sigma`` adds the mean collision frequency, whose convolution
-    term is sampled by ceil(2^17 / N) cyclic shifts of the particles once N^2
-    exceeds 2^17.
+    term is the mean over min(ceil(2^17 / N), N - 1) cyclic shifts of the
+    particles: every shift, and so the exact pair mean, up to N = 363.
     ``h_reference`` adds the bias-corrected quadratic and the entropy
-    H-functional on one fixed box, built once: the pair (edges, cells) of
+    H-functional, both from one :func:`~granular_bath.observables.h_phi`
+    call per record on one fixed box, built once: the pair (edges, cells) of
     :func:`~granular_bath.observables.box_edges` and the reference's cell
     averages on them (:func:`~granular_bath.observables.maxwellian_cells`).
     """
@@ -398,8 +399,7 @@ def _make_record(
     if obs.h_reference is not None:
         edges, h_cells = obs.h_reference
         hist = histogram(velocities, edges)
-        extras["h_quad"] = h_phi(hist, h_cells, phi="quad", bias_correct=True)
-        extras["h_ent"] = h_phi(hist, h_cells, phi="ent")
+        extras["h_quad"], extras["h_ent"] = h_phi(hist, h_cells)
     return dataclasses.replace(rec, **extras) if extras else rec
 
 
@@ -450,8 +450,9 @@ def run(
     event probability reaches 1 with them runs as sub-steps that each stay
     below it, so every dt runs to t_end, and records stay at the step times.
     A t_end - t0 off the step grid or below one step (a resume at or past
-    t_end), or an initial ensemble whose |v - c|^2 overflows, raises
-    ValueError before the first record.  NumericalFault is
+    t_end), an ``init`` of other than ``config.n_particles`` particles, or an
+    initial ensemble whose |v - c|^2 overflows, raises ValueError before the
+    first record.  NumericalFault is
     raised at the step whose moved rows make the radius non-finite (a NaN or
     an |v - c|^2 overflow), or at the first record step that finds a non-finite
     velocity, after the state is dumped to the temporary directory.
@@ -470,6 +471,10 @@ def run(
         t0 = 0.0
     ens = Ensemble(velocities=vel, t=t0)
     vel = ens.velocities
+    if vel.shape[0] != config.n_particles:
+        raise ValueError(
+            f"init has {vel.shape[0]} particles, but config.n_particles = {config.n_particles}"
+        )
 
     bath = config.bath
     tau, dt = config.tau, config.dt

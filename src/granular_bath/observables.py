@@ -273,7 +273,7 @@ class Histogram:
     Particles outside the box are dropped (estimator restriction: the box
     must be chosen wide enough that the lost mass is negligible).  One
     histogram serves every estimate taken from it: :func:`lp_norm` at
-    several orders, :func:`h_phi` for several Phi.
+    several orders, :func:`h_phi` for both H-functionals.
     """
 
     density: Array
@@ -330,68 +330,52 @@ def lp_norm(hist: Histogram, p: float) -> float:
     return norm
 
 
-_PHI = {
-    "quad": (lambda x: (x - 1.0) ** 2, 1.0),  # Phi and Phi(0)
-    # x log x - x + 1 rather than bare x log x: identical when sample and
-    # reference carry equal mass, but pointwise nonnegative, so histogram
-    # truncation (masses differing at the 1e-3 level) cannot push the
-    # estimate below zero.
-    "ent": (lambda x: x * np.log(x) - x + 1.0, 1.0),
-}
+def h_phi(hist: Histogram, reference: Array) -> tuple[float, float]:
+    """Histogram estimates (H_quad, H_ent) of the convex functionals H_Phi(f | F).
 
+    H_Phi = sum over cells of vol * F * Phi(fhat / F), for the quadratic
+    Phi(x) = (x - 1)^2 and the entropy Phi(x) = x log x - x + 1.  The
+    entropy form is x log x less its tangent at 1: equal to bare x log x
+    when sample and reference carry equal mass, but pointwise nonnegative,
+    so histogram truncation (masses differing at the 1e-3 level) cannot
+    push it below zero.  ``reference`` holds the reference's cell averages
+    on the cells of ``hist``, as fhat does (:func:`maxwellian_cells`).
+    Cells where fhat > 0 but the reference vanishes raise
+    SupportMismatchError.  Empty cells contribute vol * F * Phi(0) = vol * F
+    to both.  One pass serves both: the cell masks, x = fhat / F and the
+    empty cells' mass are formed once.
 
-def h_phi(
-    hist: Histogram,
-    reference: Array,
-    phi: str = "quad",
-    bias_correct: bool = False,
-) -> float:
-    """Histogram estimate of the convex functional H_Phi(f | F).
-
-    H = sum over cells of vol * F * Phi(fhat / F), with Phi either
-    (x - 1)^2 ("quad") or x log x - x + 1 ("ent").  ``reference`` holds the
-    reference's cell averages on the cells of ``hist``, as fhat does
-    (:func:`maxwellian_cells`).  Cells where fhat > 0 but the reference
-    vanishes raise SupportMismatchError.  Empty cells contribute
-    vol * F * Phi(0).
-
-    ``bias_correct`` (quadratic Phi only) subtracts the plug-in estimate of
-    the multinomial sampling bias  (1/N) sum fhat (1 - fhat vol) / F, whose
-    magnitude is roughly (occupied cells)/N; the corrected estimator can go
-    slightly negative when the true H is below the noise floor.
+    H_quad is bias-corrected: it subtracts the plug-in estimate of the
+    multinomial sampling bias (1/N) sum fhat (1 - fhat vol) / F, whose
+    magnitude is roughly (cells in the box)/N (0.055 for 200 000 samples
+    of the reference on 24^3 cells), so it can go slightly negative when
+    the true H is below the noise floor.  Both sums before that
+    correction are nonnegative, and one below -1e-9 (arithmetic error, not
+    sampling) raises RuntimeError.
     """
-    if phi not in _PHI:
-        raise ValueError(f"phi must be one of {sorted(_PHI)}, got {phi!r}")
     density, vol = hist.density, hist.cell_volume
     ref = np.asarray(reference, dtype=float)
     if ref.shape != density.shape:
         raise ValueError(
             f"reference shape {ref.shape} does not match histogram {density.shape}"
         )
-    if np.any((density > 0.0) & (ref <= 0.0)):
-        n_bad = int(np.count_nonzero((density > 0.0) & (ref <= 0.0)))
+    filled = density > 0.0
+    bad = filled & (ref <= 0.0)
+    if np.any(bad):
         raise SupportMismatchError(
-            f"reference density vanishes on {n_bad} occupied cells"
+            f"reference density vanishes on {int(np.count_nonzero(bad))} occupied cells"
         )
-    phi_fn, phi_zero = _PHI[phi]
     pos = ref > 0.0
-    occupied = pos & (density > 0.0)
-    empty = pos & (density == 0.0)
-    value = float(np.sum(ref[occupied] * phi_fn(density[occupied] / ref[occupied])) * vol)
-    value += float(np.sum(ref[empty]) * vol * phi_zero)
-    # Both Phi forms are pointwise nonnegative, so the raw sum is too; a
-    # negative value can only be arithmetic error.
-    if value < -1e-9 * max(1.0, abs(value)):
-        raise RuntimeError(f"convexity violated by H_{phi} = {value!r} (estimator bug)")
-    if bias_correct:
-        if phi != "quad":
-            raise ValueError("bias correction is implemented for the quadratic Phi only")
-        bias = float(
-            np.sum(density[occupied] * (1.0 - density[occupied] * vol) / ref[occupied])
-            / hist.n
-        )
-        value -= bias
-    return value
+    occupied = pos & filled
+    f, r = density[occupied], ref[occupied]
+    x = f / r
+    missing = float(np.sum(ref[pos & (density == 0.0)]) * vol)
+    h_quad = float(np.sum(r * (x - 1.0) ** 2) * vol) + missing
+    h_ent = float(np.sum(r * (x * np.log(x) - x + 1.0)) * vol) + missing
+    for name, value in (("quad", h_quad), ("ent", h_ent)):
+        if value < -1e-9 * max(1.0, abs(value)):
+            raise RuntimeError(f"convexity violated by H_{name} = {value!r} (estimator bug)")
+    return h_quad - float(np.sum(f * (1.0 - f * vol) / r) / hist.n), h_ent
 
 
 @dataclass(frozen=True)
@@ -490,18 +474,19 @@ def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
 
     Sigma(f)(v) = tau * (|.| convolved with f)(v) + nu(v).  The convolution
     term is the mean of |v_i - v_j| over all N^2 ordered pairs (i = j
-    included).  It is the exact double sum when N^2 <= DEFAULT_SIGMA_PAIRS
-    (2^17).  Otherwise it is sampled by cyclic shifts: the pairs
-    (k, (k + s) mod N) for every k and for K = ceil(DEFAULT_SIGMA_PAIRS / N)
-    distinct shifts s in 1..N-1, drawn by ``default_rng(0)`` and so the same
-    at every record of N particles.  Each ordered pair i != j has exactly
-    one shift, s = j - i mod N, so the mean over the K N sampled distances
-    is unbiased for the mean over distinct pairs, and (N - 1)/N times it for
-    the N^2-pair target.  Every particle enters 2K times, a balanced design
-    (Hoeffding, Ann. Math. Statist. 19, 1948), so the linear term of the
-    Hoeffding decomposition cancels from the sampling error: at N = 3000
-    its spread was 0.68 times the sd(|v - w|) / sqrt(DEFAULT_SIGMA_PAIRS)
-    of as many independent pairs.  A Maxwellian bath's nu term is the mean of
+    included), formed from cyclic shifts: the pairs (k, (k + s) mod N) for
+    every k and for K = min(ceil(DEFAULT_SIGMA_PAIRS / N), N - 1) distinct
+    shifts s in 1..N-1, drawn by ``default_rng(0)`` and so the same at every
+    record of N particles.  Each ordered pair i != j has exactly one shift,
+    s = j - i mod N, so the mean over the K N sampled distances is unbiased
+    for the mean over distinct pairs, and (N - 1)/N times it for the
+    N^2-pair target.  Up to N = 363, K = N - 1 takes every shift, and the
+    term is that exact N^2-pair mean, with no N x N temporary.  Every
+    particle enters 2K times, a balanced design (Hoeffding, Ann. Math.
+    Statist. 19, 1948), so the linear term of the Hoeffding decomposition
+    cancels from the sampling error: at N = 3000 its spread was 0.68 times
+    the sd(|v - w|) / sqrt(DEFAULT_SIGMA_PAIRS) of as many independent
+    pairs.  A Maxwellian bath's nu term is the mean of
     :func:`~granular_bath.background.nu` over all N velocities: the sum
     over blocks of ``_PARTICLE_BLOCK`` rows of each block's ``np.sum``,
     divided by N, which is ``np.mean`` to the bit while N fits one block.
@@ -517,14 +502,10 @@ def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
     vel = np.asarray(velocities, dtype=float)
     n = vel.shape[0]
     total = 0.0
-    if tau > 0.0:
-        if n * n <= DEFAULT_SIGMA_PAIRS:
-            conv = float(np.mean(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
-        else:
-            k = -(-DEFAULT_SIGMA_PAIRS // n)
-            shifts = np.random.default_rng(0).choice(n - 1, size=k, replace=False) + 1
-            conv = (n - 1) / n * _shift_mean(vel, shifts.tolist(), vel)
-        total += tau * conv
+    if tau > 0.0 and n > 1:  # one particle: the one pair (1, 1), at distance 0
+        k = min(-(-DEFAULT_SIGMA_PAIRS // n), n - 1)
+        shifts = np.random.default_rng(0).choice(n - 1, size=k, replace=False) + 1
+        total += tau * ((n - 1) / n * _shift_mean(vel, shifts.tolist(), vel))
     if bath is not None and bath.kind == "tabulated":
         m, r = _PARTICLE_BLOCK, -(-DEFAULT_SIGMA_PAIRS // n)
         draws = sample_bath(bath, m, np.random.default_rng(0))

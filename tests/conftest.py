@@ -52,25 +52,22 @@ def traced_peak(fn, *args, **kwargs) -> int:
 
 
 def sigma_shift_form(vel, bath, tau):
-    """``sigma_freq`` from whole rows: each sampled shift s pairs the rows
-    with ``np.roll(vel, -s, axis=0)``, and ``einsum`` forms the squared
-    distances.  The per-shift sums are added in shift order, so the column-
-    and block-wise kernel must match this bit for bit while N fits one block.
+    """``sigma_freq`` from whole rows: each of its shifts s (every shift up
+    to N = 363) pairs the rows with ``np.roll(vel, -s, axis=0)``, and
+    ``einsum`` forms the squared distances.  The per-shift sums are added in
+    shift order, so the column- and block-wise kernel must match this bit
+    for bit while N fits one block.
     """
     n = vel.shape[0]
     total = 0.0
     if tau > 0.0:
-        if n * n <= DEFAULT_SIGMA_PAIRS:
-            conv = float(np.mean(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
-        else:
-            k = -(-DEFAULT_SIGMA_PAIRS // n)
-            shifts = np.random.default_rng(0).choice(n - 1, size=k, replace=False) + 1
-            acc = 0.0
-            for s in shifts:
-                d = vel - np.roll(vel, -s, axis=0)
-                acc += float(np.sum(np.sqrt(np.einsum("ij,ij->i", d, d))))
-            conv = (n - 1) / n * (acc / (k * n))
-        total += tau * conv
+        k = min(-(-DEFAULT_SIGMA_PAIRS // n), n - 1)
+        shifts = np.random.default_rng(0).choice(n - 1, size=k, replace=False) + 1
+        acc = 0.0
+        for s in shifts:
+            d = vel - np.roll(vel, -s, axis=0)
+            acc += float(np.sum(np.sqrt(np.einsum("ij,ij->i", d, d))))
+        total += tau * ((n - 1) / n * (acc / (k * n)))
     if bath is not None:
         total += float(np.mean(nu(bath, vel)))
     return total

@@ -183,7 +183,7 @@ class TestGridAssembly:
     def test_mass_conserved_for_arbitrary_density(self, grid12):
         rng = np.random.default_rng(304)
         f = rng.random(grid12.n_nodes)
-        out = grid12.apply_l(f)
+        out = dense_matrix(grid12) @ f - grid12.nu_vec * f
         scale = float(np.sum(np.abs(grid12.nu_vec * f)) * grid12.cell_volume)
         assert abs(float(out.sum()) * grid12.cell_volume) <= 1e-12 * scale
 
@@ -200,7 +200,7 @@ class TestGridAssembly:
     def test_elastic_fixed_point_machine_exact(self):
         g = make_grid(rest_at(1.0, 1.0), bath_at(), n=12, extent_sigma=6.0)
         m = g.maxwellian()
-        res = g.apply_l(m)
+        res = dense_matrix(g) @ m - g.nu_vec * m
         scale = float(np.max(g.nu_vec * m))
         assert float(np.max(np.abs(res))) <= 1e-12 * scale
 
@@ -214,12 +214,6 @@ class TestGridAssembly:
         via_reduced = g.reduced @ g_orb
         via_dense = (dense_matrix(g) @ f)[g.rep_index]
         np.testing.assert_allclose(via_reduced, via_dense, rtol=1e-12)
-
-    def test_apply_matches_dense_matvec(self, grid12):
-        rng = np.random.default_rng(305)
-        f = rng.random(grid12.n_nodes)
-        want = dense_matrix(grid12) @ f - grid12.nu_vec * f
-        np.testing.assert_allclose(grid12.apply_l(f), want, rtol=1e-12, atol=1e-14)
 
     def test_odd_grid_with_shifted_bath_matches_all_pairs_kernel(self):
         # Odd n puts nodes on the symmetry planes and a shifted bath mean

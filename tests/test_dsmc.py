@@ -592,6 +592,17 @@ class TestFaults:
         with pytest.raises(ValueError):
             Ensemble(velocities=init)
 
+    @pytest.mark.parametrize("wrap", [np.asarray, Ensemble], ids=["array", "ensemble"])
+    def test_init_of_another_particle_count_is_refused(self, wrap):
+        # 50 rows under a config of 100 particles would run as N = 50, and
+        # every standard error that reads config.n_particles would use 100.
+        config = SimConfig(
+            tau=1.0, restitution=RestitutionParams(epsilon=0.8, e=0.8, m1=1.0),
+            bath=bath_at(), dt=0.01, t_end=0.1, n_particles=100, seed=54,
+        )
+        with pytest.raises(ValueError, match="init has 50 particles"):
+            run(config, init=wrap(gaussian_init(50, seed=55)))
+
     def test_nan_during_run_dumps_and_raises(self, tmp_path, monkeypatch):
         # Poison the bath sweep so velocities go non-finite mid-run; the
         # driver must dump diagnostics and raise a numerical fault.
@@ -921,9 +932,7 @@ class TestRecordObservers:
         assert len(traj.records) == len(samples) == 6
         for rec, vel in zip(traj.records, samples):
             hist = histogram(vel, edges)
-            for tag, value in (("quad", rec.h_quad), ("ent", rec.h_ent)):
-                one_shot = h_phi(hist, cells, phi=tag, bias_correct=tag == "quad")
-                assert value == one_shot
+            assert (rec.h_quad, rec.h_ent) == h_phi(hist, cells)
 
     @pytest.mark.parametrize("point", [(0.5, 0.0, 0.0), (0.0, 0.0, 0.0), (0.1, -0.2, 0.3)])
     def test_point_mass_leaves_lp_nan(self, point):

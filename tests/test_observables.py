@@ -393,24 +393,43 @@ class TestHPhi:
     def test_matched_sample_is_small(self):
         vel = np.random.default_rng(6).normal(size=(200_000, 3))
         hist = histogram(vel, box_edges(np.zeros(3), 5.0, 24))
-        ref = self.unit_cells(hist)
-        raw = h_phi(hist, ref, phi="quad")
-        corrected = h_phi(hist, ref, phi="quad", bias_correct=True)
-        # Raw noise floor is about (occupied cells)/N; correction removes it.
-        assert 0.0 <= raw < 0.15
-        assert abs(corrected) < 0.2 * raw
+        h_quad, h_ent = h_phi(hist, self.unit_cells(hist))
+        # The plug-in quadratic form's noise floor is about (cells)/N, 0.07
+        # here (it reads 0.055 without the correction); the entropy's is
+        # below it, and the correction removes the quadratic form's.
+        floor = hist.density.size / hist.n
+        assert abs(h_quad) < 0.2 * floor
+        assert 0.0 <= h_ent < floor
 
     def test_mismatched_sample_is_large(self):
         vel = np.random.default_rng(7).normal(size=(200_000, 3)) * math.sqrt(2.0)
         hist = histogram(vel, box_edges(np.zeros(3), 6.0, 24))
-        hot = h_phi(hist, self.unit_cells(hist), phi="quad")
-        assert hot > 0.2
+        h_quad, h_ent = h_phi(hist, self.unit_cells(hist))
+        assert h_quad > 0.2
+        assert h_ent > 0.2
 
     def test_entropy_variant_nonnegative(self):
         vel = np.random.default_rng(8).normal(size=(100_000, 3))
         hist = histogram(vel, box_edges(np.zeros(3), 5.0, 24))
-        val = h_phi(hist, self.unit_cells(hist), phi="ent")
-        assert val >= 0.0
+        _, h_ent = h_phi(hist, self.unit_cells(hist))
+        assert h_ent >= 0.0
+
+    def test_values_are_the_written_out_sums(self):
+        # Both values to the bit: vol F Phi(fhat / F) summed over the
+        # occupied cells, plus vol F Phi(0) = vol F over the empty ones, and
+        # the quadratic form less (1/N) sum fhat (1 - fhat vol) / F.
+        vel = np.random.default_rng(21).normal(size=(5000, 3)) * 1.1 + [0.2, 0.0, -0.1]
+        hist = histogram(vel, box_edges(np.zeros(3), 5.0, 12))
+        ref = self.unit_cells(hist)
+        vol, occupied = hist.cell_volume, hist.density > 0.0
+        assert np.all(ref > 0.0) and not np.all(occupied)
+        f, r = hist.density[occupied], ref[occupied]
+        empty = float(np.sum(ref[~occupied]) * vol)
+        h_quad = float(np.sum(r * (f / r - 1.0) ** 2) * vol) + empty
+        h_quad -= float(np.sum(f * (1.0 - f * vol) / r) / hist.n)
+        x = f / r
+        h_ent = float(np.sum(r * (x * np.log(x) - x + 1.0)) * vol) + empty
+        assert h_phi(hist, ref) == (h_quad, h_ent)
 
     def test_support_mismatch_raises(self):
         vel = np.random.default_rng(9).normal(size=(1000, 3)) + np.array([4.0, 0, 0])
@@ -425,12 +444,6 @@ class TestHPhi:
         vel = np.random.default_rng(10).normal(size=(1000, 3))
         with pytest.raises(ValueError):
             h_phi(histogram(vel, box_edges(np.zeros(3), 5.0, 4)), np.ones((4, 4, 5)))
-
-    def test_unknown_phi(self):
-        vel = np.random.default_rng(11).normal(size=(100, 3))
-        hist = histogram(vel, box_edges(np.zeros(3), 5.0, 8))
-        with pytest.raises(ValueError, match="phi must be one of"):
-            h_phi(hist, self.unit_cells(hist), phi="cubic")
 
 
 class TestMaxwellianCells:
@@ -481,7 +494,7 @@ class TestMaxwellianCells:
         for seed in range(8):
             vel = np.random.default_rng(1200 + seed).normal(size=(200_000, 3))
             hist = histogram(bath.u1 + math.sqrt(theta_lin) * vel, edges)
-            h.append(h_phi(hist, cells, phi="quad", bias_correct=True))
+            h.append(h_phi(hist, cells)[0])
         mean, sd = float(np.mean(h)), float(np.std(h, ddof=1))
         assert abs(mean) <= 4.0 * sd / math.sqrt(8), (mean, sd)
 
@@ -594,8 +607,9 @@ class TestSigmaFreq:
 
     @pytest.mark.parametrize("n", [363, 5000])
     def test_shift_sample_within_four_standard_errors_of_exact_sum(self, n):
-        # 363 is the first N that samples (362 shifts, every shift there
-        # is); at 5000 the sample is 27 shifts, K N = 135 000 pairs.
+        # 363 is the last N whose ceil(2^17 / N) shifts are every shift
+        # there is (362); at 5000 the sample is 27 shifts, K N = 135 000
+        # pairs.
         vel = np.random.default_rng(n).normal(size=(n, 3))
         total = total_sq = 0.0
         for lo in range(0, n, 100):
@@ -606,6 +620,14 @@ class TestSigmaFreq:
         se = math.sqrt(total_sq / n**2 - exact**2) / math.sqrt(DEFAULT_SIGMA_PAIRS)
         got = sigma_freq(vel, None, tau=1.0)
         assert abs(got - exact) <= 4.0 * se, (got, exact, se)
+
+    @pytest.mark.parametrize("n", [1, 3, 362])
+    def test_every_shift_up_to_363(self, n):
+        # Up to N = 363 the design takes all N - 1 shifts: the exact mean
+        # over all N^2 pairs, to rounding.
+        vel = np.random.default_rng(n).normal(size=(n, 3)) + np.array([0.5, -1.0, 0.0])
+        exact = float(np.mean(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
+        assert sigma_freq(vel, None, tau=1.0) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_all_shifts_give_the_exact_mean(self):
         # Every ordered pair i != j has one shift, j - i mod N; the factor
