@@ -7,7 +7,7 @@ frequency of a gas particle at velocity v against the bath is
     nu(v) = (1/lambda) * E_{F1} |v - W|,
 
 with ``lambda`` the mean-free-path scale of the gas-bath coupling.  Two bath
-kinds are supported: an isotropic Maxwellian (closed forms throughout) and a
+laws are supported: an isotropic Maxwellian (closed forms throughout) and a
 tabulated density on a regular velocity grid (cell-sum quadratures).
 """
 from __future__ import annotations
@@ -165,8 +165,9 @@ def load_table(path: str | Path) -> TabulatedDensity:
 class BathParams:
     """Bath particle mass, bulk state, coupling scale, and density model.
 
-    ``kind`` is "maxwellian" (density set by u1, theta1) or "tabulated"
-    (density from ``table``; u1/theta1 are then derived from the table).
+    With ``table`` None the bath is a Maxwellian set by u1 and theta1;
+    with a ``table`` its density is the table's, and u1 and theta1 are
+    derived from it.
     ``lambda_`` is the mean-free-path scale dividing the collision frequency.
     """
 
@@ -174,7 +175,6 @@ class BathParams:
     u1: Array
     theta1: float
     lambda_: float
-    kind: str = "maxwellian"
     table: TabulatedDensity | None = None
 
     def __post_init__(self) -> None:
@@ -182,19 +182,11 @@ class BathParams:
             raise ValueError(f"m1 must be positive and finite, got {self.m1}")
         if self.lambda_ <= 0.0 or not math.isfinite(self.lambda_):
             raise ValueError(f"lambda must be positive and finite, got {self.lambda_}")
-        kind = self.kind.lower()
-        if kind not in ("maxwellian", "tabulated"):
-            raise ValueError(f"kind must be 'maxwellian' or 'tabulated', got {self.kind!r}")
-        object.__setattr__(self, "kind", kind)
-        if kind == "tabulated":
-            if self.table is None:
-                raise ValueError("kind='tabulated' requires a table")
+        if self.table is not None:
             # Bulk state follows from the table under the cell model.
             object.__setattr__(self, "u1", self.table.mean())
             object.__setattr__(self, "theta1", self.table.temperature(self.m1))
         else:
-            if self.table is not None:
-                raise ValueError("kind='maxwellian' must not carry a table")
             u1 = np.asarray(self.u1, dtype=float).reshape(3)
             object.__setattr__(self, "u1", u1)
             if self.theta1 <= 0.0 or not math.isfinite(self.theta1):
@@ -218,10 +210,9 @@ class BathParams:
     def bound_mean(self) -> float:
         """b = E B(W) for the bounds B(w) >= |w - u1| that
         :func:`sample_partners` returns, so lambda nu(v) <= |v - u1| + b."""
-        if self.kind == "maxwellian":
+        if self.table is None:
             return 2.0 * self.sigma_th * math.sqrt(2.0 / math.pi)  # E|W - u1|
         table = self.table
-        assert table is not None
         return float(np.dot(self.cell_bounds, table.values.ravel()) * table.cell_volume)
 
 
@@ -243,7 +234,7 @@ def sample_bath(bath: BathParams, n: int, rng: np.random.Generator) -> Array:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if bath.kind == "maxwellian":
+    if bath.table is None:
         # In place and one component at a time: broadcasting u1 along the
         # rows costs more.
         z = rng.standard_normal((n, 3))
@@ -252,7 +243,6 @@ def sample_bath(bath: BathParams, n: int, rng: np.random.Generator) -> Array:
             z[:, i] += bath.u1[i]
         return z
     table = bath.table
-    assert table is not None
     return _sample_cells(table, table.values.ravel(), n, rng)[0]
 
 
@@ -267,7 +257,7 @@ def sample_partners(
     Tabulated: B(w) = |c - u1| + the cell half-diagonal, c the centre of w's
     cell; a size-biased draw picks its cell with weight * B(c).
     """
-    if bath.kind == "maxwellian":
+    if bath.table is None:
         plain = sample_bath(bath, n, rng)
         z = rng.standard_normal((n_biased, 4))
         radius = bath.sigma_th * np.sqrt(np.einsum("ij,ij->i", z, z))
@@ -281,7 +271,6 @@ def sample_partners(
         bounds = np.concatenate([np.sqrt(_sq_norm(plain, bath.u1)), radius])
         return partners, bounds
     table = bath.table
-    assert table is not None
     cell_bounds = bath.cell_bounds
     plain, cells = _sample_cells(table, table.values.ravel(), n, rng)
     biased, biased_cells = _sample_cells(table, table.values.ravel() * cell_bounds, n_biased, rng)
@@ -294,7 +283,7 @@ def bath_density(bath: BathParams, points: Array) -> Array:
     A table raises ValueError: its law is the cell density that
     :func:`sample_bath` draws from, with no pointwise form between nodes.
     """
-    if bath.kind != "maxwellian":
+    if bath.table is not None:
         raise ValueError("bath_density has a closed form for a Maxwellian bath only")
     points = np.asarray(points, dtype=float)
     s2 = bath.theta1 / bath.m1
@@ -308,7 +297,7 @@ def linear_steady(restitution: RestitutionParams, bath: BathParams) -> float:
     variance theta_lin per axis (Martin & Piasecki, Europhys. Lett. 46,
     1999).  A table raises ValueError, as in :func:`nu`.
     """
-    if bath.kind != "maxwellian":
+    if bath.table is not None:
         raise ValueError("linear_steady has a closed form for a Maxwellian bath only")
     kappa = restitution.kappa
     return kappa * bath.theta1 / (bath.m1 * (1.0 - kappa))
@@ -322,9 +311,8 @@ def abs_moment(bath: BathParams, k: float) -> float:
     """
     if k < 0:
         raise ValueError(f"moment order k must be >= 0, got {k}")
-    if bath.kind == "tabulated":
+    if bath.table is not None:
         table = bath.table
-        assert table is not None
         r = np.linalg.norm(table.nodes() - bath.u1, axis=1)
         return float((r**k) @ table.values.ravel() * table.cell_volume)
     s = bath.sigma_th
@@ -487,7 +475,7 @@ def nu(bath: BathParams, v: Array) -> Array:
     rate under the sweep's cell law.  Accepts (..., 3) input and returns the
     matching leading shape.
     """
-    if bath.kind != "maxwellian":
+    if bath.table is not None:
         raise ValueError("nu has a closed form for a Maxwellian bath only; use nu_mc")
     v = np.asarray(v, dtype=float)
     pts = v.reshape(-1, v.shape[-1])

@@ -117,7 +117,7 @@ def kernel_closed_form(
     Broadcasts over leading dimensions of (..., 3) inputs.  Singular on the
     diagonal: |v - w| = 0 raises.
     """
-    if bath.kind != "maxwellian":
+    if bath.table is not None:
         raise ValueError("closed-form kernel requires a Maxwellian bath")
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -370,7 +370,7 @@ def make_grid(
     the build holds at once one block, these tables and the (n_orb, n_orb)
     reduced matrix (5.3 MB at n = 32).
     """
-    if bath.kind != "maxwellian":
+    if bath.table is not None:
         raise ValueError("kernel grids require a Maxwellian bath")
     if n < 4:
         raise ValueError(f"grid needs at least 4 nodes per axis, got {n}")

@@ -72,6 +72,7 @@ from .kinematics import (
 from .observables import (
     CSV_COLUMNS,
     BoundParams,
+    DegenerateParameterError,
     FitRefusedError,
     SupportMismatchError,
     _fmt,
@@ -273,8 +274,7 @@ def parse_config_dict(
             except TableFormatError as exc:
                 raise ConfigError(f"key 'f1_table': {exc}") from exc
             bath = BathParams(
-                m1=m1, u1=np.zeros(3), theta1=1.0, lambda_=lambda_,
-                kind="tabulated", table=table,
+                m1=m1, u1=np.zeros(3), theta1=1.0, lambda_=lambda_, table=table,
             )
         else:
             u1 = merged["u1"]
@@ -286,6 +286,11 @@ def parse_config_dict(
             bath = BathParams(
                 m1=m1, u1=np.asarray(u1, dtype=float), theta1=theta1, lambda_=lambda_,
             )
+        # Refuse before the run a bath for which the report has no bound.
+        try:
+            bound_params(restitution, bath, 0.0)
+        except DegenerateParameterError as exc:
+            raise ConfigError(f"the bath keys give no temperature bound: {exc}") from exc
 
     grid_nodes, grid_extent = 0, 0.0
     if mode == "linear":
@@ -683,10 +688,12 @@ def _check_run_reproducibility(rng: np.random.Generator) -> None:
 
 def _check_sweep_cache(rng: np.random.Generator) -> None:
     # Ten steps of both sweeps on N = 2000 particles, each from one generator
-    # state with run's |v - u1|^2 cache and without it.  1800 particles form
-    # pairs with w - u1 = -t (v - u1), where |v - w| = |v - u1| + |w - u1|
-    # and q_max lies just above it, so a screen tighter than the triangle
-    # inequality rejects pairs that the sweep without the cache accepts.
+    # state with run's |v - u1|^2 cache and with a reference cache that is
+    # exact at the bath rows and q_max^2 at the pair rows, where it screens
+    # out no pair.  1800 particles form pairs with w - u1 = -t (v - u1),
+    # where |v - w| = |v - u1| + |w - u1| and q_max lies just above it, so a
+    # screen tighter than the triangle inequality rejects pairs that the
+    # unscreened sweep accepts.
     params = RestitutionParams(epsilon=0.8, e=0.8, m1=2.0)
     bath = BathParams(m1=2.0, u1=np.array([0.3, -0.2, 0.5]), theta1=1.3, lambda_=1.0)
     n, h = 2000, 900
@@ -702,15 +709,17 @@ def _check_sweep_cache(rng: np.random.Generator) -> None:
         d2 = _sq_norm(vel, bath.u1)
         q_max = 2.002
         l_max = float(np.sqrt(d2[bath_rows].max())) * 1.001 + bath.bound_mean
+        reference = d2.copy()
+        reference[pairs] = q_max**2
         state = rng.bit_generator.state
         got = []
-        for cache in (None, d2):
+        for cache in (reference, d2):
             rng.bit_generator.state = state
             v = vel.copy()
-            nl = step_l(v, 0.01, params, bath, l_max, rng, candidates=bath_rows, d2=cache)
-            nq = step_q(v, 0.01, 1.0, params, q_max, rng, candidates=pairs,
-                        d2=cache, centre=bath.u1)
-            got.append((v, nl[0], nq[0], rng.random()))
+            (nl,) = step_l(v, 0.01, params, bath, l_max, rng, candidates=bath_rows, d2=cache)
+            (nq,) = step_q(v, 0.01, 1.0, params, q_max, rng, candidates=pairs,
+                           d2=cache, centre=bath.u1)
+            got.append((v, nl, nq, rng.random()))
         (v0, *counts0), (v1, *counts1) = got
         assert counts1 == counts0, (counts0, counts1)
         assert v1.tobytes() == v0.tobytes(), "velocities differ"
@@ -731,7 +740,7 @@ _VALIDATION_CHECKS: list[tuple[str, Callable[[np.random.Generator], None]]] = [
     ("grid operator conserves mass", _check_grid_mass_conservation),
     ("elastic grid fixed point", _check_elastic_fixed_point),
     ("run reproducibility", _check_run_reproducibility),
-    ("sweeps with the |v - c|^2 cache equal the sweeps without it", _check_sweep_cache),
+    ("sweeps screened by the |v - c|^2 cache equal the unscreened sweeps", _check_sweep_cache),
 ]
 
 

@@ -27,15 +27,16 @@ b / l_max, or none, and accepts with probability |v - w| / (|v - u1| + B(w))
 <= 1: its rate is nu(v).
 
 The candidates are drawn as one sample without replacement.  The run keeps
-a cache d2 = |v - c|^2 per particle and hands it to both sweeps, which read
-it at their candidates and write it at the rows they move, so the work per
-step is proportional to the candidates, apart from one max over d2.  The
-gas sweep draws its uniforms first and measures only the pairs that pass a
-screen from the cache, u < (|v - c| + |w - c|)(1 + 1e-14): the triangle
-inequality rejects the others without a gather, and the pad covers the
-rounding of the computed norms.  The bath sweep takes |v - u1| from the
+a cache d2 = |v - c|^2 per particle, and both sweeps take it as a required
+argument: they read it at their candidates and write it at the rows they
+move, so the work per step is proportional to the candidates, apart from
+one max over d2.  The gas sweep draws its uniforms first and measures only
+the pairs that pass a screen from the cache, u < (|v - c| + |w - c|)
+(1 + 1e-14): the triangle inequality rejects the others without a gather,
+and the pad covers the rounding of the computed norms.  The screen changes
+no output and no draw; a cache of q_max^2 at every row passes every pair
+and is the unscreened reference.  The bath sweep takes |v - u1| from the
 cache and gathers velocities only at the candidates that draw a partner.
-The cache changes no output and no draw.
 
 A step whose event probability p = dt (tau q_max + l_max / lambda) reaches
 _P_CAP = 1 runs as sub-steps, as a majorant time counter cuts it (Rjasanow
@@ -228,9 +229,9 @@ def step_q(
     q_max: float,
     rng: np.random.Generator,
     candidates: Array,
-    d2: Array | None = None,
-    centre: Array | None = None,
-) -> tuple[int, float]:
+    d2: Array,
+    centre: Array,
+) -> tuple[int]:
     """One Nanbu-Babovsky gas-gas sweep; mutates ``velocities`` on success.
 
     ``candidates`` holds 2m distinct particle indices, and particle
@@ -238,31 +239,29 @@ def step_q(
     step's draw by :func:`_candidates`, with p_q = tau q_max dt.  Each pair
     is accepted with probability |q| / q_max, so a given pair collides with
     probability tau |q| dt / (N - 1) per step, or tau |q| dt / N for odd N.
-    Returns (accepted collisions, largest measured |q|).  A ``q_max`` below
-    a measured |q| raises ValueError before any velocity changes.
+    Returns (accepted collisions,).  A ``q_max`` below a measured |q| raises
+    ValueError before any velocity changes.
 
     ``d2`` is the cache of :func:`run`: d2[k] = ``_sq_norm``(velocities[k],
-    ``centre``) for every particle, about the origin if ``centre`` is None.
-    The sweep draws the pair uniforms u before it measures any pair, and
-    with the cache it measures only the pairs with u < (a_i + a_j)
-    (1 + 1e-14), a_k = sqrt(d2[k]).  By the triangle inequality about
-    ``centre`` every other pair has |q| <= a_i + a_j <= u and is rejected
-    anyway; the pad covers the rounding of the computed norms, a few ulp
-    each, for components of magnitude 1e-150 to 1e150.  The accepted pairs,
-    their order, the velocities and the random stream are those of the
-    sweep without the cache.  The sweep then writes |v - centre|^2 of the
-    post-collision velocities into ``d2`` at the rows it moved, so the
-    cache stays exact.  The largest measured |q| is taken over the pairs
-    that pass the screen; an unmeasured pair has |q| <= u < q_max.
+    ``centre``) for every particle.  The sweep draws the pair uniforms u
+    before it measures any pair, and it measures only the pairs with
+    u < (a_i + a_j)(1 + 1e-14), a_k = sqrt(d2[k]).  By the triangle
+    inequality about ``centre`` every other pair has |q| <= a_i + a_j <= u
+    and is rejected anyway; the pad covers the rounding of the computed
+    norms, a few ulp each, for components of magnitude 1e-150 to 1e150.  So
+    the accepted pairs, their order, the velocities and the random stream
+    are those of a sweep that measures every pair, which is this sweep given
+    a cache of q_max^2 at every row: then a_i + a_j = 2 q_max > u.  The
+    sweep writes |v - centre|^2 of the post-collision velocities into ``d2``
+    at the rows it moved, so the cache stays exact.
     """
     m = candidates.size // 2
     if m == 0:
-        return 0, 0.0
+        return (0,)
     i, j = candidates[:m], candidates[m:]
     u = rng.random(m) * q_max
-    if d2 is not None:
-        kept = np.flatnonzero(u < (np.sqrt(d2.take(i)) + np.sqrt(d2.take(j))) * _PAD)
-        i, j, u = i.take(kept), j.take(kept), u.take(kept)
+    kept = np.flatnonzero(u < (np.sqrt(d2.take(i)) + np.sqrt(d2.take(j))) * _PAD)
+    i, j, u = i.take(kept), j.take(kept), u.take(kept)
     v = velocities.take(i, axis=0)
     w = velocities.take(j, axis=0)
     speeds = _speeds(v, w)
@@ -271,16 +270,16 @@ def step_q(
         raise ValueError(f"q_max = {q_max:.6g} below a pair speed {max_speed:.6g}")
     acc = np.flatnonzero(u < speeds)
     if acc.size == 0:
-        return 0, max_speed
+        return (0,)
     sigma = _uniform_sphere(rng, acc.size)
     v_post, w_post = collide_q(v.take(acc, axis=0), w.take(acc, axis=0), sigma, restitution)
     i, j = i.take(acc), j.take(acc)
     velocities[i] = v_post
     velocities[j] = w_post
-    if d2 is not None:
-        d2[i] = _sq_norm(v_post, centre)
-        d2[j] = _sq_norm(w_post, centre)
-    return int(acc.size), max_speed
+    d2[i] = _sq_norm(v_post, centre)
+    d2[j] = _sq_norm(w_post, centre)
+    # A 1-tuple, as perfbench's child.py reads the count as result[0].
+    return (int(acc.size),)
 
 
 def step_l(
@@ -291,32 +290,27 @@ def step_l(
     l_max: float,
     rng: np.random.Generator,
     candidates: Array,
-    d2: Array | None = None,
-) -> tuple[int, float]:
+    d2: Array,
+) -> tuple[int]:
     """One bath sweep; mutates ``velocities`` on success.
 
     ``candidates`` holds the distinct indices of the step's bath candidates,
     drawn by :func:`_candidates`: each particle is one with probability
     p_l = l_max dt / lambda.  A candidate draws a partner or none and
     accepts as the module docstring says, so it collides with probability
-    nu(v) dt; the partner is discarded.  Returns (accepted collisions,
-    largest |v - w| over the partners).  ``l_max`` below |v - u1| + b for a
-    candidate raises ValueError before any velocity changes.
+    nu(v) dt; the partner is discarded.  Returns (accepted collisions,).
+    ``l_max`` below |v - u1| + b for a candidate raises ValueError before
+    any velocity changes.
 
     ``d2`` is the cache of :func:`run` about u1: d2[k] =
-    ``_sq_norm``(velocities[k], ``bath.u1``) for every particle.  With it
-    the sweep takes |v - u1| = sqrt(d2) at the candidates, bitwise the value
-    it would compute, and gathers velocities only at the candidates that
-    draw a partner.  It then writes |v - u1|^2 of the post-collision
-    velocities into ``d2`` at the rows it moved.  Outputs and the random
-    stream are those of the sweep without the cache.
+    ``_sq_norm``(velocities[k], ``bath.u1``) for every particle.  The sweep
+    takes |v - u1| = sqrt(d2) at the candidates and gathers velocities only
+    at the candidates that draw a partner.  It then writes |v - u1|^2 of the
+    post-collision velocities into ``d2`` at the rows it moved.
     """
     if candidates.size == 0:
-        return 0, 0.0
-    if d2 is None:
-        dist = _speeds(velocities.take(candidates, axis=0), bath.u1)  # |v - u1|
-    else:
-        dist = np.sqrt(d2.take(candidates))
+        return (0,)
+    dist = np.sqrt(d2.take(candidates))  # |v - u1|
     b = bath.bound_mean
     need = float(dist.max()) + b
     if need > l_max:
@@ -330,17 +324,16 @@ def step_l(
     speeds = _speeds(v, partners)
     acc = np.flatnonzero(rng.random(events.size) * (dist.take(events) + bounds) < speeds)
     idx = candidates.take(events.take(acc))
-    max_rel = float(speeds.max(initial=0.0))
     if idx.size == 0:
-        return 0, max_rel
+        return (0,)
     sigma = _uniform_sphere(rng, idx.size)
     v_post, _ = collide_l_sigma(
         v.take(acc, axis=0), partners.take(acc, axis=0), sigma, restitution
     )
     velocities[idx] = v_post
-    if d2 is not None:
-        d2[idx] = _sq_norm(v_post, bath.u1)
-    return int(idx.size), max_rel
+    d2[idx] = _sq_norm(v_post, bath.u1)
+    # A 1-tuple, as perfbench's child.py reads the count as result[0].
+    return (int(idx.size),)
 
 
 def _radius(d2: Array) -> float:
@@ -443,19 +436,20 @@ def run(
 
     The majorants of each step are radii about one centre c, u1 or the
     initial mean (see the module docstring), read off a per-particle cache
-    d2 = |v - c|^2.  Both sweeps receive it: they screen their candidates
+    d2 = |v - c|^2.  Both sweeps require it: they screen their candidates
     with it and write it at the rows they move, so it stays equal to
-    ``_sq_norm(velocities, c)``; with a bath, c = u1 and each record's F
-    cross-checks its moments against the mean of the cache.  A step whose
-    event probability reaches 1 with them runs as sub-steps that each stay
-    below it, so every dt runs to t_end, and records stay at the step times.
-    A t_end - t0 off the step grid or below one step (a resume at or past
-    t_end), an ``init`` of other than ``config.n_particles`` particles, or an
-    initial ensemble whose |v - c|^2 overflows, raises ValueError before the
-    first record.  NumericalFault is
-    raised at the step whose moved rows make the radius non-finite (a NaN or
-    an |v - c|^2 overflow), or at the first record step that finds a non-finite
-    velocity, after the state is dumped to the temporary directory.
+    ``_sq_norm(velocities, c)``, and each returns only its accepted count;
+    with a bath, c = u1 and each record's F cross-checks its moments against
+    the mean of the cache.  A step whose event probability reaches 1 with
+    them runs as sub-steps that each stay below it, so every dt runs to
+    t_end, and records stay at the step times.  A t_end - t0 off the step
+    grid or below one step (a resume at or past t_end), an ``init`` of other
+    than ``config.n_particles`` particles, or an initial ensemble whose
+    |v - c|^2 overflows, raises ValueError before the first record.
+    NumericalFault is raised at the step whose moved rows make the radius
+    non-finite (a NaN or an |v - c|^2 overflow), or at the first record step
+    that finds a non-finite velocity, after the state is dumped to the
+    temporary directory.
     """
     obs = observers or ObserverConfig()
     if rng is None:
@@ -505,14 +499,14 @@ def run(
             left = left - h if k > 1 else 0.0
             m, cand = _candidates(rng, n, tau * q_max * h, l_max * h / lam)
             if bath is not None:
-                nl, _ = step_l(
+                (nl,) = step_l(
                     vel, h, config.restitution, bath, l_max, rng,
                     candidates=cand[2 * m :], d2=d2,
                 )
                 traj.candidates_l += cand.size - 2 * m
                 traj.collisions_l += nl
             if tau > 0.0:
-                nq, _ = step_q(
+                (nq,) = step_q(
                     vel, h, tau, config.restitution, q_max, rng,
                     candidates=cand[: 2 * m], d2=d2, centre=centre,
                 )

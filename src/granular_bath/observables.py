@@ -506,7 +506,7 @@ def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
         k = min(-(-DEFAULT_SIGMA_PAIRS // n), n - 1)
         shifts = np.random.default_rng(0).choice(n - 1, size=k, replace=False) + 1
         total += tau * ((n - 1) / n * _shift_mean(vel, shifts.tolist(), vel))
-    if bath is not None and bath.kind == "tabulated":
+    if bath is not None and bath.table is not None:
         m, r = _PARTICLE_BLOCK, -(-DEFAULT_SIGMA_PAIRS // n)
         draws = sample_bath(bath, m, np.random.default_rng(0))
         k = -(-r // max(m // n, 1))  # shifts; r of them from N = M on

@@ -5,6 +5,7 @@ import numpy as np
 
 from granular_bath import dsmc
 from granular_bath.background import BathParams, TabulatedDensity, nu
+from granular_bath.kinematics import _sq_norm
 from granular_bath.observables import DEFAULT_SIGMA_PAIRS
 
 
@@ -15,13 +16,15 @@ def skewed_table_bath(lam=1.0, m1=1.0):
     values = np.exp(-0.5 * np.sum((g - [0.4, -0.3, 0.1]) ** 2 / [0.5, 1.0, 0.3], axis=-1))
     values *= 1.0 + 0.5 * np.tanh(g[..., 0])
     table = TabulatedDensity(axes=(ax, ax, ax), values=values)
-    return BathParams(m1=m1, u1=np.zeros(3), theta1=1.0, lambda_=lam, kind="tabulated", table=table)
+    return BathParams(m1=m1, u1=np.zeros(3), theta1=1.0, lambda_=lam, table=table)
 
 
 def drawn_sweep(sweep, velocities, dt, *args, rng):
     """``sweep`` (``dsmc.step_q`` or ``dsmc.step_l``) on the candidates that
     ``run`` draws, ``dsmc._candidates``, at the sweep's own event probability
-    (tau q_max dt or l_max dt / lambda) and none for the other sweep.
+    (tau q_max dt or l_max dt / lambda) and none for the other sweep, with a
+    fresh |v - c|^2 cache: about ``bath.u1`` for ``step_l``, about the
+    origin for ``step_q``.  The cache draws nothing and changes no output.
 
     ``args`` are the sweep's arguments between ``dt`` and ``rng``: (tau,
     restitution, q_max) or (restitution, bath, l_max).
@@ -29,11 +32,14 @@ def drawn_sweep(sweep, velocities, dt, *args, rng):
     if sweep is dsmc.step_q:
         tau, _, q_max = args
         p_q, p_l = tau * q_max * dt, 0.0
+        centre = np.zeros(3)
+        extra = (centre,)
     else:
         _, bath, l_max = args
         p_q, p_l = 0.0, l_max * dt / bath.lambda_
+        centre, extra = bath.u1, ()
     _, candidates = dsmc._candidates(rng, velocities.shape[0], p_q, p_l)
-    return sweep(velocities, dt, *args, rng, candidates)
+    return sweep(velocities, dt, *args, rng, candidates, _sq_norm(velocities, centre), *extra)
 
 
 def traced_peak(fn, *args, **kwargs) -> int:

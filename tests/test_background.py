@@ -38,7 +38,7 @@ def tabulated_bath():
     ax = np.linspace(-1.0, 1.0, 5)
     table = TabulatedDensity(axes=(ax, ax, ax), values=np.ones((5, 5, 5)))
     return BathParams(
-        m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0, kind="tabulated", table=table,
+        m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0, table=table,
     )
 
 
@@ -91,8 +91,7 @@ class TestSampling:
         vals = np.exp(-0.5 * (gx**2 + gy**2 + gz**2))
         table = TabulatedDensity(axes=(ax, ax, ax), values=vals)
         bath = BathParams(
-            m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0,
-            kind="tabulated", table=table,
+            m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0, table=table,
         )
         np.testing.assert_allclose(bath.u1, table.mean(), atol=1e-12)
         assert bath.theta1 == pytest.approx(table.temperature(1.0), rel=1e-12)
@@ -150,7 +149,7 @@ class TestSizeBiasedPartners:
         vals = np.exp(-0.5 * ((gx - 0.5) ** 2 + gy**2 / 0.5 + gz**2))
         table = TabulatedDensity(axes=(ax, ax, ax), values=vals)
         bath = BathParams(
-            m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0, kind="tabulated", table=table,
+            m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0, table=table,
         )
         p = table.values.ravel() * table.cell_volume
         cell_b = np.linalg.norm(table.nodes() - bath.u1, axis=1) + 0.5 * math.sqrt(3 * 0.25)
@@ -229,8 +228,7 @@ class TestC0:
         vals[2, 2, 2] = 1.0
         table = TabulatedDensity(axes=(ax, ax, ax), values=vals)
         bath = BathParams(
-            m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0,
-            kind="tabulated", table=table,
+            m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0, table=table,
         )
         assert c0(bath) == pytest.approx(0.0, abs=1e-14)
 

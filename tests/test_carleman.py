@@ -139,7 +139,6 @@ class TestKernelClosedForm:
         vals = np.exp(-0.5 * (gx**2 + gy**2 + gz**2))
         bath = BathParams(
             m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0,
-            kind="tabulated",
             table=TabulatedDensity(axes=(ax, ax, ax), values=vals),
         )
         rest = rest_at(0.8, 1.0)
@@ -259,7 +258,6 @@ class TestGridAssembly:
         ax = np.linspace(-2.0, 2.0, 5)
         bath = BathParams(
             m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0,
-            kind="tabulated",
             table=TabulatedDensity(axes=(ax, ax, ax), values=np.ones((5, 5, 5))),
         )
         with pytest.raises(ValueError):

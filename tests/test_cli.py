@@ -549,6 +549,44 @@ class TestMain:
         assert message in lines[0]
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "mode, table, message",
+        [
+            ("full", False, "got kappa = 0.999999999999999"),
+            ("linear", False, "got kappa = 0.999999999999999"),
+            ("full", True, "bath with zero spread"),
+        ],
+        ids=["kappa-full", "kappa-linear", "point-table"],
+    )
+    def test_degenerate_bound_is_one_config_error_line(self, tmp_path, mode, table, message):
+        # e = 1 and m1 = 1e15 put kappa within 1e-14 of 1, and a table with
+        # one nonzero node has C0 = 0: the report's temperature bound does
+        # not exist, and the parser refuses the config before any output.
+        config = {"mode": mode, "m1": 1e15, "e": 1.0, "n_particles": 100, "t_end": 0.02}
+        if table:
+            f1 = tmp_path / "f1.csv"
+            f1.write_text("vx,vy,vz,density\n" + "".join(
+                f"{x},{y},{z},{float(x == y == z == 0)}\n"
+                for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)
+            ), encoding="utf-8")
+            config = {"mode": mode, "f1_table": str(f1), "n_particles": 100, "t_end": 0.02}
+        path = write_config(tmp_path, config)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "granular_bath.cli", mode, "--config", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("config error: the bath keys give no temperature bound: ")
+        assert message in lines[0]
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["--help"])

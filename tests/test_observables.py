@@ -221,7 +221,7 @@ class TestBoundParams:
         vals[2, 2, 2] = 1.0
         bath = BathParams(
             m1=1.0, u1=np.zeros(3), theta1=1.0, lambda_=1.0,
-            kind="tabulated", table=TabulatedDensity(axes=(ax, ax, ax), values=vals),
+            table=TabulatedDensity(axes=(ax, ax, ax), values=vals),
         )
         rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
         with pytest.raises(DegenerateParameterError):
