@@ -64,7 +64,7 @@ def main() -> None:
     print(f"largest recorded 3 Theta + |u - u1|^2 (less 4 sigma): "
           f"{worst:.3f} -> bound {status}")
 
-    verdict = detect_steady(traj, u1=bath.u1)
+    verdict = detect_steady(traj)
     if verdict.steady:
         tail = traj.thetas()[verdict.index:]
         print(f"steady from t = {verdict.t_steady:.1f}; "

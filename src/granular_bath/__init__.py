@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .background import BathParams, TabulatedDensity, abs_moment, c0, nu, sample_bath
 from .carleman import KernelGrid, SteadyState, make_grid, steady_state
-from .dsmc import Ensemble, SimConfig, detect_steady, run
+from .dsmc import SimConfig, detect_steady, run
 from .kinematics import (
     RestitutionParams,
     VelocityPair,
@@ -37,7 +37,6 @@ __all__ = [
     "SteadyState",
     "make_grid",
     "steady_state",
-    "Ensemble",
     "SimConfig",
     "detect_steady",
     "run",

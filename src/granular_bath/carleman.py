@@ -343,8 +343,8 @@ def _check_column_defect(defect: Array, nu_col: Array) -> None:
 def make_grid(
     restitution: RestitutionParams,
     bath: BathParams,
-    n: int = 48,
-    extent_sigma: float = 8.0,
+    n: int,
+    extent_sigma: float,
 ) -> KernelGrid:
     """Assemble the discrete operator on an n^3 grid spanning +-extent_sigma
     thermal widths around the bath mean.

@@ -18,8 +18,8 @@ coupling scale.  The initial ensemble is always the standard normal draw
 pins the entire trajectory bit-for-bit.
 
 Exit codes: 0 success, 1 configuration error, 2 temperature-bound violation
-beyond the Monte Carlo allowance, 3 numerical fault.  ``GB_LOG`` sets the
-log level.
+beyond the Monte Carlo allowance, 3 numerical fault or memory exhausted (a
+run too large to allocate).  ``GB_LOG`` sets the log level.
 """
 from __future__ import annotations
 
@@ -411,14 +411,14 @@ def _write_bound_report(
     return violated
 
 
-def _steady_theta(traj: MomentTrajectory, u1: np.ndarray | None):
+def _steady_theta(traj: MomentTrajectory):
     """detect_steady plus the mean/SE of theta over the steady tail.
 
     Returns ``(None, nan, nan)`` when the trajectory is too short for the
     steady window: a short run is a legitimate configuration, not an error.
     """
     try:
-        verdict = detect_steady(traj, u1=u1)
+        verdict = detect_steady(traj)
     except ValueError as exc:
         log.warning("steady detection skipped: %s", exc)
         return None, math.nan, math.nan
@@ -432,8 +432,8 @@ def _steady_theta(traj: MomentTrajectory, u1: np.ndarray | None):
 def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
     """Run one configured pipeline, writing outputs into ``out_dir``.
 
-    Numerical failures propagate as exceptions; :func:`main` maps them to
-    exit code 3.
+    Numerical failures and MemoryError propagate as exceptions; :func:`main`
+    maps them to exit code 3.
     """
     if parsed.mode == "validate":
         return run_validation(seed=parsed.normalized["seed"])
@@ -486,7 +486,7 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
 
     extra: list[str] = []
     if parsed.mode != "cooling":
-        verdict, theta_s, theta_se = _steady_theta(traj, sim.bath.u1)
+        verdict, theta_s, theta_se = _steady_theta(traj)
         if verdict is None:
             line = "steady verdict: not enough records for the steady window"
         elif not verdict.steady:
@@ -681,7 +681,7 @@ def _check_run_reproducibility(rng: np.random.Generator) -> None:
     )
     one = run(config)
     two = run(config)
-    assert one.final.velocities.tobytes() == two.final.velocities.tobytes()
+    assert one.final.tobytes() == two.final.tobytes()
     assert one.times().tobytes() == two.times().tobytes()
     assert one.thetas().tobytes() == two.thetas().tobytes()
 
@@ -744,20 +744,19 @@ _VALIDATION_CHECKS: list[tuple[str, Callable[[np.random.Generator], None]]] = [
 ]
 
 
-def run_validation(seed: int = 12345, stream=None) -> int:
+def run_validation(seed: int) -> int:
     """Run the invariant suite, printing one PASS/FAIL line per check."""
-    stream = stream if stream is not None else sys.stdout
     failures = 0
     for name, fn in _VALIDATION_CHECKS:
         try:
             fn(np.random.default_rng(seed))
         except Exception as exc:  # noqa: BLE001 - any failure is a FAIL line
             failures += 1
-            print(f"FAIL {name}: {exc!r}", file=stream)
+            print(f"FAIL {name}: {exc!r}")
         else:
-            print(f"PASS {name}", file=stream)
+            print(f"PASS {name}")
     total = len(_VALIDATION_CHECKS)
-    print(f"{total - failures}/{total} checks passed", file=stream)
+    print(f"{total - failures}/{total} checks passed")
     return 0 if failures == 0 else 1
 
 
@@ -817,6 +816,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return execute(parsed, out_dir=args.out)
     except (NumericalFault, SupportMismatchError, KernelBuildError, ConvergenceError) as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

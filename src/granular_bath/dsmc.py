@@ -1,6 +1,8 @@
 """Direct simulation Monte Carlo solver for the bath-driven granular gas.
 
-Evolves an N-particle ensemble under gas-gas collisions at rate ``tau``
+``run`` solves the Cauchy problem: it evolves an N-particle ensemble from
+its datum at t = 0 to t_end, and ``detect_steady`` tests the records for
+the stationary state.  The run is under gas-gas collisions at rate ``tau``
 (Nanbu-Babovsky candidate pairs) and gas-bath collisions (a fresh bath
 partner per event, discarded afterwards), both by majorant rejection, in one
 unsplit step: each particle takes part in at most one candidate event per
@@ -58,9 +60,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -80,7 +81,6 @@ from .observables import (
 )
 
 __all__ = [
-    "Ensemble",
     "SimConfig",
     "ObserverConfig",
     "MomentTrajectory",
@@ -101,27 +101,6 @@ class NumericalFault(RuntimeError):
     def __init__(self, message: str, dump_path: str | None = None):
         super().__init__(message)
         self.dump_path = dump_path
-
-
-@dataclass
-class Ensemble:
-    """Equal-weight particle ensemble: velocities (N, 3) and time."""
-
-    velocities: Array
-    t: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.velocities = np.ascontiguousarray(self.velocities, dtype=float)
-        if self.velocities.ndim != 2 or self.velocities.shape[1] != 3:
-            raise ValueError(f"velocities must be (N, 3), got {self.velocities.shape}")
-        if self.velocities.shape[0] < 2:
-            raise ValueError("need at least 2 particles")
-        if not np.all(np.isfinite(self.velocities)):
-            raise ValueError("velocities must be finite")
-
-    @property
-    def n_particles(self) -> int:
-        return self.velocities.shape[0]
 
 
 @dataclass(frozen=True)
@@ -188,7 +167,7 @@ class MomentTrajectory:
     collisions_q: int = 0
     candidates_l: int = 0  # candidate bath events
     collisions_l: int = 0
-    final: Ensemble | None = None
+    final: Array | None = None  # velocities at t_end
 
     def times(self) -> Array:
         return np.array([r.t for r in self.records])
@@ -424,15 +403,14 @@ def _whole_steps(name: str, span: float, dt: float, error: type = ValueError) ->
 def run(
     config: SimConfig,
     observers: ObserverConfig | None = None,
-    init: Ensemble | Array | None = None,
-    rng: np.random.Generator | None = None,
+    init: Array | None = None,
 ) -> MomentTrajectory:
-    """Evolve an ensemble to t_end, recording moments along the way.
+    """Evolve an ensemble from t = 0 to t_end, recording moments along the way.
 
-    ``init=None`` draws a standard-normal ensemble (Theta = 1, u = 0) from
-    the run's seed; an Ensemble resumes from its stored time (pass the
-    generator that evolved it as ``rng`` to continue its stream).  Runs with
-    the same (config, seed) are bit-reproducible.
+    The generator is ``default_rng(config.seed)``.  ``init=None`` draws a
+    standard-normal ensemble (Theta = 1, u = 0) from it; otherwise ``init``
+    is a finite (``config.n_particles``, 3) array, which the run copies.
+    Runs with the same (config, init) are bit-reproducible.
 
     The majorants of each step are radii about one centre c, u1 or the
     initial mean (see the module docstring), read off a per-particle cache
@@ -442,37 +420,31 @@ def run(
     with a bath, c = u1 and each record's F cross-checks its moments against
     the mean of the cache.  A step whose event probability reaches 1 with
     them runs as sub-steps that each stay below it, so every dt runs to
-    t_end, and records stay at the step times.  A t_end - t0 off the step
-    grid or below one step (a resume at or past t_end), an ``init`` of other
-    than ``config.n_particles`` particles, or an initial ensemble whose
-    |v - c|^2 overflows, raises ValueError before the first record.
-    NumericalFault is raised at the step whose moved rows make the radius
-    non-finite (a NaN or an |v - c|^2 overflow), or at the first record step
-    that finds a non-finite velocity, after the state is dumped to the
-    temporary directory.
+    t_end, and records stay at the step times.  A t_end off the step grid or
+    below one step, an ``init`` of another shape or with a non-finite
+    entry, or an initial ensemble whose |v - c|^2 overflows, raises
+    ValueError before the first record.  NumericalFault is raised at the
+    step whose moved rows make the radius non-finite (a NaN or an
+    |v - c|^2 overflow), or at the first record step that finds a
+    non-finite velocity, after the state is dumped to the temporary
+    directory.
     """
     obs = observers or ObserverConfig()
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
+    n = config.n_particles
     if init is None:
-        vel = rng.standard_normal((config.n_particles, 3))
-        t0 = 0.0
-    elif isinstance(init, Ensemble):
-        vel = init.velocities.copy()
-        t0 = init.t
+        vel = rng.standard_normal((n, 3))
     else:
-        vel = np.array(init, dtype=float)
-        t0 = 0.0
-    ens = Ensemble(velocities=vel, t=t0)
-    vel = ens.velocities
-    if vel.shape[0] != config.n_particles:
-        raise ValueError(
-            f"init has {vel.shape[0]} particles, but config.n_particles = {config.n_particles}"
-        )
+        vel = np.array(init, dtype=float, order="C")
+        if vel.shape != (n, 3):
+            raise ValueError(
+                f"init has shape {vel.shape}, but config.n_particles = {n} needs ({n}, 3)"
+            )
+        if not np.all(np.isfinite(vel)):
+            raise ValueError("init velocities must be finite")
 
     bath = config.bath
     tau, dt = config.tau, config.dt
-    n = vel.shape[0]
     b = bath.bound_mean if bath is not None else 0.0
     lam = bath.lambda_ if bath is not None else 1.0
     centre = bath.u1 if bath is not None else vel.mean(axis=0)
@@ -484,9 +456,9 @@ def run(
             f"initial velocities too large: |v - c|^2 overflows about c = {centre.tolist()}"
         )
 
-    n_steps = _whole_steps("t_end - t0", config.t_end - t0, dt)
+    n_steps = _whole_steps("t_end", config.t_end, dt)
     traj = MomentTrajectory(records=[], config=config)
-    traj.records.append(_make_record(vel, t0, config, obs, d2))
+    traj.records.append(_make_record(vel, 0.0, config, obs, d2))
 
     for step in range(1, n_steps + 1):
         fault = False
@@ -519,7 +491,7 @@ def run(
             if cand.size:
                 radius = _radius(d2)
                 fault = not math.isfinite(radius)
-        t = t0 + step * dt
+        t = step * dt
         record = step % obs.record_every == 0 or step == n_steps
         if fault or (record and not np.all(np.isfinite(vel))):
             path = _dump_fault(vel, step, t, rng)
@@ -530,7 +502,7 @@ def run(
             )
         if record:
             traj.records.append(_make_record(vel, t, config, obs, d2))
-    traj.final = Ensemble(velocities=vel, t=t0 + n_steps * dt)
+    traj.final = vel
     return traj
 
 
@@ -541,37 +513,26 @@ class SteadyVerdict:
     steady: bool
     t_steady: float | None
     index: int | None
-    drifts: dict
 
 
-def detect_steady(
-    traj: MomentTrajectory | Sequence[MomentRecord],
-    window: int = 16,
-    tol: float = 0.05,
-    u1: Array | None = None,
-) -> SteadyVerdict:
+_STEADY_WINDOW = 16  # records per block of the stationarity scan
+_STEADY_TOL = 0.05  # largest block-mean drift, relative to its scale
+
+
+def detect_steady(traj: MomentTrajectory) -> SteadyVerdict:
     """Scan for the earliest window where Theta, |u - u1| and Y2 stop drifting.
 
-    Two consecutive blocks of ``window`` records are compared; the trajectory
-    is steady at the first block start where, for each tracked series, the
-    block-mean drift is below ``tol`` relative to its natural scale AND below
-    twice its Monte Carlo standard error.  The |u - u1| drift is scaled by
-    sqrt(Theta) (its own mean can legitimately sit at zero).  ``window``
-    must be at least 2 (a standard error needs two records) and ``tol``
-    positive.  ``u1`` defaults to the trajectory's bath mean, else 0.
+    Two consecutive blocks of 16 records are compared; the trajectory is
+    steady at the first block start where, for each tracked series, the
+    block-mean drift is below 5% of its natural scale AND below twice its
+    Monte Carlo standard error.  u1 is the run's bath mean, or 0 without a
+    bath, and the |u - u1| drift is scaled by sqrt(Theta) (its own mean can
+    legitimately sit at zero).  Fewer than 32 records raise ValueError.
     """
-    if isinstance(traj, MomentTrajectory):
-        records = traj.records
-        if u1 is None and traj.config.bath is not None:
-            u1 = traj.config.bath.u1
-    else:
-        records = list(traj)
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if u1 is None:
-        u1 = np.zeros(3)
+    records = traj.records
+    window = _STEADY_WINDOW
+    bath = traj.config.bath
+    u1 = bath.u1 if bath is not None else np.zeros(3)
     if len(records) < 2 * window:
         raise ValueError(
             f"need at least 2*window = {2 * window} records, got {len(records)}"
@@ -580,10 +541,7 @@ def detect_steady(
     dev = np.array([float(np.linalg.norm(r.u - u1)) for r in records])
     y2 = np.array([r.y2 for r in records])
     series = {"theta": theta, "u_dev": dev, "y2": y2}
-    last_drifts: dict = {}
     for start in range(0, len(records) - 2 * window + 1):
-        ok = True
-        drifts = {}
         for name, s in series.items():
             a = s[start : start + window]
             b = s[start + window : start + 2 * window]
@@ -591,13 +549,12 @@ def detect_steady(
                 continue
             drift = abs(float(b.mean() - a.mean()))
             se = math.sqrt(a.var(ddof=1) / window + b.var(ddof=1) / window)
-            scale = float(np.concatenate([a, b]).mean())
             if name == "u_dev":
                 scale = math.sqrt(max(float(theta[start : start + 2 * window].mean()), 1e-300))
-            drifts[name] = drift / max(abs(scale), 1e-300)
-            if drift > tol * max(abs(scale), 1e-300) or drift > 2.0 * se:
-                ok = False
-        last_drifts = drifts
-        if ok:
-            return SteadyVerdict(True, records[start].t, start, drifts)
-    return SteadyVerdict(False, None, None, last_drifts)
+            else:
+                scale = float(np.concatenate([a, b]).mean())
+            if drift > _STEADY_TOL * max(abs(scale), 1e-300) or drift > 2.0 * se:
+                break
+        else:
+            return SteadyVerdict(True, records[start].t, start)
+    return SteadyVerdict(False, None, None)

@@ -470,7 +470,7 @@ def _shift_mean(vel: Array, shifts: Sequence[int], w: Array) -> float:
 
 
 def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
-    """Ensemble mean of the total collision frequency Sigma(f)(v).
+    """Mean over the particles of the total collision frequency Sigma(f)(v).
 
     Sigma(f)(v) = tau * (|.| convolved with f)(v) + nu(v).  The convolution
     term is the mean of |v_i - v_j| over all N^2 ordered pairs (i = j

@@ -239,7 +239,7 @@ class TestGridAssembly:
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
-            make_grid(rest_at(0.8, 1.0), bath_at(), n=3)
+            make_grid(rest_at(0.8, 1.0), bath_at(), n=3, extent_sigma=8.0)
 
     @pytest.mark.parametrize("extent", [-8.0, math.nan, 0.0, math.inf])
     def test_rejects_bad_extent(self, extent):
@@ -261,7 +261,7 @@ class TestGridAssembly:
             table=TabulatedDensity(axes=(ax, ax, ax), values=np.ones((5, 5, 5))),
         )
         with pytest.raises(ValueError):
-            make_grid(rest_at(0.8, 1.0), bath, n=8)
+            make_grid(rest_at(0.8, 1.0), bath, n=8, extent_sigma=8.0)
 
 
 def sorted_triple_orbits(n):

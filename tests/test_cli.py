@@ -1,5 +1,4 @@
 """Command-line runner: config schema, round-trips, and end-to-end smokes."""
-import io
 import json
 import os
 import re
@@ -34,6 +33,18 @@ def write_config(tmp_path: Path, obj: dict, name: str = "config.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
     return path
+
+
+def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports this package: its
+    modules start unloaded, and an exception escaping main shows as the
+    interpreter's own traceback on standard error."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def grid_l1(report):
@@ -246,10 +257,9 @@ class TestSchema:
 
 
 class TestValidation:
-    def test_all_checks_pass(self):
-        buf = io.StringIO()
-        rc = run_validation(stream=buf)
-        text = buf.getvalue()
+    def test_all_checks_pass(self, capsys):
+        rc = run_validation(seed=12345)
+        text = capsys.readouterr().out
         assert rc == 0
         assert text.count("PASS") == 14
         assert "FAIL" not in text
@@ -330,13 +340,8 @@ class TestExecute:
             f"'--out', {str(tmp_path / 'o')!r}])\n"
             "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-            timeout=120, check=True,
-        )
+        proc = fresh_interpreter("-c", code)
+        proc.check_returncode()
         assert proc.stdout.splitlines()[-1] == "0 []"
         if config is COOLING_FIT:
             report = (tmp_path / "o" / "bound_report.txt").read_text(encoding="utf-8")
@@ -371,7 +376,7 @@ class TestExecute:
         traj = run(sim, observers=ObserverConfig(record_every=parsed.record_every,
                                                  compute_sigma=True))
         assert len(traj.records) == 2
-        want = sigma_shift_form(traj.final.velocities, sim.bath, sim.tau)
+        want = sigma_shift_form(traj.final, sim.bath, sim.tau)
         assert traj.records[-1].sigma_mean == want
 
     def test_short_run_has_no_steady_window(self, tmp_path, capsys):
@@ -528,19 +533,12 @@ class TestMain:
         ids=["numpy-repr-cell", "three-columns"],
     )
     def test_malformed_table_is_one_config_error_line(self, tmp_path, row, message):
-        # A fresh interpreter, so that an exception escaping main shows as
-        # the interpreter's own traceback on standard error.
         table = tmp_path / "f1.csv"
         table.write_text(f"vx,vy,vz,density\n{row}\n", encoding="utf-8")
         config = {k: v for k, v in FULL_SMOKE.items() if k != "theta1"}
         path = write_config(tmp_path, dict(config, f1_table=str(table)))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "granular_bath.cli", "full", "--config", str(path),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120,
+        proc = fresh_interpreter(
+            "-m", "granular_bath.cli", "full", "--config", str(path), "--out", str(tmp_path / "o")
         )
         assert proc.returncode == 1
         lines = proc.stderr.strip().splitlines()
@@ -571,19 +569,30 @@ class TestMain:
             ), encoding="utf-8")
             config = {"mode": mode, "f1_table": str(f1), "n_particles": 100, "t_end": 0.02}
         path = write_config(tmp_path, config)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "granular_bath.cli", mode, "--config", str(path),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120,
+        proc = fresh_interpreter(
+            "-m", "granular_bath.cli", mode, "--config", str(path), "--out", str(tmp_path / "o")
         )
         assert proc.returncode == 1
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("config error: the bath keys give no temperature bound: ")
         assert message in lines[0]
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+    def test_unallocatable_ensemble_is_one_line_exit_3(self, tmp_path):
+        # 10^13 particles need 218 TiB for the initial draw: numpy's
+        # MemoryError must end the run with exit 3 and one line on standard
+        # error, not a traceback.
+        config = {"mode": "cooling", "n_particles": 10**13, "t_end": 0.02}
+        path = write_config(tmp_path, config)
+        proc = fresh_interpreter(
+            "-m", "granular_bath.cli", "cooling", "--config", str(path), "--out", str(tmp_path / "o")
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("out of memory: ")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o" / "trajectory.csv").exists()
 

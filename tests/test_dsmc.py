@@ -12,7 +12,6 @@ from conftest import drawn_sweep, skewed_table_bath, traced_peak
 from granular_bath import dsmc
 from granular_bath.background import BathParams, linear_steady, nu
 from granular_bath.dsmc import (
-    Ensemble,
     MomentTrajectory,
     NumericalFault,
     ObserverConfig,
@@ -246,7 +245,7 @@ class TestRunCooling:
         init = gaussian_init(10_000, seed=44)
         p0 = init.sum(axis=0)
         traj = run(config, init=init)
-        p1 = traj.final.velocities.sum(axis=0)
+        p1 = traj.final.sum(axis=0)
         assert np.abs(p1 - p0).max() <= 1e-9
 
     def test_no_collisions_without_gas_or_bath(self):
@@ -261,7 +260,7 @@ class TestRunCooling:
         traj = run(config, init=init)
         assert traj.collisions_q == 0
         assert traj.collisions_l == 0
-        np.testing.assert_array_equal(traj.final.velocities, init)
+        np.testing.assert_array_equal(traj.final, init)
 
 
 class TestRunLinear:
@@ -587,19 +586,48 @@ class TestFaults:
     def test_nan_init_is_rejected_up_front(self):
         init = gaussian_init(100, seed=53)
         init[7, 1] = math.nan
-        with pytest.raises(ValueError):
-            Ensemble(velocities=init)
+        config = SimConfig(
+            tau=1.0, restitution=RestitutionParams(epsilon=0.8, e=0.8, m1=1.0),
+            bath=bath_at(), dt=0.01, t_end=0.1, n_particles=100, seed=53,
+        )
+        with pytest.raises(ValueError, match="init velocities must be finite"):
+            run(config, init=init)
 
-    @pytest.mark.parametrize("wrap", [np.asarray, Ensemble], ids=["array", "ensemble"])
-    def test_init_of_another_particle_count_is_refused(self, wrap):
+    def test_init_of_another_particle_count_is_refused(self):
         # 50 rows under a config of 100 particles would run as N = 50, and
         # every standard error that reads config.n_particles would use 100.
         config = SimConfig(
             tau=1.0, restitution=RestitutionParams(epsilon=0.8, e=0.8, m1=1.0),
             bath=bath_at(), dt=0.01, t_end=0.1, n_particles=100, seed=54,
         )
-        with pytest.raises(ValueError, match="init has 50 particles"):
-            run(config, init=wrap(gaussian_init(50, seed=55)))
+        with pytest.raises(ValueError, match=r"init has shape \(50, 3\)"):
+            run(config, init=gaussian_init(50, seed=55))
+
+    @pytest.mark.parametrize("shape", [(100, 2), (300,)], ids=["two-columns", "flat"])
+    def test_init_that_is_not_n_by_3_is_refused(self, shape):
+        # 300 numbers are 100 velocities only as a (100, 3) array; any other
+        # layout of them is refused, not reshaped.
+        config = SimConfig(
+            tau=1.0, restitution=RestitutionParams(epsilon=0.8, e=0.8, m1=1.0),
+            bath=bath_at(), dt=0.01, t_end=0.1, n_particles=100, seed=54,
+        )
+        init = np.random.default_rng(55).standard_normal(shape)
+        with pytest.raises(ValueError, match=r"needs \(100, 3\)"):
+            run(config, init=init)
+
+    def test_init_is_copied_not_moved(self):
+        # The sweeps update velocities in place; the caller's array must not
+        # be the one they update.
+        config = SimConfig(
+            tau=1.0, restitution=RestitutionParams(epsilon=0.8, e=0.8, m1=1.0),
+            bath=bath_at(), dt=0.01, t_end=0.1, n_particles=100, seed=54,
+        )
+        init = gaussian_init(100, seed=55)
+        before = init.copy()
+        traj = run(config, init=init)
+        assert traj.collisions_l + traj.collisions_q > 0
+        np.testing.assert_array_equal(init, before)
+        assert not np.shares_memory(traj.final, init)
 
     def test_nan_during_run_dumps_and_raises(self, tmp_path, monkeypatch):
         # Poison the bath sweep so velocities go non-finite mid-run; the
@@ -752,37 +780,33 @@ class TestFaults:
             n_particles=100, seed=55,
         )
         traj = run(config)
-        assert traj.final.t == 10.0
         assert traj.times().tolist() == [0.0, 10.0]
         theta_lin = linear_steady(rest, bath)
         se = theta_lin * math.sqrt(2.0 / (3.0 * config.n_particles))
         assert abs(traj.records[-1].theta - theta_lin) <= 4.0 * se
 
-    @pytest.mark.parametrize("dt, t0", [(0.6, 0.0), (0.4, 0.0), (0.1, 0.05)])
-    def test_t_end_off_the_step_grid_raises(self, dt, t0):
-        # t_end - t0 = 1.0, 1.0 and 0.95 are 1.67, 2.5 and 9.5 steps: a run
-        # would end at 1.2, 0.8 or 1.05, not at t_end.
+    @pytest.mark.parametrize("dt, t_end", [(0.6, 1.0), (0.4, 1.0), (0.1, 0.95)])
+    def test_t_end_off_the_step_grid_raises(self, dt, t_end):
+        # t_end = 1.0, 1.0 and 0.95 are 1.67, 2.5 and 9.5 steps: a run
+        # would end at 1.2, 0.8 or 1.0, not at t_end.
         rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
         config = SimConfig(
-            tau=1.0, restitution=rest, bath=bath_at(), dt=dt, t_end=1.0,
+            tau=1.0, restitution=rest, bath=bath_at(), dt=dt, t_end=t_end,
             n_particles=100, seed=59,
         )
-        init = Ensemble(velocities=gaussian_init(100, seed=60), t=t0)
-        with pytest.raises(ValueError, match="t_end - t0 must be a whole number of steps"):
-            run(config, init=init)
+        with pytest.raises(ValueError, match="t_end must be a whole number of steps"):
+            run(config)
 
-    @pytest.mark.parametrize("t0", [1.0, 2.0])
-    def test_resume_at_or_past_t_end_raises(self, t0):
-        # t_end - t0 = 0 and -1 hold no step: the run must not take one
-        # anyway and end at t0 + dt, past t_end.
+    def test_t_end_below_one_step_raises(self):
+        # t_end = 1e-12 is 1e-11 steps, which round to none: the run must
+        # not take one anyway and end at dt, past t_end.
         rest = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
         config = SimConfig(
-            tau=1.0, restitution=rest, bath=bath_at(), dt=0.1, t_end=1.0,
+            tau=1.0, restitution=rest, bath=bath_at(), dt=0.1, t_end=1e-12,
             n_particles=100, seed=62,
         )
-        init = Ensemble(velocities=gaussian_init(100, seed=63), t=t0)
-        with pytest.raises(ValueError, match="t_end - t0 must be at least one step"):
-            run(config, init=init)
+        with pytest.raises(ValueError, match="t_end must be at least one step"):
+            run(config)
 
     def test_rounded_step_count_runs(self):
         # 0.3 / 0.1 is 2.9999999999999996 in floating point: three steps.
@@ -821,7 +845,7 @@ class TestFaults:
             n_particles=20_000, seed=5,
         )
         traj = run(config)
-        assert traj.final.t == 0.05
+        assert traj.times()[-1] == 0.05
         assert len(subs) >= 2
         assert math.fsum(h for h, _, _ in subs) == pytest.approx(config.dt, rel=1e-14)
         for h, l_max, tau_q_max in subs:
@@ -829,63 +853,60 @@ class TestFaults:
 
 
 class TestDetectSteady:
-    def synthetic_records(self, thetas, n=10_000):
+    def synthetic_trajectory(self, thetas, n=10_000, u=None, bath=None):
+        # Records at t = 0, 1, 2, ... with the Monte Carlo noise of an
+        # n-particle run about the mean velocities ``u`` (default 0).
         rng = np.random.default_rng(56)
         recs = []
         for i, th in enumerate(thetas):
-            u = rng.normal(scale=math.sqrt(th / n), size=3)
+            mean = np.zeros(3) if u is None else u[i]
             recs.append(
                 MomentRecord(
-                    t=float(i), rho=1.0, u=u, theta=float(th),
-                    y1=3 * th, y2=15 * th**2,
+                    t=float(i), rho=1.0,
+                    u=mean + rng.normal(scale=math.sqrt(th / n), size=3),
+                    theta=float(th), y1=3 * th, y2=15 * th**2,
                 )
             )
-        return recs
+        config = SimConfig(
+            tau=1.0, restitution=RestitutionParams(epsilon=0.8, e=0.8, m1=1.0),
+            bath=bath, dt=1.0, t_end=float(len(thetas)), n_particles=n, seed=0,
+        )
+        return MomentTrajectory(records=recs, config=config)
 
     def test_flat_series_is_steady(self):
         rng = np.random.default_rng(57)
         n = 10_000
         se = math.sqrt(2.0 / (3 * n))
         thetas = 1.0 + se * rng.normal(size=64)
-        verdict = detect_steady(self.synthetic_records(thetas, n), window=16, tol=0.05)
+        verdict = detect_steady(self.synthetic_trajectory(thetas, n))
         assert verdict.steady
         assert verdict.index is not None
         assert verdict.t_steady is not None
 
     def test_ramp_is_not_steady(self):
         thetas = np.linspace(1.0, 3.0, 64)
-        verdict = detect_steady(self.synthetic_records(thetas), window=16, tol=0.05)
+        verdict = detect_steady(self.synthetic_trajectory(thetas))
         assert not verdict.steady
         assert verdict.t_steady is None
-        assert "theta" in verdict.drifts
 
     def test_needs_two_windows(self):
         thetas = np.ones(8)
         with pytest.raises(ValueError):
-            detect_steady(self.synthetic_records(thetas), window=16, tol=0.05)
+            detect_steady(self.synthetic_trajectory(thetas))
 
-    def test_rejects_windows_and_tolerances_that_cannot_detect(self):
-        # A pure ramp is never steady.  A window of 1 has no standard error
-        # and a window of 0 compares empty blocks; both, and a tolerance that
-        # is not positive, are refused, also when given explicitly for a
-        # trajectory (not replaced by its config's values).
-        records = self.synthetic_records(1.0 + np.arange(40.0))
-        traj = MomentTrajectory(
-            records=records,
-            config=SimConfig(
-                tau=1.0, restitution=RestitutionParams(epsilon=0.8, e=0.8, m1=1.0),
-                bath=None, dt=0.01, t_end=0.4, n_particles=100, seed=0,
-            ),
-        )
-        for source in (records, traj):
-            for window in (0, 1):
-                with pytest.raises(ValueError, match="window must be >= 2"):
-                    detect_steady(source, window=window, tol=0.05)
-            for tol in (0.0, -0.05):
-                with pytest.raises(ValueError, match="tol must be positive"):
-                    detect_steady(source, window=4, tol=tol)
-            assert not detect_steady(source, window=4, tol=0.05).steady
-        assert not detect_steady(traj).steady
+    def test_mean_velocity_is_measured_from_the_bath_mean(self):
+        # u jumps from u1 = (1, 0, 0) to -u1 between the two windows of 16
+        # records: |u - u1| goes from 0 to 2, a drift, while |u| stays 1.
+        # So the same records are steady without a bath (u1 = 0) and not
+        # with this one; a scan about the origin would call both steady.
+        rng = np.random.default_rng(58)
+        n = 10_000
+        thetas = 1.0 + math.sqrt(2.0 / (3 * n)) * rng.normal(size=32)
+        u1 = np.array([1.0, 0.0, 0.0])
+        u = [u1 if i < 16 else -u1 for i in range(32)]
+        bath = bath_at(u1=u1)
+        assert detect_steady(self.synthetic_trajectory(thetas, n, u=u)).steady
+        assert not detect_steady(self.synthetic_trajectory(thetas, n, u=u, bath=bath)).steady
 
 
 class TestRecordObservers:
@@ -898,8 +919,8 @@ class TestRecordObservers:
         traj = run(config, observers=ObserverConfig(record_every=5, compute_lp=True))
         traj.to_csv(tmp_path / "trajectory.csv")
         last = read_records(tmp_path / "trajectory.csv")[-1]
-        assert last.t == traj.final.t
-        vel = traj.final.velocities
+        assert last.t == traj.times()[-1]
+        vel = traj.final
         m = moments(vel)
         hist = histogram(vel, box_edges(m.u, thermal_extent(m.theta), 32))
         assert last.l2 == lp_norm(hist, 2.0)
@@ -990,7 +1011,7 @@ class TestReproducibility:
     def test_identical_seeds_are_bitwise_identical(self):
         t1 = run(self.config())
         t2 = run(self.config())
-        np.testing.assert_array_equal(t1.final.velocities, t2.final.velocities)
+        np.testing.assert_array_equal(t1.final, t2.final)
         assert t1.times().tobytes() == t2.times().tobytes()
         assert t1.thetas().tobytes() == t2.thetas().tobytes()
         assert t1.collisions_q == t2.collisions_q
@@ -1006,7 +1027,7 @@ class TestReproducibility:
         off = ObserverConfig(compute_sigma=False, compute_lp=False)
         t1 = run(self.config(), observers=on)
         t2 = run(self.config(), observers=off)
-        assert t1.final.velocities.tobytes() == t2.final.velocities.tobytes()
+        assert t1.final.tobytes() == t2.final.tobytes()
         assert t1.thetas().tobytes() == t2.thetas().tobytes()
 
     def test_table_sigma_does_not_touch_the_simulation_stream(self):
@@ -1014,12 +1035,5 @@ class TestReproducibility:
         config = dataclasses.replace(self.config(), bath=skewed_table_bath())
         t1 = run(config, observers=ObserverConfig(compute_sigma=True))
         t2 = run(config, observers=ObserverConfig(compute_sigma=False))
-        assert t1.final.velocities.tobytes() == t2.final.velocities.tobytes()
+        assert t1.final.tobytes() == t2.final.tobytes()
         assert np.all(np.isfinite([r.sigma_mean for r in t1.records]))
-
-    def test_explicit_generator_resume_is_deterministic(self):
-        # Passing a generator (the resume path, with init=) replaces config
-        # seeding; identical generator states give identical runs.
-        t1 = run(self.config(), rng=np.random.default_rng(63))
-        t2 = run(self.config(), rng=np.random.default_rng(63))
-        np.testing.assert_array_equal(t1.final.velocities, t2.final.velocities)
