@@ -36,7 +36,6 @@ __all__ = [
     "c0",
     "erf",
     "nu",
-    "nu_mc",
 ]
 
 log = logging.getLogger(__name__)
@@ -471,12 +470,15 @@ def nu(bath: BathParams, v: Array) -> Array:
         lambda nu = s [ sqrt(2/pi) exp(-rho^2/2) + (rho + 1/rho) erf(rho/sqrt 2) ],
     with the small-rho series sqrt(2/pi)(2 + rho^2/3 - rho^4/60) below
     rho = 1e-4; erf is the numpy port :func:`erf`, within 1 ulp of
-    ``math.erf``.  A table raises ValueError: :func:`nu_mc` estimates its
-    rate under the sweep's cell law.  Accepts (..., 3) input and returns the
-    matching leading shape.
+    ``math.erf``.  A table raises ValueError: its rate under the sweep's
+    cell law is the mean of |v - W| / lambda over :func:`sample_bath` draws
+    W.  Accepts (..., 3) input and returns the matching leading shape.
     """
     if bath.table is not None:
-        raise ValueError("nu has a closed form for a Maxwellian bath only; use nu_mc")
+        raise ValueError(
+            "nu has a closed form for a Maxwellian bath only; a table's rate is "
+            "the mean of |v - W| / lambda over sample_bath draws W"
+        )
     v = np.asarray(v, dtype=float)
     pts = v.reshape(-1, v.shape[-1])
     out = np.empty(len(pts))
@@ -496,19 +498,3 @@ def nu(bath: BathParams, v: Array) -> Array:
         g[small] = math.sqrt(2.0 / math.pi) * (2.0 + r**2 / 3.0 - r**4 / 60.0)
         out[lo : lo + _PARTICLE_BLOCK] = s * g / bath.lambda_
     return float(out[0]) if v.ndim == 1 else out.reshape(v.shape[:-1])
-
-
-def nu_mc(
-    bath: BathParams,
-    v: Array,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of nu(v), with its standard error, from
-    :func:`sample_bath` draws: a table's rate under the sweep's cell law."""
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    v = np.asarray(v, dtype=float).reshape(3)
-    draws = sample_bath(bath, n_samples, rng)
-    r = np.linalg.norm(v - draws, axis=1) / bath.lambda_
-    return float(r.mean()), float(r.std(ddof=1) / math.sqrt(n_samples))

@@ -432,15 +432,16 @@ def _steady_theta(traj: MomentTrajectory):
 def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
     """Run one configured pipeline, writing outputs into ``out_dir``.
 
-    Numerical failures and MemoryError propagate as exceptions; :func:`main`
-    maps them to exit code 3.
+    ``out_dir`` is created just before the first file is written, so a run
+    that fails before then leaves no directory behind.  Numerical failures
+    and MemoryError propagate as exceptions; :func:`main` maps them to exit
+    code 3.
     """
     if parsed.mode == "validate":
         return run_validation(seed=parsed.normalized["seed"])
     sim = parsed.sim
     assert sim is not None
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     h_reference = None
     steady_grid = None
@@ -458,6 +459,7 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
                 f"{_GRID_THETA_TOL:.0%} from the closed form theta_lin = "
                 f"{_fmt(theta_lin)}; the grid is too coarse or too narrow for the bath"
             )
+        out.mkdir(parents=True, exist_ok=True)
         write_grid_csv(out / "steady_f1.csv", grid, steady_grid.f)
         # L1 distance of the grid steady state to the closed form, the gas
         # Maxwellian at (u1, theta_lin) at the nodes: a product of 1-D factors.
@@ -482,6 +484,7 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
         h_reference=h_reference,
     )
     traj = run(sim, observers=observers)
+    out.mkdir(parents=True, exist_ok=True)
     traj.to_csv(out / "trajectory.csv")
 
     extra: list[str] = []

@@ -7,13 +7,13 @@ the stationary state.  The run is under gas-gas collisions at rate ``tau``
 partner per event, discarded afterwards), both by majorant rejection, in one
 unsplit step: each particle takes part in at most one candidate event per
 step, a bath event with probability p_l = l_max dt / lambda or a gas-gas
-pair, each pair drawn with probability p_q / (N - 1), p_q = tau q_max dt, or
-p_q / N for odd N (the N^2-pair normalization of ``sigma_freq``).  One draw,
-``_candidates``, makes both sets: it is the one candidate law.  A particle
-at v thus collides with the bath with probability nu(v) dt and with a gas
-partner w with probability tau |v - w| dt / (N - 1), or / N for odd N, so
-the expected change of the one-particle density over a step is dt (Q + L) f,
-and the fixed point of the step is the zero of Q + L at every dt.
+pair, each pair drawn with probability p_q / (N - 1), p_q = tau q_max dt,
+at every N.  One draw, ``_candidates``, makes both sets: it is the one
+candidate law.  A particle at v thus collides with the bath with
+probability nu(v) dt and with a gas partner w with probability
+tau |v - w| dt / (N - 1), so the expected change of the one-particle
+density over a step is dt (Q + L) f, and the fixed point of the step is the
+zero of Q + L at every dt.
 
 Neither majorant can be exceeded.  Both are radii about one centre c fixed
 for the run: u1 with a bath, otherwise the initial mean velocity, which
@@ -40,14 +40,16 @@ no output and no draw; a cache of q_max^2 at every row passes every pair
 and is the unscreened reference.  The bath sweep takes |v - u1| from the
 cache and gathers velocities only at the candidates that draw a partner.
 
-A step whose event probability p = dt (tau q_max + l_max / lambda) reaches
-_P_CAP = 1 runs as sub-steps, as a majorant time counter cuts it (Rjasanow
-& Wagner 2005; Bird 1994).  Each takes its majorants from the current
-radius, which a bath partner can widen, splits what is left of the step
-into k = floor(p(left) (1 + 1e-14) / _P_CAP) + 1 equal pieces and runs one
-with its own draw; the pad keeps rounding below the cap.  Each sub-step is
-an unsplit step of its own length, so the fixed point stays the zero of
-Q + L, and a step with p < _P_CAP is one piece of length dt, drawn as before.
+A step whose event probability p = dt (tau q_max s + l_max / lambda)
+reaches _P_CAP = 1 runs as sub-steps, as a majorant time counter cuts it
+(Rjasanow & Wagner 2005; Bird 1994); s = N / (2 floor(N/2)) is the factor
+by which ``_candidates`` raises a pair slot's probability, 1 for even N.
+Each takes its majorants from the current radius, which a bath partner can
+widen, splits what is left of the step into
+k = floor(p(left) (1 + 1e-14) / _P_CAP) + 1 equal pieces and runs one with
+its own draw; the pad keeps rounding below the cap.  Each sub-step is an
+unsplit step of its own length, so the fixed point stays the zero of Q + L,
+and a step with p < _P_CAP is one piece of length dt, drawn as before.
 
 Two checks end a run with NumericalFault.  The radius max|v - c| is taken
 from d2 once after each sub-step; a moved row that is NaN or inf, or whose
@@ -139,7 +141,8 @@ class ObserverConfig:
     they stay NaN where that box collapses at float precision (a point mass).
     ``compute_sigma`` adds the mean collision frequency, whose convolution
     term is the mean over min(ceil(2^17 / N), N - 1) cyclic shifts of the
-    particles: every shift, and so the exact pair mean, up to N = 363.
+    particles: every shift, and so the exact distinct-pair mean, up to
+    N = 363.
     ``h_reference`` adds the bias-corrected quadratic and the entropy
     H-functional, both from one :func:`~granular_bath.observables.h_phi`
     call per record on one fixed box, built once: the pair (edges, cells) of
@@ -217,7 +220,7 @@ def step_q(
     ``candidates[i]`` is paired with ``candidates[m + i]``: the pairs of the
     step's draw by :func:`_candidates`, with p_q = tau q_max dt.  Each pair
     is accepted with probability |q| / q_max, so a given pair collides with
-    probability tau |q| dt / (N - 1) per step, or tau |q| dt / N for odd N.
+    probability tau |q| dt / (N - 1) per step.
     Returns (accepted collisions,).  A ``q_max`` below a measured |q| raises
     ValueError before any velocity changes.
 
@@ -328,16 +331,16 @@ def _radius(d2: Array) -> float:
 def _candidates(rng: np.random.Generator, n: int, p_q: float, p_l: float) -> tuple[int, Array]:
     """Draw one sub-step's events: m gas-gas pairs, then the bath candidates.
 
-    For p_q + p_l < 1, m ~ Binomial(floor(N/2), p_q): a given pair is drawn
-    with probability p_q / (N - 1), or p_q / N for odd N (the N^2-pair
-    normalization of ``sigma_freq``), and a particle is in one with p_q s,
-    s = 2 floor(N/2) / N.  k ~ Binomial(N - 2m, p_l / (1 - p_q s)), so a
-    particle is a bath candidate with probability p_l.  Returns m and the
-    2m + k distinct indices (pairs first): no particle is in two events.
+    For p_q + p_l < 1, m ~ Binomial(floor(N/2), p_q N / (2 floor(N/2))): a
+    particle is in a pair with probability p_q, and a given pair is drawn
+    with p_q / (N - 1).  The factor N / (2 floor(N/2)) is 1 for even N; for
+    odd N one particle has no pair slot.  k ~ Binomial(N - 2m,
+    p_l / (1 - p_q)), so a particle is a bath candidate with probability
+    p_l.  Returns m and the 2m + k distinct indices (pairs first): no
+    particle is in two events.
     """
-    paired = p_q * (2 * (n // 2) / n)  # p_q s, bitwise p_q for even N
-    m = int(rng.binomial(n // 2, p_q)) if p_q > 0.0 else 0
-    k = int(rng.binomial(n - 2 * m, p_l / (1.0 - paired))) if p_l > 0.0 else 0
+    m = int(rng.binomial(n // 2, p_q * (n / (2 * (n // 2))))) if p_q > 0.0 else 0
+    k = int(rng.binomial(n - 2 * m, p_l / (1.0 - p_q))) if p_l > 0.0 else 0
     return m, rng.choice(n, 2 * m + k, replace=False)
 
 
@@ -456,6 +459,9 @@ def run(
             f"initial velocities too large: |v - c|^2 overflows about c = {centre.tolist()}"
         )
 
+    # _candidates draws each pair slot with p_q s, so the sub-step count
+    # keeps p_q s + p_l below the cap.
+    s = n / (2 * (n // 2))  # 1 for even N
     n_steps = _whole_steps("t_end", config.t_end, dt)
     traj = MomentTrajectory(records=[], config=config)
     traj.records.append(_make_record(vel, 0.0, config, obs, d2))
@@ -466,7 +472,7 @@ def run(
         while left > 0.0 and not fault:
             q_max = 2.0 * radius if tau > 0.0 else 0.0
             l_max = radius + b if bath is not None else 0.0
-            k = int((tau * q_max + l_max / lam) * left * _PAD / _P_CAP) + 1
+            k = int((tau * q_max * s + l_max / lam) * left * _PAD / _P_CAP) + 1
             h = left / k
             left = left - h if k > 1 else 0.0
             m, cand = _candidates(rng, n, tau * q_max * h, l_max * h / lam)

@@ -473,20 +473,21 @@ def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
     """Mean over the particles of the total collision frequency Sigma(f)(v).
 
     Sigma(f)(v) = tau * (|.| convolved with f)(v) + nu(v).  The convolution
-    term is the mean of |v_i - v_j| over all N^2 ordered pairs (i = j
-    included), formed from cyclic shifts: the pairs (k, (k + s) mod N) for
-    every k and for K = min(ceil(DEFAULT_SIGMA_PAIRS / N), N - 1) distinct
-    shifts s in 1..N-1, drawn by ``default_rng(0)`` and so the same at every
-    record of N particles.  Each ordered pair i != j has exactly one shift,
+    term is the mean of |v_i - v_j| over the N (N - 1) ordered distinct
+    pairs, the pair law of ``dsmc.run`` at every N, formed from cyclic
+    shifts: the pairs (k, (k + s) mod N) for every k and for
+    K = min(ceil(DEFAULT_SIGMA_PAIRS / N), N - 1) distinct shifts s in
+    1..N-1, drawn by ``default_rng(0)`` and so the same at every record of N
+    particles.  Each ordered pair i != j has exactly one shift,
     s = j - i mod N, so the mean over the K N sampled distances is unbiased
-    for the mean over distinct pairs, and (N - 1)/N times it for the
-    N^2-pair target.  Up to N = 363, K = N - 1 takes every shift, and the
-    term is that exact N^2-pair mean, with no N x N temporary.  Every
-    particle enters 2K times, a balanced design (Hoeffding, Ann. Math.
-    Statist. 19, 1948), so the linear term of the Hoeffding decomposition
-    cancels from the sampling error: at N = 3000 its spread was 0.68 times
-    the sd(|v - w|) / sqrt(DEFAULT_SIGMA_PAIRS) of as many independent
-    pairs.  A Maxwellian bath's nu term is the mean of
+    for the distinct-pair mean.  Up to N = 363, K = N - 1 takes every shift,
+    and the term is that exact mean, with no N x N temporary.  One particle
+    has no pair, and its term is 0.  Every particle enters 2K times, a
+    balanced design (Hoeffding, Ann. Math. Statist. 19, 1948), so the
+    linear term of the Hoeffding decomposition cancels from the sampling
+    error: at N = 3000 its spread was 0.68 times the
+    sd(|v - w|) / sqrt(DEFAULT_SIGMA_PAIRS) of as many independent pairs.
+    A Maxwellian bath's nu term is the mean of
     :func:`~granular_bath.background.nu` over all N velocities: the sum
     over blocks of ``_PARTICLE_BLOCK`` rows of each block's ``np.sum``,
     divided by N, which is ``np.mean`` to the bit while N fits one block.
@@ -502,10 +503,10 @@ def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
     vel = np.asarray(velocities, dtype=float)
     n = vel.shape[0]
     total = 0.0
-    if tau > 0.0 and n > 1:  # one particle: the one pair (1, 1), at distance 0
+    if tau > 0.0 and n > 1:
         k = min(-(-DEFAULT_SIGMA_PAIRS // n), n - 1)
         shifts = np.random.default_rng(0).choice(n - 1, size=k, replace=False) + 1
-        total += tau * ((n - 1) / n * _shift_mean(vel, shifts.tolist(), vel))
+        total += tau * _shift_mean(vel, shifts.tolist(), vel)
     if bath is not None and bath.table is not None:
         m, r = _PARTICLE_BLOCK, -(-DEFAULT_SIGMA_PAIRS // n)
         draws = sample_bath(bath, m, np.random.default_rng(0))

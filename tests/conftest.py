@@ -1,10 +1,11 @@
 """Helpers shared by the test modules."""
+import math
 import tracemalloc
 
 import numpy as np
 
 from granular_bath import dsmc
-from granular_bath.background import BathParams, TabulatedDensity, nu
+from granular_bath.background import BathParams, TabulatedDensity, nu, sample_bath
 from granular_bath.kinematics import _sq_norm
 from granular_bath.observables import DEFAULT_SIGMA_PAIRS
 
@@ -17,6 +18,16 @@ def skewed_table_bath(lam=1.0, m1=1.0):
     values *= 1.0 + 0.5 * np.tanh(g[..., 0])
     table = TabulatedDensity(axes=(ax, ax, ax), values=values)
     return BathParams(m1=m1, u1=np.zeros(3), theta1=1.0, lambda_=lam, table=table)
+
+
+def nu_mc(bath, v, n_samples, rng):
+    """Monte Carlo estimate of nu(v), with its standard error, from
+    ``sample_bath`` draws: a table's rate under the sweep's cell law, which
+    ``nu`` refuses."""
+    v = np.asarray(v, dtype=float).reshape(3)
+    draws = sample_bath(bath, n_samples, rng)
+    r = np.linalg.norm(v - draws, axis=1) / bath.lambda_
+    return float(r.mean()), float(r.std(ddof=1) / math.sqrt(n_samples))
 
 
 def drawn_sweep(sweep, velocities, dt, *args, rng):
@@ -73,7 +84,7 @@ def sigma_shift_form(vel, bath, tau):
         for s in shifts:
             d = vel - np.roll(vel, -s, axis=0)
             acc += float(np.sum(np.sqrt(np.einsum("ij,ij->i", d, d))))
-        total += tau * ((n - 1) / n * (acc / (k * n)))
+        total += tau * (acc / (k * n))
     if bath is not None:
         total += float(np.mean(nu(bath, vel)))
     return total

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import nu_mc, traced_peak
 
 from granular_bath.background import (
     BathParams,
@@ -17,7 +17,6 @@ from granular_bath.background import (
     linear_steady,
     load_table,
     nu,
-    nu_mc,
     sample_bath,
     sample_partners,
 )
@@ -274,9 +273,9 @@ class TestCollisionFrequency:
         above = float(nu(bath, np.array([1.00001e-4, 0.0, 0.0])))
         assert below == pytest.approx(above, rel=1e-10)
 
-    def test_tabulated_bath_raises_naming_nu_mc(self):
+    def test_tabulated_bath_raises_naming_sample_bath(self):
         # A table has no closed form; its rate is the sampled cell law's.
-        with pytest.raises(ValueError, match="nu_mc"):
+        with pytest.raises(ValueError, match="over sample_bath draws"):
             nu(tabulated_bath(), np.zeros(3))
 
     def test_vectorized_matches_scalar(self):

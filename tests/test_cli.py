@@ -594,7 +594,7 @@ class TestMain:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("out of memory: ")
         assert "Traceback" not in proc.stderr
-        assert not (tmp_path / "o" / "trajectory.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

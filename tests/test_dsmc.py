@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import drawn_sweep, skewed_table_bath, traced_peak
+from conftest import drawn_sweep, nu_mc, skewed_table_bath, traced_peak
 
 from granular_bath import dsmc
 from granular_bath.background import BathParams, linear_steady, nu
@@ -161,8 +161,6 @@ class TestStepL:
         # l_max = |v - u1| + E B(W): per particle and step the collision
         # probability is nu(v) dt, also for m1 != 1, a shifted u1 and a
         # tabulated bath.
-        from granular_bath.background import nu_mc
-
         rng = np.random.default_rng(71)
         if kind == "tabulated":
             bath = skewed_table_bath(lam=1.5)
@@ -192,10 +190,9 @@ class TestStepL:
 
 
 class TestCandidates:
-    # run's one candidate law, dsmc._candidates, against its marginals: a
-    # particle is a bath candidate with probability p_l and in a pair with
-    # p_q, or p_q (N - 1) / N for odd N, where one particle sits out; the
-    # pair {0, 1} is drawn with p_q / (N - 1), or p_q / N for odd N.
+    # run's one candidate law, dsmc._candidates, against its marginals at
+    # every N: a particle is a bath candidate with probability p_l and in a
+    # pair with p_q, and the pair {0, 1} is drawn with p_q / (N - 1).
 
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize(
@@ -216,9 +213,7 @@ class TestCandidates:
         bathed = np.bincount(flat[~in_pair], minlength=n)
         first = np.flatnonzero(pos < m)  # candidates[i], paired with [m + i]
         pair01 = np.count_nonzero(flat[first] + flat[first + m[first]] == 1)  # only {0, 1}
-        pair_want = p_q * (2 * (n // 2)) / n
-        pair01_want = p_q * (n // 2) / (n * (n - 1) / 2)
-        for got, want in ((bathed, p_l), (paired, pair_want), (pair01, pair01_want)):
+        for got, want in ((bathed, p_l), (paired, p_q), (pair01, p_q / (n - 1))):
             se = math.sqrt(want * (1.0 - want) / draws)
             assert np.all(np.abs(np.asarray(got) / draws - want) <= 4.0 * se), (got, want)
 
@@ -735,6 +730,7 @@ class TestFaults:
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical fault: non-finite velocities or |v - c|^2 overflow at step 2," in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("tau", [0.0, 1.0])
     def test_overflowing_initial_ensemble_is_rejected(self, tau):
@@ -850,6 +846,20 @@ class TestFaults:
         assert math.fsum(h for h, _, _ in subs) == pytest.approx(config.dt, rel=1e-14)
         for h, l_max, tau_q_max in subs:
             assert h * (tau_q_max + l_max / bath.lambda_) < 1.0
+
+    def test_odd_n_pair_slots_split_the_step(self):
+        # N = 3 about the centre 0 with radius 1: p_q = tau q_max dt = 0.8,
+        # but _candidates draws its one pair slot with p_q N / (2 floor(N/2))
+        # = 1.2.  A sub-step count without that factor keeps the step whole,
+        # and the binomial draw refuses a probability above 1.
+        init = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        config = SimConfig(
+            tau=1.0, restitution=RestitutionParams(epsilon=0.8, e=1.0, m1=1.0),
+            bath=None, dt=0.4, t_end=2.0, n_particles=3, seed=7,
+        )
+        traj = run(config, ObserverConfig(record_every=1), init=init)
+        assert traj.times().tolist() == pytest.approx([0.0, 0.4, 0.8, 1.2, 1.6, 2.0])
+        assert traj.candidates_q > 0
 
 
 class TestDetectSteady:

@@ -572,11 +572,11 @@ class TestHaffFit:
 
 class TestSigmaFreq:
     def test_small_sample_exact(self):
-        # N = 2 with no bath: Sigma = tau * mean over rows of mean |v_i - v_j|
-        #   = tau * (0 + d)/2 averaged over both rows = tau * d / 2.
+        # N = 2 with no bath: Sigma = tau * mean of |v_i - v_j| over the two
+        # ordered distinct pairs, each at distance d: tau * d.
         vel = np.array([[0.0, 0, 0], [3.0, 0, 0]])
         got = sigma_freq(vel, None, tau=2.0)
-        assert got == pytest.approx(2.0 * 1.5, rel=1e-12)
+        assert got == pytest.approx(2.0 * 3.0, rel=1e-13, abs=0.0)
 
     def test_bath_only_at_mean(self):
         # All particles at u1: Sigma = nu(u1) = E1 / lambda.
@@ -599,7 +599,7 @@ class TestSigmaFreq:
             d = np.linalg.norm(vel[lo : lo + 500, None, :] - vel[None, :, :], axis=-1)
             total += float(d.sum())
             total_sq += float(np.sum(d**2))
-        n_pairs = vel.shape[0] ** 2
+        n_pairs = vel.shape[0] * (vel.shape[0] - 1)  # the i = j zeros add nothing
         exact = total / n_pairs
         se = math.sqrt(total_sq / n_pairs - exact**2) / math.sqrt(DEFAULT_SIGMA_PAIRS)
         got = sigma_freq(vel, None, tau=1.0)
@@ -616,26 +616,30 @@ class TestSigmaFreq:
             d = np.linalg.norm(vel[lo : lo + 100, None, :] - vel[None, :, :], axis=-1)
             total += float(d.sum())
             total_sq += float(np.sum(d**2))
-        exact = total / n**2
-        se = math.sqrt(total_sq / n**2 - exact**2) / math.sqrt(DEFAULT_SIGMA_PAIRS)
+        n_pairs = n * (n - 1)  # the i = j zeros add nothing
+        exact = total / n_pairs
+        se = math.sqrt(total_sq / n_pairs - exact**2) / math.sqrt(DEFAULT_SIGMA_PAIRS)
         got = sigma_freq(vel, None, tau=1.0)
         assert abs(got - exact) <= 4.0 * se, (got, exact, se)
 
     @pytest.mark.parametrize("n", [1, 3, 362])
     def test_every_shift_up_to_363(self, n):
         # Up to N = 363 the design takes all N - 1 shifts: the exact mean
-        # over all N^2 pairs, to rounding.
+        # over the N (N - 1) distinct pairs, to rounding.  One particle has
+        # no pair, and its term is 0.
         vel = np.random.default_rng(n).normal(size=(n, 3)) + np.array([0.5, -1.0, 0.0])
-        exact = float(np.mean(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
+        total = float(np.sum(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
+        exact = total / (n * (n - 1)) if n > 1 else 0.0
         assert sigma_freq(vel, None, tau=1.0) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_all_shifts_give_the_exact_mean(self):
-        # Every ordered pair i != j has one shift, j - i mod N; the factor
-        # (N - 1)/N adds the N zero distances i = j.
+        # Every ordered pair i != j has one shift, j - i mod N, so all N - 1
+        # shifts give the mean over the distinct pairs.
         n = 400
         vel = np.random.default_rng(16).normal(size=(n, 3)) + np.array([1.0, 0.0, -2.0])
-        exact = float(np.mean(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
-        got = (n - 1) / n * _shift_mean(vel, range(1, n), vel)
+        total = float(np.sum(np.linalg.norm(vel[:, None, :] - vel[None, :, :], axis=-1)))
+        exact = total / (n * (n - 1))
+        got = _shift_mean(vel, range(1, n), vel)
         assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_blocks_match_whole_rows(self):
