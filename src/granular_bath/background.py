@@ -27,6 +27,7 @@ __all__ = [
     "BathParams",
     "TabulatedDensity",
     "TableFormatError",
+    "NumericalFault",
     "load_table",
     "sample_bath",
     "sample_partners",
@@ -45,6 +46,13 @@ Array = np.ndarray
 
 class TableFormatError(ValueError):
     """Raised when a tabulated-density CSV violates the format contract."""
+
+
+class NumericalFault(RuntimeError):
+    """A numerical failure of either solver, reported in one line: a
+    non-finite particle state, a kernel grid that is mis-normalized or too
+    coarse for the bath, a steady iteration that does not converge, or a
+    sample outside the reference density's support."""
 
 
 @dataclass(frozen=True)

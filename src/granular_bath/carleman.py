@@ -43,14 +43,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .background import BathParams, bath_density, nu
+from .background import BathParams, NumericalFault, bath_density, nu
 from .kinematics import RestitutionParams, _orthonormal_frame
 
 __all__ = [
     "KernelGrid",
     "SteadyState",
-    "KernelBuildError",
-    "ConvergenceError",
     "kernel_closed_form",
     "kernel_quadrature",
     "make_grid",
@@ -60,19 +58,6 @@ __all__ = [
 ]
 
 Array = np.ndarray
-
-
-class KernelBuildError(RuntimeError):
-    """Raised when the discrete kernel cannot be assembled consistently."""
-
-
-class ConvergenceError(RuntimeError):
-    """Fixed-point iteration failed; carries the last iterate and residual."""
-
-    def __init__(self, message: str, last_iterate: Array, residual: float):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
 
 
 def _stretch_offset(restitution: RestitutionParams) -> float:
@@ -334,7 +319,7 @@ def _check_column_defect(defect: Array, nu_col: Array) -> None:
     rel = defect / nu_col
     worst = float(rel.min())
     if worst < -_DEFECT_LIMIT:
-        raise KernelBuildError(
+        raise NumericalFault(
             f"kernel column sums overshoot nu by {-worst:.3e} (relative); "
             f"the closed-form kernel is mis-normalized"
         )
@@ -357,9 +342,9 @@ def make_grid(
     where the kernel is a thin ridge in the gain variable) the midpoint
     lattice sum can overshoot the continuum column integral by up to ~1% of
     nu, leaving a marginally negative diagonal there.  That overshoot is a
-    benign quadrature artifact; the build only fails when the defect exceeds
-    a few percent of nu, which indicates a genuinely wrong kernel rather
-    than coarse resolution.
+    benign quadrature artifact; the build only fails, with NumericalFault,
+    when the defect exceeds a few percent of nu, which indicates a genuinely
+    wrong kernel rather than coarse resolution.
 
     Only the rows of the orbit representatives are evaluated, in blocks of
     2^18 kernel values (2 MB; 8 rows at n = 32), and each block is folded in
@@ -484,6 +469,7 @@ def steady_state(
     a grid of at most 5000 nodes.  Initial data that are not finite,
     nonnegative node values with positive mass raise ValueError, as do a
     ``max_iter`` below 1 and a ``tol`` that is not positive and finite.
+    No convergence within ``max_iter`` iterations raises NumericalFault.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -514,10 +500,7 @@ def steady_state(
             f = g[nodes]
             u, theta = _grid_moments(grid, f)
             return SteadyState(f=f, theta=theta, u=u, iterations=it, residual=dist)
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations (residual {dist:.3e})",
-        last_iterate=g[nodes], residual=dist,
-    )
+    raise NumericalFault(f"no convergence after {max_iter} iterations (residual {dist:.3e})")
 
 
 def write_grid_csv(path: str | Path, grid: KernelGrid, f: Array) -> None:

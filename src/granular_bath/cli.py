@@ -10,12 +10,13 @@ full      pair collisions + bath: driven steady state with bound report.
 validate  fast self-check suite, one PASS/FAIL line per invariant.
 
 Config files are strict JSON: every key must be known *and* meaningful for
-the requested mode (e.g. bath keys are rejected in cooling mode, ``epsilon``
-is rejected in linear mode where pair collisions are switched off).  All
-defaults are in ``DEFAULTS``; ``lambda`` is the JSON spelling of the bath
-coupling scale.  The initial ensemble is always the standard normal draw
-(unit temperature, zero mean) from the run seed, so a (config, seed) pair
-pins the entire trajectory bit-for-bit.
+the requested mode (e.g. bath keys are rejected in cooling mode, ``tau`` and
+``epsilon`` are rejected in linear mode, where pair collisions are switched
+off).  All defaults are in ``DEFAULTS``; ``lambda`` is the JSON spelling of
+the bath coupling scale.  The initial ensemble is always the standard normal
+draw (unit temperature, zero mean) from the run seed, so a (config, seed)
+pair pins the entire trajectory bit-for-bit.  A config whose collision work
+per particle would pass ``_EVENTS_CAP`` is refused.
 
 Exit codes: 0 success, 1 configuration error, 2 temperature-bound violation
 beyond the Monte Carlo allowance, 3 numerical fault or memory exhausted (a
@@ -36,11 +37,10 @@ from typing import Callable, NoReturn, Sequence
 import numpy as np
 
 from .background import (
-    BathParams, TableFormatError, abs_moment, erf, linear_steady, load_table, nu,
+    BathParams, NumericalFault, TableFormatError, abs_moment, erf, linear_steady,
+    load_table, nu,
 )
 from .carleman import (
-    ConvergenceError,
-    KernelBuildError,
     dense_matrix,
     kernel_closed_form,
     kernel_quadrature,
@@ -50,7 +50,6 @@ from .carleman import (
 )
 from .dsmc import (
     MomentTrajectory,
-    NumericalFault,
     ObserverConfig,
     SimConfig,
     _whole_steps,
@@ -74,7 +73,6 @@ from .observables import (
     BoundParams,
     DegenerateParameterError,
     FitRefusedError,
-    SupportMismatchError,
     _fmt,
     bound_params,
     box_edges,
@@ -106,6 +104,11 @@ _H_BINS = 32  # cells per axis of the linear-mode H box
 # grids (nodes/extent 8/5, 10/4, 12/3, 32/8) lie within 1%, and too narrow
 # or too coarse ones (24/2, 6/6, 5/0.5, 4/20) 15% or more off.
 _GRID_THETA_TOL = 0.02
+# Most candidate collisions per particle that a config may ask for.  A run
+# splits each step into about dt (2 tau R + (R + b) / lambda) sub-steps, R the
+# radius max|v - c| (see dsmc), so a run at the cap spends about 14 s in its
+# sweeps at N = 100 and 3.4 min at N = 2e4 (see the README).
+_EVENTS_CAP = 1e5
 
 DEFAULTS: dict = {
     "tau": 1.0,
@@ -128,7 +131,7 @@ _ALLOWED_KEYS = {
     "cooling": _COMMON_KEYS
     + ("tau", "epsilon", "dt", "t_end", "n_particles", "record_every"),
     "linear": _COMMON_KEYS
-    + ("tau", "e", "m1", "u1", "theta1", "lambda", "dt", "t_end",
+    + ("e", "m1", "u1", "theta1", "lambda", "dt", "t_end",
        "n_particles", "record_every", "grid"),
     "full": _COMMON_KEYS
     + ("tau", "epsilon", "e", "m1", "u1", "theta1", "lambda", "dt", "t_end",
@@ -183,6 +186,21 @@ def _as_int(raw: dict, key: str, lo: int, hi: int | None = None) -> int:
     return value
 
 
+def _start_radius(n: int) -> float:
+    """The median of max|v| over ``n`` standard-normal velocities.
+
+    That is the r with P(|v| > r) = 1 - 2^(-1/n), where P(|v| > r) =
+    erfc(r / sqrt 2) + sqrt(2 / pi) r exp(-r^2 / 2); bisection on [0, 40].
+    """
+    target = -math.expm1(-math.log(2.0) / n)
+    lo, hi = 0.0, 40.0
+    for _ in range(60):
+        r = 0.5 * (lo + hi)
+        tail = math.erfc(r / math.sqrt(2.0)) + math.sqrt(2.0 / math.pi) * r * math.exp(-r * r / 2)
+        lo, hi = (r, hi) if tail > target else (lo, r)
+    return hi
+
+
 def parse_config(
     path: str | Path,
     expect_mode: str | None = None,
@@ -228,7 +246,7 @@ def parse_config_dict(
     for key in allowed:
         if key in ("mode", "f1_table"):
             continue
-        merged.setdefault(key, 0.0 if (key, mode) == ("tau", "linear") else DEFAULTS[key])
+        merged.setdefault(key, DEFAULTS[key])
     if seed_override is not None:
         merged["seed"] = seed_override
 
@@ -240,11 +258,9 @@ def parse_config_dict(
             normalized=normalized,
         )
 
-    tau = _as_float(merged, "tau", lo=0.0)
+    tau = 0.0 if mode == "linear" else _as_float(merged, "tau", lo=0.0)
     if mode == "cooling" and tau == 0.0:
         raise ConfigError("key 'tau' must be positive in cooling mode")
-    if mode == "linear" and tau != 0.0:
-        raise ConfigError(f"key 'tau' must be 0 in linear mode, got {tau!r}")
     dt = _as_float(merged, "dt", lo=0.0, lo_open=True)
     t_end = _as_float(merged, "t_end", lo=dt)
     _whole_steps("key 't_end'", t_end, dt, ConfigError)
@@ -306,6 +322,20 @@ def parse_config_dict(
         grid_extent = _as_float(grid, "grid.extent", lo=0.0, lo_open=True)
         merged["grid"] = {"nodes": grid_nodes, "extent": grid_extent}
 
+    # Candidate collisions per particle over the run, t_end (2 tau R0 +
+    # (R0 + b) / lambda), at the start's radius R0 about c: u1, or the mean.
+    r0 = _start_radius(n_particles)
+    bath_rate = 0.0
+    if bath is not None:
+        r0 += float(np.linalg.norm(bath.u1))
+        bath_rate = (r0 + bath.bound_mean) / bath.lambda_
+    events = t_end * (2.0 * tau * r0 + bath_rate)
+    if events > _EVENTS_CAP:
+        raise ConfigError(
+            f"the run would draw about {events:.3g} candidate collisions per "
+            f"particle, t_end (2 tau R0 + (R0 + b) / lambda), above the cap of "
+            f"{_EVENTS_CAP:.0e}; raise 'lambda' or lower 'tau' or 't_end'"
+        )
     sim = SimConfig(
         tau=tau, restitution=restitution, bath=bath, dt=dt, t_end=t_end,
         n_particles=n_particles, seed=seed,
@@ -433,9 +463,8 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
     """Run one configured pipeline, writing outputs into ``out_dir``.
 
     ``out_dir`` is created just before the first file is written, so a run
-    that fails before then leaves no directory behind.  Numerical failures
-    and MemoryError propagate as exceptions; :func:`main` maps them to exit
-    code 3.
+    that fails before then leaves no directory behind.  NumericalFault and
+    MemoryError propagate; :func:`main` maps them to exit code 3.
     """
     if parsed.mode == "validate":
         return run_validation(seed=parsed.normalized["seed"])
@@ -817,7 +846,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         return execute(parsed, out_dir=args.out)
-    except (NumericalFault, SupportMismatchError, KernelBuildError, ConvergenceError) as exc:
+    except NumericalFault as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

@@ -55,19 +55,20 @@ Two checks end a run with NumericalFault.  The radius max|v - c| is taken
 from d2 once after each sub-step; a moved row that is NaN or inf, or whose
 |v - c|^2 overflows, makes it non-finite, and the run stops at that step.
 Each record step also checks every velocity for finiteness before it
-writes, which catches a non-finite row that no sweep reported.
+writes, which catches a non-finite row that no sweep reported.  A fault
+writes nothing: the run is a function of (config, init), so the same
+arguments replay it bit for bit.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .background import BathParams, sample_partners
+from .background import BathParams, NumericalFault, sample_partners
 from .kinematics import RestitutionParams, _sq_norm, collide_l_sigma, collide_q
 from .observables import (
     MomentRecord,
@@ -87,7 +88,6 @@ __all__ = [
     "ObserverConfig",
     "MomentTrajectory",
     "SteadyVerdict",
-    "NumericalFault",
     "step_q",
     "step_l",
     "run",
@@ -95,14 +95,6 @@ __all__ = [
 ]
 
 Array = np.ndarray
-
-
-class NumericalFault(RuntimeError):
-    """Fatal numerical failure (non-finite velocities or |v - c|^2, failed kernel build)."""
-
-    def __init__(self, message: str, dump_path: str | None = None):
-        super().__init__(message)
-        self.dump_path = dump_path
 
 
 @dataclass(frozen=True)
@@ -378,19 +370,6 @@ def _make_record(
     return dataclasses.replace(rec, **extras) if extras else rec
 
 
-def _dump_fault(velocities: Array, step: int, t: float, rng: np.random.Generator) -> str:
-    path = Path(tempfile.gettempdir()) / f"granular_bath_fault_step{step}.npz"
-    state = rng.bit_generator.state
-    np.savez(
-        path,
-        velocities=velocities,
-        step=step,
-        t=t,
-        rng_state=np.array(repr(state)),
-    )
-    return str(path)
-
-
 def _whole_steps(name: str, span: float, dt: float, error: type = ValueError) -> int:
     """The whole number of steps dt in ``span`` (1e-9 relative), at least
     one, else ``error``."""
@@ -427,10 +406,13 @@ def run(
     below one step, an ``init`` of another shape or with a non-finite
     entry, or an initial ensemble whose |v - c|^2 overflows, raises
     ValueError before the first record.  NumericalFault is raised at the
-    step whose moved rows make the radius non-finite (a NaN or an
-    |v - c|^2 overflow), or at the first record step that finds a
-    non-finite velocity, after the state is dumped to the temporary
-    directory.
+    step S whose moved rows make the radius non-finite (a NaN or an
+    |v - c|^2 overflow), or at the first record step S that finds a
+    non-finite velocity; its one-line message ends "at step S, t = T", and
+    the run writes no file.  To inspect the state just before the fault,
+    rerun the same (config, init) with t_end = (S - 1) dt, S > 1: records
+    draw nothing from the generator, so that run takes the same stream and
+    returns the state in ``traj.final``.
     """
     obs = observers or ObserverConfig()
     rng = np.random.default_rng(config.seed)
@@ -500,11 +482,8 @@ def run(
         t = step * dt
         record = step % obs.record_every == 0 or step == n_steps
         if fault or (record and not np.all(np.isfinite(vel))):
-            path = _dump_fault(vel, step, t, rng)
             raise NumericalFault(
-                f"non-finite velocities or |v - c|^2 overflow at step {step}, "
-                f"t = {t:.6g}; diagnostics dumped to {path}",
-                dump_path=path,
+                f"non-finite velocities or |v - c|^2 overflow at step {step}, t = {t:.6g}"
             )
         if record:
             traj.records.append(_make_record(vel, t, config, obs, d2))

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .background import _PARTICLE_BLOCK, BathParams, c0, nu, sample_bath
+from .background import _PARTICLE_BLOCK, BathParams, NumericalFault, c0, nu, sample_bath
 from .kinematics import RestitutionParams, _sq_norm
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "HaffFit",
     "DegenerateParameterError",
     "FitRefusedError",
-    "SupportMismatchError",
     "moments",
     "f_aux",
     "f_aux_stderr",
@@ -70,10 +69,6 @@ class DegenerateParameterError(ValueError):
 
 class FitRefusedError(ValueError):
     """Raised when a trajectory does not qualify for the requested fit."""
-
-
-class SupportMismatchError(ValueError):
-    """Raised when the reference density vanishes on occupied histogram cells."""
 
 
 @dataclass(frozen=True)
@@ -341,7 +336,7 @@ def h_phi(hist: Histogram, reference: Array) -> tuple[float, float]:
     push it below zero.  ``reference`` holds the reference's cell averages
     on the cells of ``hist``, as fhat does (:func:`maxwellian_cells`).
     Cells where fhat > 0 but the reference vanishes raise
-    SupportMismatchError.  Empty cells contribute vol * F * Phi(0) = vol * F
+    NumericalFault.  Empty cells contribute vol * F * Phi(0) = vol * F
     to both.  One pass serves both: the cell masks, x = fhat / F and the
     empty cells' mass are formed once.
 
@@ -362,7 +357,7 @@ def h_phi(hist: Histogram, reference: Array) -> tuple[float, float]:
     filled = density > 0.0
     bad = filled & (ref <= 0.0)
     if np.any(bad):
-        raise SupportMismatchError(
+        raise NumericalFault(
             f"reference density vanishes on {int(np.count_nonzero(bad))} occupied cells"
         )
     pos = ref > 0.0

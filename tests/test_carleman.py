@@ -13,10 +13,11 @@ import pytest
 from conftest import traced_peak
 
 from granular_bath.background import (
-    BathParams, TabulatedDensity, bath_density, linear_steady, nu,
+    BathParams, NumericalFault, TabulatedDensity, bath_density, linear_steady, nu,
 )
 from granular_bath.carleman import (
-    ConvergenceError,
+    _DEFECT_LIMIT,
+    _check_column_defect,
     _Lattice,
     _kernel_safe,
     _orbit_decomposition,
@@ -195,6 +196,17 @@ class TestGridAssembly:
             return float(rel[r <= 3.0].max())
 
         assert core_defect(grid12) / core_defect(grid24) >= 2.0
+
+    def test_column_defect_guard_on_either_side_of_its_limit(self):
+        # defect = nu - (column sum): a column that overshoots nu by 6% fails
+        # the build, and every column overshooting by 4% passes it.
+        assert _DEFECT_LIMIT == 0.05
+        nu_col = np.linspace(0.5, 3.0, 20)
+        one_over = np.zeros_like(nu_col)
+        one_over[7] = -0.06 * nu_col[7]
+        with pytest.raises(NumericalFault, match=r"^kernel column sums overshoot nu by 6\.000e-02"):
+            _check_column_defect(one_over, nu_col)
+        _check_column_defect(-0.04 * nu_col, nu_col)
 
     def test_elastic_fixed_point_machine_exact(self):
         g = make_grid(rest_at(1.0, 1.0), bath_at(), n=12, extent_sigma=6.0)
@@ -399,17 +411,14 @@ class TestSteadyState:
     ])
     def test_rejects_bad_loop_settings(self, grid12, kwargs):
         # With no iteration there is no residual to report, and a tol that
-        # no residual can meet would end in a ConvergenceError.
+        # no residual can meet would end in a NumericalFault.
         name = next(iter(kwargs))
         with pytest.raises(ValueError, match=name):
             steady_state(grid12, **kwargs)
 
-    def test_convergence_error_carries_last_iterate(self, grid12):
-        with pytest.raises(ConvergenceError) as exc_info:
+    def test_no_convergence_is_a_numerical_fault(self, grid12):
+        with pytest.raises(NumericalFault, match=r"^no convergence after 2 iterations \(residual "):
             steady_state(grid12, tol=1e-16, max_iter=2)
-        err = exc_info.value
-        assert err.last_iterate.shape == (grid12.n_nodes,)
-        assert err.residual > 0.0
 
 
 class TestLinearClosedForm:

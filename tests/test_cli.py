@@ -12,8 +12,7 @@ import pytest
 from conftest import sigma_shift_form
 
 from granular_bath import cli
-from granular_bath.background import load_table
-from granular_bath.carleman import ConvergenceError, KernelBuildError
+from granular_bath.background import NumericalFault, load_table
 from granular_bath.cli import (
     DEFAULTS,
     MODES,
@@ -35,15 +34,16 @@ def write_config(tmp_path: Path, obj: dict, name: str = "config.json") -> Path:
     return path
 
 
-def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+def fresh_interpreter(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """``python *args`` in a new interpreter that imports this package: its
     modules start unloaded, and an exception escaping main shows as the
-    interpreter's own traceback on standard error."""
+    interpreter's own traceback on standard error.  A run past ``timeout``
+    seconds is killed and fails the test."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -118,10 +118,10 @@ class TestSchema:
         assert parsed.normalized["epsilon"] == DEFAULTS["epsilon"]
         assert parsed.normalized["seed"] == DEFAULTS["seed"]
 
-    def test_linear_defaults_to_zero_tau(self):
+    def test_linear_runs_at_zero_tau_and_has_no_tau_key(self):
         parsed = parse_config_dict({"mode": "linear"})
         assert parsed.sim.tau == 0.0
-        assert parsed.normalized["tau"] == 0.0
+        assert "tau" not in parsed.normalized
         assert parsed.normalized["grid"] == DEFAULTS["grid"]
 
     def test_custom_values_survive_round_trip(self):
@@ -163,8 +163,11 @@ class TestSchema:
             parse_config_dict({"mode": "full", "grid": {"nodes": 8}})
 
     def test_tau_mode_coupling(self):
-        with pytest.raises(ConfigError, match="tau"):
-            parse_config_dict({"mode": "linear", "tau": 1.0})
+        # Linear mode has no pair collisions, so it takes no tau at all, not
+        # even the 0 it runs at.
+        for tau in (1.0, 0.0):
+            with pytest.raises(ConfigError, match="'tau' is not allowed in linear mode"):
+                parse_config_dict({"mode": "linear", "tau": tau})
         with pytest.raises(ConfigError, match="tau"):
             parse_config_dict({"mode": "cooling", "tau": 0.0})
 
@@ -596,6 +599,33 @@ class TestMain:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"mode": "full", "lambda": 1e-12, "n_particles": 100, "t_end": 0.01},
+            {"mode": "linear", "lambda": 1e-12, "n_particles": 100, "t_end": 0.01},
+            {"mode": "cooling", "epsilon": 1.0, "tau": 1e4, "n_particles": 100, "t_end": 10.0},
+        ],
+        ids=["full-lambda", "linear-lambda", "elastic-cooling-tau"],
+    )
+    def test_unbounded_work_is_one_config_error_line(self, tmp_path, config):
+        # At lambda = 1e-12 one step of 0.01 splits into about 5e10 sub-steps,
+        # which the run would take 8e6 s to draw, and an elastic gas at
+        # tau = 1e4 keeps its radius for 7e5 events per particle, about 100 s:
+        # the parser refuses both before any output, and the short timeout
+        # fails a run that starts instead.
+        path = write_config(tmp_path, config)
+        proc = fresh_interpreter(
+            "-m", "granular_bath.cli", config["mode"], "--config", str(path),
+            "--out", str(tmp_path / "o"), timeout=20,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("config error: the run would draw about ")
+        assert "above the cap of 1e+05" in lines[0]
+        assert not (tmp_path / "o").exists()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["--help"])
@@ -639,8 +669,8 @@ class TestMain:
     @pytest.mark.parametrize(
         "target, exc",
         [
-            ("make_grid", KernelBuildError("kernel column sums overshoot nu")),
-            ("steady_state", ConvergenceError("no convergence", np.zeros(1), 1.0)),
+            ("make_grid", NumericalFault("kernel column sums overshoot nu")),
+            ("steady_state", NumericalFault("no convergence after 1 iterations")),
         ],
     )
     def test_grid_failures_exit_three(self, tmp_path, capsys, monkeypatch, target, exc):
@@ -652,8 +682,8 @@ class TestMain:
         rc = main(["linear", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert str(exc) in err
-        assert "Traceback" not in err
+        assert err == f"numerical fault: {exc}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_out_directory_created(self, tmp_path):
         path = write_config(tmp_path, dict(COOLING_SMOKE, t_end=0.2))

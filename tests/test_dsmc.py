@@ -10,10 +10,9 @@ import pytest
 from conftest import drawn_sweep, nu_mc, skewed_table_bath, traced_peak
 
 from granular_bath import dsmc
-from granular_bath.background import BathParams, linear_steady, nu
+from granular_bath.background import BathParams, NumericalFault, linear_steady, nu
 from granular_bath.dsmc import (
     MomentTrajectory,
-    NumericalFault,
     ObserverConfig,
     SimConfig,
     detect_steady,
@@ -624,39 +623,35 @@ class TestFaults:
         np.testing.assert_array_equal(init, before)
         assert not np.shares_memory(traj.final, init)
 
-    def test_nan_during_run_dumps_and_raises(self, tmp_path, monkeypatch):
-        # Poison the bath sweep so velocities go non-finite mid-run; the
-        # driver must dump diagnostics and raise a numerical fault.
-        import tempfile
-
-        import granular_bath.dsmc as dsmc_mod
-
-        monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
-
+    def test_nan_that_no_sweep_reports_is_found_at_the_record(self, monkeypatch):
+        # A bath sweep that writes a NaN without updating the cache leaves
+        # the radius finite; the record step's full check finds the row.
         def poisoned_step_l(velocities, *args, **kwargs):
             velocities[0, 0] = math.nan
             return (1,)
 
-        monkeypatch.setattr(dsmc_mod, "step_l", poisoned_step_l)
+        monkeypatch.setattr(dsmc, "step_l", poisoned_step_l)
         rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
         config = SimConfig(
             tau=0.0, restitution=rest, bath=bath_at(), dt=0.01, t_end=0.5,
             n_particles=100, seed=54,
         )
-        with pytest.raises(NumericalFault) as exc_info:
+        with pytest.raises(NumericalFault, match=r"overflow at step 10, t = 0\.1$"):
             run(config)
-        dump = exc_info.value.dump_path
-        assert dump is not None
-        with np.load(dump) as data:
-            assert np.isnan(data["velocities"]).any()
 
-    def test_nan_in_a_moved_row_stops_the_run_at_that_step(self, tmp_path, monkeypatch):
+    def test_nan_in_a_moved_row_stops_the_run_at_that_step(self, monkeypatch):
         # A NaN written by the bath collision map at step 3 reaches the cache
         # at the moved row, and the radius taken after the step is NaN: the
-        # run stops at step 3, not at the record of step 10.
-        import tempfile
+        # run stops at step 3, not at the record of step 10.  Records draw
+        # nothing from the generator, so a run to t_end = 2 dt replays the
+        # state that step 3 started from.
+        starts = []
 
-        monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
+        def watched_step_l(velocities, *args, **kwargs):
+            starts.append(velocities.copy())
+            return step_l(velocities, *args, **kwargs)
+
+        monkeypatch.setattr(dsmc, "step_l", watched_step_l)
         collide = dsmc.collide_l_sigma
         calls = []
 
@@ -673,11 +668,12 @@ class TestFaults:
             tau=1.0, restitution=rest, bath=bath_at(), dt=0.01, t_end=0.5,
             n_particles=2000, seed=87,
         )
-        with pytest.raises(NumericalFault, match="at step 3,") as exc_info:
+        with pytest.raises(NumericalFault, match=r"at step 3, t = 0\.03$"):
             run(config)
-        with np.load(exc_info.value.dump_path) as data:
-            assert int(data["step"]) == 3
-            assert np.isnan(data["velocities"]).any()
+        assert len(starts) == 3
+        monkeypatch.setattr(dsmc, "collide_l_sigma", collide)
+        replay = run(dataclasses.replace(config, t_end=0.02))
+        assert replay.final.tobytes() == starts[2].tobytes()
 
     def overflowing_step_l(self, at_call):
         # The real sweep, then 1e200 written into a row it was given, with
@@ -695,12 +691,9 @@ class TestFaults:
 
         return sweep
 
-    def test_overflow_of_a_moved_row_is_a_numerical_fault(self, tmp_path, monkeypatch):
+    def test_overflow_of_a_moved_row_is_a_numerical_fault(self, monkeypatch):
         # |v - u1|^2 of a velocity of 1e200 overflows to inf: the velocities
         # are finite, the radius is not, and the run stops at that step.
-        import tempfile
-
-        monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
         monkeypatch.setattr(dsmc, "step_l", self.overflowing_step_l(3))
         rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
         config = SimConfig(
@@ -709,17 +702,20 @@ class TestFaults:
         )
         with pytest.raises(NumericalFault) as exc_info, np.errstate(over="ignore"):
             run(config)
-        assert "non-finite velocities or |v - c|^2 overflow at step 3," in str(exc_info.value)
-        with np.load(exc_info.value.dump_path) as data:
-            assert np.all(np.isfinite(data["velocities"]))
+        message = "non-finite velocities or |v - c|^2 overflow at step 3, t = 0.03"
+        assert str(exc_info.value) == message
 
     def test_overflow_of_a_moved_row_exits_3_from_the_cli(self, tmp_path, monkeypatch, capsys):
+        # One line on standard error, and no file anywhere: not in --out and
+        # not in the temporary directory.
         import json
         import tempfile
 
         from granular_bath import cli
 
-        monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
         monkeypatch.setattr(dsmc, "step_l", self.overflowing_step_l(2))
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(
@@ -729,8 +725,12 @@ class TestFaults:
             code = cli.main(["full", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "numerical fault: non-finite velocities or |v - c|^2 overflow at step 2," in err
+        assert err.splitlines() == [
+            "numerical fault: non-finite velocities or |v - c|^2 overflow at step 2, t = 0.02"
+        ]
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+        assert list(temp.iterdir()) == []
 
     @pytest.mark.parametrize("tau", [0.0, 1.0])
     def test_overflowing_initial_ensemble_is_rejected(self, tau):
