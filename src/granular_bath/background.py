@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kinematics import RestitutionParams, _sq_norm
+from .kinematics import RestitutionParams, _sq_norm, _uniform_sphere
 
 __all__ = [
     "BathParams",
@@ -259,24 +259,30 @@ def sample_partners(
     """``n`` bath velocities from F1, then ``n_biased`` from the size-biased
     law B F1 / b (b = ``bath.bound_mean``), with their bounds B(w) >= |w - u1|.
 
-    Maxwellian: B(w) = |w - u1|; a size-biased draw is u1 + sigma_th z3
-    |z4| / |z3|, z4 a 4-D standard normal and z3 its first three components.
+    Maxwellian: B(w) = |w - u1|.  |W - u1| / sigma_th is chi_3, its
+    size-biased law is chi_4, and a Gaussian's direction is independent of
+    its radius: so a size-biased draw is u1 + sigma_th rho omega, with
+    rho^2 = -2 ln((1 - U1)(1 - U2)) from ``rng.random((2, n_biased))`` and
+    omega from :func:`~granular_bath.kinematics._uniform_sphere`, drawn in
+    that order, and its bound is sigma_th rho.
     Tabulated: B(w) = |c - u1| + the cell half-diagonal, c the centre of w's
     cell; a size-biased draw picks its cell with weight * B(c).
     """
     if bath.table is None:
         plain = sample_bath(bath, n, rng)
-        z = rng.standard_normal((n_biased, 4))
-        radius = bath.sigma_th * np.sqrt(np.einsum("ij,ij->i", z, z))
-        scale = radius / np.sqrt(_sq_norm(z[:, :3]))
-        partners = np.empty((n + n_biased, 3))
-        partners[:n] = plain
+        u = rng.random((2, n_biased))
+        np.subtract(1.0, u, out=u)
+        radius = u[0] * u[1]
+        np.log(radius, out=radius)
+        radius *= -2.0 * bath.theta1 / bath.m1  # sigma_th^2 rho^2
+        np.sqrt(radius, out=radius)
+        biased = _uniform_sphere(rng, n_biased)
         for i in range(3):
-            col = partners[n:, i]
-            np.multiply(z[:, i], scale, out=col)
+            col = biased[:, i]
+            col *= radius
             col += bath.u1[i]
         bounds = np.concatenate([np.sqrt(_sq_norm(plain, bath.u1)), radius])
-        return partners, bounds
+        return np.concatenate([plain, biased]), bounds
     table = bath.table
     cell_bounds = bath.cell_bounds
     plain, cells = _sample_cells(table, table.values.ravel(), n, rng)

@@ -29,6 +29,7 @@ import json
 import logging
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -463,7 +464,10 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
     """Run one configured pipeline, writing outputs into ``out_dir``.
 
     ``out_dir`` is created just before the first file is written, so a run
-    that fails before then leaves no directory behind.  NumericalFault and
+    that fails before then leaves no directory behind.  A linear run writes
+    ``steady_f1.csv`` before its particle run; if that run raises, the file
+    goes, and so does the topmost directory of ``out_dir`` that this call
+    made.  NumericalFault and
     MemoryError propagate; :func:`main` maps them to exit code 3.
     """
     if parsed.mode == "validate":
@@ -474,45 +478,57 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
 
     h_reference = None
     steady_grid = None
-    if parsed.mode == "linear":  # linear mode takes no f1_table: a Maxwellian bath
-        log.info("building %d^3 kernel grid", parsed.grid_nodes)
-        grid = make_grid(
-            sim.restitution, sim.bath, n=parsed.grid_nodes,
-            extent_sigma=parsed.grid_extent,
-        )
-        steady_grid = steady_state(grid)
-        theta_lin = linear_steady(sim.restitution, sim.bath)
-        if not abs(steady_grid.theta - theta_lin) <= _GRID_THETA_TOL * theta_lin:
-            raise NumericalFault(
-                f"grid steady temperature {_fmt(steady_grid.theta)} is more than "
-                f"{_GRID_THETA_TOL:.0%} from the closed form theta_lin = "
-                f"{_fmt(theta_lin)}; the grid is too coarse or too narrow for the bath"
+    steady_csv = made = None
+    try:
+        if parsed.mode == "linear":  # linear mode takes no f1_table: a Maxwellian bath
+            log.info("building %d^3 kernel grid", parsed.grid_nodes)
+            grid = make_grid(
+                sim.restitution, sim.bath, n=parsed.grid_nodes,
+                extent_sigma=parsed.grid_extent,
             )
-        out.mkdir(parents=True, exist_ok=True)
-        write_grid_csv(out / "steady_f1.csv", grid, steady_grid.f)
-        # L1 distance of the grid steady state to the closed form, the gas
-        # Maxwellian at (u1, theta_lin) at the nodes: a product of 1-D factors.
-        gauss = [
-            np.exp(-0.5 * (ax - c) ** 2 / theta_lin) / math.sqrt(2.0 * math.pi * theta_lin)
-            for ax, c in zip(grid.axes, sim.bath.u1)
-        ]
-        exact = np.multiply.outer(np.multiply.outer(*gauss[:2]), gauss[2]).ravel()
-        l1_exact = float(np.abs(steady_grid.f - exact).sum() * grid.cell_volume)
-        # Only steady_grid is read from here on: free the grid's reduced
-        # matrix and node arrays before the particle run allocates.
-        del grid
-        # The H reference: the closed-form steady state's averages over
-        # _H_BINS^3 cells on 90% of the grid's half-width.
-        edges = box_edges(sim.bath.u1, 0.9 * parsed.grid_extent * sim.bath.sigma_th, _H_BINS)
-        h_reference = (edges, maxwellian_cells(sim.bath.u1, theta_lin, edges))
+            steady_grid = steady_state(grid)
+            theta_lin = linear_steady(sim.restitution, sim.bath)
+            if not abs(steady_grid.theta - theta_lin) <= _GRID_THETA_TOL * theta_lin:
+                raise NumericalFault(
+                    f"grid steady temperature {_fmt(steady_grid.theta)} is more than "
+                    f"{_GRID_THETA_TOL:.0%} from the closed form theta_lin = "
+                    f"{_fmt(theta_lin)}; the grid is too coarse or too narrow for the bath"
+                )
+            made = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
+            out.mkdir(parents=True, exist_ok=True)
+            steady_csv = out / "steady_f1.csv"
+            write_grid_csv(steady_csv, grid, steady_grid.f)
+            # L1 distance of the grid steady state to the closed form, the gas
+            # Maxwellian at (u1, theta_lin) at the nodes: a product of 1-D factors.
+            gauss = [
+                np.exp(-0.5 * (ax - c) ** 2 / theta_lin) / math.sqrt(2.0 * math.pi * theta_lin)
+                for ax, c in zip(grid.axes, sim.bath.u1)
+            ]
+            exact = np.multiply.outer(np.multiply.outer(*gauss[:2]), gauss[2]).ravel()
+            l1_exact = float(np.abs(steady_grid.f - exact).sum() * grid.cell_volume)
+            # Only steady_grid is read from here on: free the grid's reduced
+            # matrix and node arrays before the particle run allocates.
+            del grid
+            # The H reference: the closed-form steady state's averages over
+            # _H_BINS^3 cells on 90% of the grid's half-width.
+            edges = box_edges(sim.bath.u1, 0.9 * parsed.grid_extent * sim.bath.sigma_th, _H_BINS)
+            h_reference = (edges, maxwellian_cells(sim.bath.u1, theta_lin, edges))
 
-    observers = ObserverConfig(
-        record_every=parsed.record_every,
-        compute_lp=True,
-        compute_sigma=True,
-        h_reference=h_reference,
-    )
-    traj = run(sim, observers=observers)
+        observers = ObserverConfig(
+            record_every=parsed.record_every,
+            compute_lp=True,
+            compute_sigma=True,
+            h_reference=h_reference,
+        )
+        traj = run(sim, observers=observers)
+    except BaseException:
+        # A failed run leaves no file: the grid's CSV goes, and so does the
+        # topmost directory of out that this call made for it.
+        if steady_csv is not None:
+            steady_csv.unlink(missing_ok=True)
+            if made is not None:
+                shutil.rmtree(made, ignore_errors=True)
+        raise
     out.mkdir(parents=True, exist_ok=True)
     traj.to_csv(out / "trajectory.csv")
 

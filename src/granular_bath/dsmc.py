@@ -28,6 +28,12 @@ bath candidate at v takes a partner from F1 with probability
 b / l_max, or none, and accepts with probability |v - w| / (|v - u1| + B(w))
 <= 1: its rate is nu(v).
 
+Both sweeps draw without trig and without normals, exact in law: every
+post-collision direction comes from Marsaglia's method
+(``kinematics._uniform_sphere``), and a size-biased Maxwellian partner is
+u1 + sigma_th rho omega, with a chi_4 radius rho from two uniforms and
+omega from the same sampler (``background.sample_partners``).
+
 The candidates are drawn as one sample without replacement.  The run keeps
 a cache d2 = |v - c|^2 per particle, and both sweeps take it as a required
 argument: they read it at their candidates and write it at the rows they
@@ -69,7 +75,13 @@ from pathlib import Path
 import numpy as np
 
 from .background import BathParams, NumericalFault, sample_partners
-from .kinematics import RestitutionParams, _sq_norm, collide_l_sigma, collide_q
+from .kinematics import (
+    RestitutionParams,
+    _sq_norm,
+    _uniform_sphere,
+    collide_l_sigma,
+    collide_q,
+)
 from .observables import (
     MomentRecord,
     box_edges,
@@ -172,17 +184,6 @@ class MomentTrajectory:
 
     def to_csv(self, path: str | Path) -> None:
         write_records(path, self.records)
-
-
-def _uniform_sphere(rng: np.random.Generator, k: int) -> Array:
-    z = rng.uniform(-1.0, 1.0, k)
-    phi = rng.uniform(0.0, 2.0 * math.pi, k)
-    s = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
-    sigma = np.empty((k, 3))
-    np.multiply(s, np.cos(phi), out=sigma[:, 0])
-    np.multiply(s, np.sin(phi), out=sigma[:, 1])
-    sigma[:, 2] = z
-    return sigma
 
 
 # Relative pad on bounds built from computed norms (see _radius), and on

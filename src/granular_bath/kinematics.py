@@ -131,6 +131,36 @@ def _check_unit(direction: Array, name: str) -> None:
         )
 
 
+def _uniform_sphere(rng: np.random.Generator, k: int) -> Array:
+    """``k`` directions uniform on the unit sphere, as a (k, 3) array, by
+    Marsaglia's method (Ann. Math. Statist. 43, 1972), without trig.
+
+    A batch draws ``x = rng.uniform(-1.0, 1.0, (2, n))``, n = int(1.3 need)
+    + 16 for the ``need`` rows still missing, and keeps, in order, the first
+    ``need`` columns with s = x0^2 + x1^2 < 1 (a share pi/4).  Each gives
+    sigma = (x0 r, x1 r, 1 - 2 s) with r = 2 sqrt(1 - s), so |sigma| = 1 to
+    a few ulp.  The rare batch that keeps too few is topped up by the next,
+    so the number of uniforms drawn varies, and a seed fixes it.
+    """
+    sigma = np.empty((k, 3))
+    filled = 0
+    while filled < k:
+        need = k - filled
+        x = rng.uniform(-1.0, 1.0, (2, int(1.3 * need) + 16))
+        s = x[0] * x[0]
+        s += x[1] * x[1]
+        keep = np.flatnonzero(s < 1.0)[:need]
+        s = s.take(keep)
+        r = np.sqrt(1.0 - s)
+        r += r
+        out = sigma[filled : filled + keep.size]
+        np.multiply(x.take(keep, axis=1), r, out=out[:, :2].T)
+        np.multiply(s, -2.0, out=out[:, 2])
+        out[:, 2] += 1.0
+        filled += keep.size
+    return sigma
+
+
 def collide_q(v: Array, w: Array, sigma: Array, params: RestitutionParams) -> VelocityPair:
     """Gas-gas collision with post-collision direction ``sigma``.
 

@@ -20,7 +20,7 @@ from granular_bath.background import (
     sample_bath,
     sample_partners,
 )
-from granular_bath.kinematics import RestitutionParams, _sq_norm
+from granular_bath.kinematics import RestitutionParams, _sq_norm, _uniform_sphere
 
 # E|W - u1|^k for W ~ N(u1, s^2 I3) equals s^k 2^(k/2) Gamma((3+k)/2)/Gamma(3/2):
 #   k=1 -> 2 sqrt(2/pi) s, k=2 -> 3 s^2, k=3 -> (16/sqrt(2 pi)) s^3.
@@ -119,6 +119,11 @@ class TestSizeBiasedPartners:
         e1, e2 = abs_moment(bath, 1.0), abs_moment(bath, 2.0)
         assert bath.bound_mean == pytest.approx(e1, rel=1e-14)
         assert r.mean() == pytest.approx(e2 / e1, abs=4 * r.std(ddof=1) / math.sqrt(n))
+        # E r^2 = E|W - u1|^3 / E|W - u1|: 4 sigma_th^2 for the chi_4 radius
+        # of the size-biased law, where a chi_3 radius would give 3 sigma_th^2.
+        e3 = abs_moment(bath, 3.0)
+        r2 = r * r
+        assert r2.mean() == pytest.approx(e3 / e1, abs=4 * r2.std(ddof=1) / math.sqrt(n))
         # The unbiased part keeps the plain law: mean |w - u1| = E|W - u1|.
         plain = dist[:1000]
         assert plain.mean() == pytest.approx(e1, abs=4 * plain.std(ddof=1) / math.sqrt(1000))
@@ -126,15 +131,16 @@ class TestSizeBiasedPartners:
         np.testing.assert_allclose(direction.mean(axis=0), 0.0, atol=4 / math.sqrt(3 * n))
 
     def test_maxwellian_draws_match_the_broadcast_forms(self):
-        # The draws and bounds are formed one component at a time, with the
-        # bits and the RNG stream of the (n, 3) broadcast expressions.
+        # The plain draws are formed one component at a time, with the bits
+        # and the RNG stream of the (n, 3) broadcast expression; a biased
+        # draw is u1 + sigma_th rho omega, rho^2 = -2 ln((1 - U1)(1 - U2)).
         bath = maxwell_bath(m1=0.7, theta1=1.3, u1=(0.3, -0.2, 1.0))
         partners, bounds = sample_partners(bath, 500, 300, np.random.default_rng(23))
         rng = np.random.default_rng(23)
         plain = rng.standard_normal((500, 3)) * bath.sigma_th + bath.u1
-        z = rng.standard_normal((300, 4))
-        radius = bath.sigma_th * np.sqrt(np.einsum("ij,ij->i", z, z))
-        biased = z[:, :3] * (radius / np.linalg.norm(z[:, :3], axis=1))[:, None] + bath.u1
+        u = rng.random((2, 300))
+        radius = np.sqrt(-2.0 * bath.theta1 / bath.m1 * np.log((1.0 - u[0]) * (1.0 - u[1])))
+        biased = _uniform_sphere(rng, 300) * radius[:, None] + bath.u1
         want = np.concatenate([plain, biased])
         assert partners.tobytes() == want.tobytes()
         want_bounds = np.concatenate([np.linalg.norm(plain - bath.u1, axis=1), radius])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import sigma_shift_form
 
-from granular_bath import cli
+from granular_bath import cli, dsmc
 from granular_bath.background import NumericalFault, load_table
 from granular_bath.cli import (
     DEFAULTS,
@@ -684,6 +684,36 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == f"numerical fault: {exc}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out, made", [("o", "o"), ("deep/o", "deep"), ("kept", None)])
+    def test_linear_fault_after_the_grid_leaves_no_file(
+        self, tmp_path, capsys, monkeypatch, out, made
+    ):
+        # The bath sweep writes a NaN at step 10, after steady_f1.csv is
+        # written: the run exits 3, the file goes, and so does the topmost
+        # directory the run made; a directory that was there stays as it was.
+        step_l, calls = dsmc.step_l, []
+
+        def nan_at_step_10(velocities, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 10:
+                velocities[0] = np.nan
+                kwargs["d2"][0] = np.nan
+            return step_l(velocities, *args, **kwargs)
+
+        monkeypatch.setattr(dsmc, "step_l", nan_at_step_10)
+        if made is None:
+            (tmp_path / out).mkdir()
+            (tmp_path / out / "other.txt").write_text("x", encoding="utf-8")
+        path = write_config(tmp_path, LINEAR_SMOKE)
+        rc = main(["linear", "--config", str(path), "--out", str(tmp_path / out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical fault: ") and err.endswith("at step 10, t = 0.1\n")
+        if made is None:
+            assert sorted(p.name for p in (tmp_path / out).iterdir()) == ["other.txt"]
+        else:
+            assert not (tmp_path / made).exists()
 
     def test_out_directory_created(self, tmp_path):
         path = write_config(tmp_path, dict(COOLING_SMOKE, t_end=0.2))

@@ -77,15 +77,6 @@ class TestStepQ:
         assert n_acc > 0
         assert float(np.sum(vel**2)) < before
 
-    def test_uniform_sphere_matches_the_stacked_form(self):
-        rng = np.random.default_rng(31)
-        z = rng.uniform(-1.0, 1.0, 777)
-        phi = rng.uniform(0.0, 2.0 * math.pi, 777)
-        s = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
-        want = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-        got = dsmc._uniform_sphere(np.random.default_rng(31), 777)
-        assert got.tobytes() == want.tobytes()
-
     def test_sweeps_write_through_non_contiguous_arrays(self):
         # A Fortran-ordered array and a row-strided view are updated in place
         # exactly as a C-contiguous copy of the same velocities.

@@ -8,6 +8,7 @@ import pytest
 from granular_bath.kinematics import (
     RestitutionParams,
     _sq_norm,
+    _uniform_sphere,
     collide_l_n,
     collide_l_sigma,
     collide_q,
@@ -219,6 +220,75 @@ class TestSphereQuadrature:
     def test_rejects_tiny_order(self):
         with pytest.raises(ValueError):
             sphere_quadrature(1)
+
+
+def marsaglia_rows(seed, k):
+    """The construction _uniform_sphere states, one scalar pair at a time."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < k:
+        need = k - len(rows)
+        x = rng.uniform(-1.0, 1.0, (2, int(1.3 * need) + 16))
+        kept = [(x0, x1) for x0, x1 in x.T if x0 * x0 + x1 * x1 < 1.0][:need]
+        for x0, x1 in kept:
+            s = x0 * x0 + x1 * x1
+            r = 2.0 * math.sqrt(1.0 - s)
+            rows.append((x0 * r, x1 * r, 1.0 - 2.0 * s))
+    return np.array(rows, dtype=float).reshape(k, 3)
+
+
+def first_batch_falls_short(seed, k):
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, int(1.3 * k) + 16))
+    return np.count_nonzero(x[0] * x[0] + x[1] * x[1] < 1.0) < k
+
+
+class TestUniformSphere:
+    """Marsaglia's sampler: unit rows, the uniform law on the sphere, and
+    exactly k rows from a stream that a seed fixes."""
+
+    K = 200_000
+
+    @pytest.fixture(scope="class")
+    def sigma(self):
+        return _uniform_sphere(np.random.default_rng(2718), self.K)
+
+    def test_rows_are_unit(self, sigma):
+        assert np.max(np.abs(np.sqrt(_sq_norm(sigma)) - 1.0)) <= 1e-12
+
+    def test_mean_and_second_moments(self, sigma):
+        # E sigma = 0 and E sigma_i sigma_j = delta_ij / 3, each within 4 SE.
+        se = sigma.std(axis=0, ddof=1) / math.sqrt(self.K)
+        assert np.all(np.abs(sigma.mean(axis=0)) <= 4.0 * se)
+        for i in range(3):
+            for j in range(i, 3):
+                prod = sigma[:, i] * sigma[:, j]
+                want = 1.0 / 3.0 if i == j else 0.0
+                se = prod.std(ddof=1) / math.sqrt(self.K)
+                assert abs(prod.mean() - want) <= 4.0 * se, (i, j)
+
+    def test_sigma_z_is_flat(self, sigma):
+        # Archimedes: sigma_z is uniform on [-1, 1], so each of 10 bins
+        # holds K / 10 rows within 4 binomial SE.
+        counts, _ = np.histogram(sigma[:, 2], bins=10, range=(-1.0, 1.0))
+        se = math.sqrt(self.K * 0.1 * 0.9)
+        assert np.all(np.abs(counts - self.K / 10) <= 4.0 * se)
+
+    @pytest.mark.parametrize("seed, k", [(5, 0), (5, 1), (60, 200)])
+    def test_exactly_k_rows(self, seed, k):
+        if k == 200:
+            assert first_batch_falls_short(seed, k)  # this case tops up
+        got = _uniform_sphere(np.random.default_rng(seed), k)
+        assert got.shape == (k, 3) and got.dtype == np.float64
+
+    def test_same_seed_same_bytes(self):
+        a = _uniform_sphere(np.random.default_rng(11), 4321)
+        b = _uniform_sphere(np.random.default_rng(11), 4321)
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed, k", [(31, 777), (60, 200)])
+    def test_bitwise_equal_to_the_stated_construction(self, seed, k):
+        got = _uniform_sphere(np.random.default_rng(seed), k)
+        assert got.tobytes() == marsaglia_rows(seed, k).tobytes()
 
 
 class TestSphereAverages:
