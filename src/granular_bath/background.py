@@ -477,6 +477,21 @@ def erf(x: Array) -> Array:
 _PARTICLE_BLOCK = 1 << 15
 
 
+def _nu_of_rho(bath: BathParams, rho: Array) -> Array:
+    """nu of a Maxwellian bath at the points with rho = |v - u1| / s, a 1-D
+    block that this overwrites; the closed form of :func:`nu`."""
+    small = rho < 1e-4
+    r = rho[small]
+    rho[small] = 1.0  # these take the series below
+    # erf runs first, while the fewest block temporaries are alive.
+    g = (
+        erf(rho / math.sqrt(2.0)) * (rho + 1.0 / rho)
+        + math.sqrt(2.0 / math.pi) * np.exp(-0.5 * rho**2)
+    )
+    g[small] = math.sqrt(2.0 / math.pi) * (2.0 + r**2 / 3.0 - r**4 / 60.0)
+    return bath.sigma_th * g / bath.lambda_
+
+
 def nu(bath: BathParams, v: Array) -> Array:
     """Collision frequency nu(v) = E_{F1} |v - W| / lambda of a Maxwellian bath.
 
@@ -484,9 +499,12 @@ def nu(bath: BathParams, v: Array) -> Array:
         lambda nu = s [ sqrt(2/pi) exp(-rho^2/2) + (rho + 1/rho) erf(rho/sqrt 2) ],
     with the small-rho series sqrt(2/pi)(2 + rho^2/3 - rho^4/60) below
     rho = 1e-4; erf is the numpy port :func:`erf`, within 1 ulp of
-    ``math.erf``.  A table raises ValueError: its rate under the sweep's
-    cell law is the mean of |v - W| / lambda over :func:`sample_bath` draws
-    W.  Accepts (..., 3) input and returns the matching leading shape.
+    ``math.erf``.  rho is sqrt(``_sq_norm``(v, u1)) / s, so a caller that
+    holds |v - u1|^2 already (``observables.sigma_freq`` with the run's
+    cache) gets the same bits from the same kernel.  A table raises
+    ValueError: its rate under the sweep's cell law is the mean of
+    |v - W| / lambda over :func:`sample_bath` draws W.  Accepts (..., 3)
+    input and returns the matching leading shape.
     """
     if bath.table is not None:
         raise ValueError(
@@ -497,18 +515,8 @@ def nu(bath: BathParams, v: Array) -> Array:
     pts = v.reshape(-1, v.shape[-1])
     out = np.empty(len(pts))
     # Elementwise, so blocks of _PARTICLE_BLOCK points give the values of one
-    # pass over all points.  erf runs first, while the fewest block
-    # temporaries are alive.
-    s = bath.sigma_th
+    # pass over all points.
     for lo in range(0, len(pts), _PARTICLE_BLOCK):
-        rho = np.sqrt(_sq_norm(pts[lo : lo + _PARTICLE_BLOCK], bath.u1)) / s
-        small = rho < 1e-4
-        r = rho[small]
-        rho[small] = 1.0  # these take the series below
-        g = (
-            erf(rho / math.sqrt(2.0)) * (rho + 1.0 / rho)
-            + math.sqrt(2.0 / math.pi) * np.exp(-0.5 * rho**2)
-        )
-        g[small] = math.sqrt(2.0 / math.pi) * (2.0 + r**2 / 3.0 - r**4 / 60.0)
-        out[lo : lo + _PARTICLE_BLOCK] = s * g / bath.lambda_
+        rho = np.sqrt(_sq_norm(pts[lo : lo + _PARTICLE_BLOCK], bath.u1)) / bath.sigma_th
+        out[lo : lo + _PARTICLE_BLOCK] = _nu_of_rho(bath, rho)
     return float(out[0]) if v.ndim == 1 else out.reshape(v.shape[:-1])

@@ -110,6 +110,10 @@ _GRID_THETA_TOL = 0.02
 # radius max|v - c| (see dsmc), so a run at the cap spends about 14 s in its
 # sweeps at N = 100 and 3.4 min at N = 2e4 (see the README).
 _EVENTS_CAP = 1e5
+# Factor on the Haff-law estimate of a cooling run's work: the counted
+# candidates reached 1.081 times the bare estimate (epsilon = 0.5, N = 2000;
+# see the README), and 1.1 covers that.
+_HAFF_PAD = 1.1
 
 DEFAULTS: dict = {
     "tau": 1.0,
@@ -325,17 +329,30 @@ def parse_config_dict(
 
     # Candidate collisions per particle over the run, t_end (2 tau R0 +
     # (R0 + b) / lambda), at the start's radius R0 about c: u1, or the mean.
+    # An inelastic gas without a bath cools, and its radius with it: Haff's
+    # law under the Gaussian closure gives R0 / (1 + t / t0), and so
+    # 2 tau R0 t0 ln(1 + t_end / t0), padded by _HAFF_PAD.  It is formed
+    # from tau t0 = 1.5 sqrt(pi) / (1 - epsilon^2), which a tiny tau cannot
+    # send to 0 or inf.
     r0 = _start_radius(n_particles)
     bath_rate = 0.0
     if bath is not None:
         r0 += float(np.linalg.norm(bath.u1))
         bath_rate = (r0 + bath.bound_mean) / bath.lambda_
-    events = t_end * (2.0 * tau * r0 + bath_rate)
+    if bath is None and restitution.epsilon < 1.0:
+        tau_t0 = 1.5 * math.sqrt(math.pi) / (1.0 - restitution.epsilon**2)
+        events = _HAFF_PAD * 2.0 * r0 * tau_t0 * math.log1p(t_end * tau / tau_t0)
+        formula = f"{_HAFF_PAD} x 2 tau R0 t0 ln(1 + t_end / t0) by Haff's law"
+    else:
+        events = t_end * (2.0 * tau * r0 + bath_rate)
+        formula = "t_end (2 tau R0 + (R0 + b) / lambda)"
     if events > _EVENTS_CAP:
+        keys = "lower 'tau' or 't_end'"  # cooling mode has no 'lambda'
+        if bath is not None:
+            keys = "raise 'lambda' or " + keys
         raise ConfigError(
             f"the run would draw about {events:.3g} candidate collisions per "
-            f"particle, t_end (2 tau R0 + (R0 + b) / lambda), above the cap of "
-            f"{_EVENTS_CAP:.0e}; raise 'lambda' or lower 'tau' or 't_end'"
+            f"particle, {formula}, above the cap of {_EVENTS_CAP:.0e}; {keys}"
         )
     sim = SimConfig(
         tau=tau, restitution=restitution, bath=bath, dt=dt, t_end=t_end,

@@ -344,7 +344,8 @@ def _make_record(
     obs: ObserverConfig,
     d2: Array,
 ) -> MomentRecord:
-    """The record of one sample; ``d2`` is the run's |v - c|^2 cache."""
+    """The record of one sample; ``d2`` is the run's |v - c|^2 cache, which
+    F and a Maxwellian bath's nu term read (c = u1 when there is a bath)."""
     rec = moments(velocities, t=t)
     extras: dict = {}
     if config.bath is not None:
@@ -352,7 +353,7 @@ def _make_record(
     if obs.compute_sigma:
         # Before the histograms, so that none is held while sigma_freq runs:
         # its blocked nu temporaries are the largest a record allocates.
-        extras["sigma_mean"] = sigma_freq(velocities, config.bath, config.tau)
+        extras["sigma_mean"] = sigma_freq(velocities, config.bath, config.tau, d2)
     if obs.compute_lp:
         # One box for both orders: the record's u +- 6 thermal widths.  About
         # a point mass it collapses at float precision, and L2, Lp stay NaN.

@@ -107,7 +107,12 @@ def _sq_norm(x: Array, centre: Array | None = None) -> Array:
     ``np.sum((x - centre) ** 2, axis=-1)`` and to the square under
     ``np.linalg.norm(x - centre, axis=-1)``.
     """
-    lead = x.shape if centre is None else np.broadcast_shapes(x.shape, centre.shape)
+    # One 3-vector broadcasts to x's own shape; np.broadcast_shapes costs
+    # microseconds of Python per call, and a full step makes about ten.
+    if centre is None or centre.shape == (3,):
+        lead = x.shape
+    else:
+        lead = np.broadcast_shapes(x.shape, centre.shape)
     total = np.empty(lead[:-1])
     part = np.empty(lead[:-1])
     for i, out in enumerate((total, part, part)):

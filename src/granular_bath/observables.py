@@ -11,6 +11,7 @@ with gamma1 = 2 kappa (1-kappa)/lambda and gamma2 = 2 C0 kappa / lambda.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .background import _PARTICLE_BLOCK, BathParams, NumericalFault, c0, nu, sample_bath
+from .background import _PARTICLE_BLOCK, BathParams, NumericalFault, _nu_of_rho, c0, sample_bath
 from .kinematics import RestitutionParams, _sq_norm
 
 __all__ = [
@@ -230,34 +231,83 @@ def _cell_volume(edges: Sequence[Array]) -> float:
     return float(np.prod([e[1] - e[0] for e in edges]))
 
 
+# Distance from a cell edge, in cell widths, within which bin_counts places a
+# point by searchsorted against the edges themselves, not by arithmetic.
+_EDGE_MARGIN = 1e-9
+
+
 def bin_counts(velocities: Array, edges: Sequence[Array]) -> Array:
-    """Counts of an (N, 3) sample in the cells between per-axis uniform
-    ``edges``, equal to ``np.histogramdd``'s (the last cell holds its upper
-    edge): each cell index is computed by arithmetic and corrected by one
-    step against the edges, with no ``searchsorted``.  The sample is
-    counted in blocks of ``_PARTICLE_BLOCK`` rows, one ``bincount`` each."""
+    """Counts of an (N, 3) sample in the cells between per-axis ``edges``,
+    equal to ``np.histogramdd``'s: a point lies in cell i when e[i] <= x <
+    e[i + 1], x == e[-1] lies in the last cell, and a point outside the box
+    or not finite is dropped.
+
+    Per axis, t = (x - e[0]) bins / (e[-1] - e[0]) and the cell is floor(t),
+    with no per-point gather of the edges.  Only the points with t within
+    1e-9 of an integer, the ones on or next to an edge, and those with t NaN
+    are placed by ``np.searchsorted(e, x, side="right") - 1``, histogramdd's
+    rule.  The computed t is monotone in x, so floor(t) is the exact cell
+    of every other point as long as each edge's own t lies within a tenth
+    of that margin of its index: true for edges uniform up to rounding
+    (inside the box t <= bins, whose rounding is a few ulp of bins).  An
+    axis whose edges are further off places every point by searchsorted.
+    Cells -1 and bins of each axis take the points outside the box, and an
+    infinite t lands there too.  The sample is counted in blocks of
+    ``_PARTICLE_BLOCK`` rows, one ``bincount`` each into these padded
+    cells, and the buffers are reused between blocks.
+    """
     vel = np.asarray(velocities, dtype=float)
-    shape = [e.size - 1 for e in edges]
-    for lo in range(0, max(vel.shape[0], 1), _PARTICLE_BLOCK):  # N = 0: one empty block
-        block = vel[lo : lo + _PARTICLE_BLOCK]
-        flat = np.zeros(block.shape[0], dtype=np.intp)
-        inside = np.ones(block.shape[0], dtype=bool)
-        for d, e in enumerate(edges):
-            x, bins = block[:, d], e.size - 1
-            i = np.floor((x - e[0]) * (bins / (e[-1] - e[0])))
-            i = np.fmin(np.fmax(i, 0), bins - 1).astype(np.intp)  # NaN -> 0, then dropped
-            i -= x < e[i]
-            i += (x >= e[i + 1]) & (i < bins - 1)
-            inside &= (x >= e[0]) & (x <= e[-1])
-            flat *= bins
-            flat += i
-        # The first block's counts hold the total: no zeroed total beside
-        # them, and no block's counts outlive the += into it.
-        if lo == 0:
-            counts = np.bincount(flat[inside], minlength=math.prod(shape))
-        else:
-            counts += np.bincount(flat[inside], minlength=counts.size)
-    return counts.reshape(shape)
+    n = vel.shape[0]
+    bins = [e.size - 1 for e in edges]
+    scales = [b / (e[-1] - e[0]) for b, e in zip(bins, edges)]
+    uniform = [
+        float(np.max(np.abs((e - e[0]) * s - np.arange(e.size)))) < 0.1 * _EDGE_MARGIN
+        for e, s in zip(edges, scales)
+    ]
+    padded = [b + 2 for b in bins]
+    # Flat index of the padded cell (1, ..., 1): the offset of cell -1 on every axis.
+    offset = sum(math.prod(padded[d + 1 :]) for d in range(len(padded)))
+    rows = min(max(n, 1), _PARTICLE_BLOCK)
+    t, cell, flat = np.empty((3, rows))
+    on_edge = np.empty(rows, dtype=bool)
+    counts = None
+    with np.errstate(over="ignore"):  # t of a huge x: inf, which lands outside
+        for lo in range(0, max(n, 1), _PARTICLE_BLOCK):  # N = 0: one empty block
+            block = vel[lo : lo + _PARTICLE_BLOCK]
+            m = block.shape[0]
+            tb, cb, fb, eb = t[:m], cell[:m], flat[:m], on_edge[:m]
+            for d, e in enumerate(edges):
+                x = block[:, d]
+                np.subtract(x, e[0], out=tb)
+                tb *= scales[d]
+                # floor(t + margin) is the cell unless floor(t - margin)
+                # differs: t within the margin of an integer, or NaN.
+                np.add(tb, _EDGE_MARGIN, out=cb)
+                np.floor(cb, out=cb)
+                tb -= _EDGE_MARGIN
+                np.floor(tb, out=tb)
+                np.not_equal(cb, tb, out=eb)
+                near = np.flatnonzero(eb) if uniform[d] else slice(None)
+                xn = x[near]
+                i = np.searchsorted(e, xn, side="right") - 1.0
+                i[xn == e[-1]] = bins[d] - 1
+                cb[near] = i
+                np.clip(cb, -1.0, bins[d], out=cb)  # -1 and bins: outside the box
+                if d == 0:
+                    fb[...] = cb
+                else:
+                    fb *= padded[d]
+                    fb += cb
+            fb += offset
+            index = tb.view(np.intp)
+            np.copyto(index, fb, casting="unsafe")
+            block_counts = np.bincount(index, minlength=math.prod(padded))
+            if counts is None:
+                counts = block_counts
+            else:
+                counts += block_counts
+                del block_counts  # not held while the next block counts
+    return counts.reshape(padded)[tuple(slice(1, -1) for _ in bins)]
 
 
 @dataclass(frozen=True)
@@ -464,7 +514,19 @@ def _shift_mean(vel: Array, shifts: Sequence[int], w: Array) -> float:
     return total / (len(shifts) * n)
 
 
-def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
+@functools.lru_cache(maxsize=8)
+def _pair_shifts(n: int) -> tuple[int, ...]:
+    """The cyclic shifts of :func:`sigma_freq`'s pair term for N = n > 1:
+    K = min(ceil(DEFAULT_SIGMA_PAIRS / n), n - 1) distinct shifts in 1..n-1
+    drawn by ``default_rng(0)``, the same at every record of n particles and
+    so drawn once per n."""
+    k = min(-(-DEFAULT_SIGMA_PAIRS // n), n - 1)
+    return tuple((np.random.default_rng(0).choice(n - 1, size=k, replace=False) + 1).tolist())
+
+
+def sigma_freq(
+    velocities: Array, bath: BathParams | None, tau: float, d2: Array | None = None
+) -> float:
     """Mean over the particles of the total collision frequency Sigma(f)(v).
 
     Sigma(f)(v) = tau * (|.| convolved with f)(v) + nu(v).  The convolution
@@ -472,8 +534,8 @@ def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
     pairs, the pair law of ``dsmc.run`` at every N, formed from cyclic
     shifts: the pairs (k, (k + s) mod N) for every k and for
     K = min(ceil(DEFAULT_SIGMA_PAIRS / N), N - 1) distinct shifts s in
-    1..N-1, drawn by ``default_rng(0)`` and so the same at every record of N
-    particles.  Each ordered pair i != j has exactly one shift,
+    1..N-1, drawn by ``default_rng(0)`` once per N and so the same at every
+    record of N particles.  Each ordered pair i != j has exactly one shift,
     s = j - i mod N, so the mean over the K N sampled distances is unbiased
     for the distinct-pair mean.  Up to N = 363, K = N - 1 takes every shift,
     and the term is that exact mean, with no N x N temporary.  One particle
@@ -494,14 +556,18 @@ def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
     for s < r = ceil(DEFAULT_SIGMA_PAIRS / N); below, K = ceil(r / floor(M /
     N)) shifts pair the first R N draws j, R = ceil(r / K), with the
     particles (j + s) mod N.
+
+    ``d2``, when given, holds |v - u1|^2 for every particle, as ``_sq_norm``
+    forms it: the |v - c|^2 cache of ``dsmc.run``, whose centre is u1 when
+    there is a bath.  A Maxwellian bath's nu term then takes rho =
+    sqrt(d2) / s from it and reads no velocity, with the bits of the
+    velocity form; without a Maxwellian bath ``d2`` is not read.
     """
     vel = np.asarray(velocities, dtype=float)
     n = vel.shape[0]
     total = 0.0
     if tau > 0.0 and n > 1:
-        k = min(-(-DEFAULT_SIGMA_PAIRS // n), n - 1)
-        shifts = np.random.default_rng(0).choice(n - 1, size=k, replace=False) + 1
-        total += tau * _shift_mean(vel, shifts.tolist(), vel)
+        total += tau * _shift_mean(vel, _pair_shifts(n), vel)
     if bath is not None and bath.table is not None:
         m, r = _PARTICLE_BLOCK, -(-DEFAULT_SIGMA_PAIRS // n)
         draws = sample_bath(bath, m, np.random.default_rng(0))
@@ -509,10 +575,14 @@ def sigma_freq(velocities: Array, bath: BathParams | None, tau: float) -> float:
         x, w = (vel, draws) if n >= m else (draws[: -(-r // k) * n], vel)
         total += _shift_mean(x, range(k), w) / bath.lambda_
     elif bath is not None:
-        total += sum(
-            float(np.sum(nu(bath, vel[lo : lo + _PARTICLE_BLOCK])))
-            for lo in range(0, n, _PARTICLE_BLOCK)
-        ) / n
+        if d2 is not None and d2.shape != (n,):
+            raise ValueError(f"d2 has shape {d2.shape}, but {n} velocities need ({n},)")
+        blocks = range(0, n, _PARTICLE_BLOCK)
+        sq = (
+            (d2[lo : lo + _PARTICLE_BLOCK] for lo in blocks) if d2 is not None
+            else (_sq_norm(vel[lo : lo + _PARTICLE_BLOCK], bath.u1) for lo in blocks)
+        )
+        total += sum(float(np.sum(_nu_of_rho(bath, np.sqrt(b) / bath.sigma_th))) for b in sq) / n
     return total
 
 

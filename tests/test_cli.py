@@ -605,15 +605,18 @@ class TestMain:
             {"mode": "full", "lambda": 1e-12, "n_particles": 100, "t_end": 0.01},
             {"mode": "linear", "lambda": 1e-12, "n_particles": 100, "t_end": 0.01},
             {"mode": "cooling", "epsilon": 1.0, "tau": 1e4, "n_particles": 100, "t_end": 10.0},
+            {"mode": "cooling", "epsilon": 0.999, "tau": 1e5, "n_particles": 100, "t_end": 1e4},
         ],
-        ids=["full-lambda", "linear-lambda", "elastic-cooling-tau"],
+        ids=["full-lambda", "linear-lambda", "elastic-cooling-tau", "near-elastic-cooling"],
     )
     def test_unbounded_work_is_one_config_error_line(self, tmp_path, config):
         # At lambda = 1e-12 one step of 0.01 splits into about 5e10 sub-steps,
         # which the run would take 8e6 s to draw, and an elastic gas at
-        # tau = 1e4 keeps its radius for 7e5 events per particle, about 100 s:
-        # the parser refuses both before any output, and the short timeout
-        # fails a run that starts instead.
+        # tau = 1e4 keeps its radius for 7e5 events per particle, about 100 s.
+        # A near-elastic gas cools slowly: Haff's law puts that run at
+        # 1.25e5 events per particle, 1.1 times that with the pad.  The parser
+        # refuses all four before any output, and the short timeout fails a
+        # run that starts instead.
         path = write_config(tmp_path, config)
         proc = fresh_interpreter(
             "-m", "granular_bath.cli", config["mode"], "--config", str(path),
@@ -625,6 +628,20 @@ class TestMain:
         assert lines[0].startswith("config error: the run would draw about ")
         assert "above the cap of 1e+05" in lines[0]
         assert not (tmp_path / "o").exists()
+
+    def test_cheap_cooling_run_at_a_large_tau_runs(self, tmp_path):
+        # A gas at epsilon = 0.8 and tau = 1e4 cools within t0 = 7e-4, so
+        # its radius shrinks and the run draws about 480 candidate
+        # collisions per particle: Haff's law estimates 490 (540 padded),
+        # where the starting radius alone gave 7e5, above the cap.
+        config = {"mode": "cooling", "tau": 1e4, "n_particles": 100, "t_end": 10.0}
+        path = write_config(tmp_path, config)
+        proc = fresh_interpreter(
+            "-m", "granular_bath.cli", "cooling", "--config", str(path),
+            "--out", str(tmp_path / "o"), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "o" / "trajectory.csv").exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

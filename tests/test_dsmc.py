@@ -24,12 +24,14 @@ from granular_bath.kinematics import RestitutionParams, _sq_norm
 from granular_bath.observables import (
     MomentRecord,
     box_edges,
+    f_aux,
     h_phi,
     histogram,
     lp_norm,
     maxwellian_cells,
     moments,
     read_records,
+    sigma_freq,
     thermal_extent,
 )
 
@@ -953,6 +955,39 @@ class TestRecordObservers:
         for rec, vel in zip(traj.records, samples):
             hist = histogram(vel, edges)
             assert (rec.h_quad, rec.h_ent) == h_phi(hist, cells)
+
+    @pytest.mark.parametrize("n", [3000, 2**15 + 3000])
+    def test_record_fields_are_the_public_observers(self, n):
+        # Every field of a record with every observer on equals the public
+        # observers called on the same sample: sigma_freq in its velocity
+        # form, where the record reads nu from the run's |v - u1|^2 cache,
+        # over one block of 2^15 rows or two.
+        bath = bath_at(theta1=1.3, m1=0.7, u1=(0.4, 0.0, -0.2))
+        config = SimConfig(
+            tau=1.7, restitution=RestitutionParams(epsilon=0.8, e=0.8, m1=0.7),
+            bath=bath, dt=0.01, t_end=0.1, n_particles=n, seed=70,
+        )
+        edges = box_edges(bath.u1, 5.0, 24)
+        cells = maxwellian_cells(bath.u1, 1.1, edges)
+        obs = ObserverConfig(compute_lp=True, compute_sigma=True, h_reference=(edges, cells))
+        vel = gaussian_init(n, theta=1.2, seed=70) + np.array([0.3, 0.1, -0.1])
+        rec = dsmc._make_record(vel, 0.25, config, obs, _sq_norm(vel, bath.u1))
+        m = moments(vel, t=0.25)
+        hist = histogram(vel, box_edges(m.u, thermal_extent(m.theta), 32))
+        want = dataclasses.replace(
+            m,
+            f_aux=f_aux(m, bath, _sq_norm(vel, bath.u1)),
+            sigma_mean=sigma_freq(vel, bath, 1.7),
+            l2=lp_norm(hist, 2.0),
+            lp=lp_norm(hist, 1.5),
+        )
+        want = dataclasses.replace(
+            want, **dict(zip(("h_quad", "h_ent"), h_phi(histogram(vel, edges), cells)))
+        )
+        for field in dataclasses.fields(MomentRecord):
+            got, expected = getattr(rec, field.name), getattr(want, field.name)
+            assert np.array_equal(got, expected), field.name
+        assert not any(math.isnan(x) for x in (rec.sigma_mean, rec.l2, rec.h_ent))
 
     @pytest.mark.parametrize("point", [(0.5, 0.0, 0.0), (0.0, 0.0, 0.0), (0.1, -0.2, 0.3)])
     def test_point_mass_leaves_lp_nan(self, point):

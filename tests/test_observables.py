@@ -359,6 +359,55 @@ class TestBinCounts:
         want, _ = np.histogramdd(x, bins=edges)
         np.testing.assert_array_equal(bin_counts(x, edges), want)
 
+    def test_points_next_to_an_edge_take_searchsorted(self, monkeypatch):
+        # Points 1e-11 to 1e-10 of a cell width from every edge, some 1e4 ulp
+        # off it: within the 1e-9 margin, so each axis hands exactly those
+        # to searchsorted, and the counts are np.histogramdd's.
+        rng = np.random.default_rng(8)
+        center, extent, bins = np.array([0.3, -1.7, 2.2]), 2.9, 32
+        edges = box_edges(center, extent, bins)
+        width = 2.0 * extent / bins
+        pts, near = [center + 0.7 * extent * rng.standard_normal((3000, 3))], []
+        for d, e in enumerate(edges):
+            p = center + 0.5 * extent * rng.uniform(-1.0, 1.0, (2 * e.size, 3))
+            offsets = rng.uniform(1e-11, 1e-10, 2 * e.size) * width * np.repeat([-1.0, 1.0], e.size)
+            p[:, d] = np.tile(e, 2) + offsets
+            assert np.all(np.abs(p[:, d] - np.tile(e, 2)) > 1000 * np.spacing(np.tile(e, 2)))
+            pts.append(p)
+            near.append(np.sort(p[:, d]))
+        x = np.concatenate(pts)
+        want, _ = np.histogramdd(x, bins=edges)
+        searched = []
+        searchsorted = np.searchsorted
+
+        def spy(a, v, *args, **kwargs):
+            searched.append(np.array(v))
+            return searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        got = bin_counts(x, edges)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, want)
+        assert len(searched) == 3
+        for values, expected in zip(searched, near):
+            np.testing.assert_array_equal(np.sort(values), expected)
+
+    @pytest.mark.parametrize("edges", [
+        # About 1e8 the edges of a 1e-6 box are quantized at a quarter cell.
+        box_edges(np.full(3, 1e8), 1e-6, 32),
+        [np.array([0.0, 1.0, 2.9, 3.0]), np.linspace(-1.0, 1.0, 5), np.array([0.0, 1e-3, 1.0])],
+    ], ids=["quantized", "uneven"])
+    def test_edges_off_a_uniform_grid_match_histogramdd(self, edges):
+        # Edges whose own t lies off its index by more than a tenth of the
+        # margin send every point of that axis to searchsorted.
+        rng = np.random.default_rng(9)
+        lo, hi = np.array([e[0] for e in edges]), np.array([e[-1] for e in edges])
+        x = lo + (hi - lo) * rng.uniform(-0.1, 1.1, (5000, 3))
+        for d, e in enumerate(edges):
+            x[d * 100 : d * 100 + e.size, d] = e
+        want, _ = np.histogramdd(x, bins=edges)
+        np.testing.assert_array_equal(bin_counts(x, edges), want)
+
     def test_histogram_traced_peak_is_one_block(self):
         # One block's indices and masks besides the 32^3 counts and
         # density; the one-pass form held 6.30 MiB at N = 2e5.
@@ -752,6 +801,20 @@ class TestSigmaFreqBitwise:
         got = sigma_freq(vel, bath, tau=1.7)
         want = sigma_shift_form(vel, bath, 1.7)
         assert got == want
+
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_cache_form(self, vel, n_blocks):
+        # nu's term from the |v - u1|^2 cache, as dsmc.run hands it on, has
+        # the bits of the velocity form, over one block of 2^15 rows or two;
+        # it reads no velocity, so NaN velocities leave it unchanged.
+        bath = bath_at(theta1=1.3, m1=0.7, u1=(0.4, 0.0, -0.2))
+        vel = np.concatenate([vel] * (1 if n_blocks == 1 else -(-2**15 // vel.shape[0]) + 1))
+        d2 = _sq_norm(vel, bath.u1)
+        want = sigma_freq(vel, bath, tau=1.7)
+        assert sigma_freq(vel, bath, tau=1.7, d2=d2) == want
+        assert sigma_freq(np.full_like(vel, np.nan), bath, 0.0, d2) == sigma_freq(vel, bath, 0.0)
+        with pytest.raises(ValueError, match="d2 has shape"):
+            sigma_freq(vel, bath, 0.0, d2[1:])
 
     def test_non_contiguous_velocities(self, vel):
         fortran = np.asfortranarray(vel)
