@@ -50,9 +50,9 @@ class TableFormatError(ValueError):
 
 class NumericalFault(RuntimeError):
     """A numerical failure of either solver, reported in one line: a
-    non-finite particle state, a kernel grid that is mis-normalized or too
-    coarse for the bath, a steady iteration that does not converge, or a
-    sample outside the reference density's support."""
+    non-finite particle state, a kernel grid too coarse for the bath,
+    mis-normalized or with h^3 outside the normal floats, a steady iteration
+    that does not converge, or a sample outside the reference's support."""
 
 
 @dataclass(frozen=True)

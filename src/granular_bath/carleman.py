@@ -308,20 +308,22 @@ def _orbit_decomposition(n: int) -> tuple[Array, Array, Array]:
 _DEFECT_LIMIT = 0.05
 
 
-def _check_column_defect(defect: Array, nu_col: Array) -> None:
+def _check_column_defect(defect: Array, nu_col: Array, h_widths: float) -> None:
     """Reject kernels whose lattice column sums overshoot nu grossly.
 
     ``defect = nu - sum_i k(v_i, w) h^3`` is what column renormalization
     places on the diagonal.  Midpoint quadrature on far-tail columns can
     leave it marginally negative (sub-percent of nu); a defect beyond a few
-    percent of nu means the kernel itself is mis-normalized.
+    percent of nu means a spacing of ``h_widths`` bath thermal widths is
+    too coarse to resolve the kernel, or else the kernel is mis-normalized.
     """
     rel = defect / nu_col
     worst = float(rel.min())
     if worst < -_DEFECT_LIMIT:
         raise NumericalFault(
-            f"kernel column sums overshoot nu by {-worst:.3e} (relative); "
-            f"the closed-form kernel is mis-normalized"
+            f"kernel column sums overshoot nu by {-worst:.3e} (relative) at "
+            f"h = {h_widths:.3g} bath thermal widths; the grid is too coarse "
+            f"for the bath, or else the kernel is mis-normalized"
         )
 
 
@@ -343,8 +345,8 @@ def make_grid(
     lattice sum can overshoot the continuum column integral by up to ~1% of
     nu, leaving a marginally negative diagonal there.  That overshoot is a
     benign quadrature artifact; the build only fails, with NumericalFault,
-    when the defect exceeds a few percent of nu, which indicates a genuinely
-    wrong kernel rather than coarse resolution.
+    when the defect exceeds a few percent of nu (a grid too coarse for the
+    bath, or a wrong kernel), or when h^3 is not a positive normal float.
 
     Only the rows of the orbit representatives are evaluated, in blocks of
     2^18 kernel values (2 MB; 8 rows at n = 32), and each block is folded in
@@ -363,13 +365,18 @@ def make_grid(
         raise ValueError(f"extent_sigma must be positive and finite, got {extent_sigma}")
     s = bath.sigma_th
     h = 2.0 * extent_sigma * s / n
+    with np.errstate(over="ignore", under="ignore"):  # inf or 0, not OverflowError
+        h3 = float(np.float64(h) ** 3)
+    if not np.finfo(float).tiny <= h3 < math.inf:
+        raise NumericalFault(
+            f"grid cell volume h^3 = {h3:.3e} (h = {h:.3e}) is not a positive normal float"
+        )
     offsets = (np.arange(n) - 0.5 * (n - 1)) * h
     axes = [bath.u1[d] + offsets for d in range(3)]
     gx, gy, gz = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     n_nodes = nodes.shape[0]
     nu_vec = nu(bath, nodes)
-    h3 = h**3
 
     orbit_index, orbit_mult, rep_index = _orbit_decomposition(n)
     n_orb = orbit_mult.size
@@ -397,7 +404,7 @@ def make_grid(
     mult = orbit_mult.astype(float)
     nu_rep = nu_vec[rep_index]
     defect = nu_rep - (mult @ reduced) / mult
-    _check_column_defect(defect, nu_rep)
+    _check_column_defect(defect, nu_rep, h / s)
     reduced[np.arange(n_orb), np.arange(n_orb)] += defect
     return KernelGrid(
         restitution=restitution, bath=bath, n=n, axes=axes, nodes=nodes, h=h,

@@ -34,6 +34,7 @@ __all__ = [
 Array = np.ndarray
 
 _UNIT_TOL = 1e-12
+_FORM_TOL = 1e-8  # sphere_average_l's sigma/n form gap; ~1e-14 at orders 32, 64
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,10 @@ class RestitutionParams:
 
     Derived fields (computed, never passed in): ``zeta = (1+epsilon)/2``,
     ``alpha = m1/(1+m1)`` (reduced-mass weight), ``beta = (1-e)/2``,
-    ``kappa = alpha*(1-beta)`` (momentum-transfer coefficient of the bath
-    collision), and the pre-collision stretch factors
-    ``gamma_c = kappa/(1-2*beta)``, ``gamma_bar = (1-alpha)*(1-beta)/(1-2*beta)``
+    ``kappa = alpha*(1-beta)`` and ``kappa_bar = (1-alpha)*(1-beta)`` (the
+    momentum-transfer coefficients of the bath collision for the gas and the
+    bath particle), and the pre-collision stretch factors
+    ``gamma_c = kappa/(1-2*beta)``, ``gamma_bar = kappa_bar/(1-2*beta)``
     (note ``1 - 2*beta = e``, so e > 0 keeps them finite).
     """
 
@@ -64,6 +66,7 @@ class RestitutionParams:
     alpha: float = field(init=False)
     beta: float = field(init=False)
     kappa: float = field(init=False)
+    kappa_bar: float = field(init=False)
     gamma_c: float = field(init=False)
     gamma_bar: float = field(init=False)
 
@@ -82,12 +85,9 @@ class RestitutionParams:
         object.__setattr__(self, "alpha", self.m1 / (1.0 + self.m1))
         object.__setattr__(self, "beta", 0.5 * (1.0 - self.e))
         object.__setattr__(self, "kappa", self.alpha * (1.0 - self.beta))
+        object.__setattr__(self, "kappa_bar", (1.0 - self.alpha) * (1.0 - self.beta))
         object.__setattr__(self, "gamma_c", self.kappa / (1.0 - 2.0 * self.beta))
-        object.__setattr__(
-            self,
-            "gamma_bar",
-            (1.0 - self.alpha) * (1.0 - self.beta) / (1.0 - 2.0 * self.beta),
-        )
+        object.__setattr__(self, "gamma_bar", self.kappa_bar / (1.0 - 2.0 * self.beta))
 
 
 class VelocityPair(NamedTuple):
@@ -166,6 +166,29 @@ def _uniform_sphere(rng: np.random.Generator, k: int) -> Array:
     return sigma
 
 
+def _delta(q: Array, sigma: Array) -> Array:
+    """|q| sigma - q, one component at a time as in :func:`_sq_norm`; broadcasts."""
+    qn = np.sqrt(_sq_norm(q))
+    delta = np.empty(np.broadcast_shapes(q.shape, sigma.shape))
+    for i in range(3):
+        di = delta[..., i]
+        np.multiply(qn, sigma[..., i], out=di)
+        di -= q[..., i]
+    return delta
+
+
+def _apply(v: Array, w: Array, delta: Array, a: float, b: float) -> VelocityPair:
+    """The post-collision pair (v + a delta, w - b delta) of every map."""
+    return VelocityPair(v + a * delta, w - b * delta)
+
+
+def _as_pair(v: Array, w: Array, direction: Array, name: str) -> tuple[Array, Array, Array]:
+    """``v``, ``w`` and a checked unit ``direction`` as float arrays."""
+    direction = np.asarray(direction, dtype=float)
+    _check_unit(direction, name)
+    return np.asarray(v, dtype=float), np.asarray(w, dtype=float), direction
+
+
 def collide_q(v: Array, w: Array, sigma: Array, params: RestitutionParams) -> VelocityPair:
     """Gas-gas collision with post-collision direction ``sigma``.
 
@@ -173,42 +196,20 @@ def collide_q(v: Array, w: Array, sigma: Array, params: RestitutionParams) -> Ve
     q = v - w.  Momentum v + w is conserved exactly; for |q| = 0 the map is
     the identity.  Broadcasts over leading dimensions.
     """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    _check_unit(sigma, "sigma")
-    q = v - w
-    qn = np.sqrt(_sq_norm(q))
-    delta = np.empty(np.broadcast_shapes(q.shape, sigma.shape))
-    for i in range(3):
-        di = delta[..., i]
-        np.multiply(qn, sigma[..., i], out=di)
-        di -= q[..., i]
-        di *= 0.5 * params.zeta
-    return VelocityPair(v + delta, w - delta)
+    v, w, sigma = _as_pair(v, w, sigma, "sigma")
+    half = 0.5 * params.zeta
+    return _apply(v, w, _delta(v - w, sigma), half, half)
 
 
 def collide_l_sigma(v: Array, w: Array, sigma: Array, params: RestitutionParams) -> VelocityPair:
     """Gas-bath collision in the center-of-mass (sigma) parametrization.
 
-    v* = v - alpha(1-beta)(q - |q| sigma),
-    w* = w + (1-alpha)(1-beta)(q - |q| sigma),  q = v - w.
+    v* = v + alpha(1-beta)(|q| sigma - q),
+    w* = w - (1-alpha)(1-beta)(|q| sigma - q),  q = v - w.
     Conserves v + m1 w exactly; identity for |q| = 0.
     """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    _check_unit(sigma, "sigma")
-    q = v - w
-    qn = np.sqrt(_sq_norm(q))
-    d = np.empty(np.broadcast_shapes(q.shape, sigma.shape))
-    for i in range(3):
-        di = d[..., i]
-        np.multiply(qn, sigma[..., i], out=di)
-        np.subtract(q[..., i], di, out=di)
-    v_post = v - params.kappa * d
-    w_post = w + (1.0 - params.alpha) * (1.0 - params.beta) * d
-    return VelocityPair(v_post, w_post)
+    v, w, sigma = _as_pair(v, w, sigma, "sigma")
+    return _apply(v, w, _delta(v - w, sigma), params.kappa, params.kappa_bar)
 
 
 def collide_l_n(v: Array, w: Array, n: Array, params: RestitutionParams) -> VelocityPair:
@@ -216,17 +217,11 @@ def collide_l_n(v: Array, w: Array, n: Array, params: RestitutionParams) -> Velo
 
     v* = v - 2 alpha(1-beta)(q.n) n,  w* = w + 2(1-alpha)(1-beta)(q.n) n.
     Equivalent to the sigma form after the change of variables
-    sigma = q/|q| - 2(q.n/|q|) n; same conservation properties.
+    sigma = q/|q| - 2(q.n/|q|) n, so |q| sigma - q = -2(q.n) n; same conservation.
     """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    n = np.asarray(n, dtype=float)
-    _check_unit(n, "n")
-    q = v - w
-    c = np.sum(q * n, axis=-1, keepdims=True)
-    v_post = v - 2.0 * params.kappa * c * n
-    w_post = w + 2.0 * (1.0 - params.alpha) * (1.0 - params.beta) * c * n
-    return VelocityPair(v_post, w_post)
+    v, w, n = _as_pair(v, w, n, "n")
+    c = np.sum((v - w) * n, axis=-1, keepdims=True)
+    return _apply(v, w, (-2.0 * c) * n, params.kappa, params.kappa_bar)
 
 
 def _orthonormal_frame(axis: Array) -> tuple[Array, Array]:
@@ -304,20 +299,18 @@ def sphere_average_q(
     """Sphere-averaged weak form of a gas-gas collision.
 
     Returns (1/4pi) * integral over sigma of
-    psi(v') + psi(w') - psi(v) - psi(w).
+    psi(v') + psi(w') - psi(v) - psi(w), with (v', w') from :func:`collide_q`.
 
     For psi = 1 or psi = v this vanishes identically; for psi = |v|^2 it
     equals -zeta(1-zeta)|q|^2 = -(1-epsilon^2)/4 |q|^2.
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    q = v - w
-    qn = float(np.linalg.norm(q))
-    if qn == 0.0:
+    if float(np.linalg.norm(v - w)) == 0.0:
         return 0.0
     sig, wts = sphere_quadrature(order)
-    delta = 0.5 * params.zeta * (qn * sig - q)
-    gain = psi(v + delta) + psi(w - delta)
+    v_post, w_post = collide_q(v, w, sig, params)
+    gain = psi(v_post) + psi(w_post)
     base = float(psi(v[None, :])[0] + psi(w[None, :])[0])
     return float(np.dot(wts, gain) / (4.0 * math.pi) - base)
 
@@ -328,15 +321,14 @@ def sphere_average_l(
     w: Array,
     params: RestitutionParams,
     order: int = 64,
-    check_tol: float = 1e-6,
 ) -> float:
     """Sphere-averaged weak form of a gas-bath collision (tagged particle).
 
     The sigma form is (1/4pi) * integral over sigma of psi(v*) - psi(v) with
-    the center-of-mass map; the n form is (1/2pi) * integral over n of
-    |qhat . n| (psi(v*) - psi(v)) with the impact-direction map.  The two
+    :func:`collide_l_sigma`; the n form is (1/2pi) * integral over n of
+    |qhat . n| (psi(v*) - psi(v)) with :func:`collide_l_n`.  The two
     parametrizations represent the same average: both quadratures are
-    evaluated, a disagreement beyond ``check_tol`` (relative to the larger
+    evaluated, a disagreement beyond ``_FORM_TOL`` (relative to the larger
     magnitude, floored at 1) raises RuntimeError, and the sigma-form value
     is returned.  For psi(x) = |x - u1|^2 the average equals
     2 kappa^2 |q|^2 - 2 kappa <q, v - u1>
@@ -350,16 +342,15 @@ def sphere_average_l(
         return 0.0
     base = float(psi(v[None, :])[0])
     sig, wts = sphere_quadrature(order)
-    v_post = v - params.kappa * (q - qn * sig)
-    value_sigma = float(np.dot(wts, psi(v_post) - base) / (4.0 * math.pi))
+    gain = psi(collide_l_sigma(v, w, sig, params).v) - base
+    value_sigma = float(np.dot(wts, gain) / (4.0 * math.pi))
     qhat = q / qn
     # |qhat . n| has a kink at the equator: split the polar rule there.
     n, wts = sphere_quadrature(order, axis=qhat, split_equator=True)
-    mu = n @ qhat
-    v_post = v - 2.0 * params.kappa * (qn * mu)[:, None] * n  # qn mu = q . n
-    value_n = float(np.dot(wts * np.abs(mu), psi(v_post) - base) / (2.0 * math.pi))
+    gain = psi(collide_l_n(v, w, n, params).v) - base
+    value_n = float(np.dot(wts * np.abs(n @ qhat), gain) / (2.0 * math.pi))
     scale = max(1.0, abs(value_sigma), abs(value_n))
-    if abs(value_sigma - value_n) > check_tol * scale:
+    if abs(value_sigma - value_n) > _FORM_TOL * scale:
         raise RuntimeError(
             "sigma- and n-parametrizations of the bath collision average "
             f"disagree: {value_sigma!r} vs {value_n!r} at order {order}"

@@ -5,6 +5,7 @@ with ``pytest -v -s`` or in failure output); the pytest PASSED/FAILED line is
 the per-criterion verdict.  Standard errors of time-correlated series are
 estimated by batch means so the sigma allowances are honest.
 """
+import dataclasses
 import json
 import math
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from conftest import drawn_sweep, third_cumulant
 
+from granular_bath import kinematics
 from granular_bath.background import BathParams, linear_steady
 from granular_bath.carleman import (
     kernel_closed_form,
@@ -78,8 +80,8 @@ def driven_runs():
     return out
 
 
-def test_criterion_01_sphere_average_identities():
-    rng = np.random.default_rng(1001)
+def sphere_average_worst(rng: np.random.Generator) -> float:
+    """Worst relative error of the two sphere-average energy identities."""
     u1 = np.array([0.3, -0.2, 0.5])
     worst = 0.0
     for params in PARAM_SETS:
@@ -105,8 +107,35 @@ def test_criterion_01_sphere_average_identities():
                 + 2.0 * kappa * abs(float(q @ (w - u1))),
             )
             worst = max(worst, abs(got - want) / scale)
+    return worst
+
+
+def test_criterion_01_sphere_average_identities():
+    worst = sphere_average_worst(np.random.default_rng(1001))
     assert worst <= 1e-8, worst
     print(f"criterion  1 PASS  sphere-average identities, worst rel err {worst:.2e}")
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [("collide_q", "zeta"), ("collide_l_sigma", "kappa"), ("collide_l_n", "kappa")],
+)
+def test_criterion_01_checks_the_maps_the_solver_runs(monkeypatch, name, field):
+    # A map whose coefficient is off by 10% breaks its identity: the gas one
+    # misses its closed form, and either bath map disagrees with the other.
+    collide = getattr(kinematics, name)
+
+    def off(v, w, direction, params):
+        changed = dataclasses.replace(params)
+        object.__setattr__(changed, field, 0.9 * getattr(params, field))
+        return collide(v, w, direction, changed)
+
+    monkeypatch.setattr(kinematics, name, off)
+    if name == "collide_q":
+        assert sphere_average_worst(np.random.default_rng(1001)) > 1e-8
+    else:
+        with pytest.raises(RuntimeError, match="parametrizations of the bath collision"):
+            sphere_average_worst(np.random.default_rng(1001))
 
 
 def test_criterion_02_momentum_conservation():

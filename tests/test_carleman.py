@@ -204,9 +204,10 @@ class TestGridAssembly:
         nu_col = np.linspace(0.5, 3.0, 20)
         one_over = np.zeros_like(nu_col)
         one_over[7] = -0.06 * nu_col[7]
-        with pytest.raises(NumericalFault, match=r"^kernel column sums overshoot nu by 6\.000e-02"):
-            _check_column_defect(one_over, nu_col)
-        _check_column_defect(-0.04 * nu_col, nu_col)
+        message = r"^kernel column sums overshoot nu by 6\.000e-02 \(relative\) at h = 0\.75 "
+        with pytest.raises(NumericalFault, match=message):
+            _check_column_defect(one_over, nu_col, 0.75)
+        _check_column_defect(-0.04 * nu_col, nu_col, 0.75)
 
     def test_elastic_fixed_point_machine_exact(self):
         g = make_grid(rest_at(1.0, 1.0), bath_at(), n=12, extent_sigma=6.0)

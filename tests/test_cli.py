@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import sigma_shift_form
 
-from granular_bath import cli, dsmc
+from granular_bath import carleman, cli, dsmc
 from granular_bath.background import NumericalFault, load_table
 from granular_bath.cli import (
     DEFAULTS,
@@ -673,6 +674,44 @@ class TestMain:
         assert "theta_lin = 0.8181818181818181;" in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_coarse_grid_names_the_spacing(self, tmp_path, capsys):
+        # At 8 nodes over +-20 thermal widths the lattice column sums
+        # overshoot nu by 13%: the grid is too coarse for the bath.
+        path = write_config(tmp_path, dict(LINEAR_SMOKE, grid={"nodes": 8, "extent": 20.0}))
+        rc = main(["linear", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical fault: kernel column sums overshoot nu by ")
+        assert err.endswith(
+            " (relative) at h = 5 bath thermal widths; the grid is too coarse "
+            "for the bath, or else the kernel is mis-normalized\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("nodes", [8, 32])
+    @pytest.mark.parametrize(
+        "extent, h3", [(1e160, "inf"), (1e300, "inf"), (1e-300, "0.000e+00")]
+    )
+    def test_cell_volume_outside_the_float_range_exits_three(
+        self, tmp_path, capsys, monkeypatch, nodes, extent, h3
+    ):
+        # h^3 overflows or underflows: the build stops before it evaluates
+        # nu, and no steady iteration runs.
+        calls = []
+        monkeypatch.setattr(carleman, "nu", lambda *args: calls.append("nu"))
+        monkeypatch.setattr(cli, "steady_state", lambda *args: calls.append("steady"))
+        grid = {"nodes": nodes, "extent": extent}
+        path = write_config(tmp_path, dict(LINEAR_SMOKE, grid=grid))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["linear", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical fault: grid cell volume h^3 = {h3} (h = ")
+        assert err.endswith(") is not a positive normal float\n")
+        assert not (tmp_path / "o").exists()
 
     def test_grid_nodes_above_64_is_one_config_error_line(self, tmp_path, capsys):
         # The reduced matrix of a 65^3 grid would take 0.3 GiB, of 128^3 16 GiB.

@@ -43,12 +43,13 @@ def random_units(n, rng=RNG):
 class TestDerivedParameters:
     def test_worked_example(self):
         # epsilon = 0.8 -> zeta = 0.9; m1 = 1 -> alpha = 1/2; e = 0.8 ->
-        # beta = 0.1, kappa = 0.45, gamma_c = gamma_bar = 0.5625.
+        # beta = 0.1, kappa = kappa_bar = 0.45, gamma_c = gamma_bar = 0.5625.
         p = RestitutionParams(epsilon=0.8, e=0.8, m1=1.0)
         assert p.zeta == pytest.approx(0.9, abs=1e-15)
         assert p.alpha == pytest.approx(0.5, abs=1e-15)
         assert p.beta == pytest.approx(0.1, abs=1e-15)
         assert p.kappa == pytest.approx(0.45, abs=1e-15)
+        assert p.kappa_bar == pytest.approx(0.45, abs=1e-15)
         assert p.gamma_c == pytest.approx(0.5625, abs=1e-15)
         assert p.gamma_bar == pytest.approx(0.5625, abs=1e-15)
 
@@ -57,6 +58,9 @@ class TestDerivedParameters:
         # Two identities the closed-form kernel relies on:
         # (1 - 2 beta) = e, hence e * gamma_c = kappa.
         assert params.e * params.gamma_c == pytest.approx(params.kappa, rel=1e-14)
+        assert params.e * params.gamma_bar == pytest.approx(params.kappa_bar, rel=1e-14)
+        # The bath map conserves v + m1 w: kappa_bar = kappa / m1.
+        assert params.kappa_bar * params.m1 == pytest.approx(params.kappa, rel=1e-14)
         # 1 - (1 - 2 gamma_bar) / (2 gamma_c) = 1 / (2 kappa).
         g = (1.0 - 2.0 * params.gamma_bar) / (2.0 * params.gamma_c)
         assert 1.0 - g == pytest.approx(1.0 / (2.0 * params.kappa), rel=1e-13)
@@ -317,8 +321,7 @@ class TestSphereAverages:
             q = v - w
             q2 = float(np.sum(q * q))
             got = sphere_average_l(
-                lambda x: np.sum((x - c) ** 2, axis=-1), v, w, params,
-                order=64, check_tol=1e-8,
+                lambda x: np.sum((x - c) ** 2, axis=-1), v, w, params, order=64
             )
             want = -2 * kap * (1 - kap) * q2 - 2 * kap * float(np.dot(q, w - c))
             alt = 2 * alp**2 * (1 - bet) ** 2 * q2 - 2 * alp * (1 - bet) * float(
@@ -336,8 +339,7 @@ class TestSphereAverages:
         v = np.array([1.0, 0.2, -0.3])
         w = np.array([-0.5, 0.1, 0.8])
         val = sphere_average_l(
-            lambda x: x[..., 0] ** 3 + np.sum(x * x, axis=-1), v, w, params,
-            order=64, check_tol=1e-6,
+            lambda x: x[..., 0] ** 3 + np.sum(x * x, axis=-1), v, w, params, order=64
         )
         assert math.isfinite(val)
 
