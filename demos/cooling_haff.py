@@ -9,6 +9,7 @@ Usage:
     python3 demos/cooling_haff.py [--n-particles 50000] [--t-end 60] [--out DIR]
 """
 import argparse
+import math
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +56,11 @@ def main() -> None:
     except FitRefusedError as exc:
         print(f"no exponent fit: {exc}")
     else:
-        # 1 / (1 + t/t0)^2 in closed form, for the printed comparison
-        expected_t0 = 2.0 / (0.271 * np.sqrt(theta[0]))
+        # Haff's law under the Gaussian closure, Theta_0 / (1 + t/t0)^2, with
+        # tau t0 sqrt(Theta_0) = 1.5 sqrt(pi) / (1 - eps^2) as in the CLI's
+        # collision-count estimate.
+        tau_t0 = 1.5 * math.sqrt(math.pi) / (1.0 - args.epsilon**2)
+        expected_t0 = tau_t0 / (config.tau * np.sqrt(theta[0]))
         print(f"fitted late-time exponent: {fit.exponent:.4f}  (algebraic "
               f"cooling predicts -2)")
         print(f"fitted onset time t0:      {fit.t0:.3f}  (moment closure "

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from granular_bath.background import BathParams
-from granular_bath.dsmc import ObserverConfig, SimConfig, detect_steady, run
+from granular_bath.dsmc import ObserverConfig, SimConfig, run, steady_tail
 from granular_bath.kinematics import RestitutionParams
-from granular_bath.observables import bound_params, f_aux_stderr
+from granular_bath.observables import BOUND_SIGMAS, bound_excess, bound_params
 
 
 def main() -> None:
@@ -54,21 +54,15 @@ def main() -> None:
     print(f"energy functional bound: max{{(gamma2/gamma1)^2, F(0)}} = "
           f"max{{{(bp.gamma2 / bp.gamma1) ** 2:.2f}, "
           f"{traj.records[0].f_aux:.2f}}} = {bp.bound:.2f}")
-    shift = 3.0 * bath.theta1 / bath.m1
-    worst = max(
-        (rec.f_aux - shift)
-        - 4.0 * f_aux_stderr(rec, bath, config.n_particles)
-        for rec in traj.records
-    )
-    status = "holds" if worst <= bp.bound else "VIOLATED"
-    print(f"largest recorded 3 Theta + |u - u1|^2 (less 4 sigma): "
-          f"{worst:.3f} -> bound {status}")
+    worst, t_worst = bound_excess(traj.records, bath, bp.bound, config.n_particles)
+    status = "holds" if worst <= 0.0 else "VIOLATED"
+    print(f"largest recorded 3 Theta + |u - u1|^2 (less {BOUND_SIGMAS:g} sigma): "
+          f"{bp.bound + worst:.3f} at t = {t_worst:.1f} -> bound {status}")
 
-    verdict = detect_steady(traj)
-    if verdict.steady:
-        tail = traj.thetas()[verdict.index:]
+    verdict, theta_steady, _ = steady_tail(traj)
+    if verdict is not None and verdict.steady:
         print(f"steady from t = {verdict.t_steady:.1f}; "
-              f"Theta_steady = {tail.mean():.4f} "
+              f"Theta_steady = {theta_steady:.4f} "
               f"(0 < Theta < Theta1 = {bath.theta1})")
     else:
         print("no steady window detected -- try a longer run")

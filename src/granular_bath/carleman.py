@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .background import BathParams, NumericalFault, bath_density, nu
+from .background import BathParams, NumericalFault, bath_density, linear_steady, nu
 from .kinematics import RestitutionParams, _orthonormal_frame
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "make_grid",
     "dense_matrix",
     "steady_state",
+    "closed_form_gap",
     "write_grid_csv",
 ]
 
@@ -453,12 +454,10 @@ def _grid_moments(grid: KernelGrid, f: Array) -> tuple[Array, float]:
     return u, theta
 
 
-def steady_state(
-    grid: KernelGrid,
-    f0: Array | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 50_000,
-) -> SteadyState:
+_MAX_ITER = 50_000  # iterations of steady_state before it gives up
+
+
+def steady_state(grid: KernelGrid, f0: Array | None = None, tol: float = 1e-10) -> SteadyState:
     """Fixed-point iteration F <- normalize(diag(nu)^-1 K F) to the steady state.
 
     Nonnegativity and unit mass hold at every iterate (negative values the
@@ -474,12 +473,10 @@ def steady_state(
     is symmetric).  Asymmetric initial data can be supplied explicitly to
     exercise uniqueness; that iterates on :func:`dense_matrix`, so it needs
     a grid of at most 5000 nodes.  Initial data that are not finite,
-    nonnegative node values with positive mass raise ValueError, as do a
-    ``max_iter`` below 1 and a ``tol`` that is not positive and finite.
-    No convergence within ``max_iter`` iterations raises NumericalFault.
+    nonnegative node values with positive mass raise ValueError, as does a
+    ``tol`` that is not positive and finite.  No convergence within
+    ``_MAX_ITER`` iterations raises NumericalFault.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     # The iterate g holds one value per orbit (weights: orbit sizes) or one
@@ -498,7 +495,7 @@ def steady_state(
         weights, nodes = np.ones(grid.n_nodes), slice(None)
     h3 = grid.cell_volume
     g /= float((weights * g).sum() * h3)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         g_new = np.maximum(op @ g / nu_g, 0.0)
         g_new /= float((weights * g_new).sum() * h3)
         dist = float((weights * np.abs(g_new - g)).sum() * h3)
@@ -507,7 +504,20 @@ def steady_state(
             f = g[nodes]
             u, theta = _grid_moments(grid, f)
             return SteadyState(f=f, theta=theta, u=u, iterations=it, residual=dist)
-    raise NumericalFault(f"no convergence after {max_iter} iterations (residual {dist:.3e})")
+    raise NumericalFault(f"no convergence after {_MAX_ITER} iterations (residual {dist:.3e})")
+
+
+def closed_form_gap(grid: KernelGrid, steady: SteadyState) -> tuple[float, float]:
+    """theta_lin and the L1 distance of ``steady`` to the closed-form steady
+    state, the gas Maxwellian at (u1, theta_lin) (Martin & Piasecki,
+    Europhys. Lett. 46, 1999) at the nodes: a product of 1-D factors."""
+    theta_lin = linear_steady(grid.restitution, grid.bath)
+    gauss = [
+        np.exp(-0.5 * (ax - c) ** 2 / theta_lin) / math.sqrt(2.0 * math.pi * theta_lin)
+        for ax, c in zip(grid.axes, grid.bath.u1)
+    ]
+    exact = np.multiply.outer(np.multiply.outer(*gauss[:2]), gauss[2]).ravel()
+    return theta_lin, float(np.abs(steady.f - exact).sum() * grid.cell_volume)
 
 
 def write_grid_csv(path: str | Path, grid: KernelGrid, f: Array) -> None:

@@ -38,10 +38,10 @@ from typing import Callable, NoReturn, Sequence
 import numpy as np
 
 from .background import (
-    BathParams, NumericalFault, TableFormatError, abs_moment, erf, linear_steady,
-    load_table, nu,
+    BathParams, NumericalFault, TableFormatError, abs_moment, erf, load_table, nu,
 )
 from .carleman import (
+    closed_form_gap,
     dense_matrix,
     kernel_closed_form,
     kernel_quadrature,
@@ -54,8 +54,8 @@ from .dsmc import (
     ObserverConfig,
     SimConfig,
     _whole_steps,
-    detect_steady,
     run,
+    steady_tail,
     step_l,
     step_q,
 )
@@ -70,14 +70,15 @@ from .kinematics import (
     sphere_average_q,
 )
 from .observables import (
+    BOUND_SIGMAS,
     CSV_COLUMNS,
     BoundParams,
     DegenerateParameterError,
     FitRefusedError,
     _fmt,
+    bound_excess,
     bound_params,
     box_edges,
-    f_aux_stderr,
     haff_fit,
     maxwellian_cells,
 )
@@ -438,43 +439,17 @@ def _write_bound_report(
         except FitRefusedError as exc:
             lines.append(f"cooling fit: refused ({exc})")
     else:
-        bath = sim.bath
         lines.append(f"gamma1: {_fmt(bp.gamma1)}")
         lines.append(f"gamma2: {_fmt(bp.gamma2)}")
         lines.append(f"bound max((gamma2/gamma1)^2, F(0)): {_fmt(bp.bound)}")
-        shift = 3.0 * bath.theta1 / bath.m1
-        worst = -math.inf
-        worst_t = 0.0
-        for rec in traj.records:
-            allowance = 4.0 * f_aux_stderr(rec, bath, sim.n_particles)
-            excess = (rec.f_aux - shift) - (bp.bound + allowance)
-            if excess > worst:
-                worst, worst_t = excess, rec.t
-            if excess > 0.0:
-                violated = True
-        lines.append(f"largest F excess over bound + 4 sigma: {_fmt(worst)} at t = {_fmt(worst_t)}")
+        worst, worst_t = bound_excess(traj.records, sim.bath, bp.bound, sim.n_particles)
+        violated = worst > 0.0
+        lines.append(f"largest F excess over bound + {BOUND_SIGMAS:g} sigma: "
+                     f"{_fmt(worst)} at t = {_fmt(worst_t)}")
         lines.append(f"verdict: {'VIOLATION' if violated else 'OK'}")
     lines.extend(extra_lines)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return violated
-
-
-def _steady_theta(traj: MomentTrajectory):
-    """detect_steady plus the mean/SE of theta over the steady tail.
-
-    Returns ``(None, nan, nan)`` when the trajectory is too short for the
-    steady window: a short run is a legitimate configuration, not an error.
-    """
-    try:
-        verdict = detect_steady(traj)
-    except ValueError as exc:
-        log.warning("steady detection skipped: %s", exc)
-        return None, math.nan, math.nan
-    if not verdict.steady:
-        return verdict, math.nan, math.nan
-    tail = np.asarray(traj.thetas()[verdict.index :])
-    se = float(tail.std(ddof=1) / math.sqrt(tail.size)) if tail.size > 1 else math.nan
-    return verdict, float(tail.mean()), se
 
 
 def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
@@ -494,7 +469,6 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
     out = Path(out_dir)
 
     h_reference = None
-    steady_grid = None
     steady_csv = made = None
     try:
         if parsed.mode == "linear":  # linear mode takes no f1_table: a Maxwellian bath
@@ -504,7 +478,7 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
                 extent_sigma=parsed.grid_extent,
             )
             steady_grid = steady_state(grid)
-            theta_lin = linear_steady(sim.restitution, sim.bath)
+            theta_lin, l1_exact = closed_form_gap(grid, steady_grid)
             if not abs(steady_grid.theta - theta_lin) <= _GRID_THETA_TOL * theta_lin:
                 raise NumericalFault(
                     f"grid steady temperature {_fmt(steady_grid.theta)} is more than "
@@ -515,14 +489,6 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
             out.mkdir(parents=True, exist_ok=True)
             steady_csv = out / "steady_f1.csv"
             write_grid_csv(steady_csv, grid, steady_grid.f)
-            # L1 distance of the grid steady state to the closed form, the gas
-            # Maxwellian at (u1, theta_lin) at the nodes: a product of 1-D factors.
-            gauss = [
-                np.exp(-0.5 * (ax - c) ** 2 / theta_lin) / math.sqrt(2.0 * math.pi * theta_lin)
-                for ax, c in zip(grid.axes, sim.bath.u1)
-            ]
-            exact = np.multiply.outer(np.multiply.outer(*gauss[:2]), gauss[2]).ravel()
-            l1_exact = float(np.abs(steady_grid.f - exact).sum() * grid.cell_volume)
             # Only steady_grid is read from here on: free the grid's reduced
             # matrix and node arrays before the particle run allocates.
             del grid
@@ -551,7 +517,7 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
 
     extra: list[str] = []
     if parsed.mode != "cooling":
-        verdict, theta_s, theta_se = _steady_theta(traj)
+        verdict, theta_s, theta_se = steady_tail(traj)
         if verdict is None:
             line = "steady verdict: not enough records for the steady window"
         elif not verdict.steady:
@@ -582,7 +548,8 @@ def execute(parsed: ParsedConfig, out_dir: str | Path = ".") -> int:
         _plot_script(bound_value, has_h=h_reference is not None), encoding="utf-8"
     )
     if violated:
-        print("temperature bound violated beyond the 4 sigma allowance", file=sys.stderr)
+        print(f"temperature bound violated beyond the {BOUND_SIGMAS:g} sigma allowance",
+              file=sys.stderr)
         return 2
     return 0
 
@@ -652,12 +619,10 @@ def _check_sphere_averages(rng: np.random.Generator) -> None:
     for _ in range(10):
         v, w = rng.standard_normal((2, 3)) * 2.0
         q = v - w
-        got = sphere_average_q(lambda x: np.sum(x**2, axis=-1), v, w, params, order=32)
+        got = sphere_average_q(lambda x: np.sum(x**2, axis=-1), v, w, params)
         want = -(1.0 - params.epsilon**2) / 4.0 * float(q @ q)
         assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), (got, want)
-        got = sphere_average_l(
-            lambda x: np.sum((x - u1) ** 2, axis=-1), v, w, params, order=32
-        )
+        got = sphere_average_l(lambda x: np.sum((x - u1) ** 2, axis=-1), v, w, params)
         want = -2.0 * kappa * (1.0 - kappa) * float(q @ q) - 2.0 * kappa * float(
             q @ (w - u1)
         )

@@ -104,6 +104,7 @@ __all__ = [
     "step_l",
     "run",
     "detect_steady",
+    "steady_tail",
 ]
 
 Array = np.ndarray
@@ -545,3 +546,16 @@ def detect_steady(traj: MomentTrajectory) -> SteadyVerdict:
         else:
             return SteadyVerdict(True, records[start].t, start)
     return SteadyVerdict(False, None, None)
+
+
+def steady_tail(traj: MomentTrajectory) -> tuple[SteadyVerdict | None, float, float]:
+    """detect_steady plus the mean/SE of theta over the steady tail; ``(None,
+    nan, nan)`` below 32 records, as a short run is no error."""
+    try:
+        verdict = detect_steady(traj)
+    except ValueError:
+        return None, math.nan, math.nan
+    if not verdict.steady:
+        return verdict, math.nan, math.nan
+    tail = traj.thetas()[verdict.index :]  # at least 32 records
+    return verdict, float(tail.mean()), float(tail.std(ddof=1) / math.sqrt(tail.size))

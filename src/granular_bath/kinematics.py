@@ -34,7 +34,8 @@ __all__ = [
 Array = np.ndarray
 
 _UNIT_TOL = 1e-12
-_FORM_TOL = 1e-8  # sphere_average_l's sigma/n form gap; ~1e-14 at orders 32, 64
+_SPHERE_ORDER = 64  # nodes per factor of the sphere averages' product rule
+_FORM_TOL = 1e-8  # sphere_average_l's sigma/n form gap; ~1e-14 at order 64
 
 
 @dataclass(frozen=True)
@@ -290,11 +291,7 @@ def sphere_quadrature(
 
 
 def sphere_average_q(
-    psi: Callable[[Array], Array],
-    v: Array,
-    w: Array,
-    params: RestitutionParams,
-    order: int = 64,
+    psi: Callable[[Array], Array], v: Array, w: Array, params: RestitutionParams
 ) -> float:
     """Sphere-averaged weak form of a gas-gas collision.
 
@@ -308,7 +305,7 @@ def sphere_average_q(
     w = np.asarray(w, dtype=float)
     if float(np.linalg.norm(v - w)) == 0.0:
         return 0.0
-    sig, wts = sphere_quadrature(order)
+    sig, wts = sphere_quadrature(_SPHERE_ORDER)
     v_post, w_post = collide_q(v, w, sig, params)
     gain = psi(v_post) + psi(w_post)
     base = float(psi(v[None, :])[0] + psi(w[None, :])[0])
@@ -316,11 +313,7 @@ def sphere_average_q(
 
 
 def sphere_average_l(
-    psi: Callable[[Array], Array],
-    v: Array,
-    w: Array,
-    params: RestitutionParams,
-    order: int = 64,
+    psi: Callable[[Array], Array], v: Array, w: Array, params: RestitutionParams
 ) -> float:
     """Sphere-averaged weak form of a gas-bath collision (tagged particle).
 
@@ -341,19 +334,19 @@ def sphere_average_l(
     if qn == 0.0:
         return 0.0
     base = float(psi(v[None, :])[0])
-    sig, wts = sphere_quadrature(order)
+    sig, wts = sphere_quadrature(_SPHERE_ORDER)
     gain = psi(collide_l_sigma(v, w, sig, params).v) - base
     value_sigma = float(np.dot(wts, gain) / (4.0 * math.pi))
     qhat = q / qn
     # |qhat . n| has a kink at the equator: split the polar rule there.
-    n, wts = sphere_quadrature(order, axis=qhat, split_equator=True)
+    n, wts = sphere_quadrature(_SPHERE_ORDER, axis=qhat, split_equator=True)
     gain = psi(collide_l_n(v, w, n, params).v) - base
     value_n = float(np.dot(wts * np.abs(n @ qhat), gain) / (2.0 * math.pi))
     scale = max(1.0, abs(value_sigma), abs(value_n))
     if abs(value_sigma - value_n) > _FORM_TOL * scale:
         raise RuntimeError(
             "sigma- and n-parametrizations of the bath collision average "
-            f"disagree: {value_sigma!r} vs {value_n!r} at order {order}"
+            f"disagree: {value_sigma!r} vs {value_n!r} at order {_SPHERE_ORDER}"
         )
     return value_sigma
 

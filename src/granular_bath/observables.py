@@ -31,6 +31,7 @@ __all__ = [
     "moments",
     "f_aux",
     "f_aux_stderr",
+    "bound_excess",
     "bound_params",
     "Histogram",
     "thermal_extent",
@@ -50,6 +51,7 @@ __all__ = [
 Array = np.ndarray
 
 DEFAULT_SIGMA_PAIRS = 2**17
+BOUND_SIGMAS = 4.0  # Monte Carlo allowance of the bound check, in SEs of F
 
 # The trajectory CSV's columns and the MomentRecord field each one holds; the
 # three u columns hold the components of u.  Writer and reader both use it.
@@ -188,6 +190,20 @@ def f_aux_stderr(record: MomentRecord, bath: BathParams, n_particles: int) -> fl
     du2 = float(np.sum((record.u - bath.u1) ** 2))
     var = 6.0 * record.theta**2 + 4.0 * record.theta * du2
     return math.sqrt(var / n_particles)
+
+
+def bound_excess(
+    records: Sequence[MomentRecord], bath: BathParams, bound: float, n_particles: int
+) -> tuple[float, float]:
+    """Largest (F - 3 Theta1/m1) - (bound + BOUND_SIGMAS SE of F) over ``records``
+    and the first time it is reached; the bound holds when it is <= 0."""
+    shift = 3.0 * bath.theta1 / bath.m1
+    worst, t_worst = -math.inf, 0.0
+    for rec in records:
+        excess = (rec.f_aux - shift) - (bound + BOUND_SIGMAS * f_aux_stderr(rec, bath, n_particles))
+        if excess > worst:
+            worst, t_worst = excess, rec.t
+    return worst, t_worst
 
 
 def bound_params(restitution: RestitutionParams, bath: BathParams, f0: float) -> BoundParams:

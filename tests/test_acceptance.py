@@ -29,9 +29,10 @@ from granular_bath.kinematics import (
     sphere_average_q,
 )
 from granular_bath.observables import (
+    BOUND_SIGMAS,
+    bound_excess,
     bound_params,
     box_edges,
-    f_aux_stderr,
     haff_fit,
     maxwellian_cells,
 )
@@ -89,15 +90,11 @@ def sphere_average_worst(rng: np.random.Generator) -> float:
         for _ in range(100):
             v, w = rng.standard_normal((2, 3)) * 2.0
             q = v - w
-            got = sphere_average_q(
-                lambda x: np.sum(x**2, axis=-1), v, w, params, order=64
-            )
+            got = sphere_average_q(lambda x: np.sum(x**2, axis=-1), v, w, params)
             want = -(1.0 - params.epsilon**2) / 4.0 * float(q @ q)
             scale = max(abs(want), float(q @ q) / 4.0)
             worst = max(worst, abs(got - want) / scale)
-            got = sphere_average_l(
-                lambda x: np.sum((x - u1) ** 2, axis=-1), v, w, params, order=64
-            )
+            got = sphere_average_l(lambda x: np.sum((x - u1) ** 2, axis=-1), v, w, params)
             want = -2.0 * kappa * (1.0 - kappa) * float(q @ q) - 2.0 * kappa * float(
                 q @ (w - u1)
             )
@@ -217,17 +214,12 @@ def test_criterion_03_energy_dissipation_rate():
 def test_criterion_04_temperature_bound(driven_runs):
     traj = driven_runs[0]
     bath = traj.config.bath
-    n = traj.config.n_particles
     bp = bound_params(traj.config.restitution, bath, traj.records[0].f_aux)
-    shift = 3.0 * bath.theta1 / bath.m1
-    worst = -math.inf
-    for rec in traj.records:
-        excess = (rec.f_aux - shift) - (bp.bound + 4.0 * f_aux_stderr(rec, bath, n))
-        worst = max(worst, excess)
-    assert worst <= 0.0, worst
+    worst, t_worst = bound_excess(traj.records, bath, bp.bound, traj.config.n_particles)
+    assert worst <= 0.0, (worst, t_worst)
     print(
         f"criterion  4 PASS  every 3 Theta + |u - u1|^2 within bound "
-        f"{bp.bound:.3f} + 4 sigma (worst margin {-worst:.3f})"
+        f"{bp.bound:.3f} + {BOUND_SIGMAS:g} sigma (worst margin {-worst:.3f})"
     )
 
 

@@ -12,16 +12,19 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
+from granular_bath import carleman
 from granular_bath.background import (
     BathParams, NumericalFault, TabulatedDensity, bath_density, linear_steady, nu,
 )
 from granular_bath.carleman import (
+    SteadyState,
     _DEFECT_LIMIT,
     _check_column_defect,
     _Lattice,
     _kernel_safe,
     _orbit_decomposition,
     _stretch_offset,
+    closed_form_gap,
     dense_matrix,
     kernel_closed_form,
     kernel_quadrature,
@@ -404,22 +407,18 @@ class TestSteadyState:
         f0 = np.ones(grid12.n_nodes)
         f0[5] = bad
         with pytest.raises(ValueError, match="f0 must be nonnegative node values"):
-            steady_state(grid12, f0=f0, max_iter=2000)
+            steady_state(grid12, f0=f0)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"max_iter": 0}, {"max_iter": -3},
-        {"tol": math.nan}, {"tol": -1.0}, {"tol": 0.0}, {"tol": math.inf},
-    ])
-    def test_rejects_bad_loop_settings(self, grid12, kwargs):
-        # With no iteration there is no residual to report, and a tol that
-        # no residual can meet would end in a NumericalFault.
-        name = next(iter(kwargs))
-        with pytest.raises(ValueError, match=name):
-            steady_state(grid12, **kwargs)
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_rejects_bad_tol(self, grid12, tol):
+        # A tol that no residual can meet would end in a NumericalFault.
+        with pytest.raises(ValueError, match="tol"):
+            steady_state(grid12, tol=tol)
 
-    def test_no_convergence_is_a_numerical_fault(self, grid12):
+    def test_no_convergence_is_a_numerical_fault(self, grid12, monkeypatch):
+        monkeypatch.setattr(carleman, "_MAX_ITER", 2)
         with pytest.raises(NumericalFault, match=r"^no convergence after 2 iterations \(residual "):
-            steady_state(grid12, tol=1e-16, max_iter=2)
+            steady_state(grid12, tol=1e-16)
 
 
 class TestLinearClosedForm:
@@ -435,11 +434,33 @@ class TestLinearClosedForm:
         rest = rest_at(e, m1)
         g = make_grid(rest, bath, n=32, extent_sigma=8.0)
         ss = steady_state(g)
-        theta_lin = linear_steady(rest, bath)
-        assert abs(ss.theta - theta_lin) <= 1e-6
+        theta_lin, l1 = closed_form_gap(g, ss)
+        assert abs(ss.theta - theta_lin) <= 1e-6 and l1 <= 1e-6
+
+    @pytest.mark.parametrize("m1", [0.5, 2.0])
+    def test_gap_against_the_bath_density_form(self, m1):
+        # A density far from the closed form: an L1 distance of order 1.
+        bath = bath_at(theta1=1.3, m1=m1, u1=(0.3, -0.2, 0.5))
+        g = make_grid(rest_at(0.8, m1), bath, n=12, extent_sigma=6.0)
+        f = np.random.default_rng(4).random(g.n_nodes)
+        f /= f.sum() * g.cell_volume
+        theta_lin, l1 = closed_form_gap(g, SteadyState(f, 1.0, np.zeros(3), 1, 0.0))
         gas = bath_at(theta1=theta_lin, m1=1.0, u1=bath.u1)
-        l1 = float(np.abs(ss.f - bath_density(gas, g.nodes)).sum()) * g.cell_volume
-        assert l1 <= 1e-6
+        want = float(np.abs(f - bath_density(gas, g.nodes)).sum()) * g.cell_volume
+        assert l1 > 0.5
+        assert l1 == pytest.approx(want, rel=1e-12)
+
+    def test_gap_is_the_inline_product_on_the_default_grid(self):
+        # The closed form as a product of 1-D Gaussian factors, bit for bit.
+        rest, bath = rest_at(0.8, 1.0), bath_at()
+        g = make_grid(rest, bath, n=32, extent_sigma=8.0)
+        ss = steady_state(g)
+        theta_lin = linear_steady(rest, bath)
+        gauss = [np.exp(-0.5 * (ax - c) ** 2 / theta_lin) / math.sqrt(2.0 * math.pi * theta_lin)
+                 for ax, c in zip(g.axes, bath.u1)]
+        exact = np.multiply.outer(np.multiply.outer(*gauss[:2]), gauss[2]).ravel()
+        l1 = float(np.abs(ss.f - exact).sum() * g.cell_volume)
+        assert closed_form_gap(g, ss) == (theta_lin, l1)
 
 
 class TestGridCsv:

@@ -26,7 +26,7 @@ from granular_bath.cli import (
     serialize_config,
 )
 from granular_bath.dsmc import ObserverConfig, run
-from granular_bath.observables import CSV_COLUMNS, read_records, write_records
+from granular_bath.observables import CSV_COLUMNS, BoundParams, read_records, write_records
 
 
 def write_config(tmp_path: Path, obj: dict, name: str = "config.json") -> Path:
@@ -361,6 +361,14 @@ class TestExecute:
         assert "verdict: OK" in report
         assert "gamma1:" in report
 
+    def test_bound_violation_exits_two(self, tmp_path, capsys, monkeypatch):
+        # A bound of 0 lies below every recorded 3 Theta + |u - u1|^2.
+        monkeypatch.setattr(cli, "bound_params", lambda *args: BoundParams(1.0, 1.0, 0.0))
+        assert execute(parse_config_dict(FULL_SMOKE), out_dir=tmp_path) == 2
+        assert "\nverdict: VIOLATION\n" in (tmp_path / "bound_report.txt").read_text()
+        err = capsys.readouterr().err
+        assert err == "temperature bound violated beyond the 4 sigma allowance\n"
+
     def test_full_trajectory_survives_read_and_write(self, tmp_path):
         # Every column, the NaN H columns of a run without a grid included.
         assert execute(parse_config_dict(FULL_SMOKE), out_dir=tmp_path) == 0
@@ -456,15 +464,11 @@ class TestExecute:
 
 
 class TestMain:
-    def test_validate_mode(self, tmp_path, capsys):
+    @pytest.mark.parametrize("config", [True, False], ids=["config", "no-config"])
+    def test_validate_mode(self, tmp_path, capsys, config):
+        # The parameter-free mode takes a config file but needs none.
         path = write_config(tmp_path, {"mode": "validate"})
-        rc = main(["validate", "--config", str(path)])
-        assert rc == 0
-        assert "14/14 checks passed" in capsys.readouterr().out
-
-    def test_validate_mode_needs_no_config(self, capsys):
-        rc = main(["validate"])
-        assert rc == 0
+        assert main(["validate", *(["--config", str(path)] if config else [])]) == 0
         assert "14/14 checks passed" in capsys.readouterr().out
 
     def test_other_modes_require_config(self, capsys):

@@ -17,6 +17,7 @@ from granular_bath.dsmc import (
     SimConfig,
     detect_steady,
     run,
+    steady_tail,
     step_l,
     step_q,
 )
@@ -910,6 +911,23 @@ class TestDetectSteady:
         bath = bath_at(u1=u1)
         assert detect_steady(self.synthetic_trajectory(thetas, n, u=u)).steady
         assert not detect_steady(self.synthetic_trajectory(thetas, n, u=u, bath=bath)).steady
+
+    def test_steady_tail_mean_and_se(self):
+        # A flat series after a 20-record ramp: the plain mean and naive SE
+        # of theta from the verdict's index on.
+        thetas = 1.0 + 0.01 * np.random.default_rng(59).normal(size=80)
+        thetas[:20] += np.linspace(1.0, 0.05, 20)
+        traj = self.synthetic_trajectory(thetas)
+        verdict, mean, se = steady_tail(traj)
+        assert verdict == detect_steady(traj) and verdict.index > 0
+        tail = thetas[verdict.index :]
+        assert (mean, se) == (tail.mean(), tail.std(ddof=1) / math.sqrt(tail.size))
+
+    @pytest.mark.parametrize("thetas", [np.linspace(1.0, 3.0, 64), np.ones(31)])
+    def test_steady_tail_without_a_steady_window(self, thetas):
+        # A ramp is not steady; below 32 records there is no verdict.
+        verdict, mean, se = steady_tail(self.synthetic_trajectory(thetas))
+        assert (verdict is None) == (thetas.size < 32) and math.isnan(mean) and math.isnan(se)
 
 
 class TestRecordObservers:

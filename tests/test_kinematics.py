@@ -303,7 +303,7 @@ class TestSphereAverages:
         for _ in range(20):
             v, w = random_pairs(1, scale=1.5)
             v, w = v[0], w[0]
-            got = sphere_average_q(lambda x: np.sum(x * x, axis=-1), v, w, params, order=64)
+            got = sphere_average_q(lambda x: np.sum(x * x, axis=-1), v, w, params)
             want = -(1 - params.epsilon**2) / 4.0 * float(np.sum((v - w) ** 2))
             scale = max(abs(want), 1e-12)
             assert abs(got - want) <= 1e-8 * max(scale, np.sum(v * v) + np.sum(w * w))
@@ -320,9 +320,7 @@ class TestSphereAverages:
             v, w = v[0], w[0]
             q = v - w
             q2 = float(np.sum(q * q))
-            got = sphere_average_l(
-                lambda x: np.sum((x - c) ** 2, axis=-1), v, w, params, order=64
-            )
+            got = sphere_average_l(lambda x: np.sum((x - c) ** 2, axis=-1), v, w, params)
             want = -2 * kap * (1 - kap) * q2 - 2 * kap * float(np.dot(q, w - c))
             alt = 2 * alp**2 * (1 - bet) ** 2 * q2 - 2 * alp * (1 - bet) * float(
                 np.dot(q, v - c)
@@ -338,9 +336,7 @@ class TestSphereAverages:
         params = PARAM_SETS[3]
         v = np.array([1.0, 0.2, -0.3])
         w = np.array([-0.5, 0.1, 0.8])
-        val = sphere_average_l(
-            lambda x: x[..., 0] ** 3 + np.sum(x * x, axis=-1), v, w, params, order=64
-        )
+        val = sphere_average_l(lambda x: x[..., 0] ** 3 + np.sum(x * x, axis=-1), v, w, params)
         assert math.isfinite(val)
 
 

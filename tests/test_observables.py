@@ -17,6 +17,7 @@ from granular_bath.observables import (
     FitRefusedError,
     MomentRecord,
     bin_counts,
+    bound_excess,
     bound_params,
     box_edges,
     f_aux,
@@ -225,6 +226,22 @@ class TestBoundParams:
         rest = RestitutionParams(epsilon=1.0, e=0.8, m1=1.0)
         with pytest.raises(DegenerateParameterError):
             bound_params(rest, bath, f0=1.0)
+
+
+class TestBoundExcess:
+    # A unit bath (shift 3 Theta1/m1 = 3), the bound 5 and records at
+    # Theta = 1, u = u1 + (dx, 0, 0): on N = 6 at dx = 0 and on N = 10 at
+    # dx = 1 the SE of F is 1, the allowance 4, and every excess is exact.
+    @pytest.mark.parametrize("fs, dx, n, want", [
+        ((10.0, 12.0, 11.0), 0.0, 6, (0.0, 0.5)),  # at the bound: excess 0
+        ((12.5, 9.0, 13.25), 0.0, 6, (1.25, 1.0)),
+        ((8.0, 11.0, 11.0), 0.0, 6, (-1.0, 0.5)),  # a tie keeps the first time
+        ((11.0, 12.0), 1.0, 10, (0.0, 0.5)),
+    ])
+    def test_worst_excess_and_its_time(self, fs, dx, n, want):
+        recs = [MomentRecord(t=0.5 * i, rho=1.0, u=np.array([dx, 0.0, 0.0]), theta=1.0, f_aux=f)
+                for i, f in enumerate(fs)]
+        assert bound_excess(recs, bath_at(), 5.0, n) == want
 
 
 class TestNorms:
